@@ -55,10 +55,9 @@ type TMan struct {
 	Lost      int64
 
 	// merge scratch, reused across calls: merge runs at least twice per
-	// node per cycle (random injection + exchange), so per-call map and
-	// slice allocations would dominate the protocol's cost.
+	// node per cycle (random injection + exchange), so a per-call slice
+	// allocation would dominate the protocol's cost.
 	mergeScratch []tmanRanked
-	mergeSeen    map[sim.NodeID]bool
 }
 
 // tmanRanked is a candidate neighbor with its precomputed distance
@@ -137,17 +136,20 @@ func (t *TMan) Tombstoned(id sim.NodeID) bool { return t.dead[id] }
 // the sort comparator, which would re-evaluate Distance O(k log k) times
 // per merge on the protocol's hot path — see BenchmarkTManMerge).
 func (t *TMan) merge(candidates []sim.NodeID) {
-	if t.mergeSeen == nil {
-		t.mergeSeen = make(map[sim.NodeID]bool, 2*t.C)
-	}
-	clear(t.mergeSeen)
-	seen := t.mergeSeen
-	seen[t.self] = true
 	all := t.mergeScratch[:0]
+	// An id already ranked is found by scanning all: at most C plus one
+	// batch of ids, which is cheaper than a map cleared on every merge.
+	ranked := func(id sim.NodeID) bool {
+		for i := range all {
+			if all[i].id == id {
+				return true
+			}
+		}
+		return false
+	}
 	rank := func(ids []sim.NodeID) {
 		for _, id := range ids {
-			if !seen[id] && !t.dead[id] {
-				seen[id] = true
+			if id != t.self && !t.dead[id] && !ranked(id) {
 				all = append(all, tmanRanked{id: id, d: t.Distance(t.self, id)})
 			}
 		}
@@ -155,8 +157,8 @@ func (t *TMan) merge(candidates []sim.NodeID) {
 	rank(t.peers)
 	rank(candidates)
 	t.mergeScratch = all
-	// seen guarantees distinct ids, so the (distance, id) comparator is a
-	// total order and the non-allocating sort is algorithm-independent.
+	// rank keeps ids distinct, so the (distance, id) comparator is a total
+	// order and the non-allocating sort is algorithm-independent.
 	slices.SortFunc(all, func(a, b tmanRanked) int {
 		if a.d != b.d {
 			return cmp.Compare(a.d, b.d)

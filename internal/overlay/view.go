@@ -7,9 +7,6 @@
 package overlay
 
 import (
-	"cmp"
-	"slices"
-
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
@@ -23,17 +20,17 @@ type Descriptor struct {
 	Stamp int64
 }
 
-// View is a bounded set of descriptors, at most one per node ID, ordered by
-// freshness (freshest first). The zero value is an empty view.
+// View is a bounded set of descriptors, at most one per node ID. The zero
+// value is an empty view that stays empty (capacity 0).
+//
+// Invariant: items is strictly sorted under the canonical order (before):
+// freshest stamp first, equal stamps by the mix hash, then by ID. Merge
+// relies on it — it merges the view with the batch linearly instead of
+// sorting their union — so everything that writes items must keep it:
+// Merge emits in that order, Remove and Clone preserve it.
 type View struct {
 	c     int
 	items []Descriptor
-
-	// Merge scratch space, reused across calls: view exchanges run once
-	// per node per cycle, so per-call allocations dominate Newscast's cost
-	// otherwise.
-	scratch []Descriptor
-	seen    map[sim.NodeID]struct{}
 }
 
 // NewView creates an empty view with capacity c.
@@ -77,14 +74,7 @@ func (v *View) SampleID(r *rng.RNG) (sim.NodeID, bool) {
 }
 
 // Contains reports whether the view holds a descriptor for id.
-func (v *View) Contains(id sim.NodeID) bool {
-	for _, d := range v.items {
-		if d.ID == id {
-			return true
-		}
-	}
-	return false
-}
+func (v *View) Contains(id sim.NodeID) bool { return containsID(v.items, id) }
 
 // Insert merges a single descriptor into the view, keeping at most one
 // descriptor per ID (the freshest) and at most Cap descriptors overall
@@ -103,54 +93,88 @@ func mix(d Descriptor) uint64 {
 	return x ^ x>>29
 }
 
+// before reports whether a precedes b in the canonical view order: fresher
+// stamp first, ties by mix, then by ID. It is a strict total order on
+// distinct descriptors (neither precedes the other only when a == b),
+// which is what makes a merge result independent of how it is computed.
+func before(a, b Descriptor) bool {
+	if a.Stamp != b.Stamp {
+		return a.Stamp > b.Stamp
+	}
+	if ha, hb := mix(a), mix(b); ha != hb {
+		return ha < hb
+	}
+	return a.ID < b.ID
+}
+
+// mergeStack sizes Merge's two stack-resident buffers: enough for a c=20
+// view and the 2c+2 descriptors of a Newscast exchange. Larger views or
+// batches spill to the heap through append; results do not depend on it.
+const mergeStack = 48
+
 // Merge folds a batch of descriptors into the view under the Newscast rule:
 // drop self-descriptors, deduplicate by ID keeping the freshest stamp, then
 // keep the Cap freshest overall. Ties in freshness break by a deterministic
 // hash of the descriptor so merging is reproducible yet unbiased.
+//
+// The result is the first Cap distinct IDs of (view ∪ batch) in canonical
+// order. The view is already in that order, so only the batch is sorted,
+// and by insertion: Newscast's batch is a peer's sorted snapshot with two
+// fresh descriptors at the tail, which insertion sort orders in a few
+// dozen moves where a general sort pays for all 2c+2; an unordered batch
+// (Cyclon, Bootstrap) is merely slower, never wrong. A two-way merge then
+// emits the two runs in order. A duplicate ID is dropped by scanning what
+// was already emitted: at most Cap descriptors, contiguous and in cache,
+// which at Cap=20 costs less than hashing each ID into a map that must
+// also be cleared per call and kept on every one of a million views. All
+// scratch lives on the caller's stack, so Merge allocates nothing (it
+// runs twice per node per cycle) and a View carries no buffers.
 func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
-	v.scratch = v.scratch[:0]
-	v.scratch = append(v.scratch, v.items...)
+	var bufB, bufA [mergeStack]Descriptor
+	b := bufB[:0]
 	for _, d := range batch {
-		if d.ID != self {
-			v.scratch = append(v.scratch, d)
-		}
-	}
-	// Sort freshest first; after sorting, the first occurrence of each ID
-	// is its freshest descriptor, so a single keep-first pass both
-	// deduplicates and selects the Cap freshest. The comparator is total
-	// on distinct descriptors (equal keys mean identical values), so the
-	// sorted output — and with it the merge result — is independent of the
-	// sort algorithm. slices.SortFunc, unlike sort.Slice, does not allocate
-	// (Merge runs twice per node per cycle; the reflection-based closure
-	// was the last steady-state allocation on the Newscast hot path).
-	slices.SortFunc(v.scratch, func(a, b Descriptor) int {
-		if a.Stamp != b.Stamp {
-			return cmp.Compare(b.Stamp, a.Stamp)
-		}
-		if ha, hb := mix(a), mix(b); ha != hb {
-			return cmp.Compare(ha, hb)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	if v.seen == nil {
-		v.seen = make(map[sim.NodeID]struct{}, 2*v.c)
-	}
-	clear(v.seen)
-	out := v.items[:0]
-	for _, d := range v.scratch {
-		if _, dup := v.seen[d.ID]; dup {
+		if d.ID == self {
 			continue
 		}
-		v.seen[d.ID] = struct{}{}
-		out = append(out, d)
-		if len(out) == v.c {
-			break
+		b = append(b, d)
+		i := len(b) - 1
+		for ; i > 0 && before(d, b[i-1]); i-- {
+			b[i] = b[i-1]
+		}
+		b[i] = d
+	}
+	// The output overwrites items in place, so the old contents move out.
+	a := append(bufA[:0], v.items...)
+
+	out := v.items[:0]
+	for i, j := 0, 0; len(out) < v.c && (i < len(a) || j < len(b)); {
+		var d Descriptor
+		if j == len(b) || i < len(a) && !before(b[j], a[i]) {
+			d = a[i]
+			i++
+		} else {
+			d = b[j]
+			j++
+		}
+		if !containsID(out, d.ID) {
+			out = append(out, d)
 		}
 	}
 	v.items = out
 }
 
-// Remove deletes the descriptor for id, if present.
+// containsID reports whether ds holds a descriptor for id.
+func containsID(ds []Descriptor, id sim.NodeID) bool {
+	for i := range ds {
+		if ds[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// Remove deletes the descriptor for id, if present, keeping the order of
+// the others.
 func (v *View) Remove(id sim.NodeID) {
 	for i, d := range v.items {
 		if d.ID == id {

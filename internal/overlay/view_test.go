@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,5 +144,367 @@ func TestViewMergeIdempotent(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceMerge is the sort-the-union Merge this package shipped before
+// the linear two-way merge, kept as the independent reference the
+// differential tests compare against: copy view and non-self batch into
+// one slice, sort it under the canonical order, keep the first occurrence
+// of each ID up to c. It differs from the historical body only in testing
+// the capacity before appending, so that c <= 0 yields an empty view.
+func referenceMerge(c int, items []Descriptor, self sim.NodeID, batch []Descriptor) []Descriptor {
+	all := append([]Descriptor(nil), items...)
+	for _, d := range batch {
+		if d.ID != self {
+			all = append(all, d)
+		}
+	}
+	slices.SortFunc(all, func(a, b Descriptor) int {
+		if a.Stamp != b.Stamp {
+			return cmp.Compare(b.Stamp, a.Stamp)
+		}
+		if ha, hb := mix(a), mix(b); ha != hb {
+			return cmp.Compare(ha, hb)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	seen := make(map[sim.NodeID]struct{}, len(all))
+	out := []Descriptor{}
+	for _, d := range all {
+		if len(out) >= c {
+			break
+		}
+		if _, dup := seen[d.ID]; dup {
+			continue
+		}
+		seen[d.ID] = struct{}{}
+		out = append(out, d)
+	}
+	return out
+}
+
+// viewPair drives a View and the reference model through the same
+// operations and checks, after every one, that they hold the same
+// descriptors and that the view keeps the invariant Merge relies on.
+type viewPair struct {
+	self sim.NodeID
+	v    *View
+	ref  []Descriptor
+}
+
+func newViewPair(c int, self sim.NodeID) *viewPair {
+	return &viewPair{self: self, v: NewView(c), ref: []Descriptor{}}
+}
+
+func (p *viewPair) merge(t *testing.T, batch []Descriptor) {
+	t.Helper()
+	in := slices.Clone(batch)
+	p.v.Merge(p.self, batch)
+	if !slices.Equal(batch, in) {
+		t.Fatalf("Merge modified its batch: %v -> %v", in, batch)
+	}
+	p.ref = referenceMerge(p.v.Cap(), p.ref, p.self, batch)
+	p.check(t)
+}
+
+func (p *viewPair) insert(t *testing.T, d Descriptor) {
+	t.Helper()
+	p.v.Insert(p.self, d)
+	p.ref = referenceMerge(p.v.Cap(), p.ref, p.self, []Descriptor{d})
+	p.check(t)
+}
+
+func (p *viewPair) remove(t *testing.T, id sim.NodeID) {
+	t.Helper()
+	p.v.Remove(id)
+	p.ref = slices.DeleteFunc(p.ref, func(d Descriptor) bool { return d.ID == id })
+	p.check(t)
+}
+
+func (p *viewPair) clone(t *testing.T) {
+	t.Helper()
+	p.v = p.v.Clone()
+	p.check(t)
+}
+
+func (p *viewPair) check(t *testing.T) {
+	t.Helper()
+	got := p.v.items
+	if !slices.Equal(got, p.ref) {
+		t.Fatalf("view diverged from reference (c=%d self=%d)\n got %v\nwant %v", p.v.Cap(), p.self, got, p.ref)
+	}
+	if len(got) > max(p.v.Cap(), 0) {
+		t.Fatalf("view holds %d descriptors, capacity %d", len(got), p.v.Cap())
+	}
+	for i, d := range got {
+		if d.ID == p.self {
+			t.Fatalf("view of %d holds its owner: %v", p.self, got)
+		}
+		// Strictly sorted also means no ID twice with the same stamp; a
+		// repeated ID with different stamps differs from the reference.
+		if i > 0 && !before(got[i-1], d) {
+			t.Fatalf("items not strictly sorted at %d: %v", i, got)
+		}
+	}
+}
+
+// viewCaps are the capacities the differential tests run at: the
+// degenerate ones, the paper's c=20, and one whose exchange (2c+2 = 82)
+// overflows Merge's stack buffers.
+var viewCaps = []int{0, 1, 20, 40}
+
+// TestViewMergeMatchesReferenceCases pins the named edge cases of the
+// linear merge against the reference at every capacity.
+func TestViewMergeMatchesReferenceCases(t *testing.T) {
+	long := make([]Descriptor, 200)
+	for i := range long {
+		long[i] = Descriptor{ID: sim.NodeID(i * 7 % 90), Stamp: int64(i * 13 % 11)}
+	}
+	equalStamps := make([]Descriptor, 60)
+	for i := range equalStamps {
+		equalStamps[i] = Descriptor{ID: sim.NodeID(i), Stamp: 4}
+	}
+	cases := []struct {
+		name    string
+		batches [][]Descriptor
+	}{
+		{"empty", [][]Descriptor{nil, {}}},
+		{"unsorted", [][]Descriptor{{{1, 1}, {2, 9}, {3, 5}, {4, 9}, {5, 0}, {6, 7}}}},
+		{"duplicate IDs in one batch", [][]Descriptor{{{1, 3}, {1, 8}, {2, 8}, {1, 8}, {2, 1}, {1, 3}}}},
+		{"identical descriptor in view and batch", [][]Descriptor{
+			{{1, 5}, {2, 5}, {3, 4}},
+			{{2, 5}, {3, 4}, {4, 5}, {1, 5}},
+		}},
+		{"staler and fresher duplicates of view entries", [][]Descriptor{
+			{{1, 5}, {2, 5}, {3, 5}},
+			{{1, 2}, {2, 9}, {3, 5}},
+		}},
+		{"self in batch", [][]Descriptor{{{7, 99}, {1, 1}, {7, 0}, {7, 99}}, {{7, 100}}}},
+		{"many equal stamps", [][]Descriptor{equalStamps, equalStamps[20:], equalStamps[:30]}},
+		{"longer than the stack buffers", [][]Descriptor{long, long[50:], long[:120]}},
+		{"newscast exchange", [][]Descriptor{
+			{{1, 3}, {2, 3}, {3, 2}, {4, 1}},
+			{{5, 4}, {2, 4}, {1, 3}, {6, 2}, {9, 5}, {7, 5}},
+		}},
+	}
+	for _, c := range viewCaps {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("c=%d/%s", c, tc.name), func(t *testing.T) {
+				p := newViewPair(c, 7)
+				for _, b := range tc.batches {
+					p.merge(t, b)
+				}
+			})
+		}
+	}
+}
+
+// TestViewOpsMatchReferenceRandom drives random Merge/Insert/Remove/Clone
+// sequences — including Cyclon's Remove-then-Merge — on a View and on the
+// reference and requires equal contents and a sorted view after every
+// step. ID and stamp ranges are drawn per sequence, so some sequences are
+// all ties and duplicates and others nearly collision-free.
+func TestViewOpsMatchReferenceRandom(t *testing.T) {
+	batchLens := []int{0, 1, 2, 5, 22, 42, 60, 200}
+	for _, c := range viewCaps {
+		for seq := 0; seq < 60; seq++ {
+			r := rng.New(uint64(1000*c + seq))
+			ids := []int{3, 25, 100, 5000}[r.Intn(4)]
+			stamps := []int{1, 3, 50, 100000}[r.Intn(4)]
+			p := newViewPair(c, sim.NodeID(r.Intn(ids)))
+			desc := func() Descriptor {
+				return Descriptor{ID: sim.NodeID(r.Intn(ids)), Stamp: int64(r.Intn(stamps))}
+			}
+			for step := 0; step < 80; step++ {
+				switch op := r.Intn(10); {
+				case op < 5:
+					batch := make([]Descriptor, batchLens[r.Intn(len(batchLens))])
+					for i := range batch {
+						batch[i] = desc()
+					}
+					if r.Intn(2) == 0 {
+						// Newscast's shape: a sorted run, then fresh ones.
+						batch = referenceMerge(len(batch), nil, -1, batch)
+						batch = append(batch, Descriptor{ID: sim.NodeID(r.Intn(ids)), Stamp: int64(stamps)}, Descriptor{ID: p.self, Stamp: int64(stamps)})
+					}
+					p.merge(t, batch)
+				case op < 7:
+					p.insert(t, desc())
+				case op < 9:
+					if n := p.v.Len(); n > 0 && r.Intn(4) > 0 {
+						p.remove(t, p.v.items[r.Intn(n)].ID)
+					} else {
+						p.remove(t, sim.NodeID(r.Intn(ids)))
+					}
+				default:
+					p.clone(t)
+				}
+			}
+		}
+	}
+}
+
+// FuzzViewMerge decodes its input into a capacity, an owner and a sequence
+// of Merge/Insert/Remove/Clone operations over small ID and stamp ranges
+// (so duplicates and ties are the norm), and runs them on a View and on
+// the reference. Batch lengths reach 255, past the stack buffers. The seed
+// corpus in testdata/fuzz/FuzzViewMerge holds one input per named edge case.
+func FuzzViewMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		desc := func() (Descriptor, bool) {
+			id, _ := next()
+			stamp, ok := next()
+			return Descriptor{ID: sim.NodeID(id % 64), Stamp: int64(stamp % 8)}, ok
+		}
+		cb, _ := next()
+		self, _ := next()
+		p := newViewPair(viewCaps[int(cb)%len(viewCaps)], sim.NodeID(self%64))
+		for {
+			op, ok := next()
+			if !ok {
+				return
+			}
+			switch op % 4 {
+			case 0:
+				n, _ := next()
+				batch := make([]Descriptor, 0, n)
+				for i := 0; i < int(n); i++ {
+					d, ok := desc()
+					if !ok {
+						break
+					}
+					batch = append(batch, d)
+				}
+				p.merge(t, batch)
+			case 1:
+				if d, ok := desc(); ok {
+					p.insert(t, d)
+				}
+			case 2:
+				id, _ := next()
+				p.remove(t, sim.NodeID(id%64))
+			case 3:
+				p.clone(t)
+			}
+		}
+	})
+}
+
+// TestViewZeroCapacityStaysEmpty pins the documented zero value: a view
+// with no capacity holds nothing, whatever it is merged with (the historical
+// loop appended before testing the capacity and grew without bound).
+func TestViewZeroCapacityStaysEmpty(t *testing.T) {
+	batch := []Descriptor{{ID: 1, Stamp: 3}, {ID: 2, Stamp: 1}}
+	for _, v := range []*View{{}, NewView(0), NewView(-1)} {
+		v.Merge(0, batch)
+		v.Insert(0, Descriptor{ID: 3, Stamp: 9})
+		if v.Len() != 0 {
+			t.Fatalf("capacity-%d view holds %v", v.Cap(), v.Descriptors())
+		}
+	}
+}
+
+// TestViewMergeZeroAllocs pins Merge's scratch to the stack: a warmed
+// c=20 view merges a Newscast exchange, and inserts one descriptor,
+// without allocating.
+func TestViewMergeZeroAllocs(t *testing.T) {
+	// A full view and a peer's sorted snapshot, half of it known to the
+	// view, plus the two fresh descriptors at the tail: 22 in all.
+	const c, self, peerID = 20, 1000, 2000
+	v, peer := NewView(c), NewView(c)
+	for i := 0; i < c; i++ {
+		v.Insert(self, Descriptor{ID: sim.NodeID(i), Stamp: int64(10 + i%5)})
+		peer.Insert(peerID, Descriptor{ID: sim.NodeID(i + c/2), Stamp: int64(11 + i%4)})
+	}
+	batch := append(peer.Descriptors(), Descriptor{ID: peerID, Stamp: 16}, Descriptor{ID: self, Stamp: 16})
+	v.Merge(self, batch)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range batch {
+			batch[i].Stamp++ // keep every merge a real one
+		}
+		v.Merge(self, batch)
+	}); n != 0 {
+		t.Fatalf("Merge allocates %v times per call, want 0", n)
+	}
+	stamp := int64(1000)
+	if n := testing.AllocsPerRun(100, func() {
+		stamp++
+		v.Insert(self, Descriptor{ID: sim.NodeID(stamp % 50), Stamp: stamp})
+	}); n != 0 {
+		t.Fatalf("Insert allocates %v times per call, want 0", n)
+	}
+}
+
+// exchangeBench is the working set of the two merge benchmarks: 64 nodes
+// of a warmed c=20 Newscast network, each with the batch its next
+// exchange would hand it — a neighbour's sorted 20-descriptor snapshot
+// plus the two fresh descriptors. Several pairs, because one pair replayed
+// in a loop is a branch pattern the predictor learns by heart.
+type exchangeBench struct {
+	nodes   []*sim.Node // node k's exchange partner is node k+1
+	ncs     []*Newscast
+	initial [][]Descriptor // each view's contents, restored every iteration
+	batches [][]Descriptor
+}
+
+func newExchangeBench(b *testing.B) *exchangeBench {
+	const n, c, pairs = 512, 20, 64
+	e := buildNewscastNet(9, n, c)
+	b.Cleanup(e.Close)
+	e.Run(30)
+	x := &exchangeBench{}
+	live := e.LiveNodes()
+	for i := 0; i < pairs; i++ {
+		node, peer := live[i], live[(i+1)%pairs]
+		nc := node.Protocol(0).(*Newscast)
+		if nc.view.Len() != c {
+			b.Fatalf("view of node %d holds %d descriptors after warm-up, want %d", node.ID, nc.view.Len(), c)
+		}
+		stamp := e.Cycle()
+		x.nodes = append(x.nodes, node)
+		x.ncs = append(x.ncs, nc)
+		x.initial = append(x.initial, nc.view.Descriptors())
+		x.batches = append(x.batches, append(peer.Protocol(0).(*Newscast).view.Descriptors(),
+			Descriptor{ID: peer.ID, Stamp: stamp}, Descriptor{ID: node.ID, Stamp: stamp}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return x
+}
+
+// BenchmarkViewMerge is the first rung of the layer ladder (ROADMAP 1b):
+// one Merge of a Newscast exchange into a full c=20 view.
+func BenchmarkViewMerge(b *testing.B) {
+	x := newExchangeBench(b)
+	for i := 0; i < b.N; i++ {
+		k := i % len(x.ncs)
+		v := x.ncs[k].view
+		v.items = append(v.items[:0], x.initial[k]...)
+		v.Merge(x.nodes[k].ID, x.batches[k])
+	}
+}
+
+// BenchmarkNewscastReceive is the second rung: the same merge reached
+// through the protocol handler, on the reply leg of the exchange. (The
+// request leg also snapshots the view into a pooled reply and posts it,
+// and only an engine can recycle that payload.)
+func BenchmarkNewscastReceive(b *testing.B) {
+	x := newExchangeBench(b)
+	reply := &viewSwapReply{}
+	for i := 0; i < b.N; i++ {
+		k := i % len(x.ncs)
+		nc := x.ncs[k]
+		nc.view.items = append(nc.view.items[:0], x.initial[k]...)
+		reply.Descs = x.batches[k]
+		nc.Receive(x.nodes[k], nil, sim.Message{From: x.nodes[(k+1)%len(x.nodes)].ID, To: x.nodes[k].ID, Data: reply})
 	}
 }

@@ -2,7 +2,9 @@ package p2p
 
 import (
 	"encoding/gob"
+	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -297,5 +299,48 @@ func TestBestExchangeOverWire(t *testing.T) {
 	_, f, ok := nd.Best()
 	if !ok || f != 0 {
 		t.Fatalf("node best %v after perfect injection", f)
+	}
+}
+
+// TestViewMergeTieBreakIsNotAddressOrder pins the hash tie-break: among
+// descriptors of equal freshness the order — and with it who survives the
+// capacity cut — must not follow address order (which would make the
+// lowest addresses hubs of every view), must not depend on the order the
+// descriptors arrived in, and must change with the stamp so that no
+// address wins every tie.
+func TestViewMergeTieBreakIsNotAddressOrder(t *testing.T) {
+	batch := func(stamp int64) []Descriptor {
+		ds := make([]Descriptor, 16)
+		for i := range ds {
+			ds[i] = Descriptor{Addr: fmt.Sprintf("10.0.0.%02d:7000", i+1), Stamp: stamp}
+		}
+		return ds
+	}
+	full := newWireView(16)
+	full.merge("self", batch(5))
+	order := full.addrs()
+	if len(order) != 16 {
+		t.Fatalf("view holds %d of 16 descriptors", len(order))
+	}
+	if slices.IsSorted(order) {
+		t.Fatalf("equal-stamp descriptors came out in address order: %v", order)
+	}
+
+	reversed := batch(5)
+	slices.Reverse(reversed)
+	again := newWireView(16)
+	again.merge("self", reversed)
+	if !slices.Equal(again.addrs(), order) {
+		t.Fatalf("tie-break depends on arrival order:\n%v\n%v", order, again.addrs())
+	}
+
+	capped, later := newWireView(4), newWireView(4)
+	capped.merge("self", batch(5))
+	later.merge("self", batch(6))
+	if !slices.Equal(capped.addrs(), order[:4]) {
+		t.Fatalf("capacity cut kept %v, want the first four of %v", capped.addrs(), order)
+	}
+	if slices.Equal(capped.addrs(), later.addrs()) {
+		t.Fatalf("the same addresses win the tie at every stamp: %v", capped.addrs())
 	}
 }

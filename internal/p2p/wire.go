@@ -13,8 +13,10 @@
 package p2p
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"sort"
 	"time"
@@ -98,8 +100,19 @@ func (v *view) remove(addr string) {
 	}
 }
 
+// tieHash is the FNV-1a hash of a descriptor's address and stamp, the
+// counterpart of overlay's mix: freshness ties broken by address order
+// would favor low addresses in every view and grow hubs.
+func tieHash(d Descriptor) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(d.Addr)) // a hash.Hash never returns an error
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(d.Stamp)))
+	return h.Sum64()
+}
+
 // merge folds batch into the view: drop self, keep freshest per address,
-// cap at c freshest overall (hash tie-break as in overlay.View).
+// cap at c freshest overall (hash tie-break as in overlay.View, address
+// last so the order is total).
 func (v *view) merge(self string, batch []Descriptor) {
 	best := make(map[string]Descriptor, len(v.items)+len(batch))
 	for _, d := range v.items {
@@ -120,6 +133,9 @@ func (v *view) merge(self string, batch []Descriptor) {
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].Stamp != merged[j].Stamp {
 			return merged[i].Stamp > merged[j].Stamp
+		}
+		if hi, hj := tieHash(merged[i]), tieHash(merged[j]); hi != hj {
+			return hi < hj
 		}
 		return merged[i].Addr < merged[j].Addr
 	})
