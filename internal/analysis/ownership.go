@@ -9,7 +9,7 @@ import (
 // Payload ownership (PR 6): ownership of a payload transfers to the
 // receiver on Send — Proposals.Send in the propose phase, ApplyContext.Send
 // for reply legs — and the engine recycles every recyclable payload
-// exactly once at cycle end. The two ways to break that silently:
+// exactly once at cycle end. The three ways to break that silently:
 //
 //   - use-after-send: the sender keeps reading (or worse, mutating) the
 //     payload it no longer owns — racing with the handler on another
@@ -17,7 +17,11 @@ import (
 //   - a leaky Recycle: a pointer or slice field that Recycle does not
 //     reset pins the previous cycle's data (and anything it references)
 //     inside the free list, and a stale alias resurfaces in the next
-//     payload handed out.
+//     payload handed out;
+//   - a retained payload: the receiving handler owns what it was sent only
+//     until its cycle ends, when the engine recycles it — a payload
+//     pointer, or a slice inside it, stored in the node's state is handed
+//     to another node by the free list one cycle later.
 //
 // The analyzer tracks the sent value's local variable — including plain
 // aliases (`q := p`) — positionally: any use after the Send call in the
@@ -28,6 +32,17 @@ import (
 // be assigned somewhere in the method body (nil, or s[:0] to keep warm
 // capacity), or the whole receiver to be reset with *r = T{...}.
 //
+// The retention rule looks at functions with a sim.Message parameter. A
+// variable bound by asserting the type of that message's Data is a received
+// payload; assigning it, or a pointer, slice or map reached through it, to
+// anything reached through the function's receiver or parameters, or to a
+// package variable, is flagged. Stores into local variables are not —
+// that is how Cyclon forwards the request's subset inside the reply it
+// sends in the same cycle — and neither is the buffer swap Newscast does:
+// a payload drawn from a free list and not yet sent belongs to the
+// handler, so its slices may move into the node's state as the node's move
+// into it.
+//
 // One field kind is exempt from the reset rule: a home-pool back-pointer,
 // i.e. a field of type *sim.FreeList[...]. Generic payloads (PR 10) carry
 // one because a generic type has no package-level pool per instantiation;
@@ -37,7 +52,8 @@ import (
 var Ownership = &Analyzer{
 	Name: "ownership",
 	Doc: "flags payload use-after-send (sent-exactly-once contract) and " +
-		"Recycle methods that leave reference fields unreset",
+		"Recycle methods that leave reference fields unreset, and handlers " +
+		"that retain a received payload",
 	Run: runOwnership,
 }
 
@@ -50,6 +66,7 @@ func runOwnership(pass *Pass) {
 			}
 			checkUseAfterSend(pass, fd)
 			checkRecycle(pass, fd)
+			checkRetained(pass, fd)
 		}
 	}
 }
@@ -264,4 +281,104 @@ func referenceType(t types.Type) bool {
 		return true
 	}
 	return false
+}
+
+// checkRetained flags a handler that stores a received payload, or
+// reference-typed data reached through it, where it outlives the call.
+func checkRetained(pass *Pass, fd *ast.FuncDecl) {
+	// Objects that outlive the call when stored through: the receiver and
+	// the parameters. Message parameters are where payloads arrive.
+	outer := map[types.Object]bool{}
+	msgs := map[types.Object]bool{}
+	for _, list := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+		if list == nil {
+			continue
+		}
+		for _, f := range list.List {
+			for _, name := range f.Names {
+				obj := pass.Info.Defs[name]
+				if obj == nil {
+					continue
+				}
+				outer[obj] = true
+				if namedTypeIn(obj.Type(), simPackageName, "Message") {
+					msgs[obj] = true
+				}
+			}
+		}
+	}
+	if len(msgs) == 0 {
+		return
+	}
+	// isData matches <message parameter>.Data.(...).
+	isData := func(e ast.Expr) bool {
+		ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := ast.Unparen(ta.X).(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Data" {
+			return false
+		}
+		id, ok := ast.Unparen(sel.X).(*ast.Ident)
+		return ok && msgs[pass.Info.Uses[id]]
+	}
+	received := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSwitchStmt:
+			// switch p := msg.Data.(type): one implicit object per clause.
+			if as, ok := n.Assign.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && isData(as.Rhs[0]) {
+				for _, clause := range n.Body.List {
+					if obj := pass.Info.Implicits[clause]; obj != nil {
+						received[obj] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			// p := msg.Data.(*T) and p, ok := msg.Data.(*T).
+			if len(n.Rhs) == 1 && isData(n.Rhs[0]) {
+				if id, ok := n.Lhs[0].(*ast.Ident); ok {
+					if obj := pass.Info.ObjectOf(id); obj != nil {
+						received[obj] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	if len(received) == 0 {
+		return
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			rhs = ast.Unparen(rhs)
+			for {
+				sl, ok := rhs.(*ast.SliceExpr) // p.Buf[:k] aliases p.Buf
+				if !ok {
+					break
+				}
+				rhs = ast.Unparen(sl.X)
+			}
+			src := rootIdent(rhs)
+			if src == nil || !received[pass.Info.Uses[src]] || !referenceType(pass.Info.TypeOf(rhs)) {
+				continue
+			}
+			lhs := ast.Unparen(as.Lhs[i])
+			dst := rootIdent(lhs)
+			if dst == nil {
+				continue
+			}
+			dObj := pass.Info.ObjectOf(dst)
+			_, plain := lhs.(*ast.Ident)
+			if isPackageLevel(dObj, pass.Pkg) || outer[dObj] && !plain {
+				pass.Reportf(as.Lhs[i].Pos(), "handler retains received payload %s beyond the call: the engine recycles it at cycle end (copy what must stay, or swap with a payload drawn from a free list and not yet sent)", src.Name)
+			}
+		}
+		return true
+	})
 }

@@ -1,6 +1,7 @@
 // Package ownfix is the ownership-analyzer fixture: use-after-send in its
 // direct, aliased and double-send forms, the renewal and scalar escapes,
-// and Recycle methods both leaky and clean.
+// Recycle methods both leaky and clean, and handlers that retain, forward
+// or swap what they received.
 package ownfix
 
 import "internal/sim"
@@ -97,4 +98,55 @@ type HomedLeaky struct {
 // exemption is per-field, not a blanket pass for pooled payloads.
 func (h *HomedLeaky) Recycle() { // want "leaves reference field Peer unreset"
 	h.home.Put(h)
+}
+
+var pool sim.FreeList[Payload]
+
+var lastSeen *Payload
+
+// Holder is a protocol whose state includes a buffer.
+type Holder struct {
+	buf  []byte
+	last *Payload
+}
+
+// Receive swaps buffers with a reply it drew from the free list and has
+// not sent yet: the reply's buffer takes the new state, the old state
+// leaves in the reply. Both slices have one owner throughout: clean. What
+// it received is only read.
+func (h *Holder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	switch p := msg.Data.(type) {
+	case *Payload:
+		rep := pool.Get()
+		out := rep.Buf[:0]
+		rep.Buf = h.buf
+		h.buf = append(out, p.Buf...)
+		ax.Send(msg.From, 0, rep)
+	case *Leaky:
+		h.last = p.Peer // want "retains received payload p"
+	}
+}
+
+// Undelivered keeps the payload, a slice of it and a reslice of it: each
+// is recycled under the node at cycle end.
+func (h *Holder) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	p, ok := msg.Data.(*Payload)
+	if !ok {
+		return
+	}
+	h.last = p        // want "retains received payload p"
+	h.buf = p.Buf     // want "retains received payload p"
+	h.buf = p.Buf[:1] // want "retains received payload p"
+	lastSeen = p.Next // want "retains received payload p"
+	h.buf = append(h.buf[:0], p.Buf...)
+	p.N = len(h.buf)
+}
+
+// forward moves the received slice into a different payload sent in the
+// same cycle (Cyclon's echo): clean, the reply's Recycle drops the alias.
+func forward(ax *sim.ApplyContext, msg sim.Message) {
+	p := msg.Data.(*Payload)
+	rep := &Payload{}
+	rep.Buf = p.Buf
+	ax.Send(msg.From, 0, rep)
 }

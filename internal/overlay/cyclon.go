@@ -62,13 +62,7 @@ func (cy *Cyclon) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 func (cy *Cyclon) Neighbors() []sim.NodeID { return cy.view.IDs() }
 
 // Bootstrap seeds the view.
-func (cy *Cyclon) Bootstrap(peers []sim.NodeID) {
-	batch := make([]Descriptor, 0, len(peers))
-	for _, id := range peers {
-		batch = append(batch, Descriptor{ID: id, Stamp: 0})
-	}
-	cy.view.Merge(cy.self, batch)
-}
+func (cy *Cyclon) Bootstrap(peers []sim.NodeID) { bootstrapView(cy.view, cy.self, peers) }
 
 // oldest returns the stalest descriptor in the view (Cyclon always
 // shuffles with its oldest neighbor, which is what ages out dead nodes).
@@ -203,27 +197,5 @@ func (cy *Cyclon) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message
 // InitCyclon wires Cyclon into protocol slot `slot` of every live node,
 // bootstrapping with up to c random peers.
 func InitCyclon(e *sim.Engine, slot, c, l int) {
-	nodes := e.LiveNodes()
-	ids := make([]sim.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.ID
-	}
-	for _, n := range nodes {
-		cy := NewCyclon(n.ID, c, l, slot)
-		k := c
-		if k > len(ids)-1 {
-			k = len(ids) - 1
-		}
-		peers := make([]sim.NodeID, 0, k)
-		for _, idx := range e.RNG().Sample(len(ids), k+1) {
-			if ids[idx] != n.ID && len(peers) < k {
-				peers = append(peers, ids[idx])
-			}
-		}
-		cy.Bootstrap(peers)
-		for len(n.Protocols) <= slot {
-			n.Protocols = append(n.Protocols, nil)
-		}
-		n.Protocols[slot] = cy
-	}
+	initSamplers(e, slot, c, func(self sim.NodeID) bootstrapper { return NewCyclon(self, c, l, slot) })
 }

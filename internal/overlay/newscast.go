@@ -21,7 +21,8 @@ type PeerSampler interface {
 // descriptors; once per cycle it (i) picks a random peer from its view,
 // (ii) refreshes its own descriptor with the current logical time, and
 // (iii) performs a symmetric view exchange: both sides merge the union of
-// the two views plus both fresh self-descriptors, keeping the C freshest.
+// the two views plus the other side's fresh descriptor, keeping the C
+// freshest.
 //
 // The periodic exchange continuously shuffles views (≈ random graph with
 // out-degree C), keeps the overlay strongly connected (C = 20 is already
@@ -72,31 +73,48 @@ func (nc *Newscast) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 func (nc *Newscast) Neighbors() []sim.NodeID { return nc.view.IDs() }
 
 // Bootstrap seeds the view with the given peers at logical time 0.
-func (nc *Newscast) Bootstrap(peers []sim.NodeID) {
-	batch := make([]Descriptor, 0, len(peers))
+func (nc *Newscast) Bootstrap(peers []sim.NodeID) { bootstrapView(nc.view, nc.self, peers) }
+
+// bootstrapView merges descriptors of the given peers, stamped with
+// logical time 0, into a view. Up to mergeStack peers the batch stays on
+// the stack.
+func bootstrapView(v *View, self sim.NodeID, peers []sim.NodeID) {
+	var buf [mergeStack]Descriptor
+	batch := buf[:0]
 	for _, id := range peers {
-		batch = append(batch, Descriptor{ID: id, Stamp: 0})
+		batch = append(batch, Descriptor{ID: id})
 	}
-	nc.view.Merge(nc.self, batch)
+	v.Merge(self, batch)
 }
 
-// viewSwap is Newscast's proposed exchange: the initiator's view snapshot
-// plus the logical time of the cycle, delivered to the chosen partner.
+// viewSwap is Newscast's proposed exchange: a snapshot of the initiator's
+// view plus the logical time of the cycle, delivered to the chosen partner.
 // Payloads are pooled (sim.Recyclable): a cycle at large n creates one
 // snapshot per live node, so recycling the descriptor buffers removes the
 // dominant per-cycle allocation.
+//
+// Descs is a view verbatim, so it is strictly sorted under the canonical
+// order and the receiver merges it without sorting. The two fresh
+// descriptors of the exchange are not in it: the receiver's own would be
+// dropped as self, and the sender's is {Message.From, Stamp}.
 type viewSwap struct {
 	Descs []Descriptor
 	Stamp int64
 }
 
 // viewSwapReply is the pull half of the exchange: the partner's pre-merge
-// view (plus both fresh self-descriptors), mailed back to the initiator in
-// the next apply round.
+// view, mailed back to the initiator in the next apply round. Descs is
+// sorted like viewSwap's. Stamp repeats the request's, not the time the
+// reply was posted or arrives: a leg the network delays still announces
+// its sender as of the cycle the exchange began in.
 type viewSwapReply struct {
 	Descs []Descriptor
+	Stamp int64
 }
 
+// The pools are process-global, so engines with different view sizes draw
+// each other's buffers; whoever fills one replaces it if it is too small
+// (View.sized).
 var (
 	viewSwapPool      sim.FreeList[viewSwap]
 	viewSwapReplyPool sim.FreeList[viewSwapReply]
@@ -124,35 +142,38 @@ func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 	}
 	nc.Exchanges++
 	sw := viewSwapPool.Get()
-	sw.Descs = nc.view.AppendDescriptors(sw.Descs[:0])
+	sw.Descs = nc.view.snapshotInto(sw.Descs)
 	sw.Stamp = px.Cycle()
 	px.Send(peerID, nc.Slot, sw)
 }
 
 // Receive implements sim.Receiver, node-locally. On the initiating leg the
-// receiver merges the initiator's snapshot plus both fresh self-descriptors
-// and mails its own pre-merge view back; on the reply leg the initiator
-// merges that snapshot — the same symmetric outcome as an inline exchange,
-// with each leg crossing the network (and the delivery filter) on its own.
+// receiver merges the initiator's snapshot and fresh descriptor and mails
+// its own pre-merge view back; on the reply leg the initiator merges that
+// view and the partner's fresh descriptor — the same symmetric outcome as
+// an inline exchange, with each leg crossing the network (and the delivery
+// filter) on its own.
 func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch sw := msg.Data.(type) {
 	case *viewSwap:
-		myDesc := Descriptor{ID: nc.self, Stamp: sw.Stamp}
-		peerDesc := Descriptor{ID: msg.From, Stamp: sw.Stamp}
-		// Snapshot the pre-merge view into the pooled reply, then extend
-		// the received (owned, pooled) snapshot in place for the merge —
-		// the same merge input and reply contents as the historical
-		// fresh-slice construction, with both buffers recycled at cycle
-		// end.
-		rep := viewSwapReplyPool.Get()
-		rep.Descs = nc.view.AppendDescriptors(rep.Descs[:0])
-		rep.Descs = append(rep.Descs, myDesc, peerDesc)
-		sw.Descs = append(sw.Descs, peerDesc, myDesc)
-		nc.view.Merge(nc.self, sw.Descs)
-		ax.Send(msg.From, nc.Slot, rep)
+		ax.Send(msg.From, nc.Slot, nc.exchange(msg.From, sw))
 	case *viewSwapReply:
-		nc.view.Merge(nc.self, sw.Descs)
+		nc.view.mergeInPlace(nc.self, sw.Descs, Descriptor{ID: msg.From, Stamp: sw.Stamp})
 	}
+}
+
+// exchange is the request leg: it merges the initiator's snapshot into the
+// view and returns the reply, which carries the pre-merge view. Nothing is
+// copied. The merge writes into the buffer of the pooled reply, which
+// becomes the view's items; the old items buffer — exactly the pre-merge
+// view — leaves in the reply and returns to the pool at cycle end.
+func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap) *viewSwapReply {
+	v := nc.view
+	rep := viewSwapReplyPool.Get()
+	out := v.sized(rep.Descs)
+	rep.Descs, rep.Stamp = v.items, sw.Stamp
+	v.items = mergeRuns(out, v.items, sw.Descs, Descriptor{ID: from, Stamp: sw.Stamp}, nc.self, v.c)
+	return rep
 }
 
 // Undelivered implements sim.Undeliverable: the partner is dead or
@@ -174,28 +195,38 @@ func (nc *Newscast) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Messa
 // never initiate, factories should call BootstrapFrom with at least one
 // known node, mirroring a real deployment's bootstrap server.
 func InitNewscast(e *sim.Engine, slot, c int) {
+	initSamplers(e, slot, c, func(self sim.NodeID) bootstrapper { return NewNewscast(self, c, slot) })
+}
+
+// bootstrapper is what initSamplers installs: a protocol instance that can
+// seed its view from a list of peers.
+type bootstrapper interface {
+	Bootstrap(peers []sim.NodeID)
+}
+
+// initSamplers installs mk(id) in protocol slot `slot` of every live node
+// of e, bootstrapped with up to c random other nodes chosen by the engine
+// RNG: one Sample(n, k+1) per node, in live order, whatever the protocol.
+func initSamplers(e *sim.Engine, slot, c int, mk func(self sim.NodeID) bootstrapper) {
 	nodes := e.LiveNodes()
 	ids := make([]sim.NodeID, len(nodes))
 	for i, n := range nodes {
 		ids[i] = n.ID
 	}
+	k := min(c, len(ids)-1)
+	peers := make([]sim.NodeID, 0, max(k, 0))
 	for _, n := range nodes {
-		nc := NewNewscast(n.ID, c, slot)
-		// Bootstrap with up to c random other nodes.
-		k := c
-		if k > len(ids)-1 {
-			k = len(ids) - 1
-		}
-		peers := make([]sim.NodeID, 0, k)
+		peers = peers[:0]
 		for _, idx := range e.RNG().Sample(len(ids), k+1) {
 			if ids[idx] != n.ID && len(peers) < k {
 				peers = append(peers, ids[idx])
 			}
 		}
-		nc.Bootstrap(peers)
+		p := mk(n.ID)
+		p.Bootstrap(peers)
 		for len(n.Protocols) <= slot {
 			n.Protocols = append(n.Protocols, nil)
 		}
-		n.Protocols[slot] = nc
+		n.Protocols[slot] = p
 	}
 }

@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 
+	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
 
@@ -159,4 +161,173 @@ func TestNewscastUnderContinuousChurn(t *testing.T) {
 	if frac := float64(cc[0]) / float64(e.LiveCount()); frac < 0.95 {
 		t.Fatalf("giant component covers only %.1f%% under churn", frac*100)
 	}
+}
+
+// TestNewscastExchangeMatchesReference drives random exchanges through the
+// handlers and through the construction they replaced — the sender's
+// snapshot plus both fresh self-descriptors, folded in by the sort-the-union
+// referenceMerge — and requires equal, strictly sorted views after every
+// leg, and replies that carry the pre-merge view. Populations smaller and
+// larger than c give short, empty and full views, initiators the receiver
+// already knows, and self-addressed requests; replies are delivered late
+// (their stamp older than what the views hold by then) or never.
+func TestNewscastExchangeMatchesReference(t *testing.T) {
+	type peer struct {
+		node *sim.Node
+		nc   *Newscast
+		ref  []Descriptor
+	}
+	type lateReply struct {
+		from, to int
+		rep      *viewSwapReply
+		want     []Descriptor // the batch the old construction would have merged
+	}
+	for _, c := range viewCaps {
+		for seq := 0; seq < 12; seq++ {
+			r := rng.New(uint64(7000*c + seq))
+			peers := make([]*peer, []int{1, 3, 30, 80}[seq%4])
+			for i := range peers {
+				id := sim.NodeID(i)
+				p := &peer{node: &sim.Node{ID: id}, nc: NewNewscast(id, c, 0), ref: []Descriptor{}}
+				var boot []sim.NodeID
+				for k := r.Intn(4); k > 0; k-- { // some views start empty
+					boot = append(boot, sim.NodeID(r.Intn(len(peers))))
+				}
+				p.nc.Bootstrap(boot)
+				for _, b := range boot {
+					p.ref = referenceMerge(c, p.ref, id, []Descriptor{{ID: b}})
+				}
+				peers[i] = p
+			}
+			check := func(leg string, p *peer) {
+				t.Helper()
+				got := p.nc.view.items
+				if !slices.Equal(got, p.ref) {
+					t.Fatalf("c=%d seq=%d: node %d diverged on the %s leg\n got %v\nwant %v", c, seq, p.node.ID, leg, got, p.ref)
+				}
+				for i := 1; i < len(got); i++ {
+					if !before(got[i-1], got[i]) {
+						t.Fatalf("c=%d seq=%d: node %d not strictly sorted after the %s leg: %v", c, seq, p.node.ID, leg, got)
+					}
+				}
+			}
+			deliver := func(l lateReply) {
+				t.Helper()
+				p := peers[l.to]
+				p.ref = referenceMerge(c, p.ref, p.node.ID, l.want)
+				p.nc.Receive(p.node, nil, sim.Message{From: sim.NodeID(l.from), To: p.node.ID, Data: l.rep})
+				check("reply", p)
+			}
+			var late []lateReply
+			var cycle int64
+			for step := 0; step < 300; step++ {
+				cycle += int64(r.Intn(2))
+				i, j := r.Intn(len(peers)), r.Intn(len(peers)) // i == j: self-addressed
+				ini, rcv := peers[i], peers[j]
+				sw := &viewSwap{Descs: ini.nc.view.Descriptors(), Stamp: cycle}
+				myDesc := Descriptor{ID: rcv.node.ID, Stamp: cycle}
+				peerDesc := Descriptor{ID: ini.node.ID, Stamp: cycle}
+				preMerge := slices.Clone(rcv.ref)
+				rcv.ref = referenceMerge(c, rcv.ref, rcv.node.ID, append(slices.Clone(sw.Descs), peerDesc, myDesc))
+
+				if r.Intn(4) == 0 {
+					// Through Receive, which posts the reply where only an
+					// engine can reach it: this exchange loses its reply leg.
+					rcv.nc.Receive(rcv.node, new(sim.ApplyContext), sim.Message{From: ini.node.ID, To: rcv.node.ID, Data: sw})
+					check("request", rcv)
+					continue
+				}
+				rep := rcv.nc.exchange(ini.node.ID, sw)
+				check("request", rcv)
+				if !slices.Equal(rep.Descs, preMerge) || rep.Stamp != cycle {
+					t.Fatalf("c=%d seq=%d: reply of node %d carries %v stamped %d, want the pre-merge view %v stamped %d",
+						c, seq, rcv.node.ID, rep.Descs, rep.Stamp, preMerge, cycle)
+				}
+				l := lateReply{from: j, to: i, rep: rep, want: append(preMerge, myDesc, peerDesc)}
+				if r.Intn(3) == 0 {
+					late = append(late, l) // delayed: delivered after later exchanges
+				} else {
+					deliver(l)
+				}
+				if len(late) > 0 && r.Intn(4) == 0 {
+					deliver(late[0])
+					late = late[1:]
+				}
+			}
+		}
+	}
+}
+
+// viewsDigest folds every live node's view, in ID order, into one hash:
+// the trace the shared-pool test compares.
+func viewsDigest(e *sim.Engine) uint64 {
+	h := uint64(14695981039346656037)
+	e.ForEachLive(func(n *sim.Node) {
+		for _, d := range n.Protocol(0).(*Newscast).view.items {
+			h = (h ^ mix(d)) * 1099511628211
+		}
+		h = (h ^ uint64(n.ID)) * 1099511628211
+	})
+	return h
+}
+
+// TestNewscastEnginesShareFreeLists steps an engine with c=8 views and one
+// with c=40 views alternately in one process, so that each draws payload
+// buffers the other recycled — too small for the one, oversized for the
+// other — and requires the traces they produce alone. The double-release
+// detector watches both.
+func TestNewscastEnginesShareFreeLists(t *testing.T) {
+	const n, cycles = 120, 50
+	sim.EnableFreeListDebug(true)
+	defer sim.EnableFreeListDebug(false)
+	trace := func(e *sim.Engine) uint64 { e.RunCycle(); return viewsDigest(e) }
+	alone := map[int][]uint64{}
+	for _, c := range []int{8, 40} {
+		e := buildNewscastNet(11, n, c)
+		for i := 0; i < cycles; i++ {
+			alone[c] = append(alone[c], trace(e))
+		}
+		e.Close()
+	}
+	small, large := buildNewscastNet(11, n, 8), buildNewscastNet(11, n, 40)
+	defer small.Close()
+	defer large.Close()
+	for i := 0; i < cycles; i++ {
+		if got := trace(small); got != alone[8][i] {
+			t.Fatalf("cycle %d: the c=8 engine diverged from its solo trace", i)
+		}
+		if got := trace(large); got != alone[40][i] {
+			t.Fatalf("cycle %d: the c=40 engine diverged from its solo trace", i)
+		}
+	}
+	small.ForEachLive(func(nd *sim.Node) {
+		if v := nd.Protocol(0).(*Newscast).view; v.Len() > 8 {
+			t.Fatalf("node %d of the c=8 engine holds %d descriptors", nd.ID, v.Len())
+		}
+	})
+}
+
+// TestNewscastNoDoubleRelease runs 50 cycles under churn and link loss with
+// the free-list double-release detector on: the buffer swap of the request
+// leg must leave every payload, and every buffer, with exactly one owner.
+func TestNewscastNoDoubleRelease(t *testing.T) {
+	sim.EnableFreeListDebug(true)
+	defer sim.EnableFreeListDebug(false)
+	e := buildNewscastNet(12, 300, 20)
+	defer e.Close()
+	e.SetChurn(&sim.RateChurn{CrashProb: 0.01, JoinPerCycle: 3, MinLive: 100})
+	e.SetNetModel(&sim.LossyLinks{Loss: 0.1, DelayMax: 2})
+	e.Run(50) // the detector panics at the second release of one pointer
+	seen := map[*Descriptor]sim.NodeID{}
+	e.ForEachLive(func(n *sim.Node) {
+		items := n.Protocol(0).(*Newscast).view.items
+		if cap(items) == 0 {
+			return
+		}
+		first := &items[:1][0]
+		if other, dup := seen[first]; dup {
+			t.Fatalf("nodes %d and %d share one items buffer", other, n.ID)
+		}
+		seen[first] = n.ID
+	})
 }

@@ -280,27 +280,5 @@ func RingDistance(n int) func(a, b sim.NodeID) float64 {
 // bootstrapped with k random peers; randSlot may point at an existing
 // peer-sampling protocol (pass -1 to disable random injection).
 func InitTMan(e *sim.Engine, slot, randSlot, c int, dist func(a, b sim.NodeID) float64) {
-	nodes := e.LiveNodes()
-	ids := make([]sim.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.ID
-	}
-	for _, n := range nodes {
-		tm := NewTMan(n.ID, c, slot, randSlot, dist)
-		k := c
-		if k > len(ids)-1 {
-			k = len(ids) - 1
-		}
-		peers := make([]sim.NodeID, 0, k)
-		for _, idx := range e.RNG().Sample(len(ids), k+1) {
-			if ids[idx] != n.ID && len(peers) < k {
-				peers = append(peers, ids[idx])
-			}
-		}
-		tm.Bootstrap(peers)
-		for len(n.Protocols) <= slot {
-			n.Protocols = append(n.Protocols, nil)
-		}
-		n.Protocols[slot] = tm
-	}
+	initSamplers(e, slot, c, func(self sim.NodeID) bootstrapper { return NewTMan(self, c, slot, randSlot, dist) })
 }

@@ -24,10 +24,16 @@ type Descriptor struct {
 // value is an empty view that stays empty (capacity 0).
 //
 // Invariant: items is strictly sorted under the canonical order (before):
-// freshest stamp first, equal stamps by the mix hash, then by ID. Merge
-// relies on it — it merges the view with the batch linearly instead of
-// sorting their union — so everything that writes items must keep it:
-// Merge emits in that order, Remove and Clone preserve it.
+// freshest stamp first, equal stamps by the mix hash, then by ID. Every
+// merge relies on it — it merges the view with the other sorted run
+// linearly instead of sorting their union — so everything that writes
+// items must keep it: mergeRuns emits in that order, Remove and Clone
+// preserve it.
+//
+// items is allocated once, at capacity c, by the first merge that needs
+// it (or taken over from a pooled payload, see Newscast.exchange); it is
+// never grown by append, whose doubling held c=20 views in capacity-32
+// arrays.
 type View struct {
 	c     int
 	items []Descriptor
@@ -56,11 +62,22 @@ func (v *View) Descriptors() []Descriptor {
 	return append([]Descriptor(nil), v.items...)
 }
 
-// AppendDescriptors appends the view contents, freshest first, onto buf
-// and returns the extended slice — the allocation-free variant of
-// Descriptors for per-cycle snapshots into recycled payload buffers.
-func (v *View) AppendDescriptors(buf []Descriptor) []Descriptor {
-	return append(buf, v.items...)
+// sized returns buf emptied, or, when buf cannot hold a full view (it is
+// nil, or was recycled by an engine with smaller views), a new buffer of
+// exactly capacity c. Every descriptor buffer of a view or a Newscast
+// payload comes from here, so none is ever grown by append's doubling.
+func (v *View) sized(buf []Descriptor) []Descriptor {
+	if cap(buf) < v.c {
+		return make([]Descriptor, 0, v.c)
+	}
+	return buf[:0]
+}
+
+// snapshotInto copies the view contents, freshest first, into buf (see
+// sized) and returns it — the allocation-free variant of Descriptors for
+// per-cycle snapshots into recycled payload buffers.
+func (v *View) snapshotInto(buf []Descriptor) []Descriptor {
+	return append(v.sized(buf), v.items...)
 }
 
 // SampleID returns a uniformly random ID from the view without
@@ -107,8 +124,8 @@ func before(a, b Descriptor) bool {
 	return a.ID < b.ID
 }
 
-// mergeStack sizes Merge's two stack-resident buffers: enough for a c=20
-// view and the 2c+2 descriptors of a Newscast exchange. Larger views or
+// mergeStack sizes the stack-resident buffers of the merges: enough for a
+// c=20 view and the c descriptors of a Newscast exchange. Larger views or
 // batches spill to the heap through append; results do not depend on it.
 const mergeStack = 48
 
@@ -118,24 +135,17 @@ const mergeStack = 48
 // hash of the descriptor so merging is reproducible yet unbiased.
 //
 // The result is the first Cap distinct IDs of (view ∪ batch) in canonical
-// order. The view is already in that order, so only the batch is sorted,
-// and by insertion: Newscast's batch is a peer's sorted snapshot with two
-// fresh descriptors at the tail, which insertion sort orders in a few
-// dozen moves where a general sort pays for all 2c+2; an unordered batch
-// (Cyclon, Bootstrap) is merely slower, never wrong. A two-way merge then
-// emits the two runs in order. A duplicate ID is dropped by scanning what
-// was already emitted: at most Cap descriptors, contiguous and in cache,
-// which at Cap=20 costs less than hashing each ID into a map that must
-// also be cleared per call and kept on every one of a million views. All
-// scratch lives on the caller's stack, so Merge allocates nothing (it
-// runs twice per node per cycle) and a View carries no buffers.
+// order. Merge is the front-end for batches in any order (Cyclon's shuffle
+// subsets, Bootstrap, Insert, the event engine): it insertion-sorts the
+// batch — an unordered batch is merely slower, never wrong — and hands the
+// two sorted runs to mergeRuns, the one merge and the one dedup of this
+// package. Newscast's payloads are sorted already and skip the sort (see
+// Newscast.Receive). All scratch lives on the caller's stack, so Merge
+// allocates nothing once items exists, and a View carries no buffers.
 func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
-	var bufB, bufA [mergeStack]Descriptor
+	var bufB [mergeStack]Descriptor
 	b := bufB[:0]
 	for _, d := range batch {
-		if d.ID == self {
-			continue
-		}
 		b = append(b, d)
 		i := len(b) - 1
 		for ; i > 0 && before(d, b[i-1]); i-- {
@@ -143,24 +153,81 @@ func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
 		}
 		b[i] = d
 	}
-	// The output overwrites items in place, so the old contents move out.
-	a := append(bufA[:0], v.items...)
+	v.mergeInPlace(self, b, Descriptor{ID: self})
+}
 
-	out := v.items[:0]
-	for i, j := 0, 0; len(out) < v.c && (i < len(a) || j < len(b)); {
-		var d Descriptor
-		if j == len(b) || i < len(a) && !before(b[j], a[i]) {
-			d = a[i]
-			i++
-		} else {
-			d = b[j]
-			j++
-		}
-		if !containsID(out, d.ID) {
-			out = append(out, d)
-		}
+// mergeInPlace merges the sorted run b and the extra descriptor x into the
+// view, reusing items for the output: the old contents move to the stack
+// first, because the output overwrites them.
+func (v *View) mergeInPlace(self sim.NodeID, b []Descriptor, x Descriptor) {
+	var bufA [mergeStack]Descriptor
+	a := append(bufA[:0], v.items...)
+	v.items = mergeRuns(v.sized(v.items), a, b, x, self, v.c)
+}
+
+// dedupBits sizes mergeRuns' ID table, 128 slots: several times the
+// paper's c=20, so that most lookups miss or hit outright.
+const dedupBits = 7
+
+// mergeRuns is the merge core. It writes into out[:0] the first c distinct
+// IDs of a ∪ b ∪ {x} in canonical order and returns that slice; a and b
+// must be sorted under before (repeats allowed) and must not overlap out,
+// whose capacity must be at least c. Descriptors of self are skipped, in
+// either run and as x — passing Descriptor{ID: self} means "no extra".
+//
+// Among descriptors with one ID the first in canonical order is the
+// freshest, so dropping every ID already emitted is the whole dedup. It is
+// O(1): tab maps a hash of the ID to 1 + the index in out of the last
+// descriptor emitted with that hash. A zero slot proves the ID new; a slot
+// naming the same ID proves it a duplicate; only a slot naming another ID
+// (a hash collision, about one lookup in ten at c=20) falls back to
+// scanning out. The table is 128 bytes of stack, cleared per call — no
+// per-view state. A slot is a byte, so indices from 254 up all read 255:
+// past that fill, which only views of c >= 255 reach, a non-empty slot
+// always scans.
+func mergeRuns(out, a, b []Descriptor, x Descriptor, self sim.NodeID, c int) []Descriptor {
+	if c <= 0 {
+		return out[:0]
 	}
-	v.items = out
+	out = out[:c]
+	var tab [1 << dedupBits]uint8
+	hasX := x.ID != self
+	n, i, j := 0, 0, 0
+	for n < len(out) {
+		// The next descriptor in canonical order: the head of a or of b
+		// (a first on a tie, which only equal descriptors produce), or x
+		// if it precedes that head.
+		var d Descriptor
+		switch {
+		case j < len(b) && (i == len(a) || before(b[j], a[i])):
+			if d = b[j]; hasX && before(x, d) {
+				d, hasX = x, false
+			} else {
+				j++
+			}
+		case i < len(a):
+			if d = a[i]; hasX && before(x, d) {
+				d, hasX = x, false
+			} else {
+				i++
+			}
+		case hasX:
+			d, hasX = x, false
+		default:
+			return out[:n]
+		}
+		if d.ID == self {
+			continue
+		}
+		h := uint64(d.ID) * 0x9e3779b97f4a7c15 >> (64 - dedupBits)
+		if k := tab[h]; k != 0 && (out[k-1].ID == d.ID || containsID(out[:n], d.ID)) {
+			continue
+		}
+		tab[h] = uint8(min(n+1, 255))
+		out[n] = d
+		n++
+	}
+	return out[:n]
 }
 
 // containsID reports whether ds holds a descriptor for id.
@@ -186,5 +253,5 @@ func (v *View) Remove(id sim.NodeID) {
 
 // Clone returns an independent copy of the view.
 func (v *View) Clone() *View {
-	return &View{c: v.c, items: append([]Descriptor(nil), v.items...)}
+	return &View{c: v.c, items: append(make([]Descriptor, 0, max(v.c, 0)), v.items...)}
 }

@@ -215,6 +215,17 @@ func (p *viewPair) insert(t *testing.T, d Descriptor) {
 	p.check(t)
 }
 
+// mergeSorted drives the path Newscast's reply leg takes — a run that is
+// sorted already plus one extra descriptor, no insertion sort — against
+// what the reference makes of the same descriptors in one unordered batch.
+func (p *viewPair) mergeSorted(t *testing.T, run []Descriptor, x Descriptor) {
+	t.Helper()
+	run = referenceMerge(len(run), nil, -1, run) // sorted, one descriptor per ID, as a view is
+	p.v.mergeInPlace(p.self, run, x)
+	p.ref = referenceMerge(p.v.Cap(), p.ref, p.self, append(slices.Clone(run), x))
+	p.check(t)
+}
+
 func (p *viewPair) remove(t *testing.T, id sim.NodeID) {
 	t.Helper()
 	p.v.Remove(id)
@@ -250,9 +261,10 @@ func (p *viewPair) check(t *testing.T) {
 }
 
 // viewCaps are the capacities the differential tests run at: the
-// degenerate ones, the paper's c=20, and one whose exchange (2c+2 = 82)
-// overflows Merge's stack buffers.
-var viewCaps = []int{0, 1, 20, 40}
+// degenerate ones, the paper's c=20, one whose views overflow the merges'
+// stack buffers only when nearly full, and one past the 254 descriptors
+// the dedup table can index, where mergeRuns dedups by scan.
+var viewCaps = []int{0, 1, 20, 40, 300}
 
 // TestViewMergeMatchesReferenceCases pins the named edge cases of the
 // linear merge against the reference at every capacity.
@@ -317,7 +329,13 @@ func TestViewOpsMatchReferenceRandom(t *testing.T) {
 				return Descriptor{ID: sim.NodeID(r.Intn(ids)), Stamp: int64(r.Intn(stamps))}
 			}
 			for step := 0; step < 80; step++ {
-				switch op := r.Intn(10); {
+				switch op := r.Intn(12); {
+				case op >= 10:
+					run := make([]Descriptor, batchLens[r.Intn(len(batchLens))])
+					for i := range run {
+						run[i] = desc()
+					}
+					p.mergeSorted(t, run, desc())
 				case op < 5:
 					batch := make([]Descriptor, batchLens[r.Intn(len(batchLens))])
 					for i := range batch {
@@ -346,10 +364,12 @@ func TestViewOpsMatchReferenceRandom(t *testing.T) {
 }
 
 // FuzzViewMerge decodes its input into a capacity, an owner and a sequence
-// of Merge/Insert/Remove/Clone operations over small ID and stamp ranges
-// (so duplicates and ties are the norm), and runs them on a View and on
-// the reference. Batch lengths reach 255, past the stack buffers. The seed
-// corpus in testdata/fuzz/FuzzViewMerge holds one input per named edge case.
+// of Merge/Insert/Remove/Clone/sorted-merge operations over small ID and
+// stamp ranges (so duplicates and ties are the norm), and runs them on a
+// View and on the reference. Batch lengths reach 255, past the stack
+// buffers. The seed corpus in testdata/fuzz/FuzzViewMerge holds one input
+// per named edge case; they spell operations and capacities as the bytes
+// 0..4, so they outlive a longer operation or capacity list.
 func FuzzViewMerge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() (byte, bool) {
@@ -373,8 +393,7 @@ func FuzzViewMerge(f *testing.F) {
 			if !ok {
 				return
 			}
-			switch op % 4 {
-			case 0:
+			batch := func() []Descriptor {
 				n, _ := next()
 				batch := make([]Descriptor, 0, n)
 				for i := 0; i < int(n); i++ {
@@ -384,7 +403,11 @@ func FuzzViewMerge(f *testing.F) {
 					}
 					batch = append(batch, d)
 				}
-				p.merge(t, batch)
+				return batch
+			}
+			switch op % 5 {
+			case 0:
+				p.merge(t, batch())
 			case 1:
 				if d, ok := desc(); ok {
 					p.insert(t, d)
@@ -394,6 +417,9 @@ func FuzzViewMerge(f *testing.F) {
 				p.remove(t, sim.NodeID(id%64))
 			case 3:
 				p.clone(t)
+			case 4:
+				x, _ := desc()
+				p.mergeSorted(t, batch(), x)
 			}
 		}
 	})
@@ -444,16 +470,17 @@ func TestViewMergeZeroAllocs(t *testing.T) {
 	}
 }
 
-// exchangeBench is the working set of the two merge benchmarks: 64 nodes
-// of a warmed c=20 Newscast network, each with the batch its next
-// exchange would hand it — a neighbour's sorted 20-descriptor snapshot
-// plus the two fresh descriptors. Several pairs, because one pair replayed
-// in a loop is a branch pattern the predictor learns by heart.
+// exchangeBench is the working set of the merge benchmarks: 64 nodes of a
+// warmed c=20 Newscast network, each with the snapshot its next exchange
+// would hand it — a neighbour's sorted 20-descriptor view. Several pairs,
+// because one pair replayed in a loop is a branch pattern the predictor
+// learns by heart.
 type exchangeBench struct {
 	nodes   []*sim.Node // node k's exchange partner is node k+1
 	ncs     []*Newscast
 	initial [][]Descriptor // each view's contents, restored every iteration
-	batches [][]Descriptor
+	snaps   [][]Descriptor // the partner's view
+	stamp   int64          // the cycle the exchange happens in
 }
 
 func newExchangeBench(b *testing.B) *exchangeBench {
@@ -461,7 +488,7 @@ func newExchangeBench(b *testing.B) *exchangeBench {
 	e := buildNewscastNet(9, n, c)
 	b.Cleanup(e.Close)
 	e.Run(30)
-	x := &exchangeBench{}
+	x := &exchangeBench{stamp: e.Cycle()}
 	live := e.LiveNodes()
 	for i := 0; i < pairs; i++ {
 		node, peer := live[i], live[(i+1)%pairs]
@@ -469,12 +496,10 @@ func newExchangeBench(b *testing.B) *exchangeBench {
 		if nc.view.Len() != c {
 			b.Fatalf("view of node %d holds %d descriptors after warm-up, want %d", node.ID, nc.view.Len(), c)
 		}
-		stamp := e.Cycle()
 		x.nodes = append(x.nodes, node)
 		x.ncs = append(x.ncs, nc)
 		x.initial = append(x.initial, nc.view.Descriptors())
-		x.batches = append(x.batches, append(peer.Protocol(0).(*Newscast).view.Descriptors(),
-			Descriptor{ID: peer.ID, Stamp: stamp}, Descriptor{ID: node.ID, Stamp: stamp}))
+		x.snaps = append(x.snaps, peer.Protocol(0).(*Newscast).view.Descriptors())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -482,29 +507,88 @@ func newExchangeBench(b *testing.B) *exchangeBench {
 }
 
 // BenchmarkViewMerge is the first rung of the layer ladder (ROADMAP 1b):
-// one Merge of a Newscast exchange into a full c=20 view.
+// one generic Merge into a full c=20 view, of the batch Newscast handed it
+// before its payloads went sorted — a neighbour's snapshot with the two
+// fresh descriptors at the tail, so the insertion sort has work to do.
 func BenchmarkViewMerge(b *testing.B) {
 	x := newExchangeBench(b)
+	batches := make([][]Descriptor, len(x.snaps))
+	for k, snap := range x.snaps {
+		peer, self := x.nodes[(k+1)%len(x.nodes)].ID, x.nodes[k].ID
+		batches[k] = append(slices.Clone(snap), Descriptor{ID: peer, Stamp: x.stamp}, Descriptor{ID: self, Stamp: x.stamp})
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(x.ncs)
 		v := x.ncs[k].view
 		v.items = append(v.items[:0], x.initial[k]...)
-		v.Merge(x.nodes[k].ID, x.batches[k])
+		v.Merge(x.nodes[k].ID, batches[k])
 	}
 }
 
-// BenchmarkNewscastReceive is the second rung: the same merge reached
-// through the protocol handler, on the reply leg of the exchange. (The
-// request leg also snapshots the view into a pooled reply and posts it,
-// and only an engine can recycle that payload.)
+// BenchmarkNewscastReceive is the second rung: the reply leg of an
+// exchange through the protocol handler — one stack copy of the view and
+// one sorted merge.
 func BenchmarkNewscastReceive(b *testing.B) {
 	x := newExchangeBench(b)
-	reply := &viewSwapReply{}
+	reply := &viewSwapReply{Stamp: x.stamp}
 	for i := 0; i < b.N; i++ {
 		k := i % len(x.ncs)
 		nc := x.ncs[k]
 		nc.view.items = append(nc.view.items[:0], x.initial[k]...)
-		reply.Descs = x.batches[k]
+		reply.Descs = x.snaps[k]
 		nc.Receive(x.nodes[k], nil, sim.Message{From: x.nodes[(k+1)%len(x.nodes)].ID, To: x.nodes[k].ID, Data: reply})
+	}
+}
+
+// exchangeDriver stands in for Newscast on the two-node engine of
+// BenchmarkNewscastExchange. Its Propose restores the node's view to the
+// next of the warmed working set and proposes to the one other node (a
+// Newscast Propose would sample the view, and mostly draw an ID the engine
+// does not have); the handlers are Newscast's own.
+type exchangeDriver struct {
+	*Newscast
+	partner sim.NodeID
+	views   [][]Descriptor
+	next    int
+}
+
+func (d *exchangeDriver) Propose(n *sim.Node, px *sim.Proposals) {
+	v := d.view
+	v.items = append(v.items[:0], d.views[d.next%len(d.views)]...)
+	d.next++
+	sw := viewSwapPool.Get()
+	sw.Descs = v.snapshotInto(sw.Descs)
+	sw.Stamp = px.Cycle()
+	px.Send(d.partner, d.Slot, sw)
+}
+
+// BenchmarkNewscastExchange is the whole exchange on an engine of two
+// nodes with full c=20 views: per cycle two snapshots, two request legs
+// (merge into the pooled reply's buffer, swap), two reply legs and four
+// payloads recycled. ns/op is per exchange.
+func BenchmarkNewscastExchange(b *testing.B) {
+	x := newExchangeBench(b)
+	const c = 20
+	e := sim.NewEngine(1)
+	b.Cleanup(e.Close)
+	nodes := e.AddNodes(2)
+	for k, n := range nodes {
+		d := &exchangeDriver{Newscast: NewNewscast(n.ID, c, 0), partner: nodes[1-k].ID}
+		// The working set belongs to nodes 0..511 of another engine: move
+		// it clear of this engine's IDs, which re-sorts equal stamps.
+		for _, view := range x.initial[k*len(x.initial)/2:][:len(x.initial)/2] {
+			v := NewView(c)
+			for _, desc := range view {
+				v.Insert(n.ID, Descriptor{ID: desc.ID + 2, Stamp: desc.Stamp})
+			}
+			d.views = append(d.views, v.items)
+		}
+		n.Protocols = []sim.Protocol{d}
+	}
+	e.Run(x.stamp) // stamps of the exchanges: fresher than the views', as in the network
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 2 {
+		e.RunCycle()
 	}
 }

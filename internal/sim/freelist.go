@@ -26,6 +26,15 @@ import (
 //     payload sent in the same cycle (Cyclon echoes the request subset in
 //     its reply; the reply's Recycle must then drop the alias, never
 //     recycle it).
+//   - A payload drawn from a free list and not yet sent belongs to the
+//     handler that drew it, slices included. The handler may therefore
+//     swap: keep a slice of that payload as node state and put the slice
+//     it replaces into the payload, which then carries it away (Newscast's
+//     request leg merges into the reply's buffer and mails its old view
+//     buffer back). Every buffer keeps exactly one owner, and the pools
+//     neither gain nor lose one. A buffer that arrives this way may have
+//     any capacity — the free lists are shared by every engine in the
+//     process — so whoever fills it checks the capacity it needs.
 //   - Recycle must reset slice fields to length zero (keeping capacity —
 //     that reuse is the whole point) and nil out aliases it does not own.
 //     A payload carrying a home-pool back-pointer (generic payloads whose
