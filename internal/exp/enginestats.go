@@ -17,8 +17,7 @@ type EngineStatsSummary struct {
 	ProposeNanos MetricStat `json:"propose_ns"`
 	ApplyNanos   MetricStat `json:"apply_ns"`
 	// ApplyRounds and ApplyJobs summarize apply-phase volume; ApplyBatches
-	// the batched-dispatch granularity (0 under a single apply worker:
-	// the fused path materializes no batches).
+	// the (handling node, round) pairs those jobs were spread over.
 	ApplyRounds  MetricStat `json:"apply_rounds"`
 	ApplyJobs    MetricStat `json:"apply_jobs"`
 	ApplyBatches MetricStat `json:"apply_batches"`

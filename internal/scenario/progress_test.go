@@ -12,15 +12,11 @@ import (
 // legitimately depend on wall-clock time or the worker configuration
 // (phase timings, shard-load spread, pool submissions, the process-global
 // free-list counters), leaving the deterministic core — cycle, delivery,
-// eval, round, job and rebuild counts — for exact comparison across
-// worker grids.
+// eval, round, job, batch and rebuild counts — for exact comparison
+// across worker grids.
 func stripWorkerVariantStats(s *sim.EngineStats) {
 	s.ProposeNanos, s.ApplyNanos = 0, 0
 	s.ShardedRounds, s.ShardMinLoad, s.ShardMaxLoad, s.ShardMeanLoad = 0, 0, 0, 0
-	// ApplyBatches is worker-variant by design: the single-worker fused
-	// apply path never materializes batches, so the counter moves only on
-	// sharded rounds.
-	s.ApplyBatches = 0
 	s.PoolTasks = 0
 	s.FreeListHits, s.FreeListMisses = 0, 0
 }

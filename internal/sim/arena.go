@@ -6,7 +6,7 @@ package sim
 // with no hashing and no separate order slice. The arena is chunked so
 // that growing it never moves existing nodes — callers throughout the
 // codebase hold *Node pointers across joins (protocol views, churn models,
-// apply jobs), which a flat append-grown slice would invalidate.
+// the live index), which a flat append-grown slice would invalidate.
 
 const (
 	arenaChunkShift = 12

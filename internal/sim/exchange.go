@@ -17,22 +17,33 @@ package sim
 //   - Phase 2 (parallel apply): the per-worker outboxes are concatenated
 //     in shard order (= sender-ID order, independent of the propose worker
 //     count) and shuffled into a seed-derived canonical order with the
-//     engine RNG. Delivery then proceeds in *rounds*: each round's
-//     messages are partitioned by the node that must handle them — the
-//     destination for deliverable messages, the sender for undeliverable
-//     ones — so every node's messages land on exactly one apply worker,
-//     in canonical order. A handler is node-local: Receive/Undelivered may
-//     touch only the handled node's state and post follow-up messages
-//     (replies) through the ApplyContext; the follow-ups form the next
-//     round, globally ordered by the canonical index of the message that
-//     triggered them. Rounds repeat until no protocol posts a follow-up.
+//     engine RNG. Delivery then proceeds in *rounds*, each in three steps
+//     (Engine.applyRound). The coordinator classifies the round in
+//     canonical order: liveness, the delivery filter, the net model's
+//     draws, the delay queue and the counters advance exactly as in a
+//     sequential pass, and each message is assigned the node that must
+//     handle it — the destination when deliverable, the sender otherwise.
+//     The routed messages are then dispatched in node-ID order, each
+//     node's messages kept in canonical order, the apply workers taking
+//     contiguous spans of that order cut at node boundaries. A handler is
+//     node-local: Receive/Undelivered may touch only the handled node's
+//     state and post follow-up messages (replies) through the
+//     ApplyContext. Finally the follow-ups are scattered into the next
+//     round's buffer by the canonical index of the message that triggered
+//     them. Rounds repeat until no protocol posts a follow-up.
 //
-// Determinism: the per-node handler-call order is the canonical order
-// restricted to that node, which no sharding can change; follow-ups are
-// re-canonicalized by trigger index; counters are classified on the
-// coordinator; and every apply-phase random draw comes from the handled
-// node's private RNG. A run's trace is therefore bit-identical for any
-// (propose workers × apply workers) combination, 1×1 included.
+// Determinism: because handlers are node-local, the only order a handler
+// can observe is the order of its own node's messages, which is the
+// canonical order restricted to that node whatever the order between
+// nodes and however the spans are cut. Trigger indices are unique per
+// routed message and a message's follow-ups sit contiguously, in emission
+// order, in one worker's outbox, so placing them by trigger yields the
+// sequence a sequential pass would have appended. Counters are classified
+// on the coordinator, and every apply-phase random draw comes from the
+// handled node's private RNG. A run's trace is therefore bit-identical for
+// any (propose workers × apply workers) combination, 1×1 included —
+// sim.TestApplyMatchesSequentialReference checks it against a literal
+// one-message-at-a-time engine.
 //
 // The exchange idiom: symmetric protocols complete a pairwise exchange by
 // replying in the next round (ax.Send back to msg.From) instead of
@@ -129,7 +140,7 @@ func (px *Proposals) begin(id NodeID) { px.from = id }
 
 // followUp is one reply posted during apply, tagged with the canonical
 // index of the message whose handler posted it so the coordinator can
-// restore the exact order a sequential apply would have produced.
+// place it where a sequential apply would have appended it.
 type followUp struct {
 	trigger int
 	msg     Message
@@ -140,7 +151,8 @@ type followUp struct {
 // engine: a handler sees only the node it was invoked on, the logical
 // cycle time, read-only liveness (frozen for the duration of the apply
 // phase), counters, and an outbox for follow-up messages. That restriction
-// is what makes the apply phase shardable by destination.
+// is what makes the order between nodes free, and the apply phase
+// shardable by handling node.
 type ApplyContext struct {
 	engine *Engine
 	cycle  int64

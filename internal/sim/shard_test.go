@@ -1,15 +1,15 @@
 package sim
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 )
 
 // starProto is a deliberately skewed ("hotspot") workload: every node
 // pings the hub (node 0) each cycle, and the hub answers each ping with a
-// pong in the follow-up round. Under ID-mod sharding the hub's entire
-// apply load lands on one worker; balanced sharding must spread the other
-// shards while producing the exact same trace.
+// pong in the follow-up round. The hub's entire apply load lands on one
+// worker whatever the span cut does with the rest; the trace must not
+// depend on it.
 type starProto struct {
 	hub NodeID
 
@@ -38,13 +38,12 @@ func (p *starProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 
 func (p *starProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.failed++ }
 
-func buildStar(seed uint64, n, workers, applyWorkers int, idMod bool) (*Engine, []*starProto) {
+func buildStar(seed uint64, n, workers, applyWorkers int) (*Engine, []*starProto) {
 	e := NewEngine(seed)
 	e.SetWorkers(workers)
 	if applyWorkers > 0 {
 		e.SetApplyWorkers(applyWorkers)
 	}
-	e.idModSharding = idMod
 	protos := make([]*starProto, 0, n)
 	e.SetNodeFactory(func(nd *Node) {
 		p := &starProto{hub: 0}
@@ -57,13 +56,13 @@ func buildStar(seed uint64, n, workers, applyWorkers int, idMod bool) (*Engine, 
 
 // TestShardingHotspotGridInvariant pins the determinism contract on the
 // worst case for load balancing: a star workload where one node receives
-// nearly every message. The per-node delivery traces must be identical for
-// ID-mod and balanced sharding across every (propose × apply) worker grid
-// — balancing may only move work between workers, never reorder it.
+// nearly every message. The per-node delivery traces must be identical
+// across every (propose × apply) worker grid — the span cut may only move
+// work between workers, never reorder it.
 func TestShardingHotspotGridInvariant(t *testing.T) {
 	const n, cycles = 96, 12
-	trace := func(workers, applyWorkers int, idMod bool) [][]NodeID {
-		e, protos := buildStar(11, n, workers, applyWorkers, idMod)
+	trace := func(workers, applyWorkers int) [][]NodeID {
+		e, protos := buildStar(11, n, workers, applyWorkers)
 		defer e.Close()
 		e.SetChurn(&RateChurn{CrashProb: 0.03, JoinPerCycle: 0.5, MinLive: 8})
 		e.Run(cycles)
@@ -73,42 +72,35 @@ func TestShardingHotspotGridInvariant(t *testing.T) {
 		}
 		return out
 	}
-	want := trace(1, 1, true) // historical configuration
+	want := trace(1, 1)
 	for _, w := range []int{1, 2, 8} {
 		for _, aw := range []int{1, 2, 8} {
-			for _, idMod := range []bool{false, true} {
-				got := trace(w, aw, idMod)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d/%d idMod=%v: %d nodes, want %d", w, aw, idMod, len(got), len(want))
-				}
-				for i := range want {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("workers=%d/%d idMod=%v node %d: %d deliveries, want %d",
-							w, aw, idMod, i, len(got[i]), len(want[i]))
-					}
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("workers=%d/%d idMod=%v node %d delivery %d: from %d, want %d",
-								w, aw, idMod, i, j, got[i][j], want[i][j])
-						}
-					}
+			got := trace(w, aw)
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d/%d: %d nodes, want %d", w, aw, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("workers=%d/%d node %d: deliveries from %v, want %v", w, aw, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestBalancedShardingSpreadsHotspots demonstrates the scheduling win
+// TestBalancedShardingSpreadsHotspots demonstrates the scheduling property
 // directly (machine-independent, unlike wall-clock): several hot nodes
-// sharing an ID residue class pile onto one worker under ID-mod sharding,
-// while the greedy bin-pack spreads them. The per-worker job loads are
-// measured straight off shardRound's batch layout (the spans and the
-// batches' jobOrder windows), which also cross-checks that every routed
-// job landed in exactly one batch of exactly one worker.
+// sharing an ID residue class piled onto one worker under the historical
+// ID-mod assignment — worker id%workers, so hubs 0/8/16/24 at 8 workers
+// put 4·hot + 8 jobs on worker 0 — while the contiguous-span cut keeps
+// every worker at or below 2·hot. The loads are read off the spans the
+// workers actually received, which also cross-checks that every routed job
+// sits in exactly one span and that no node is split between two.
 func TestBalancedShardingSpreadsHotspots(t *testing.T) {
 	const n, workers, hot = 64, 8, 100
 	e := NewEngine(1)
 	defer e.Close()
+	e.SetApplyWorkers(workers)
 	e.AddNodes(n)
 
 	// Hubs 0, 8, 16, 24 share residue 0 mod 8: each gets `hot` messages;
@@ -122,43 +114,40 @@ func TestBalancedShardingSpreadsHotspots(t *testing.T) {
 	for id := NodeID(0); id < n; id++ {
 		round = append(round, Message{From: 0, To: id})
 	}
-
-	maxLoad := func(idMod bool) int {
-		e.idModSharding = idMod
-		e.shardRound(round, workers)
-		spans := e.batchSpans[:workers+1]
-		m := 0
-		total := 0
-		for w := 0; w < workers; w++ {
-			load := 0
-			for _, b := range e.batchScratch[spans[w]:spans[w+1]] {
-				load += int(b.hi - b.lo)
-			}
-			if load != e.loads[w] {
-				t.Fatalf("idMod=%v worker %d: batch windows sum to %d jobs, loads says %d",
-					idMod, w, load, e.loads[w])
-			}
-			total += load
-			if load > m {
-				m = load
-			}
-		}
-		if total != len(round) {
-			t.Fatalf("idMod=%v: %d jobs batched, want %d", idMod, total, len(round))
-		}
-		return m
+	idModLoad := make([]int, workers)
+	for _, m := range round {
+		idModLoad[int(m.To)%workers]++
+	}
+	if got := slices.Max(idModLoad); got != 4*hot+8 {
+		t.Fatalf("analytic id-mod max load = %d, want %d", got, 4*hot+8)
 	}
 
-	idMod := maxLoad(true)
-	balanced := maxLoad(false)
-	// ID-mod: all four hubs (plus the 8 residue-0 singles) land on worker 0
-	// — 4*hot + 8 jobs. Balanced: one hub per worker plus spread singles,
-	// so the critical path is near hot + a few.
-	if idMod < 4*hot {
-		t.Fatalf("idmod max load = %d, expected the 4 aliased hubs (>= %d) on one worker", idMod, 4*hot)
+	e.applyRound(round, nil)
+	if len(e.spans) != workers+1 || e.spans[0] != 0 || int(e.spans[workers]) != len(round) {
+		t.Fatalf("spans %v do not cover the %d jobs", e.spans, len(round))
 	}
-	if balanced > 2*hot {
-		t.Fatalf("balanced max load = %d, want <= %d (hubs spread across workers)", balanced, 2*hot)
+	seen := make([]int, len(round))
+	owner := make(map[NodeID]int)
+	maxLoad := 0
+	for w := 0; w < workers; w++ {
+		span := e.jobOrder[e.spans[w]:e.spans[w+1]]
+		maxLoad = max(maxLoad, len(span))
+		for _, i := range span {
+			seen[i]++
+			to := round[i].To
+			if prev, ok := owner[to]; ok && prev != w {
+				t.Fatalf("node %d handled by workers %d and %d", to, prev, w)
+			}
+			owner[to] = w
+		}
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("job %d sits in %d spans, want exactly one", i, c)
+		}
+	}
+	if maxLoad > 2*hot {
+		t.Fatalf("span max load = %d, want <= %d (id-mod: %d)", maxLoad, 2*hot, 4*hot+8)
 	}
 }
 
@@ -186,27 +175,81 @@ func BenchmarkRandomLiveNode(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyShardsHotspot compares balanced vs ID-mod sharding on the
-// star workload at 8 apply workers, where ID-mod serializes the hub's
-// entire load onto one worker. node-cycles/s is the cross-run comparable
-// throughput metric (population × cycles / wall time).
+// BenchmarkApplyShardsHotspot runs the star workload at 8 apply workers,
+// where the hub's pile lands on one span. node-cycles/s is the cross-run
+// comparable throughput metric (population × cycles / wall time).
 func BenchmarkApplyShardsHotspot(b *testing.B) {
 	const n = 10_000
-	for _, mode := range []struct {
-		name  string
-		idMod bool
-	}{{"balanced", false}, {"idmod", true}} {
-		b.Run(fmt.Sprintf("sharding=%s", mode.name), func(b *testing.B) {
-			e, _ := buildStar(7, n, 8, 8, mode.idMod)
-			defer e.Close()
-			e.Run(2) // warm scratch buffers and pools
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunCycle()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "node-cycles/s")
-		})
+	e, _ := buildStar(7, n, 8, 8)
+	defer e.Close()
+	e.Run(2) // warm scratch buffers and pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunCycle()
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "node-cycles/s")
+}
+
+// avgPayload and avgProto are a pooled two-round averaging exchange, the
+// shape of gossip.Average: the request carries the initiator's value, the
+// receiver averages and replies with its old value, the initiator averages.
+type avgPayload struct {
+	v     float64
+	reply bool
+}
+
+var avgPayloads FreeList[avgPayload]
+
+func (p *avgPayload) Recycle() { avgPayloads.Put(p) }
+
+type avgProto struct{ v float64 }
+
+func (p *avgProto) Receive(n *Node, ax *ApplyContext, msg Message) {
+	pl := msg.Data.(*avgPayload)
+	if !pl.reply {
+		rep := avgPayloads.Get()
+		*rep = avgPayload{v: p.v, reply: true}
+		ax.Send(msg.From, 0, rep)
+	}
+	p.v = (p.v + pl.v) / 2
+}
+
+// BenchmarkApplyRound is the apply phase alone — no propose phase, no
+// canonical shuffle: one request per node to a random peer, already in a
+// shuffled order, delivered, answered and recycled. ns/message counts both
+// legs; the steady state allocates nothing, whatever the worker count.
+func BenchmarkApplyRound(b *testing.B) {
+	const n = 20_000
+	e := NewEngine(5)
+	defer e.Close()
+	protos := make([]avgProto, n)
+	e.SetNodeFactory(func(nd *Node) { nd.Protocols = []Protocol{&protos[nd.ID]} })
+	e.AddNodes(n)
+	requests := make([]Message, n)
+	for i := range requests {
+		requests[i] = Message{From: NodeID(i), To: NodeID(e.rng.Intn(n))}
+		protos[i].v = float64(i)
+	}
+	e.rng.Shuffle(n, func(i, j int) { requests[i], requests[j] = requests[j], requests[i] })
+	cycle := func() {
+		msgs := append(e.msgScratch[:0], requests...)
+		for i := range msgs {
+			pl := avgPayloads.Get()
+			*pl = avgPayload{v: protos[msgs[i].From].v}
+			msgs[i].Data = pl
+		}
+		e.msgScratch = msgs
+		e.releaseApplyScratch(nil, e.deliver(msgs))
+	}
+	cycle() // size the buffers, fill the free list
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*2*n), "ns/message")
 }

@@ -135,40 +135,29 @@ type Engine struct {
 	observers []Observer
 
 	// scratch buffers reused across cycles.
-	msgScratch    []Message
-	outScratch    []Proposals
-	applyCtxs     []ApplyContext
-	jobScratch    []applyJob
-	followScratch []followUp
+	msgScratch []Message
+	outScratch []Proposals
+	applyCtxs  []ApplyContext
 	// rounds keeps one buffer per apply round, all retained until
 	// releaseApplyScratch so each cycle's payloads can be recycled exactly
 	// once: a payload lives either in msgScratch (proposed this cycle) or
 	// in exactly one round buffer (posted as a follow-up).
 	rounds [][]Message
 
-	// Batched-dispatch scratch (see shardRound): the routed jobs stay in
-	// jobScratch in canonical order; jobOrder is a permutation of job
-	// indices grouped worker-major and node-contiguous, batchScratch holds
-	// one per-node batch descriptor per distinct handling node, and
-	// batchSpans/batchCursor delimit each worker's run of batches. Workers
-	// receive slice views into these engine-owned buffers, so a round's
-	// dispatch allocates nothing in the steady state.
-	jobOrder     []int32
-	batchScratch []applyBatch
-	batchSpans   []int32
-	batchCursor  []int32
-
-	// Balanced-sharding scratch (see shardRound): per-node message counts
-	// and worker assignments, dense by NodeID, reset via the touched list
-	// so a round costs O(messages + distinct nodes), not O(population).
-	nodeMsgs   []int32
-	nodeWorker []int32
-	touched    []*Node
-	loads      []int
-	// idModSharding restores the historical ID-mod shard assignment; a
-	// test/benchmark hook proving balanced sharding changes throughput
-	// only, never the trace.
-	idModSharding bool
+	// Apply-round scratch (see applyRound), all index-only: jobKeys holds
+	// one routing key per message of the round, in canonical order;
+	// jobOrder the canonical indices of the routed jobs, sorted by handling
+	// node; nodeJobs one counter per node ever created (the counting
+	// sort's buckets); spans the workers' windows into jobOrder.
+	jobKeys  []int32
+	jobOrder []int32
+	nodeJobs []int32
+	spans    []int32
+	// round is the round being dispatched, and spanFn the applySpan method
+	// value bound once, so handing a round to the pool allocates no
+	// closure.
+	round  []Message
+	spanFn func(w int)
 
 	// Instrumentation accumulators (see stats.go). All are plain
 	// coordinator-owned fields mutated on the hot path without atomics;
@@ -193,27 +182,6 @@ type delayedMsg struct {
 	msg     Message
 }
 
-// applyJob is one routed message of an apply round: the node that must
-// handle it (the destination when deliverable, the sender otherwise) plus
-// the message's canonical index, which orders handler calls per node and
-// tags follow-ups.
-type applyJob struct {
-	idx     int
-	deliver bool
-	node    *Node
-	msg     Message
-}
-
-// applyBatch is one contiguous run of a single node's routed jobs inside
-// an apply round: jobOrder[lo:hi] indexes the node's jobs in canonical
-// order. A worker processes whole batches, so per-node setup (the
-// ApplyContext's self field, the node's protocol table) is paid once per
-// batch rather than once per message.
-type applyBatch struct {
-	node   *Node
-	lo, hi int32
-}
-
 // Observer inspects the network after each cycle; returning false stops the
 // simulation (used for threshold-based termination, e.g. the paper's
 // fourth experiment).
@@ -221,11 +189,13 @@ type Observer func(e *Engine) bool
 
 // NewEngine creates an empty engine with a deterministic RNG stream.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
+	e := &Engine{
 		rng:     rng.New(seed),
 		workers: 1,
 		pool:    newWorkerPool(),
 	}
+	e.spanFn = e.applySpan
+	return e
 }
 
 // Close releases the engine's worker pool. Optional: a dropped engine's
@@ -507,8 +477,8 @@ func (e *Engine) RandomLiveNode(exclude NodeID) *Node {
 }
 
 // RunCycle executes one cycle of the two-phase exchange model: churn, the
-// parallel propose phase, the destination-sharded parallel apply phase,
-// then observers. It reports false if any observer requested termination.
+// parallel propose phase, the parallel apply phase, then observers. It
+// reports false if any observer requested termination.
 // See exchange.go for the model's contracts and the determinism argument.
 func (e *Engine) RunCycle() bool {
 	if e.churn != nil {
@@ -572,8 +542,8 @@ func (e *Engine) RunCycle() bool {
 
 	// Phase 2: deterministic parallel apply. Move the outbox messages into
 	// the canonical list, shuffle into the cycle's canonical delivery
-	// order with the engine RNG, then deliver in destination-sharded
-	// rounds until no handler posts a follow-up. Every round's buffer is
+	// order with the engine RNG, then deliver in rounds (see applyRound)
+	// until no handler posts a follow-up. Every round's buffer is
 	// retained so payload references die — and recyclable payloads return
 	// to their free lists — in one place, releaseApplyScratch, once the
 	// rounds are done.
@@ -600,19 +570,7 @@ func (e *Engine) RunCycle() bool {
 	}
 	e.msgScratch = msgs
 	e.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
-	depth := 0
-	for round := msgs; len(round) > 0; depth++ {
-		follows := e.applyRound(round)
-		if depth == len(e.rounds) {
-			e.rounds = append(e.rounds, nil)
-		}
-		next := e.rounds[depth][:0]
-		for _, f := range follows {
-			next = append(next, f.msg)
-		}
-		e.rounds[depth] = next
-		round = next
-	}
+	depth := e.deliver(msgs)
 	e.releaseApplyScratch(outs, depth)
 	//simcheck:allow determinism phase timing feeds Stats only, never the trace
 	e.applyNanos += time.Since(phaseStart).Nanoseconds()
@@ -628,6 +586,37 @@ func (e *Engine) RunCycle() bool {
 	return cont
 }
 
+// deliver runs the apply rounds of one cycle: the canonical list first,
+// then each round's follow-ups, until no handler posts any. Round d's
+// follow-ups are built in rounds[d], which therefore owns their payloads
+// until releaseApplyScratch; the return value is the number of rounds run.
+func (e *Engine) deliver(msgs []Message) int {
+	depth := 0
+	for round := msgs; len(round) > 0; depth++ {
+		if depth == len(e.rounds) {
+			e.rounds = append(e.rounds, nil)
+		}
+		round = e.applyRound(round, e.rounds[depth])
+		e.rounds[depth] = round
+	}
+	return depth
+}
+
+// A routing key is all the coordinator records about one message of a
+// round: the handling node's ID above two flag bits, or noHandler when no
+// handler fires at all (no sender exists, a blackhole swallowed the leg,
+// or the leg was delayed). 29 ID bits are far beyond any population that
+// fits in memory.
+const (
+	// keyDeliver selects the destination's Receive; without it the key
+	// names the sender, whose Undeliverable hook fires.
+	keyDeliver int32 = 1 << iota
+	// keyCorrupt has dispatch substitute a Corrupted payload.
+	keyCorrupt
+	keyShift        = 2
+	noHandler int32 = -1
+)
+
 // route classifies one canonical message on the coordinator: delivered to
 // the destination's Receiver when the destination is alive and reachable,
 // otherwise bounced to the sender's Undeliverable hook (the failure
@@ -635,302 +624,229 @@ func (e *Engine) RunCycle() bool {
 // the Delivered/Dropped counters deterministically. The delivery filter is
 // consulted here, at delivery time, so a partition installed mid-run also
 // blocks messages proposed earlier in the same cycle; the net model (when
-// installed) judges what the filter let through. slot points into the
-// round buffer — route owns that slot's Data: a delayed leg moves the
-// payload into the delay queue and nils the slot so end-of-cycle recycling
-// skips it, and a corrupted leg dispatches a Corrupted copy while the slot
-// keeps the original for recycling. The returned message is the one to
-// dispatch; a nil node means no handler fires at all (no sender exists, a
-// blackhole swallowed the leg, or the leg was delayed).
-func (e *Engine) route(slot *Message) (*Node, Message, bool) {
-	m := *slot
+// installed) judges what the filter let through. m points into the round
+// buffer, which keeps owning the payload for end-of-cycle recycling — also
+// for a corrupted leg, whose substitute payload exists only in dispatch's
+// copy. The one exception is a delayed leg: its payload moves to the delay
+// queue and the slot is nilled so this cycle's recycling skips it.
+func (e *Engine) route(m *Message) int32 {
 	dst := e.arena.at(m.To)
 	if dst == nil || !dst.Alive || e.filter.blocked(m.From, m.To) {
 		e.dropped++
-		return e.arena.at(m.From), m, false
+		return e.senderKey(m.From)
 	}
 	if e.netmod != nil && m.From != m.To && !m.redelivered {
 		switch v := e.netmod.Judge(m.From, m.To, e.netRNG); v.Fate {
 		case FateDrop:
 			e.dropped++
-			return e.arena.at(m.From), m, false
+			return e.senderKey(m.From)
 		case FateBlackhole:
 			e.dropped++
-			return nil, m, false
+			return noHandler
 		case FateDelay:
-			d := v.Delay
-			if d < 1 {
-				d = 1
-			}
 			e.delayed++
-			m.redelivered = true
-			e.delayQ = append(e.delayQ, delayedMsg{release: e.cycle + d, msg: m})
-			slot.Data = nil
-			return nil, m, false
+			held := *m
+			held.redelivered = true
+			e.delayQ = append(e.delayQ, delayedMsg{release: e.cycle + max(v.Delay, 1), msg: held})
+			m.Data = nil
+			return noHandler
 		case FateCorrupt:
 			e.corrupted++
 			e.dropped++
-			m.Data = Corrupted{}
-			return dst, m, true
+			return int32(m.To)<<keyShift | keyDeliver | keyCorrupt
 		}
 	}
 	e.delivered++
-	return dst, m, true
+	return int32(m.To)<<keyShift | keyDeliver
 }
 
-// dispatch invokes the handling node's protocol for one routed message.
-func dispatch(n *Node, ax *ApplyContext, m Message, idx int, deliver bool) {
-	if m.Slot >= len(n.Protocols) {
-		return
+// senderKey routes an undeliverable leg back to its sender, dead or alive,
+// as long as it exists.
+func (e *Engine) senderKey(from NodeID) int32 {
+	if e.arena.at(from) == nil {
+		return noHandler
 	}
-	ax.self = n.ID
-	ax.trigger = idx
-	if deliver {
-		if r, ok := n.Protocols[m.Slot].(Receiver); ok {
-			r.Receive(n, ax, m)
-		}
-	} else if u, ok := n.Protocols[m.Slot].(Undeliverable); ok {
-		u.Undelivered(n, ax, m)
-	}
+	return int32(from) << keyShift
 }
 
-// applyRound delivers one round of messages and returns the follow-ups
-// posted by its handlers, in canonical (trigger index, emission) order.
+// sized returns buf resliced to n elements, reallocated with 1/8 headroom
+// — never by doubling — when its capacity falls short. Contents are not
+// preserved: every caller overwrites or clears the whole extent.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/8)
+	}
+	return buf[:n]
+}
+
+// applyRound delivers one non-empty round of messages and returns the
+// follow-ups its handlers posted, written into next's storage in canonical
+// (trigger index, emission) order. One path serves every worker count:
 //
-// The coordinator classifies every message in canonical order (see route),
-// then shards the routed jobs by handling node across the apply workers:
-// all of one node's messages land on one worker in canonical order, so
-// per-node handler order — the only order a node-local handler can observe
-// — is independent of both the worker count and the node→worker
-// assignment. That freedom is what makes the assignment a pure scheduling
-// decision: jobs are bin-packed onto workers by per-node message count
-// (greedy least-loaded, in first-appearance order), so a hotspot node's
-// message pile no longer drags the ~1/workers of the population that
-// shared its ID residue onto the same worker, as the historical ID-mod
-// assignment did.
-func (e *Engine) applyRound(round []Message) []followUp {
-	workers := e.ApplyWorkers()
-	if workers > len(round) {
-		workers = len(round)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+//  1. Classify in canonical order. The coordinator routes every message
+//     (see route) — liveness, the delivery filter, the net model's draws,
+//     the delay queue and the counters all advance exactly as a sequential
+//     pass would — and records one routing key per message.
+//  2. Dispatch in arena order. A stable counting sort of the canonical
+//     indices by handling-node ID yields the job order. Handlers are
+//     node-local, so the only order one can observe is the order of its
+//     own node's messages, and the stable sort keeps that canonical; the
+//     order *between* nodes is free, and ID order is the order in which
+//     the nodes, their protocol tables and protocol structs were
+//     allocated, so consecutive jobs touch neighbouring memory instead of
+//     chasing the canonical shuffle through the heap. Workers take
+//     contiguous spans of the job order (see cutSpans), so one node's
+//     messages also land on one worker whatever the worker count.
+//  3. Scatter the follow-ups by trigger. A handler's follow-ups sit
+//     contiguously, in emission order, in one worker's outbox, tagged with
+//     the canonical index of the message that triggered them, and that
+//     index is unique per routed message. Counting follow-ups per trigger
+//     and prefix-summing gives each run's final offset, so one pass over
+//     the outboxes places every follow-up exactly where a stable sort of
+//     the concatenated outboxes by trigger would — in O(messages), with no
+//     intermediate copy.
+func (e *Engine) applyRound(round, next []Message) []Message {
+	workers := min(e.ApplyWorkers(), len(round))
 	if cap(e.applyCtxs) < workers {
 		e.applyCtxs = make([]ApplyContext, workers)
 	}
 	ctxs := e.applyCtxs[:workers]
-
 	e.applyRounds++
-	if workers == 1 {
-		// Single-worker fast path: classify and handle in one fused pass
-		// on the coordinator. Handlers cannot observe the counters or
-		// liveness changes mid-phase, so fusing is trace-identical to the
-		// classify-then-handle split and skips materializing jobs.
-		ax := &ctxs[0]
-		ax.reset(e, e.cycle)
-		for i := range round {
-			if n, m, deliver := e.route(&round[i]); n != nil {
-				e.applyJobs++
-				dispatch(n, ax, m, i, deliver)
-			}
+
+	keys := sized(e.jobKeys, len(round))
+	counts := sized(e.nodeJobs, e.arena.len())
+	e.jobKeys, e.nodeJobs = keys, counts
+	clear(counts)
+	jobs := 0
+	for i := range round {
+		k := e.route(&round[i])
+		keys[i] = k
+		if k != noHandler {
+			counts[k>>keyShift]++
+			jobs++
 		}
-	} else {
-		e.shardRound(round, workers)
-		jobs, order := e.jobScratch, e.jobOrder
-		batches, spans := e.batchScratch, e.batchSpans[:workers+1]
-		// Per-round shard-load spread (min/mean/max worker load),
-		// accumulated before the workers run: a skewed assignment —
-		// idmod under hotspot traffic — shows up directly as
-		// max >> mean in the Stats snapshot.
-		loads := e.loads[:workers]
-		minLoad, maxLoad, total := loads[0], loads[0], 0
-		for _, l := range loads {
-			total += l
-			if l < minLoad {
-				minLoad = l
-			}
-			if l > maxLoad {
-				maxLoad = l
-			}
+	}
+
+	// Turn the per-node counts into each node's first offset in the job
+	// order, then place the jobs; canonical iteration makes the sort
+	// stable. Afterwards counts[id] is the END of id's run, which is what
+	// cutSpans reads.
+	nodes, off := 0, int32(0)
+	for id, c := range counts {
+		counts[id] = off
+		off += c
+		if c != 0 {
+			nodes++
 		}
-		e.applyJobs += int64(total)
-		e.applyBatches += int64(len(batches))
+	}
+	order := sized(e.jobOrder, jobs)
+	e.jobOrder = order
+	for i, k := range keys {
+		if k != noHandler {
+			id := k >> keyShift
+			order[counts[id]] = int32(i)
+			counts[id]++
+		}
+	}
+	e.applyJobs += int64(jobs)
+	e.applyBatches += int64(nodes)
+	e.cutSpans(workers)
+
+	e.round = round
+	e.pool.run(workers, e.spanFn)
+	e.round = nil
+
+	total := 0
+	for w := range ctxs {
+		e.evals += ctxs[w].evals
+		total += len(ctxs[w].outbox)
+	}
+	next = sized(next, total)
+	if total == 0 {
+		return next
+	}
+	// Dispatch is done with the routing keys; the array becomes the
+	// per-trigger cursor of the scatter.
+	pos := keys
+	clear(pos)
+	for w := range ctxs {
+		for i := range ctxs[w].outbox {
+			pos[ctxs[w].outbox[i].trigger]++
+		}
+	}
+	off = 0
+	for t, c := range pos {
+		pos[t] = off
+		off += c
+	}
+	for w := range ctxs {
+		for i := range ctxs[w].outbox {
+			f := &ctxs[w].outbox[i]
+			next[pos[f.trigger]] = f.msg
+			pos[f.trigger]++
+		}
+	}
+	return next
+}
+
+// cutSpans divides the sorted job order among the workers: spans[w] to
+// spans[w+1] is worker w's window, cut by cumulative load and moved
+// forward to the end of the node the cut falls in, so a node's jobs are
+// never split. No span exceeds jobs/workers by more than one node's
+// messages; a hotspot node leaves the workers it overshoots idle. Spans
+// of rounds on more than one worker feed the shard-load statistics.
+func (e *Engine) cutSpans(workers int) {
+	spans := sized(e.spans, workers+1)
+	e.spans = spans
+	jobs := len(e.jobOrder)
+	spans[0] = 0
+	for w := 1; w < workers; w++ {
+		cut := spans[w-1]
+		if t := int32(w * jobs / workers); t > cut {
+			cut = e.nodeJobs[e.jobKeys[e.jobOrder[t-1]]>>keyShift]
+		}
+		spans[w] = cut
+	}
+	spans[workers] = int32(jobs)
+	if workers > 1 {
+		minLoad, maxLoad := int32(jobs), int32(0)
+		for w := 0; w < workers; w++ {
+			load := spans[w+1] - spans[w]
+			minLoad, maxLoad = min(minLoad, load), max(maxLoad, load)
+		}
 		e.shardedRounds++
 		e.shardMinSum += int64(minLoad)
 		e.shardMaxSum += int64(maxLoad)
-		e.shardMeanSum += float64(total) / float64(workers)
-		e.pool.run(workers, func(w int) {
-			ax := &ctxs[w]
-			ax.reset(e, e.cycle)
-			// Batched dispatch: one batch per (node, round), its jobs in
-			// canonical order. Per-node setup — the context's sender
-			// identity, the protocol table — is hoisted out of the
-			// per-message loop.
-			for _, b := range batches[spans[w]:spans[w+1]] {
-				n := b.node
-				ax.self = n.ID
-				protos := n.Protocols
-				for _, k := range order[b.lo:b.hi] {
-					j := &jobs[k]
-					if j.msg.Slot >= len(protos) {
-						continue
-					}
-					ax.trigger = j.idx
-					if j.deliver {
-						if r, ok := protos[j.msg.Slot].(Receiver); ok {
-							r.Receive(n, ax, j.msg)
-						}
-					} else if u, ok := protos[j.msg.Slot].(Undeliverable); ok {
-						u.Undelivered(n, ax, j.msg)
-					}
-				}
-			}
-		})
+		e.shardMeanSum += float64(jobs) / float64(workers)
 	}
-
-	// Round barrier: aggregate per-worker eval counts and restore the
-	// sequential follow-up order. Triggers (canonical indices) are unique
-	// per routed message and each message's follow-ups are emitted
-	// contiguously into one worker's outbox, so a stable sort by trigger
-	// across the concatenation reconstructs exactly the order a single
-	// sequential pass would have produced — even though batching means a
-	// worker's outbox is no longer globally trigger-sorted.
-	follows := e.followScratch[:0]
-	for w := range ctxs {
-		e.evals += ctxs[w].evals
-		follows = append(follows, ctxs[w].outbox...)
-	}
-	slices.SortStableFunc(follows, func(a, b followUp) int { return cmp.Compare(a.trigger, b.trigger) })
-	e.followScratch = follows
-	return follows
 }
 
-// shardRound classifies a round's messages and lays the routed jobs out as
-// per-node batches grouped by worker. Everything runs on the coordinator,
-// so the assignment is deterministic by construction — and because
-// per-node handler order is the only observable, any assignment yields the
-// same trace (the idModSharding hook and the invariance tests pin that
-// down).
-//
-// The layout is a two-level counting sort over engine-owned scratch, with
-// no per-job copying of Message values: jobs stay in jobScratch in
-// canonical order; jobOrder holds job indices permuted worker-major and
-// node-contiguous (each node's run in canonical order); batchScratch holds
-// one applyBatch per distinct node, in first-appearance order within each
-// worker's batchSpans window. Total cost is O(messages + distinct nodes +
-// workers) per round, and every buffer is reused across rounds and cycles.
-func (e *Engine) shardRound(round []Message, workers int) {
-	if n := e.arena.len(); len(e.nodeMsgs) < n {
-		e.nodeMsgs = make([]int32, n)
-		e.nodeWorker = make([]int32, n)
-	}
-
-	// Classification pass, in canonical order: route each message and
-	// count messages per handling node (first-appearance order recorded in
-	// touched; nodeMsgs entries are reset via touched below, keeping the
-	// pass O(messages), not O(population)).
-	jobs := e.jobScratch[:0]
-	touched := e.touched[:0]
-	for i := range round {
-		n, m, deliver := e.route(&round[i])
-		if n == nil {
+// applySpan is the body of one apply worker: it handles the jobs of span
+// w in order. The handling node's protocol table is read here, at dispatch
+// time, so protocols swapped in after construction are honoured.
+func (e *Engine) applySpan(w int) {
+	ax := &e.applyCtxs[w]
+	ax.reset(e, e.cycle)
+	keys, round := e.jobKeys, e.round
+	for _, i := range e.jobOrder[e.spans[w]:e.spans[w+1]] {
+		k := keys[i]
+		n := e.arena.at(NodeID(k >> keyShift))
+		m := round[i]
+		if k&keyCorrupt != 0 {
+			m.Data = Corrupted{}
+		}
+		if uint(m.Slot) >= uint(len(n.Protocols)) {
 			continue
 		}
-		jobs = append(jobs, applyJob{idx: i, deliver: deliver, node: n, msg: m})
-		if e.nodeMsgs[n.ID] == 0 {
-			touched = append(touched, n)
-		}
-		e.nodeMsgs[n.ID]++
-	}
-	e.jobScratch = jobs
-	e.touched = touched
-
-	// Worker assignment, per distinct node, weighted by its message count.
-	// loads doubles as the per-worker job totals the round's shard-load
-	// stats read back in applyRound.
-	if cap(e.loads) < workers {
-		e.loads = make([]int, workers)
-	}
-	loads := e.loads[:workers]
-	clear(loads)
-	if e.idModSharding {
-		for _, n := range touched {
-			w := int32(uint64(n.ID) % uint64(workers))
-			e.nodeWorker[n.ID] = w
-			loads[w] += int(e.nodeMsgs[n.ID])
-		}
-	} else {
-		// Greedy bin-pack: assign each distinct node, in first-appearance
-		// order, to the currently least-loaded worker, weighted by its
-		// message count. O(distinct × workers) with small worker counts.
-		for _, n := range touched {
-			w := 0
-			for v := 1; v < workers; v++ {
-				if loads[v] < loads[w] {
-					w = v
-				}
+		ax.self = n.ID
+		ax.trigger = int(i)
+		if k&keyDeliver != 0 {
+			if r, ok := n.Protocols[m.Slot].(Receiver); ok {
+				r.Receive(n, ax, m)
 			}
-			e.nodeWorker[n.ID] = int32(w)
-			loads[w] += int(e.nodeMsgs[n.ID])
+		} else if u, ok := n.Protocols[m.Slot].(Undeliverable); ok {
+			u.Undelivered(n, ax, m)
 		}
-	}
-
-	// Batch layout: count batches per worker, prefix-sum into spans, then
-	// place one batch per node — worker-major, first-appearance order
-	// within a worker — and carve each batch's [lo, hi) window out of the
-	// job-order permutation.
-	if cap(e.batchSpans) < workers+1 {
-		e.batchSpans = make([]int32, workers+1)
-		e.batchCursor = make([]int32, workers)
-	}
-	spans := e.batchSpans[:workers+1]
-	cursor := e.batchCursor[:workers]
-	clear(spans)
-	for _, n := range touched {
-		spans[e.nodeWorker[n.ID]+1]++
-	}
-	for w := 0; w < workers; w++ {
-		spans[w+1] += spans[w]
-		cursor[w] = spans[w]
-	}
-	if cap(e.batchScratch) < len(touched) {
-		e.batchScratch = make([]applyBatch, len(touched), max(len(touched), 2*cap(e.batchScratch)))
-	}
-	batches := e.batchScratch[:len(touched)]
-	for _, n := range touched {
-		w := e.nodeWorker[n.ID]
-		batches[cursor[w]] = applyBatch{node: n}
-		cursor[w]++
-	}
-	var off int32
-	for b := range batches {
-		id := batches[b].node.ID
-		cnt := e.nodeMsgs[id]
-		batches[b].lo = off
-		batches[b].hi = off + cnt
-		// The count's job is done; the entry becomes the node's scatter
-		// cursor into jobOrder.
-		e.nodeMsgs[id] = off
-		off += cnt
-	}
-	e.batchScratch = batches
-
-	if cap(e.jobOrder) < len(jobs) {
-		e.jobOrder = make([]int32, len(jobs), max(len(jobs), 2*cap(e.jobOrder)))
-	}
-	order := e.jobOrder[:len(jobs)]
-	for k := range jobs {
-		id := jobs[k].node.ID
-		order[e.nodeMsgs[id]] = int32(k)
-		e.nodeMsgs[id]++
-	}
-	e.jobOrder = order
-
-	// Every touched entry now equals its batch's hi; reset for the next
-	// round.
-	for _, n := range touched {
-		e.nodeMsgs[n.ID] = 0
 	}
 }
 
@@ -939,14 +855,13 @@ func (e *Engine) shardRound(round []Message, workers int) {
 // each message lives in exactly one of the canonical list (proposed) or
 // one round buffer (follow-up), so Recycle runs exactly once per payload.
 // Then every payload-carrying scratch buffer — the propose outboxes, the
-// canonical list, the routed job list, the per-worker follow-up outboxes
-// and the merged follow-ups, the round buffers — is cleared over its full
-// capacity extent; otherwise stale entries beyond the next cycle's
-// high-water mark would pin delivered payloads for the engine's lifetime.
-// The batch descriptors and the touched list hold only *Node pointers,
-// which the arena keeps alive regardless, so they are deliberately not
-// cleared — at n = 10^6 that skips tens of megabytes of per-cycle
-// memset.
+// canonical list, the per-worker follow-up outboxes, the round buffers —
+// is cleared over its full capacity extent; otherwise stale entries beyond
+// the next cycle's high-water mark would pin delivered payloads for the
+// engine's lifetime. The routing keys, the job order, the per-node
+// counters and the spans hold only indices, pin nothing, and are
+// deliberately not cleared — at n = 10^6 that skips megabytes of
+// per-cycle memset.
 func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 	for i := range e.msgScratch {
 		if recyclePayload(&e.msgScratch[i]) {
@@ -965,12 +880,10 @@ func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 		clear(outs[w].msgs[:cap(outs[w].msgs)])
 	}
 	clear(e.msgScratch[:cap(e.msgScratch)])
-	clear(e.jobScratch[:cap(e.jobScratch)])
 	for w := range e.applyCtxs {
 		out := e.applyCtxs[w].outbox
 		clear(out[:cap(out)])
 	}
-	clear(e.followScratch[:cap(e.followScratch)])
 	for d := range e.rounds {
 		clear(e.rounds[d][:cap(e.rounds[d])])
 	}

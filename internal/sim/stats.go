@@ -53,12 +53,11 @@ type EngineStats struct {
 	// delivered message plus every undeliverable bounced to a live
 	// sender. Messages with no handling node at all are excluded.
 	ApplyJobs int64 `json:"apply_jobs"`
-	// ApplyBatches is the total number of per-node batches dispatched on
-	// sharded apply rounds: one batch per (distinct handling node, round).
-	// ApplyJobs/ApplyBatches is the mean batch size — the per-message
-	// dispatch overhead amortization the batched apply path buys. The
-	// single-worker fused path never materializes batches, so a
-	// one-worker engine keeps this at zero.
+	// ApplyBatches is the total number of (handling node, round) pairs:
+	// the distinct nodes each apply round visited, counted by the
+	// coordinator and therefore identical at every worker count.
+	// ApplyJobs/ApplyBatches is the mean number of messages a visited
+	// node handles back to back.
 	ApplyBatches int64 `json:"apply_batches"`
 	// PayloadsRecycled is the total number of message payloads returned to
 	// their free lists at cycle end (payloads implementing Recyclable).
@@ -67,13 +66,12 @@ type EngineStats struct {
 	PayloadsRecycled int64 `json:"payloads_recycled"`
 	// ShardedRounds counts the apply rounds that ran on more than one
 	// worker; the Shard* load counters below accumulate over exactly
-	// these rounds (the single-worker fused path never shards).
+	// these rounds.
 	ShardedRounds int64 `json:"sharded_rounds"`
 	// ShardMinLoad / ShardMaxLoad / ShardMeanLoad accumulate, per sharded
-	// round, the smallest, largest and mean per-worker job load. Their
-	// per-round averages — and the ShardSkew ratio — expose how evenly
-	// the bin-packed (or, with the idmod hook, residue-class) sharding
-	// spread the round's work.
+	// round, the smallest, largest and mean job load of the workers'
+	// spans. Their per-round averages — and the ShardSkew ratio — expose
+	// how evenly the node-boundary span cut spread the round's work.
 	ShardMinLoad  int64   `json:"shard_min_load"`
 	ShardMaxLoad  int64   `json:"shard_max_load"`
 	ShardMeanLoad float64 `json:"shard_mean_load"`
@@ -94,9 +92,10 @@ type EngineStats struct {
 
 // ShardSkew is the load-imbalance ratio of the sharded apply rounds: the
 // accumulated per-round maximum worker load over the accumulated
-// per-round mean. 1.0 is a perfectly even spread; the historical ID-mod
-// sharding showed multiples of that under hotspot traffic where the
-// balanced bin-pack stays near 1. Returns 1 when no round was sharded.
+// per-round mean. 1.0 is a perfectly even spread; a span never exceeds the
+// mean by more than one node's messages, so the ratio rises only when a
+// single node receives a large share of a round. Returns 1 when no round
+// was sharded.
 func (s EngineStats) ShardSkew() float64 {
 	if s.ShardMeanLoad <= 0 {
 		return 1

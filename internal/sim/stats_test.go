@@ -34,15 +34,18 @@ func TestStatsMatchesAccessors(t *testing.T) {
 		t.Fatalf("ping ring has no follow-ups, want ApplyRounds == Cycles, got %d vs %d", s.ApplyRounds, s.Cycles)
 	}
 	// Every message is either delivered or bounced to its live sender, so
-	// the fused path routes exactly Delivered+Dropped jobs here.
+	// exactly Delivered+Dropped jobs are routed here.
 	if s.ApplyJobs != s.Delivered+s.Dropped {
 		t.Fatalf("ApplyJobs = %d, want Delivered+Dropped = %d", s.ApplyJobs, s.Delivered+s.Dropped)
 	}
 	if s.ShardedRounds != 0 || s.ShardMinLoad != 0 || s.ShardMaxLoad != 0 || s.ShardMeanLoad != 0 {
 		t.Fatalf("single-worker engine recorded sharded rounds: %+v", s)
 	}
-	if s.ApplyBatches != 0 {
-		t.Fatalf("single-worker fused path materialized %d batches, want 0", s.ApplyBatches)
+	// Node 3 is dead and its successor gets no ping, so 30 distinct nodes
+	// handle messages each round; node 2's bounce lands on a node that
+	// also receives.
+	if want := int64(30 * 10); s.ApplyBatches != want {
+		t.Fatalf("ApplyBatches = %d, want %d (distinct handling nodes per round)", s.ApplyBatches, want)
 	}
 	if s.PayloadsRecycled != 0 {
 		t.Fatalf("string payloads recycled %d times, want 0", s.PayloadsRecycled)
@@ -58,10 +61,11 @@ func TestStatsMatchesAccessors(t *testing.T) {
 	}
 }
 
-// TestStatsShardLoads drives the sharded apply path and checks the load
-// spread: a ping ring delivers exactly one message per node, so the greedy
-// bin-pack must spread 64 jobs perfectly across 4 workers — min = max =
-// mean = 16 every round, skew exactly 1.
+// TestStatsShardLoads drives the apply path on four workers and checks the
+// load spread: a ping ring delivers exactly one message per node, so the
+// span cut gives each worker 16 consecutive nodes of 64 — min = max = mean
+// = 16 every round, skew exactly 1. ApplyBatches counts the distinct
+// handling nodes, identically at every worker count.
 func TestStatsShardLoads(t *testing.T) {
 	e, _ := buildPingRing(12, 64, 1)
 	defer e.Close()
@@ -76,10 +80,8 @@ func TestStatsShardLoads(t *testing.T) {
 	if s.ApplyJobs != 64*cycles {
 		t.Fatalf("ApplyJobs = %d, want %d", s.ApplyJobs, 64*cycles)
 	}
-	// Each ring node receives exactly one ping per cycle, so every sharded
-	// round materializes one batch per node.
 	if s.ApplyBatches != 64*cycles {
-		t.Fatalf("ApplyBatches = %d, want %d (one batch per node per round)", s.ApplyBatches, 64*cycles)
+		t.Fatalf("ApplyBatches = %d, want %d (one per node per round)", s.ApplyBatches, 64*cycles)
 	}
 	if want := int64(16 * cycles); s.ShardMinLoad != want || s.ShardMaxLoad != want {
 		t.Fatalf("uniform ring shard loads min=%d max=%d, want both %d", s.ShardMinLoad, s.ShardMaxLoad, want)
@@ -95,33 +97,22 @@ func TestStatsShardLoads(t *testing.T) {
 	if want := int64(3 * cycles); s.PoolTasks != want {
 		t.Fatalf("PoolTasks = %d, want %d", s.PoolTasks, want)
 	}
-}
 
-// TestStatsSkewUnderIDModSharding checks that the skew counters actually
-// expose imbalance: hotspot traffic (everyone pings node 0) under the
-// residue-class idmod hook lands entirely on one worker, so max load is
-// the whole round and skew is the worker count.
-func TestStatsSkewUnderIDModSharding(t *testing.T) {
-	const n, workers, cycles = 64, 4, 5
-	e := NewEngine(13)
-	defer e.Close()
-	e.SetApplyWorkers(workers)
-	e.idModSharding = true
-	e.SetNodeFactory(func(nd *Node) {
-		nd.Protocols = []Protocol{&pingProto{next: 0}}
-	})
-	e.AddNodes(n)
-	e.Run(cycles)
-
-	s := e.Stats()
-	if s.ShardMinLoad != 0 {
-		t.Fatalf("hotspot idmod min load = %d, want 0 (idle workers)", s.ShardMinLoad)
+	// Hotspot traffic shows up as skew: with everyone pinging node 0 the
+	// first span swallows the whole round and the other three stay empty.
+	h := NewEngine(13)
+	defer h.Close()
+	h.SetApplyWorkers(4)
+	h.SetNodeFactory(func(nd *Node) { nd.Protocols = []Protocol{&pingProto{next: 0}} })
+	h.AddNodes(64)
+	h.Run(cycles)
+	hs := h.Stats()
+	if hs.ShardMinLoad != 0 || hs.ShardMaxLoad != 64*cycles || hs.ShardSkew() != 4 {
+		t.Fatalf("hotspot shard loads min=%d max=%d skew=%v, want 0, %d, 4",
+			hs.ShardMinLoad, hs.ShardMaxLoad, hs.ShardSkew(), 64*cycles)
 	}
-	if want := int64(n * cycles); s.ShardMaxLoad != want {
-		t.Fatalf("hotspot idmod max load = %d, want %d (all on one worker)", s.ShardMaxLoad, want)
-	}
-	if got := s.ShardSkew(); got != workers {
-		t.Fatalf("hotspot idmod ShardSkew = %v, want %v", got, float64(workers))
+	if hs.ApplyBatches != cycles {
+		t.Fatalf("hotspot ApplyBatches = %d, want %d (one handling node per round)", hs.ApplyBatches, cycles)
 	}
 }
 
@@ -258,7 +249,7 @@ func TestStatsPayloadsRecycled(t *testing.T) {
 
 // TestStatsSteadyStateAllocs pins the instrumentation's allocation cost on
 // the disabled path (no Stats readers, free-list counting off): a warmed-up
-// quiet cycle performs exactly one allocation — the canonical-shuffle
+// quiet cycle performs exactly one allocation — the propose phase's shard
 // closure, which predates the instrumentation — and Stats itself allocates
 // nothing. The repo-level budget in scripts/alloc_budget.txt pins the
 // protocol-bearing path against the seed.

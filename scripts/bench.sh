@@ -45,7 +45,7 @@ go test ./internal/sim/ -run '^$' \
     fi
     printf '  "engine_bench_nodes": %s,\n' "$NODES"
     printf '  "benchtime": "%s",\n' "$BENCHTIME"
-    printf '  "note": "worker/sharding wall-clock comparisons only show speedups with cpus > 1: on a single-core host the pool is timesliced and shard scheduling is pure overhead. That is also the story of the balanced-vs-idmod hotspot ratio drifting across records (idmod/balanced ns/op: 0.73 in BENCH_6, 0.57 in BENCH_7 — idmod faster in both): as the per-job work got cheaper (dense arena in BENCH_7), the greedy bin-pack the balanced scheduler runs on the coordinator became a larger fraction of a single-CPU round, widening idmod'\''s edge. BENCH_10'\''s batched dispatch amortizes per-node overhead once per batch instead of once per job, which moves the single-CPU ratio back toward parity — but none of these wall-clock ratios is the contract. The balanced-vs-idmod scheduling win is pinned machine-independently by sim.TestBalancedShardingSpreadsHotspots (max shard load on aliased hubs: balanced <= 2x hub vs idmod >= 4x hub).",\n'
+    printf '  "note": "worker/sharding wall-clock comparisons only show speedups with cpus > 1: on a single-core host the pool is timesliced and shard scheduling is pure overhead. The scheduling property is pinned machine-independently by sim.TestBalancedShardingSpreadsHotspots (max span load on aliased hubs <= 2x hub, where the historical id-mod assignment put 4x hub + 8 on one worker).",\n'
     printf '  "results": [\n'
     awk '
         /^Benchmark/ {
