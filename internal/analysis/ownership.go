@@ -30,7 +30,9 @@ import (
 // harmless. The Recycle rule requires every direct reference-typed field
 // (pointer, slice, map, chan, func, interface) of the receiver struct to
 // be assigned somewhere in the method body (nil, or s[:0] to keep warm
-// capacity), or the whole receiver to be reset with *r = T{...}.
+// capacity), or the whole receiver to be reset with *r = T{...}; and it
+// requires the body to call Put on a sim.FreeList with the cache parameter
+// and the receiver, without which the payload never returns to its list.
 //
 // The retention rule looks at functions with a sim.Message parameter. A
 // variable bound by asserting the type of that message's Data is a received
@@ -52,7 +54,7 @@ import (
 var Ownership = &Analyzer{
 	Name: "ownership",
 	Doc: "flags payload use-after-send (sent-exactly-once contract) and " +
-		"Recycle methods that leave reference fields unreset, and handlers " +
+		"Recycle methods that leave reference fields unreset or never Put, and handlers " +
 		"that retain a received payload",
 	Run: runOwnership,
 }
@@ -200,15 +202,24 @@ func trackedPayload(t types.Type) bool {
 	return !basic
 }
 
-// checkRecycle enforces the reset rule on Recycle methods: every direct
-// reference-typed field of the receiver struct must be assigned in the
-// body.
+// checkRecycle enforces the two rules on Recycle(*sim.PayloadCache)
+// methods: every direct reference-typed field of the receiver struct must
+// be assigned in the body, and the body must hand the receiver, with the
+// cache it was given, to a free list's Put.
 func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 	if fd.Name.Name != "Recycle" || fd.Recv == nil || len(fd.Recv.List) != 1 {
 		return
 	}
-	if fd.Type.Params.NumFields() != 0 || fd.Type.Results.NumFields() != 0 {
+	if fd.Type.Params.NumFields() != 1 || fd.Type.Results.NumFields() != 0 {
 		return
+	}
+	cacheField := fd.Type.Params.List[0]
+	if tv, ok := pass.Info.Types[cacheField.Type]; !ok || !namedTypeIn(tv.Type, simPackageName, "PayloadCache") {
+		return
+	}
+	var cacheObj types.Object
+	if len(cacheField.Names) == 1 {
+		cacheObj = pass.Info.Defs[cacheField.Names[0]]
 	}
 	recvField := fd.Recv.List[0]
 	tv, ok := pass.Info.Types[recvField.Type]
@@ -233,9 +244,22 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 		recvObj = types.NewVar(token.NoPos, nil, "", t)
 	}
 
+	isObj := func(e ast.Expr, obj types.Object) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && obj != nil && pass.Info.Uses[id] == obj
+	}
 	assigned := map[string]bool{}
-	fullReset := false
+	fullReset, put := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			// <free list>.Put(<the cache parameter>, <the receiver>)
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" && len(call.Args) == 2 {
+				if tv, ok := pass.Info.Types[sel.X]; ok && namedTypeIn(tv.Type, simPackageName, "FreeList") {
+					put = put || isObj(call.Args[0], cacheObj) && isObj(call.Args[1], recvObj)
+				}
+			}
+			return true
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
@@ -243,25 +267,23 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 		for _, lhs := range as.Lhs {
 			lhs = ast.Unparen(lhs)
 			if star, ok := lhs.(*ast.StarExpr); ok {
-				if id, ok := ast.Unparen(star.X).(*ast.Ident); ok && pass.Info.Uses[id] == recvObj {
+				if isObj(star.X, recvObj) {
 					fullReset = true // *r = T{}
 				}
 				continue
 			}
-			if sel, ok := lhs.(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pass.Info.Uses[id] == recvObj {
-					assigned[sel.Sel.Name] = true
-				}
+			if sel, ok := lhs.(*ast.SelectorExpr); ok && isObj(sel.X, recvObj) {
+				assigned[sel.Sel.Name] = true
 			}
 		}
 		return true
 	})
-	if fullReset {
-		return
+	if !put {
+		pass.Reportf(fd.Name.Pos(), "Recycle never hands its receiver and cache to a free list's Put: the payload is dropped and every send allocates a new one")
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if !referenceType(f.Type()) || assigned[f.Name()] {
+		if fullReset || !referenceType(f.Type()) || assigned[f.Name()] {
 			continue
 		}
 		// Home-pool back-pointers are exempt (and must survive the reset):

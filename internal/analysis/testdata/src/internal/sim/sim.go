@@ -38,18 +38,24 @@ func (ax *ApplyContext) Send(to NodeID, slot int, data any) {}
 // Cycle returns the current cycle.
 func (ax *ApplyContext) Cycle() int64 { return 0 }
 
+// Payloads returns the worker's payload cache.
+func (ax *ApplyContext) Payloads() *PayloadCache { return nil }
+
 // Proposals is the restricted per-node context of the propose phase.
 type Proposals struct{}
+
+// PayloadCache is a worker's private front of the free lists.
+type PayloadCache struct{}
 
 // FreeList is a typed payload free list (home-pool back-pointer fields of
 // this type are exempt from the Recycle reset rule).
 type FreeList[T any] struct{ items []*T }
 
 // Get returns a recycled or fresh payload.
-func (f *FreeList[T]) Get() *T { return new(T) }
+func (f *FreeList[T]) Get(c *PayloadCache) *T { return new(T) }
 
 // Put returns a payload to the list.
-func (f *FreeList[T]) Put(p *T) { f.items = append(f.items, p) }
+func (f *FreeList[T]) Put(c *PayloadCache, p *T) { f.items = append(f.items, p) }
 
 // Send proposes a payload for delivery; ownership transfers.
 func (px *Proposals) Send(to NodeID, slot int, data any) {}

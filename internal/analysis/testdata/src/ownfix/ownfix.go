@@ -1,7 +1,7 @@
 // Package ownfix is the ownership-analyzer fixture: use-after-send in its
 // direct, aliased and double-send forms, the renewal and scalar escapes,
-// Recycle methods both leaky and clean, and handlers that retain, forward
-// or swap what they received.
+// Recycle methods leaky, clean and forgetful of Put, and handlers that
+// retain, forward or swap what they received.
 package ownfix
 
 import "internal/sim"
@@ -12,11 +12,13 @@ type Payload struct {
 	Next *Payload
 }
 
-// Recycle resets every reference field: clean.
-func (p *Payload) Recycle() {
+// Recycle resets every reference field and returns the payload to its
+// pool through the cache it was handed: clean.
+func (p *Payload) Recycle(c *sim.PayloadCache) {
 	p.N = 0
 	p.Buf = p.Buf[:0]
 	p.Next = nil
+	pool.Put(c, p)
 }
 
 // direct keeps mutating a payload it no longer owns.
@@ -63,17 +65,37 @@ type Leaky struct {
 }
 
 // Recycle forgets Peer: the recycled payload pins last cycle's data.
-func (l *Leaky) Recycle() { // want "leaves reference field Peer unreset"
+func (l *Leaky) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
 	l.Refs = l.Refs[:0]
+	leakyPool.Put(c, l)
 }
+
+var leakyPool sim.FreeList[Leaky]
 
 type Blanked struct {
 	Data []byte
 }
 
+var blankedPool sim.FreeList[Blanked]
+
 // Recycle by wholesale reset is clean.
-func (b *Blanked) Recycle() {
+func (b *Blanked) Recycle(c *sim.PayloadCache) {
 	*b = Blanked{}
+	blankedPool.Put(c, b)
+}
+
+type Dropped struct {
+	Data []byte
+}
+
+var droppedPool sim.FreeList[Dropped]
+
+// Recycle resets but hands the payload to Put without the cache it was
+// given (or, just as well, to nothing at all): a nil cache drops it, so
+// the pool never sees a payload come back.
+func (d *Dropped) Recycle(c *sim.PayloadCache) { // want "never hands its receiver and cache"
+	d.Data = d.Data[:0]
+	droppedPool.Put(nil, d)
 }
 
 type Homed struct {
@@ -84,9 +106,9 @@ type Homed struct {
 // Recycle keeps the home-pool back-pointer across a field-wise reset:
 // clean — the exemption for *sim.FreeList fields, which must survive so
 // the payload can find its pool on the next recycle.
-func (h *Homed) Recycle() {
+func (h *Homed) Recycle(c *sim.PayloadCache) {
 	h.Buf = h.Buf[:0]
-	h.home.Put(h)
+	h.home.Put(c, h)
 }
 
 type HomedLeaky struct {
@@ -96,8 +118,8 @@ type HomedLeaky struct {
 
 // Recycle keeps home (exempt) but also forgets Peer: still flagged — the
 // exemption is per-field, not a blanket pass for pooled payloads.
-func (h *HomedLeaky) Recycle() { // want "leaves reference field Peer unreset"
-	h.home.Put(h)
+func (h *HomedLeaky) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
+	h.home.Put(c, h)
 }
 
 var pool sim.FreeList[Payload]
@@ -117,7 +139,7 @@ type Holder struct {
 func (h *Holder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch p := msg.Data.(type) {
 	case *Payload:
-		rep := pool.Get()
+		rep := pool.Get(ax.Payloads())
 		out := rep.Buf[:0]
 		rep.Buf = h.buf
 		h.buf = append(out, p.Buf...)

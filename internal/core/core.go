@@ -58,9 +58,9 @@ var (
 // Recycle implements sim.Recyclable. The position buffer is kept (len 0)
 // for reuse; senders must explicitly nil X when shipping a "no best yet"
 // point, since nil-ness is semantic on this payload.
-func (b *BestPoint) Recycle() {
+func (b *BestPoint) Recycle(c *sim.PayloadCache) {
 	b.X = b.X[:0]
-	bestPointPool.Put(b)
+	bestPointPool.Put(c, b)
 }
 
 // OptNode is the per-node composition of the function optimization service
@@ -125,7 +125,7 @@ func (o *OptNode) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	gx, gf := o.Solver.Best()
-	bp := bestPointPool.Get()
+	bp := bestPointPool.Get(px.Payloads())
 	if gx != nil {
 		bp.X = append(bp.X[:0], gx...) // solver-owned slice mutates; ship a snapshot
 	} else {
@@ -143,9 +143,9 @@ type bestPointReply struct {
 }
 
 // Recycle implements sim.Recyclable.
-func (r *bestPointReply) Recycle() {
+func (r *bestPointReply) Recycle(c *sim.PayloadCache) {
 	r.P.X = r.P.X[:0]
-	bestPointReplyPool.Put(r)
+	bestPointReplyPool.Put(c, r)
 }
 
 // Receive implements sim.Receiver, node-locally, completing the
@@ -170,7 +170,7 @@ func (o *OptNode) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 			// q's point wins: mail it back for p to adopt. Snapshotted into
 			// the pooled reply because the solver keeps mutating its own
 			// best slice.
-			rep := bestPointReplyPool.Get()
+			rep := bestPointReplyPool.Get(ax.Payloads())
 			rep.P.X = append(rep.P.X[:0], rx...)
 			rep.P.F = rf
 			ax.Send(msg.From, msg.Slot, rep)

@@ -52,9 +52,9 @@ type avgReq struct {
 var avgReqPool sim.FreeList[avgReq]
 
 // Recycle implements sim.Recyclable.
-func (r *avgReq) Recycle() {
+func (r *avgReq) Recycle(c *sim.PayloadCache) {
 	*r = avgReq{}
-	avgReqPool.Put(r)
+	avgReqPool.Put(c, r)
 }
 
 // avgDelta is the settle leg: the delta the initiator must apply to its
@@ -67,9 +67,9 @@ type avgDelta struct {
 var avgDeltaPool sim.FreeList[avgDelta]
 
 // Recycle implements sim.Recyclable.
-func (d *avgDelta) Recycle() {
+func (d *avgDelta) Recycle(c *sim.PayloadCache) {
 	*d = avgDelta{}
-	avgDeltaPool.Put(d)
+	avgDeltaPool.Put(c, d)
 }
 
 var (
@@ -96,7 +96,7 @@ func (a *Average) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	a.Exchanges++
-	req := avgReqPool.Get()
+	req := avgReqPool.Get(px.Payloads())
 	req.V = a.value
 	px.Send(peerID, a.SelfSlot, req)
 }
@@ -111,7 +111,7 @@ func (a *Average) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	case *avgReq:
 		d := (req.V - a.value) / 2
 		a.value += d
-		rep := avgDeltaPool.Get()
+		rep := avgDeltaPool.Get(ax.Payloads())
 		rep.D = -d
 		ax.Send(msg.From, msg.Slot, rep)
 	case *avgDelta:
@@ -184,7 +184,7 @@ func (a *Aggregate) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	a.Exchanges++
-	req := aggReqPool.Get()
+	req := aggReqPool.Get(px.Payloads())
 	req.V = a.value
 	px.Send(peerID, a.SelfSlot, req)
 }
@@ -199,9 +199,9 @@ type aggReq struct {
 var aggReqPool sim.FreeList[aggReq]
 
 // Recycle implements sim.Recyclable.
-func (r *aggReq) Recycle() {
+func (r *aggReq) Recycle(c *sim.PayloadCache) {
 	*r = aggReq{}
-	aggReqPool.Put(r)
+	aggReqPool.Put(c, r)
 }
 
 // aggVal is the reply leg of an Aggregate exchange.
@@ -212,9 +212,9 @@ type aggVal struct {
 var aggValPool sim.FreeList[aggVal]
 
 // Recycle implements sim.Recyclable.
-func (v *aggVal) Recycle() {
+func (v *aggVal) Recycle(c *sim.PayloadCache) {
 	*v = aggVal{}
-	aggValPool.Put(v)
+	aggValPool.Put(c, v)
 }
 
 // Receive implements sim.Receiver, node-locally: the contacted peer
@@ -226,7 +226,7 @@ func (a *Aggregate) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 	switch req := msg.Data.(type) {
 	case *aggReq:
 		a.value = a.Combine(a.value, req.V)
-		rep := aggValPool.Get()
+		rep := aggValPool.Get(ax.Payloads())
 		rep.V = a.value
 		ax.Send(msg.From, msg.Slot, rep)
 	case *aggVal:

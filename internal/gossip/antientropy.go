@@ -129,10 +129,10 @@ type aeReq[T any] struct {
 }
 
 // Recycle implements sim.Recyclable.
-func (r *aeReq[T]) Recycle() {
+func (r *aeReq[T]) Recycle(c *sim.PayloadCache) {
 	home := r.home
 	*r = aeReq[T]{home: home}
-	home.Put(r)
+	home.Put(c, r)
 }
 
 // aeVal is the reply leg: the contacted peer's value, offered back to the
@@ -143,10 +143,10 @@ type aeVal[T any] struct {
 }
 
 // Recycle implements sim.Recyclable.
-func (v *aeVal[T]) Recycle() {
+func (v *aeVal[T]) Recycle(c *sim.PayloadCache) {
 	home := v.home
 	*v = aeVal[T]{home: home}
-	home.Put(v)
+	home.Put(c, v)
 }
 
 var (
@@ -196,7 +196,7 @@ func (a *AntiEntropy[T]) Propose(n *sim.Node, px *sim.Proposals) {
 	if a.pools == nil {
 		a.pools = aePoolsFor[T]()
 	}
-	req := a.pools.req.Get()
+	req := a.pools.req.Get(px.Payloads())
 	req.Mode, req.home = a.Mode, &a.pools.req
 	if a.Mode != Pull && a.has {
 		req.V, req.Has = a.local, true
@@ -226,7 +226,7 @@ func (a *AntiEntropy[T]) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Mess
 			if a.pools == nil {
 				a.pools = aePoolsFor[T]()
 			}
-			rep := a.pools.val.Get()
+			rep := a.pools.val.Get(ax.Payloads())
 			rep.V, rep.home = a.local, &a.pools.val
 			ax.Send(msg.From, a.SelfSlot, rep)
 		}

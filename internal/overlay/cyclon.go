@@ -126,16 +126,16 @@ var (
 )
 
 // Recycle implements sim.Recyclable.
-func (s *shuffleReq) Recycle() {
+func (s *shuffleReq) Recycle(c *sim.PayloadCache) {
 	s.Sent = s.Sent[:0]
-	shuffleReqPool.Put(s)
+	shuffleReqPool.Put(c, s)
 }
 
 // Recycle implements sim.Recyclable.
-func (s *shuffleRep) Recycle() {
+func (s *shuffleRep) Recycle(c *sim.PayloadCache) {
 	s.Reply = s.Reply[:0]
 	s.Echo = nil // aliases the request's buffer; its Recycle owns it
-	shuffleRepPool.Put(s)
+	shuffleRepPool.Put(c, s)
 }
 
 // Propose implements sim.Proposer: select the oldest neighbor and propose
@@ -148,7 +148,7 @@ func (cy *Cyclon) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	cy.Exchanges++
-	req := shuffleReqPool.Get()
+	req := shuffleReqPool.Get(px.Payloads())
 	req.Sent = cy.appendSubset(req.Sent[:0], n.RNG, cy.L-1, target.ID)
 	req.Sent = append(req.Sent, Descriptor{ID: cy.self, Stamp: px.Cycle()})
 	px.Send(target.ID, cy.Slot, req)
@@ -164,7 +164,7 @@ func (cy *Cyclon) Propose(n *sim.Node, px *sim.Proposals) {
 func (cy *Cyclon) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch req := msg.Data.(type) {
 	case *shuffleReq:
-		rep := shuffleRepPool.Get()
+		rep := shuffleRepPool.Get(ax.Payloads())
 		rep.Reply = cy.appendSubset(rep.Reply[:0], n.RNG, cy.L, msg.From)
 		for _, d := range rep.Reply {
 			cy.view.Remove(d.ID)

@@ -121,15 +121,15 @@ var (
 )
 
 // Recycle implements sim.Recyclable.
-func (s *viewSwap) Recycle() {
+func (s *viewSwap) Recycle(c *sim.PayloadCache) {
 	s.Descs = s.Descs[:0]
-	viewSwapPool.Put(s)
+	viewSwapPool.Put(c, s)
 }
 
 // Recycle implements sim.Recyclable.
-func (s *viewSwapReply) Recycle() {
+func (s *viewSwapReply) Recycle(c *sim.PayloadCache) {
 	s.Descs = s.Descs[:0]
-	viewSwapReplyPool.Put(s)
+	viewSwapReplyPool.Put(c, s)
 }
 
 // Propose implements sim.Proposer: pick a partner from the node's own view
@@ -141,7 +141,7 @@ func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	nc.Exchanges++
-	sw := viewSwapPool.Get()
+	sw := viewSwapPool.Get(px.Payloads())
 	sw.Descs = nc.view.snapshotInto(sw.Descs)
 	sw.Stamp = px.Cycle()
 	px.Send(peerID, nc.Slot, sw)
@@ -156,7 +156,7 @@ func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch sw := msg.Data.(type) {
 	case *viewSwap:
-		ax.Send(msg.From, nc.Slot, nc.exchange(msg.From, sw))
+		ax.Send(msg.From, nc.Slot, nc.exchange(msg.From, sw, ax.Payloads()))
 	case *viewSwapReply:
 		nc.view.mergeInPlace(nc.self, sw.Descs, Descriptor{ID: msg.From, Stamp: sw.Stamp})
 	}
@@ -167,9 +167,9 @@ func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 // copied. The merge writes into the buffer of the pooled reply, which
 // becomes the view's items; the old items buffer — exactly the pre-merge
 // view — leaves in the reply and returns to the pool at cycle end.
-func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap) *viewSwapReply {
+func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap, c *sim.PayloadCache) *viewSwapReply {
 	v := nc.view
-	rep := viewSwapReplyPool.Get()
+	rep := viewSwapReplyPool.Get(c)
 	out := v.sized(rep.Descs)
 	rep.Descs, rep.Stamp = v.items, sw.Stamp
 	v.items = mergeRuns(out, v.items, sw.Descs, Descriptor{ID: from, Stamp: sw.Stamp}, nc.self, v.c)

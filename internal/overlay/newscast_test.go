@@ -237,7 +237,7 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 					check("request", rcv)
 					continue
 				}
-				rep := rcv.nc.exchange(ini.node.ID, sw)
+				rep := rcv.nc.exchange(ini.node.ID, sw, nil)
 				check("request", rcv)
 				if !slices.Equal(rep.Descs, preMerge) || rep.Stamp != cycle {
 					t.Fatalf("c=%d seq=%d: reply of node %d carries %v stamped %d, want the pre-merge view %v stamped %d",

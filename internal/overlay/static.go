@@ -188,10 +188,11 @@ func InitStatic(e *sim.Engine, slot int, topo Topology) {
 		for _, j := range links[i] {
 			peers = append(peers, nodes[j].ID)
 		}
-		st := NewStatic(n.ID, peers)
 		for len(n.Protocols) <= slot {
 			n.Protocols = append(n.Protocols, nil)
 		}
-		n.Protocols[slot] = st
+		// Not NewStatic: peers is this loop's own, so the constructor's
+		// defensive copy would be a second allocation per node.
+		n.Protocols[slot] = &Static{self: n.ID, peers: peers}
 	}
 }

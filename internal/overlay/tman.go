@@ -86,15 +86,15 @@ var (
 )
 
 // Recycle implements sim.Recyclable.
-func (s *tmanSwap) Recycle() {
+func (s *tmanSwap) Recycle(c *sim.PayloadCache) {
 	s.Peers = s.Peers[:0]
-	tmanSwapPool.Put(s)
+	tmanSwapPool.Put(c, s)
 }
 
 // Recycle implements sim.Recyclable.
-func (s *tmanReply) Recycle() {
+func (s *tmanReply) Recycle(c *sim.PayloadCache) {
 	s.Peers = s.Peers[:0]
-	tmanReplyPool.Put(s)
+	tmanReplyPool.Put(c, s)
 }
 
 // Compile-time guards: sim.Protocol is untyped, so assert the two-phase
@@ -209,7 +209,7 @@ func (t *TMan) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	t.Exchanges++
-	sw := tmanSwapPool.Get()
+	sw := tmanSwapPool.Get(px.Payloads())
 	sw.Peers = append(append(sw.Peers[:0], t.peers...), t.self)
 	px.Send(target, t.Slot, sw)
 }
@@ -230,7 +230,7 @@ func (t *TMan) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 		delete(t.dead, msg.From)
 		// Snapshot the pre-merge view into the pooled reply before merge
 		// mutates t.peers.
-		rep := tmanReplyPool.Get()
+		rep := tmanReplyPool.Get(ax.Payloads())
 		rep.Peers = append(append(rep.Peers[:0], t.peers...), t.self)
 		t.merge(sw.Peers)
 		ax.Send(msg.From, t.Slot, rep)

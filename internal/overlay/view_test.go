@@ -557,7 +557,7 @@ func (d *exchangeDriver) Propose(n *sim.Node, px *sim.Proposals) {
 	v := d.view
 	v.items = append(v.items[:0], d.views[d.next%len(d.views)]...)
 	d.next++
-	sw := viewSwapPool.Get()
+	sw := viewSwapPool.Get(px.Payloads())
 	sw.Descs = v.snapshotInto(sw.Descs)
 	sw.Stamp = px.Cycle()
 	px.Send(d.partner, d.Slot, sw)

@@ -232,8 +232,13 @@ func (s *Swarm) Best() ([]float64, float64) { return s.g, s.fg }
 // whether adoption happened. The position is copied into the swarm-owned
 // buffer in place — gossip hands a node many adoptions per run, and a
 // fresh clone per adoption was a measurable share of steady-state
-// allocations at large populations.
+// allocations at large populations. A NaN or -Inf fitness is refused: NaN
+// fails every comparison and -Inf wins every one, so either would own the
+// swarm optimum for the rest of the run on one peer's say-so.
 func (s *Swarm) Inject(x []float64, fx float64) bool {
+	if math.IsNaN(fx) || math.IsInf(fx, -1) {
+		return false
+	}
 	if s.g != nil && fx >= s.fg {
 		return false
 	}

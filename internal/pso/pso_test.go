@@ -91,6 +91,37 @@ func TestInjectAdoptsOnlyBetter(t *testing.T) {
 	}
 }
 
+// TestInjectRejectsNonFiniteFitness plants the two fitness values one lying
+// peer could own a swarm with: NaN, which no later comparison displaces,
+// and -Inf, which beats everything. Both are refused, before and after the
+// swarm has an optimum of its own, and leave Best untouched.
+func TestInjectRejectsNonFiniteFitness(t *testing.T) {
+	s := New(funcs.Sphere, 10, 4, Config{}, rng.New(9))
+	x := make([]float64, 10)
+	for _, fx := range []float64{math.NaN(), math.Inf(-1)} {
+		if s.Inject(x, fx) {
+			t.Fatalf("a fresh swarm adopted fitness %v", fx)
+		}
+	}
+	if g, _ := s.Best(); g != nil {
+		t.Fatalf("a refused injection left a best position: %v", g)
+	}
+	s.Run(100, -1)
+	g0, f0 := s.Best()
+	g0 = vec.Clone(g0)
+	for _, fx := range []float64{math.NaN(), math.Inf(-1)} {
+		if s.Inject(x, fx) {
+			t.Fatalf("injection with fitness %v adopted", fx)
+		}
+	}
+	if g, fg := s.Best(); fg != f0 || !vec.Equal(g, g0) {
+		t.Fatalf("Best moved from %v, %v to %v, %v", g0, f0, g, fg)
+	}
+	if !s.Inject(x, 0) {
+		t.Fatal("a finite better injection was refused afterwards")
+	}
+}
+
 func TestInjectRejectsDimensionMismatch(t *testing.T) {
 	s := New(funcs.Sphere, 10, 4, Config{}, rng.New(8))
 	if s.Inject(make([]float64, 3), -1) {

@@ -10,15 +10,15 @@ import (
 
 // stripWorkerVariantStats zeroes the instrumentation fields that
 // legitimately depend on wall-clock time or the worker configuration
-// (phase timings, shard-load spread, pool submissions, the process-global
-// free-list counters), leaving the deterministic core — cycle, delivery,
-// eval, round, job, batch and rebuild counts — for exact comparison
-// across worker grids.
+// (phase timings, shard-load spread, pool submissions), leaving the
+// deterministic core — cycle, delivery, eval, round, job, batch and rebuild
+// counts — for exact comparison across worker grids. The free-list
+// counters stay in: they are each engine's own, and zero while
+// sim.EnableFreeListStats is off.
 func stripWorkerVariantStats(s *sim.EngineStats) {
 	s.ProposeNanos, s.ApplyNanos = 0, 0
 	s.ShardedRounds, s.ShardMinLoad, s.ShardMaxLoad, s.ShardMeanLoad = 0, 0, 0, 0
 	s.PoolTasks = 0
-	s.FreeListHits, s.FreeListMisses = 0, 0
 }
 
 // stripWorkerVariantUpdate normalizes one progress update for cross-grid

@@ -116,6 +116,7 @@ type Proposals struct {
 	from  NodeID
 	msgs  []Message
 	evals int64
+	cache *PayloadCache
 }
 
 // Cycle returns the number of completed cycles, i.e. the logical timestamp
@@ -134,6 +135,11 @@ func (px *Proposals) Send(to NodeID, slot int, data any) {
 // CountEvals adds k objective evaluations to the engine's global counter
 // (aggregated race-free at the phase barrier; see Engine.Evals).
 func (px *Proposals) CountEvals(k int64) { px.evals += k }
+
+// Payloads returns the worker's payload cache, which Propose passes to
+// FreeList.Get. A Proposals no engine handed out has none, and Get then
+// allocates.
+func (px *Proposals) Payloads() *PayloadCache { return px.cache }
 
 // begin readies the outbox for the next node of the worker's shard.
 func (px *Proposals) begin(id NodeID) { px.from = id }
@@ -163,12 +169,15 @@ type ApplyContext struct {
 	trigger int
 	outbox  []followUp
 	evals   int64
+	cache   *PayloadCache
 }
 
-// reset readies the context for a new apply round.
-func (ax *ApplyContext) reset(e *Engine, cycle int64) {
+// reset readies the context for a new apply round of e, drawing payloads
+// through c.
+func (ax *ApplyContext) reset(e *Engine, c *PayloadCache) {
 	ax.engine = e
-	ax.cycle = cycle
+	ax.cycle = e.cycle
+	ax.cache = c
 	ax.outbox = ax.outbox[:0]
 	ax.evals = 0
 }
@@ -204,3 +213,8 @@ func (ax *ApplyContext) Alive(id NodeID) bool {
 // CountEvals adds k objective evaluations to the engine's global counter
 // (aggregated race-free at the round barrier; see Engine.Evals).
 func (ax *ApplyContext) CountEvals(k int64) { ax.evals += k }
+
+// Payloads returns the worker's payload cache, which a handler passes to
+// FreeList.Get. An ApplyContext no engine handed out has none, and Get
+// then allocates.
+func (ax *ApplyContext) Payloads() *PayloadCache { return ax.cache }

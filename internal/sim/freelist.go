@@ -15,6 +15,28 @@ import (
 // releaseApplyScratch, the one place a cycle's payload references already
 // died.
 //
+// A free list has two levels. The depot is one stack of idle payloads
+// behind one mutex, inside the FreeList. The lists are package variables,
+// so the depots are process-wide: an engine built for the next repetition
+// of a campaign inherits the payloads of the last one (ISSUE 20's
+// prototype measured engine-owned storage at +3.5% heap per node there).
+// A magazine is a private stack of the same payloads inside a
+// PayloadCache, of which the engine keeps one per pool worker. Get and Put
+// take the cache — a handler passes px.Payloads() or ax.Payloads(),
+// Recycle passes on the cache the engine hands it — and work on the
+// magazine with no lock and no atomic; the depot is locked once per
+// flBatch payloads, to refill an empty magazine or to spill a full one. A
+// nil cache (that of a Proposals or ApplyContext no engine handed out)
+// recycles nothing: Get allocates and Put drops the payload.
+//
+// The engine flushes every cache into the depots at each phase barrier
+// (after propose, after each apply round, after the end-of-cycle release).
+// Between phases every idle payload is thus in a depot, where any worker
+// of any engine can draw it; left in a magazine, what one worker released
+// would sit unused while another allocated. A list therefore never
+// allocates more than the peak number of payloads in flight plus, per
+// extra worker, the flBatch-1 a refill can leave idle.
+//
 // The ownership rules extend the "ownership transfers on Send" contract of
 // exchange.go:
 //
@@ -41,60 +63,122 @@ import (
 //     free list cannot be a package variable) keeps that one field across
 //     the reset; the ownership analyzer knows the exemption.
 //
-// The list holds strong references in mutex-guarded per-shard stacks, NOT
-// a sync.Pool: pool contents are released at every GC, and a million-node
-// cycle that still allocates makes GCs frequent enough that the pool was
-// observed near-empty every cycle — each miss re-allocating both the
-// payload and its interior slices, which itself sustained the GC pressure.
-// Strong references break that feedback loop. The lists cannot grow
-// without bound: the engine recycles exactly the payloads a cycle sent, so
-// a list's size is bounded by the peak number of in-flight payloads of its
-// type. Sharding (with a round-robin cursor) keeps Get/Put cheap when
-// propose or apply workers draw concurrently.
+// Depot and magazines hold strong references, NOT a sync.Pool: pool
+// contents are released at every GC, and a million-node cycle that still
+// allocates makes GCs frequent enough that the pool was observed
+// near-empty every cycle — each miss re-allocating both the payload and
+// its interior slices, which itself sustained the GC pressure. Strong
+// references break that feedback loop.
 
 // Recyclable is the opt-in recycling contract for message payloads. The
 // engine calls Recycle exactly once per sent payload, at the end of the
 // cycle that delivered (or dropped) it, after every handler has run.
+// Recycle resets the payload and hands it, with c, to its free list's Put.
 type Recyclable interface {
-	Recycle()
+	Recycle(c *PayloadCache)
 }
 
-// flShards is the number of stacks a FreeList spreads its payloads over —
-// a small power of two so the cursor masks instead of dividing.
-const flShards = 8
+// flBatch is the number of payloads that cross between a magazine and its
+// depot under one lock. A magazine holds fewer than two batches.
+const flBatch = 64
 
-// FreeList is a typed free list of payload structs, safe for concurrent
-// use. The zero value is ready to use.
+// FreeList is a typed free list of payload structs: the depot level of
+// the scheme above, safe for concurrent use. The zero value is ready to
+// use.
 type FreeList[T any] struct {
-	next   atomic.Uint32
-	shards [flShards]flShard[T]
+	mu    sync.Mutex
+	depot []*T
+	// locks counts acquisitions of mu, so tests can bound them.
+	locks int64
 }
 
-// flShard is one mutex-guarded stack of recycled payloads.
-type flShard[T any] struct {
-	mu    sync.Mutex
+// PayloadCache is one worker's private front of every free list it
+// touches: a magazine per list, plus the hit and miss counts of the Gets
+// it served. It must not be used from two goroutines at once, and whoever
+// owns it must flush it, or the payloads it holds are stranded. The zero
+// value is ready to use.
+type PayloadCache struct {
+	// mags is scanned linearly by magazineOf: a run has two to four
+	// payload types.
+	mags         []flusher
+	hits, misses int64
+}
+
+// flusher is all a cache's owner needs of a magazine, whatever its type.
+type flusher interface{ flush() }
+
+// flush empties every magazine of the cache into its depot.
+func (c *PayloadCache) flush() {
+	for _, m := range c.mags {
+		m.flush()
+	}
+}
+
+// magazine is a cache's private stack of idle payloads of one list.
+type magazine[T any] struct {
+	list  *FreeList[T]
 	items []*T
 }
 
-// Free-list hit/miss instrumentation. Free lists are package-level pools
-// shared by every engine in the process, so the counters are process-global
-// too. Counting is opt-in: Get runs on parallel propose and apply workers,
-// and the default path must not pay cross-worker atomic adds per payload —
-// off (the default), Get's only instrumentation cost is one uncontended
+// magazineOf returns c's magazine for f, adding an empty one on first use.
+func magazineOf[T any](c *PayloadCache, f *FreeList[T]) *magazine[T] {
+	for _, s := range c.mags {
+		if m, ok := s.(*magazine[T]); ok && m.list == f {
+			return m
+		}
+	}
+	m := &magazine[T]{list: f}
+	c.mags = append(c.mags, m)
+	return m
+}
+
+// refill moves up to one batch from the top of the depot into the empty
+// magazine, reporting whether it got any.
+func (m *magazine[T]) refill() bool {
+	f := m.list
+	f.mu.Lock()
+	f.locks++
+	rest := len(f.depot) - min(len(f.depot), flBatch)
+	m.items = append(m.items, f.depot[rest:]...)
+	clear(f.depot[rest:])
+	f.depot = f.depot[:rest]
+	f.mu.Unlock()
+	return len(m.items) > 0
+}
+
+// spill moves everything above the magazine's first keep payloads to the
+// depot. Magazine and depot both grow by append: ISSUE 20's prototype
+// measured pre-sizing either as more heap for no gain.
+func (m *magazine[T]) spill(keep int) {
+	f := m.list
+	f.mu.Lock()
+	f.locks++
+	f.depot = append(f.depot, m.items[keep:]...)
+	f.mu.Unlock()
+	clear(m.items[keep:])
+	m.items = m.items[:keep]
+}
+
+// flush empties the magazine into the depot.
+func (m *magazine[T]) flush() {
+	if len(m.items) > 0 {
+		m.spill(0)
+	}
+}
+
+// Free-list hit/miss instrumentation. Counting is opt-in and process-wide,
+// but the counts are not: each cache counts the Gets it serves in plain
+// integers, and the engine that owns the cache folds them into its own
+// Stats at the phase barriers, so concurrent engines never see each
+// other's. Off (the default), Get's only instrumentation cost is one
 // atomic load.
-var (
-	flStatsOn        atomic.Bool
-	flHits, flMisses atomic.Int64
-)
+var flStatsOn atomic.Bool
 
-// EnableFreeListStats turns process-global free-list hit/miss counting on
-// or off. The counters keep their accumulated values across toggles; they
-// surface in every engine's Stats snapshot as FreeListHits/FreeListMisses.
+// EnableFreeListStats turns free-list hit/miss counting on or off for
+// every cache in the process. The counts surface in the owning engine's
+// Stats snapshot as FreeListHits/FreeListMisses and keep their accumulated
+// values across toggles.
 func EnableFreeListStats(on bool) { flStatsOn.Store(on) }
-
-// FreeListStats returns the process-global free-list counters: Gets served
-// from a recycled payload (hits) and Gets that allocated fresh (misses).
-func FreeListStats() (hits, misses int64) { return flHits.Load(), flMisses.Load() }
 
 // Double-release detection. The ownership rules make "send exactly once"
 // the caller's obligation; a violation corrupts state at a distance (two
@@ -143,61 +227,60 @@ func flDebugUntrack(p any) {
 	delete(flDebugSet, p)
 }
 
-// Get returns a recycled *T, or a freshly allocated zero value when the
-// list is empty. Recycled values keep whatever the type's Recycle method
-// left in them (by convention: zero-length slices with warm capacity). The
-// round-robin cursor spreads concurrent callers over the shards; an empty
-// shard falls through to the others before allocating, so payloads are
-// never stranded by an unlucky cursor.
-func (f *FreeList[T]) Get() *T {
-	start := f.next.Add(1)
-	for i := uint32(0); i < flShards; i++ {
-		s := &f.shards[(start+i)&(flShards-1)]
-		s.mu.Lock()
-		if n := len(s.items); n > 0 {
-			p := s.items[n-1]
-			s.items[n-1] = nil
-			s.items = s.items[:n-1]
-			s.mu.Unlock()
-			if flStatsOn.Load() {
-				flHits.Add(1)
-			}
-			if flDebugOn.Load() {
-				flDebugUntrack(p)
-			}
-			return p
+// Get returns a recycled *T from c's magazine, refilled from the depot
+// when empty, or a freshly allocated zero value when the depot is empty
+// too (or c is nil). Recycled values keep whatever the type's Recycle
+// method left in them (by convention: zero-length slices with warm
+// capacity).
+func (f *FreeList[T]) Get(c *PayloadCache) *T {
+	if c == nil {
+		return new(T)
+	}
+	m := magazineOf(c, f)
+	if len(m.items) == 0 && !m.refill() {
+		if flStatsOn.Load() {
+			c.misses++
 		}
-		s.mu.Unlock()
+		return new(T)
 	}
+	n := len(m.items) - 1
+	p := m.items[n]
+	m.items[n] = nil
+	m.items = m.items[:n]
 	if flStatsOn.Load() {
-		flMisses.Add(1)
+		c.hits++
 	}
-	return new(T)
+	if flDebugOn.Load() {
+		flDebugUntrack(p)
+	}
+	return p
 }
 
-// Put returns p to the free list. Callers normally do not call Put
+// Put returns p to the free list through c's magazine, spilling a batch to
+// the depot when the magazine holds two. Callers normally do not call Put
 // directly: the payload's Recycle method does, and the engine calls
 // Recycle at cycle end. With the debug detector enabled, a second Put of
 // the same pointer without an intervening Get panics.
-func (f *FreeList[T]) Put(p *T) {
-	if p == nil {
+func (f *FreeList[T]) Put(c *PayloadCache, p *T) {
+	if p == nil || c == nil {
 		return
 	}
 	if flDebugOn.Load() {
 		flDebugTrack(p)
 	}
-	s := &f.shards[f.next.Add(1)&(flShards-1)]
-	s.mu.Lock()
-	s.items = append(s.items, p)
-	s.mu.Unlock()
+	m := magazineOf(c, f)
+	m.items = append(m.items, p)
+	if len(m.items) == 2*flBatch {
+		m.spill(flBatch)
+	}
 }
 
-// recyclePayload returns a message's payload to its free list when the
-// payload opted in, reporting whether it did (the PayloadsRecycled
-// counter).
-func recyclePayload(m *Message) bool {
+// recyclePayload returns a message's payload to its free list, through c,
+// when the payload opted in, reporting whether it did (the
+// PayloadsRecycled counter).
+func recyclePayload(m *Message, c *PayloadCache) bool {
 	if r, ok := m.Data.(Recyclable); ok {
-		r.Recycle()
+		r.Recycle(c)
 		return true
 	}
 	return false

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -10,66 +11,121 @@ type flTestPayload struct {
 	buf []byte
 }
 
-func (p *flTestPayload) Recycle() { p.buf = p.buf[:0] }
+// magLen is the number of idle payloads c holds for f.
+func magLen[T any](c *PayloadCache, f *FreeList[T]) int { return len(magazineOf(c, f).items) }
+
+// TestFreeListMagazineRoundTrip pins the two levels: a magazine is a
+// private LIFO, another cache sees a payload only once it reached the
+// depot, a refill takes at most one batch and a spill leaves one behind.
+func TestFreeListMagazineRoundTrip(t *testing.T) {
+	var fl FreeList[flTestPayload]
+	var c1, c2 PayloadCache
+
+	p, q := fl.Get(&c1), fl.Get(&c1)
+	fl.Put(&c1, p)
+	fl.Put(&c1, q)
+	if got := fl.Get(&c2); got == p || got == q {
+		t.Fatal("a second cache drew a payload that never reached the depot")
+	}
+	if fl.Get(&c1) != q || fl.Get(&c1) != p {
+		t.Fatal("a magazine is not LIFO")
+	}
+	if fl.locks != 3 || len(fl.depot) != 0 {
+		t.Fatalf("three Gets on empty magazines: %d depot locks, %d in the depot; want 3, 0", fl.locks, len(fl.depot))
+	}
+
+	fl.Put(&c1, p)
+	c1.flush()
+	if got := fl.Get(&c2); got != p {
+		t.Fatal("a flushed payload did not reach the second cache")
+	}
+
+	for i := 0; i < 2*flBatch-1; i++ {
+		fl.Put(&c1, new(flTestPayload))
+	}
+	if magLen(&c1, &fl) != 2*flBatch-1 || len(fl.depot) != 0 {
+		t.Fatalf("below two batches: magazine %d, depot %d; want %d, 0", magLen(&c1, &fl), len(fl.depot), 2*flBatch-1)
+	}
+	fl.Put(&c1, new(flTestPayload))
+	if magLen(&c1, &fl) != flBatch || len(fl.depot) != flBatch {
+		t.Fatalf("after the spill: magazine %d, depot %d; want %d each", magLen(&c1, &fl), len(fl.depot), flBatch)
+	}
+	c1.flush()
+	if magLen(&c1, &fl) != 0 || len(fl.depot) != 2*flBatch {
+		t.Fatalf("after the flush: magazine %d, depot %d; want 0, %d", magLen(&c1, &fl), len(fl.depot), 2*flBatch)
+	}
+	fl.Get(&c2)
+	if magLen(&c2, &fl) != flBatch-1 || len(fl.depot) != flBatch {
+		t.Fatalf("after one refill: magazine %d, depot %d; want %d, %d", magLen(&c2, &fl), len(fl.depot), flBatch-1, flBatch)
+	}
+}
+
+// TestFreeListNilCacheAllocates pins what a handler gets from a context no
+// engine handed out: no cache, hence a fresh payload from Get and a no-op
+// Put, with the depot untouched.
+func TestFreeListNilCacheAllocates(t *testing.T) {
+	var fl FreeList[flTestPayload]
+	var c PayloadCache
+	fl.Put(&c, &flTestPayload{buf: make([]byte, 0, 8)})
+	c.flush()
+
+	if new(Proposals).Payloads() != nil || new(ApplyContext).Payloads() != nil {
+		t.Fatal("a zero-value context has a payload cache")
+	}
+	p := fl.Get(new(ApplyContext).Payloads())
+	if p == nil || cap(p.buf) != 0 {
+		t.Fatalf("Get without a cache returned %+v, want a fresh payload", p)
+	}
+	fl.Put(nil, p)
+	fl.Put(&c, nil)
+	if len(fl.depot) != 1 || fl.locks != 1 {
+		t.Fatalf("depot holds %d after %d locks, want 1 after 1", len(fl.depot), fl.locks)
+	}
+}
 
 // TestFreeListSurvivesGC pins the property the sync.Pool-backed
 // implementation lacked: recycled payloads stay recyclable across garbage
-// collections. A million-node cycle allocates enough to trigger GCs
-// mid-run, and pool-backed lists were observed near-empty every cycle —
-// every Get a miss, re-allocating payload plus interior slices and thereby
-// sustaining the very GC pressure that emptied the pool.
+// collections, in the depot and in a magazine alike. A million-node cycle
+// allocates enough to trigger GCs mid-run, and pool-backed lists were
+// observed near-empty every cycle — every Get a miss, re-allocating
+// payload plus interior slices and thereby sustaining the very GC pressure
+// that emptied the pool.
 func TestFreeListSurvivesGC(t *testing.T) {
 	var fl FreeList[flTestPayload]
-	const n = 64
+	var c PayloadCache
+	const n = 2*flBatch + 32 // one batch spills to the depot, the rest stays in the magazine
 	for i := 0; i < n; i++ {
-		fl.Put(&flTestPayload{buf: make([]byte, 0, 32)})
+		fl.Put(&c, &flTestPayload{buf: make([]byte, 0, 32)})
 	}
 	runtime.GC()
 	runtime.GC()
 
 	EnableFreeListStats(true)
 	defer EnableFreeListStats(false)
-	h0, m0 := FreeListStats()
 	for i := 0; i < n; i++ {
-		p := fl.Get()
+		p := fl.Get(&c)
 		if cap(p.buf) == 0 {
 			t.Fatalf("Get %d returned a fresh payload (no warm capacity): free list lost items to GC", i)
 		}
 	}
-	h1, m1 := FreeListStats()
-	if got := h1 - h0; got != n {
-		t.Fatalf("hits after GC = %d, want %d", got, n)
+	if c.hits != n || c.misses != 0 {
+		t.Fatalf("after GC: %d hits, %d misses; want %d, 0", c.hits, c.misses, n)
 	}
-	if got := m1 - m0; got != 0 {
-		t.Fatalf("misses after GC = %d, want 0", got)
-	}
-}
-
-// TestFreeListGetScansAllShards pins the fall-through: payloads parked on
-// one shard are found even when the round-robin cursor starts elsewhere.
-func TestFreeListGetScansAllShards(t *testing.T) {
-	var fl FreeList[flTestPayload]
-	p := &flTestPayload{buf: make([]byte, 0, 8)}
-	fl.Put(p)
-	for i := 0; i < flShards; i++ {
-		if got := fl.Get(); got == p {
-			return
-		}
-	}
-	t.Fatalf("payload never recovered within %d Gets", flShards)
 }
 
 // TestFreeListDoubleReleaseDetected plants the misuse the ownership rules
 // forbid — recycling the same payload twice without an intervening Get —
 // and proves the opt-in detector panics at the second Put, naming the
-// payload type.
+// payload type. The detector is process-global like the depots, so the
+// second release is caught through another cache too.
 func TestFreeListDoubleReleaseDetected(t *testing.T) {
 	EnableFreeListDebug(true)
 	defer EnableFreeListDebug(false)
 
 	var fl FreeList[flTestPayload]
-	p := fl.Get()
-	fl.Put(p)
+	var c1, c2 PayloadCache
+	p := fl.Get(&c1)
+	fl.Put(&c1, p)
 
 	defer func() {
 		r := recover()
@@ -81,24 +137,195 @@ func TestFreeListDoubleReleaseDetected(t *testing.T) {
 			t.Fatalf("panic = %v, want a double-release message", r)
 		}
 	}()
-	fl.Put(p) // planted double release
+	fl.Put(&c2, p) // planted double release
 }
 
 // TestFreeListReleaseAfterReuseAllowed guards the detector against false
 // positives on the legitimate life cycle: Get → Put → Get → Put of one
-// pointer is exactly how recycling is supposed to work.
+// pointer is exactly how recycling is supposed to work, also when the
+// payload travels through the depot to another cache in between.
 func TestFreeListReleaseAfterReuseAllowed(t *testing.T) {
 	EnableFreeListDebug(true)
 	defer EnableFreeListDebug(false)
 
 	var fl FreeList[flTestPayload]
-	p := fl.Get()
-	fl.Put(p)
-	for i := 0; i < flShards; i++ {
-		if fl.Get() == p {
-			fl.Put(p) // second release, but after a Get: legal
-			return
+	var c1, c2 PayloadCache
+	p := fl.Get(&c1)
+	fl.Put(&c1, p)
+	c1.flush()
+	if fl.Get(&c2) != p {
+		t.Fatal("payload never came back from the list")
+	}
+	fl.Put(&c2, p) // second release, but after a Get: legal
+}
+
+// flReq and flRep are the two pooled legs of flAvgProto, an averaging
+// exchange of the shape of gossip.Average: every node sends one request a
+// cycle and every request is answered, so a cycle of n nodes has exactly n
+// payloads of each type in flight.
+type (
+	flReq struct{ v float64 }
+	flRep struct{ d float64 }
+)
+
+var (
+	flReqs FreeList[flReq]
+	flReps FreeList[flRep]
+)
+
+func (r *flReq) Recycle(c *PayloadCache) { flReqs.Put(c, r) }
+func (r *flRep) Recycle(c *PayloadCache) { flReps.Put(c, r) }
+
+type flAvgProto struct {
+	v     float64
+	nodes int
+}
+
+func (p *flAvgProto) Propose(n *Node, px *Proposals) {
+	req := flReqs.Get(px.Payloads())
+	req.v = p.v
+	px.Send(NodeID(n.RNG.Intn(p.nodes)), 0, req)
+}
+
+func (p *flAvgProto) Receive(n *Node, ax *ApplyContext, msg Message) {
+	switch pl := msg.Data.(type) {
+	case *flReq:
+		d := (pl.v - p.v) / 2
+		p.v += d
+		rep := flReps.Get(ax.Payloads())
+		rep.d = -d
+		ax.Send(msg.From, 0, rep)
+	case *flRep:
+		p.v += pl.d
+	}
+}
+
+// flNetwork builds an averaging network of flAvgProto nodes.
+func flNetwork(seed uint64, nodes, workers int) *Engine {
+	e := NewEngine(seed)
+	e.SetWorkers(workers)
+	e.SetNodeFactory(func(nd *Node) {
+		nd.Protocols = []Protocol{&flAvgProto{v: float64(nd.ID), nodes: nodes}}
+	})
+	e.AddNodes(nodes)
+	return e
+}
+
+// flEmptyDepots drops what earlier tests left in the two lists and counts
+// this test's Gets, so the engines' miss counts are the payloads the test
+// allocated.
+func flEmptyDepots(t *testing.T) {
+	flReqs.depot, flReps.depot = nil, nil
+	EnableFreeListStats(true)
+	t.Cleanup(func() { EnableFreeListStats(false) })
+}
+
+// TestPayloadCacheFlushedAtBarriers runs the averaging network and checks,
+// after every cycle, that no cache holds a payload: the propose, round and
+// release barriers returned every idle payload to the depots, which then
+// hold everything the run has allocated (nothing is delayed or retained).
+// The allocation is bounded by the peak in flight plus what refills can
+// leave idle in the workers' magazines, and is exactly the peak on one
+// worker.
+func TestPayloadCacheFlushedAtBarriers(t *testing.T) {
+	const nodes, cycles = 1000, 50
+	for _, workers := range []int{1, 2, 8} {
+		flEmptyDepots(t)
+		e := flNetwork(41, nodes, workers)
+		for cycle := 0; cycle < cycles; cycle++ {
+			e.RunCycle()
+			if len(e.caches) != workers {
+				t.Fatalf("workers=%d: %d caches", workers, len(e.caches))
+			}
+			for w := range e.caches {
+				if r, p := magLen(&e.caches[w], &flReqs), magLen(&e.caches[w], &flReps); r+p != 0 {
+					t.Fatalf("workers=%d cycle %d: cache %d still holds %d requests and %d replies", workers, cycle, w, r, p)
+				}
+			}
+			if got, want := int64(len(flReqs.depot)+len(flReps.depot)), e.Stats().FreeListMisses; got != want {
+				t.Fatalf("workers=%d cycle %d: depots hold %d payloads, the run allocated %d", workers, cycle, got, want)
+			}
+		}
+		e.Close()
+		for name, held := range map[string]int{"request": len(flReqs.depot), "reply": len(flReps.depot)} {
+			if bound := nodes + (workers-1)*(flBatch-1); held < nodes || held > bound {
+				t.Errorf("workers=%d: %d %s payloads allocated, want %d to %d", workers, held, name, nodes, bound)
+			}
 		}
 	}
-	t.Fatal("payload never came back from the list")
+}
+
+// TestFreeListDepotLocksPerBatch is the machine-independent form of the
+// performance claim: a steady-state cycle locks a depot once per batch of
+// 64 drawn or released, once per magazine a barrier finds non-empty, and
+// once per Get that found the depot empty — not once per payload.
+func TestFreeListDepotLocksPerBatch(t *testing.T) {
+	const nodes, cycles = 5000, 5
+	const payloads, types = 2 * nodes, 2 // per cycle
+	const barriers = 4                   // propose, two apply rounds, release
+	for _, workers := range []int{1, 8} {
+		flEmptyDepots(t)
+		e := flNetwork(42, nodes, workers)
+		e.Run(10)
+		locks0, misses0 := flReqs.locks+flReps.locks, e.Stats().FreeListMisses
+		e.Run(cycles)
+		locks := flReqs.locks + flReps.locks - locks0
+		misses := e.Stats().FreeListMisses - misses0
+		e.Close()
+		bound := cycles*int64(2*((payloads+flBatch-1)/flBatch)+barriers*workers*types) + misses
+		t.Logf("workers=%d: %d depot locks for %d payloads (%d misses), bound %d", workers, locks, cycles*payloads, misses, bound)
+		if locks > bound {
+			t.Errorf("workers=%d: %d depot locks over %d cycles, want <= %d", workers, locks, cycles, bound)
+		}
+		if workers == 1 && misses != 0 {
+			t.Errorf("a warmed single-worker run allocated %d payloads", misses)
+		}
+	}
+}
+
+// TestFreeListCountsAreEngineOwned steps two engines of different sizes,
+// eight workers each, on two goroutines over the same lists (under -race
+// this is the concurrency test of the depots). Each engine's hits and
+// misses add up to the payloads that engine sent — those it recycled plus
+// those its delay queue still holds — so neither sees the other's Gets.
+func TestFreeListCountsAreEngineOwned(t *testing.T) {
+	flEmptyDepots(t)
+	engines := []*Engine{flNetwork(43, 700, 8), flNetwork(44, 300, 8)}
+	engines[1].SetNetModel(LossyLinks{DelayMax: 3})
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		wg.Add(1)
+		go func(e *Engine) {
+			defer wg.Done()
+			e.Run(30)
+		}(e)
+	}
+	wg.Wait()
+	var sent [2]int64
+	for i, e := range engines {
+		s := e.Stats()
+		sent[i] = s.PayloadsRecycled + int64(len(e.delayQ))
+		if got := s.FreeListHits + s.FreeListMisses; got != sent[i] || got == 0 {
+			t.Errorf("engine %d: %d hits + %d misses = %d Gets, but it sent %d payloads (%d recycled, %d delayed)",
+				i, s.FreeListHits, s.FreeListMisses, got, sent[i], s.PayloadsRecycled, len(e.delayQ))
+		}
+		e.Close()
+	}
+	if sent[0] == sent[1] || len(engines[1].delayQ) == 0 {
+		t.Fatalf("test lost its teeth: sent %v, %d delayed", sent, len(engines[1].delayQ))
+	}
+}
+
+// BenchmarkFreeListGetPut is the free list's hot path on one cache: a Get
+// and a Put per op, served by the magazine with no lock and no atomic
+// read-modify-write. The steady state allocates nothing.
+func BenchmarkFreeListGetPut(b *testing.B) {
+	var fl FreeList[flTestPayload]
+	var c PayloadCache
+	fl.Put(&c, fl.Get(&c))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fl.Put(&c, fl.Get(&c))
+	}
 }

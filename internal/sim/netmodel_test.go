@@ -187,7 +187,7 @@ type recycleCounter struct {
 	recycles *int
 }
 
-func (r *recycleCounter) Recycle() { *r.recycles++ }
+func (r *recycleCounter) Recycle(*PayloadCache) { *r.recycles++ }
 
 type recycleProto struct {
 	next     NodeID

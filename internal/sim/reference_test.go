@@ -28,10 +28,10 @@ type refPayload struct {
 
 var refPayloads FreeList[refPayload]
 
-func (p *refPayload) Recycle() {
+func (p *refPayload) Recycle(c *PayloadCache) {
 	p.world.recycled = append(p.world.recycled, p.id)
 	*p = refPayload{}
-	refPayloads.Put(p)
+	refPayloads.Put(c, p)
 }
 
 // refWorld is what one run leaves behind besides its counters.
@@ -85,8 +85,8 @@ func (p *refProto) address(id string) (NodeID, int) {
 	return to, slot
 }
 
-func (p *refProto) payload(id string, hops int) *refPayload {
-	pl := refPayloads.Get()
+func (p *refProto) payload(c *PayloadCache, id string, hops int) *refPayload {
+	pl := refPayloads.Get(c)
 	*pl = refPayload{id: id, hops: hops, world: p.world}
 	p.created = append(p.created, id)
 	return pl
@@ -97,7 +97,7 @@ func (p *refProto) Propose(n *Node, px *Proposals) {
 	for j := 0; j < int(refHash(base, 0)%3); j++ {
 		id := fmt.Sprintf("%s#%d", base, j)
 		to, slot := p.address(id)
-		px.Send(to, slot, p.payload(id, 3+j))
+		px.Send(to, slot, p.payload(px.Payloads(), id, 3+j))
 	}
 }
 
@@ -113,7 +113,7 @@ func (p *refProto) handle(ax *ApplyContext, msg Message, deliver bool) {
 			for k := 0; k < call.posted; k++ {
 				id := fmt.Sprintf("%s/%d", pl.id, k)
 				to, slot := p.address(id)
-				ax.Send(to, slot, p.payload(id, pl.hops-1))
+				ax.Send(to, slot, p.payload(ax.Payloads(), id, pl.hops-1))
 			}
 		}
 	}
@@ -232,7 +232,7 @@ func (r *refEngine) runCycle() {
 	r.maxDepth = max(r.maxDepth, len(lists)-1)
 	for _, l := range lists {
 		for i := range l {
-			recyclePayload(&l[i])
+			recyclePayload(&l[i], nil)
 		}
 	}
 	r.cycle++

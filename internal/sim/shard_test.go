@@ -202,14 +202,14 @@ type avgPayload struct {
 
 var avgPayloads FreeList[avgPayload]
 
-func (p *avgPayload) Recycle() { avgPayloads.Put(p) }
+func (p *avgPayload) Recycle(c *PayloadCache) { avgPayloads.Put(c, p) }
 
 type avgProto struct{ v float64 }
 
 func (p *avgProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	pl := msg.Data.(*avgPayload)
 	if !pl.reply {
-		rep := avgPayloads.Get()
+		rep := avgPayloads.Get(ax.Payloads())
 		*rep = avgPayload{v: p.v, reply: true}
 		ax.Send(msg.From, 0, rep)
 	}
@@ -233,10 +233,11 @@ func BenchmarkApplyRound(b *testing.B) {
 		protos[i].v = float64(i)
 	}
 	e.rng.Shuffle(n, func(i, j int) { requests[i], requests[j] = requests[j], requests[i] })
+	e.growCaches(1)
 	cycle := func() {
 		msgs := append(e.msgScratch[:0], requests...)
 		for i := range msgs {
-			pl := avgPayloads.Get()
+			pl := avgPayloads.Get(&e.caches[0])
 			*pl = avgPayload{v: protos[msgs[i].From].v}
 			msgs[i].Data = pl
 		}

@@ -138,6 +138,11 @@ type Engine struct {
 	msgScratch []Message
 	outScratch []Proposals
 	applyCtxs  []ApplyContext
+	// caches holds one payload cache per pool worker (see freelist.go).
+	// Worker w's Proposals and ApplyContext both draw from caches[w] — the
+	// phases never overlap — and the coordinator's, caches[0], also takes
+	// the end-of-cycle release. flushCaches empties them at every barrier.
+	caches []PayloadCache
 	// rounds keeps one buffer per apply round, all retained until
 	// releaseApplyScratch so each cycle's payloads can be recycled exactly
 	// once: a payload lives either in msgScratch (proposed this cycle) or
@@ -167,6 +172,7 @@ type Engine struct {
 	applyRounds, applyJobs   int64
 	applyBatches             int64
 	payloadsRecycled         int64
+	flHits, flMisses         int64
 	shardedRounds            int64
 	shardMinSum, shardMaxSum int64
 	shardMeanSum             float64
@@ -515,9 +521,11 @@ func (e *Engine) RunCycle() bool {
 		e.outScratch = make([]Proposals, workers)
 	}
 	outs := e.outScratch[:workers]
+	e.growCaches(workers)
 	for w := range outs {
 		outs[w].msgs = outs[w].msgs[:0]
 		outs[w].evals = 0
+		outs[w].cache = &e.caches[w]
 	}
 	e.pool.run(workers, func(w int) {
 		px := &outs[w]
@@ -535,6 +543,7 @@ func (e *Engine) RunCycle() bool {
 	for w := range outs {
 		e.evals += outs[w].evals
 	}
+	e.flushCaches()
 	//simcheck:allow determinism phase timing feeds Stats only, never the trace
 	now := time.Now()
 	e.proposeNanos += now.Sub(phaseStart).Nanoseconds()
@@ -711,6 +720,7 @@ func (e *Engine) applyRound(round, next []Message) []Message {
 		e.applyCtxs = make([]ApplyContext, workers)
 	}
 	ctxs := e.applyCtxs[:workers]
+	e.growCaches(workers)
 	e.applyRounds++
 
 	keys := sized(e.jobKeys, len(round))
@@ -755,6 +765,7 @@ func (e *Engine) applyRound(round, next []Message) []Message {
 	e.round = round
 	e.pool.run(workers, e.spanFn)
 	e.round = nil
+	e.flushCaches()
 
 	total := 0
 	for w := range ctxs {
@@ -826,7 +837,7 @@ func (e *Engine) cutSpans(workers int) {
 // time, so protocols swapped in after construction are honoured.
 func (e *Engine) applySpan(w int) {
 	ax := &e.applyCtxs[w]
-	ax.reset(e, e.cycle)
+	ax.reset(e, &e.caches[w])
 	keys, round := e.jobKeys, e.round
 	for _, i := range e.jobOrder[e.spans[w]:e.spans[w+1]] {
 		k := keys[i]
@@ -850,6 +861,28 @@ func (e *Engine) applySpan(w int) {
 	}
 }
 
+// growCaches makes sure there is a payload cache for each worker of the
+// phase about to run.
+func (e *Engine) growCaches(workers int) {
+	if len(e.caches) < workers {
+		e.caches = append(e.caches, make([]PayloadCache, workers-len(e.caches))...)
+	}
+}
+
+// flushCaches is the barrier step of the payload free lists: it empties
+// every worker's cache into the depots, so that between phases any worker
+// of any engine can draw every idle payload, and folds the caches' hit and
+// miss counts into the engine's.
+func (e *Engine) flushCaches() {
+	for w := range e.caches {
+		c := &e.caches[w]
+		c.flush()
+		e.flHits += c.hits
+		e.flMisses += c.misses
+		c.hits, c.misses = 0, 0
+	}
+}
+
 // releaseApplyScratch is the one place a cycle's payload references die.
 // First every payload the cycle sent is offered back to its free list —
 // each message lives in exactly one of the canonical list (proposed) or
@@ -863,19 +896,22 @@ func (e *Engine) applySpan(w int) {
 // deliberately not cleared — at n = 10^6 that skips megabytes of
 // per-cycle memset.
 func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
+	e.growCaches(1)
+	c := &e.caches[0]
 	for i := range e.msgScratch {
-		if recyclePayload(&e.msgScratch[i]) {
+		if recyclePayload(&e.msgScratch[i], c) {
 			e.payloadsRecycled++
 		}
 	}
 	for d := 0; d < depth; d++ {
 		buf := e.rounds[d]
 		for i := range buf {
-			if recyclePayload(&buf[i]) {
+			if recyclePayload(&buf[i], c) {
 				e.payloadsRecycled++
 			}
 		}
 	}
+	e.flushCaches()
 	for w := range outs {
 		clear(outs[w].msgs[:cap(outs[w].msgs)])
 	}

@@ -61,8 +61,8 @@ type EngineStats struct {
 	ApplyBatches int64 `json:"apply_batches"`
 	// PayloadsRecycled is the total number of message payloads returned to
 	// their free lists at cycle end (payloads implementing Recyclable).
-	// Engine-owned, unlike the process-global FreeListHits/FreeListMisses:
-	// it moves unconditionally and counts recycles, not Gets.
+	// Unlike FreeListHits/FreeListMisses it moves unconditionally and
+	// counts recycles, not Gets.
 	PayloadsRecycled int64 `json:"payloads_recycled"`
 	// ShardedRounds counts the apply rounds that ran on more than one
 	// worker; the Shard* load counters below accumulate over exactly
@@ -83,9 +83,11 @@ type EngineStats struct {
 	// workers-1 per parallel phase or sharded round; a single-worker
 	// engine keeps it at zero.
 	PoolTasks int64 `json:"pool_tasks"`
-	// FreeListHits / FreeListMisses are the payload free-list counters.
-	// They are process-global (free lists are shared package-level pools,
-	// see freelist.go) and only move while EnableFreeListStats is on.
+	// FreeListHits / FreeListMisses count this engine's payload free-list
+	// Gets: served from a recycled payload, or by a fresh allocation. The
+	// lists are shared by every engine in the process (see freelist.go)
+	// but the counts are the engine's own; they only move while
+	// EnableFreeListStats is on.
 	FreeListHits   int64 `json:"freelist_hits"`
 	FreeListMisses int64 `json:"freelist_misses"`
 }
@@ -126,6 +128,7 @@ type engineStats struct {
 	shardedRounds, shardMin, shardMax atomic.Int64
 	shardMeanBits                     atomic.Uint64
 	liveRebuilds, poolTasks           atomic.Int64
+	flHits, flMisses                  atomic.Int64
 }
 
 // publishStats copies the coordinator-owned accumulators into the atomic
@@ -152,6 +155,8 @@ func (e *Engine) publishStats() {
 	s.shardMeanBits.Store(math.Float64bits(e.shardMeanSum))
 	s.liveRebuilds.Store(e.liveRebuilds)
 	s.poolTasks.Store(e.pool.submitted)
+	s.flHits.Store(e.flHits)
+	s.flMisses.Store(e.flMisses)
 }
 
 // Stats returns the engine's instrumentation snapshot as of the last
@@ -160,7 +165,6 @@ func (e *Engine) publishStats() {
 // lock shared with the hot path).
 func (e *Engine) Stats() EngineStats {
 	s := &e.stats
-	hits, misses := FreeListStats()
 	return EngineStats{
 		Cycles:           s.cycles.Load(),
 		Delivered:        s.delivered.Load(),
@@ -180,7 +184,7 @@ func (e *Engine) Stats() EngineStats {
 		ShardMeanLoad:    math.Float64frombits(s.shardMeanBits.Load()),
 		LiveRebuilds:     s.liveRebuilds.Load(),
 		PoolTasks:        s.poolTasks.Load(),
-		FreeListHits:     hits,
-		FreeListMisses:   misses,
+		FreeListHits:     s.flHits.Load(),
+		FreeListMisses:   s.flMisses.Load(),
 	}
 }

@@ -172,35 +172,31 @@ func TestStatsLiveRebuilds(t *testing.T) {
 	}
 }
 
-// TestFreeListStatsCounting exercises the opt-in process-global free-list
-// counters with delta assertions (other tests in the binary share the
-// package-level pools, so absolute values are meaningless).
+// TestFreeListStatsCounting exercises the opt-in free-list counters where
+// they are kept, in the cache that served the Get: a miss on an empty
+// list, a hit on a recycled payload, and nothing while counting is off.
+// TestFreeListCountsAreEngineOwned follows them into Engine.Stats.
 func TestFreeListStatsCounting(t *testing.T) {
 	type payload struct{ buf []int }
 	var fl FreeList[payload]
+	var c PayloadCache
 
 	EnableFreeListStats(true)
 	defer EnableFreeListStats(false)
 
-	h0, m0 := FreeListStats()
-	p := fl.Get() // empty list: miss
-	fl.Put(p)
-	q := fl.Get() // just recycled: hit (the list holds strong references)
-	h1, m1 := FreeListStats()
-	if m1-m0 < 1 {
-		t.Fatalf("miss counter did not move: %d -> %d", m0, m1)
-	}
-	if h1-h0 < 1 {
-		t.Fatalf("hit counter did not move: %d -> %d (got %p back)", h0, h1, q)
+	p := fl.Get(&c) // empty list: miss
+	fl.Put(&c, p)
+	q := fl.Get(&c) // just recycled: hit (the list holds strong references)
+	if c.hits != 1 || c.misses != 1 {
+		t.Fatalf("a miss then a hit counted as %d hits, %d misses (got %p back for %p)", c.hits, c.misses, q, p)
 	}
 
 	EnableFreeListStats(false)
-	h2, m2 := FreeListStats()
-	fl.Put(q)
-	fl.Get()
-	h3, m3 := FreeListStats()
-	if h3 != h2 || m3 != m2 {
-		t.Fatalf("counters moved while disabled: hits %d -> %d, misses %d -> %d", h2, h3, m2, m3)
+	fl.Put(&c, q)
+	fl.Get(&c)
+	fl.Get(&c)
+	if c.hits != 1 || c.misses != 1 {
+		t.Fatalf("counters moved while disabled: %d hits, %d misses", c.hits, c.misses)
 	}
 }
 
@@ -209,16 +205,16 @@ type pooledPing struct{ seq int64 }
 
 var pooledPingList FreeList[pooledPing]
 
-func (p *pooledPing) Recycle() {
+func (p *pooledPing) Recycle(c *PayloadCache) {
 	*p = pooledPing{}
-	pooledPingList.Put(p)
+	pooledPingList.Put(c, p)
 }
 
 // pooledPingProto sends one pooled payload per cycle to a fixed peer.
 type pooledPingProto struct{ next NodeID }
 
 func (p *pooledPingProto) Propose(n *Node, px *Proposals) {
-	pl := pooledPingList.Get()
+	pl := pooledPingList.Get(px.Payloads())
 	pl.seq = px.Cycle()
 	px.Send(p.next, 0, pl)
 }

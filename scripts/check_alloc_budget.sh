@@ -21,7 +21,7 @@ trap 'rm -f "$tmp"' EXIT
 ENGINE_BENCH_NODES=$NODES go test . -run '^$' \
     -bench BenchmarkEngineMillion -benchtime 1x -benchmem | tee "$tmp"
 go test ./internal/sim/ -run '^$' \
-    -bench 'BenchmarkRandomLiveNode|BenchmarkApplyShardsHotspot|BenchmarkApplyRound' \
+    -bench 'BenchmarkRandomLiveNode|BenchmarkApplyShardsHotspot|BenchmarkApplyRound|BenchmarkFreeListGetPut' \
     -benchtime 100x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
