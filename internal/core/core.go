@@ -85,6 +85,7 @@ type OptNode struct {
 	Exchanges     int64 // initiated exchanges
 	LostExchanges int64 // exchanges lost to drops or dead peers
 	Adoptions     int64 // times a remote best was adopted locally
+	Rejected      int64 // remote points refused for a NaN or -Inf fitness
 }
 
 // Compile-time guards: sim.Protocol is untyped, so assert the two-phase
@@ -152,21 +153,31 @@ func (r *bestPointReply) Recycle(c *sim.PayloadCache) {
 // anti-entropy exchange: if the initiator p's point is better the
 // contacted peer q adopts it, otherwise q replies with its own and p
 // adopts it when the reply arrives. Both sides end with the better point.
+//
+// A point whose fitness is NaN or -Inf is refused and counted before any
+// solver sees it: NaN fails every comparison and -Inf wins every one, so
+// either would own a solver's optimum on one peer's say-so. A request
+// carrying a refused point is treated as carrying none, so q still
+// replies with its own best.
 func (o *OptNode) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch bp := msg.Data.(type) {
 	case *BestPoint:
+		px, pf := bp.X, bp.F
+		if px != nil && o.refuse(pf) {
+			px = nil
+		}
 		rx, rf := o.Solver.Best()
 		switch {
-		case bp.X == nil && rx == nil:
+		case px == nil && rx == nil:
 			return
-		case rx == nil || (bp.X != nil && bp.F < rf):
+		case rx == nil || (px != nil && pf < rf):
 			// p's point wins: q adopts. Solvers copy on Inject (they never
 			// retain the slice), which is what lets the pooled payload's
 			// buffer be recycled at cycle end.
-			if o.Solver.Inject(bp.X, bp.F) {
+			if o.Solver.Inject(px, pf) {
 				o.Adoptions++
 			}
-		case bp.X == nil || rf < bp.F:
+		case px == nil || rf < pf:
 			// q's point wins: mail it back for p to adopt. Snapshotted into
 			// the pooled reply because the solver keeps mutating its own
 			// best slice.
@@ -178,10 +189,19 @@ func (o *OptNode) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	case *bestPointReply:
 		// Inject adopts only if still strictly better than whatever the
 		// initiator has meanwhile, so a stale reply cannot regress it.
-		if o.Solver.Inject(bp.P.X, bp.P.F) {
+		if !o.refuse(bp.P.F) && o.Solver.Inject(bp.P.X, bp.P.F) {
 			o.Adoptions++
 		}
 	}
+}
+
+// refuse reports, and counts, a remote fitness no solver may adopt.
+func (o *OptNode) refuse(f float64) bool {
+	if math.IsNaN(f) || math.IsInf(f, -1) {
+		o.Rejected++
+		return true
+	}
+	return false
 }
 
 // Undelivered implements sim.Undeliverable: the sampled peer was dead or
@@ -467,6 +487,8 @@ func (net *Network) RunUntil(threshold float64, maxEvals int64) (cycles, evals i
 // Metrics aggregates coordination-service counters across all nodes.
 type Metrics struct {
 	Exchanges, LostExchanges, Adoptions int64
+	// Rejected counts remote points refused for a NaN or -Inf fitness.
+	Rejected int64
 }
 
 // Metrics returns the summed coordination counters (live nodes only).
@@ -477,6 +499,7 @@ func (net *Network) Metrics() Metrics {
 			m.Exchanges += o.Exchanges
 			m.LostExchanges += o.LostExchanges
 			m.Adoptions += o.Adoptions
+			m.Rejected += o.Rejected
 		}
 	})
 	return m

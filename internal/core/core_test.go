@@ -285,3 +285,75 @@ func TestBestPointBetter(t *testing.T) {
 		t.Fatal("Better wrong")
 	}
 }
+
+// planter stands in for node 0's OptNode: it mails the payload it holds to
+// node 1's OptNode on the next propose phase and records the fitness of
+// every reply it gets back.
+type planter struct {
+	to      sim.NodeID
+	data    any
+	replies []float64
+}
+
+func (p *planter) Propose(n *sim.Node, px *sim.Proposals) {
+	if p.data != nil {
+		px.Send(p.to, SlotOpt, p.data)
+		p.data = nil
+	}
+}
+
+func (p *planter) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	if rep, ok := msg.Data.(*bestPointReply); ok {
+		p.replies = append(p.replies, rep.P.F)
+	}
+}
+
+// TestOptNodeRefusesNonFiniteFitness plants NaN and -Inf points, as
+// requests and as replies, on every registered solver: none is adopted,
+// each is counted in Metrics.Rejected, and a refused request is answered
+// with the receiver's own best like a request carrying no point.
+func TestOptNodeRefusesNonFiniteFitness(t *testing.T) {
+	const dim = 4
+	for _, name := range SolverNames() {
+		t.Run(name, func(t *testing.T) {
+			mk, err := SolverByName(name, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := NewNetwork(Config{Nodes: 2, Seed: 17, Function: funcs.Sphere, Dim: dim,
+				Topology: TopoFull, SolverFactory: mk})
+			nodes := net.Engine().AllNodes()
+			pl := &planter{to: nodes[1].ID}
+			nodes[0].Protocols[SlotOpt] = pl
+			opt := nodes[1].Protocol(SlotOpt).(*OptNode)
+			net.Step()
+
+			for i, f := range []float64{math.NaN(), math.Inf(-1)} {
+				pl.data = &BestPoint{X: make([]float64, dim), F: f}
+				net.Step()
+				if len(pl.replies) != i+1 {
+					t.Fatalf("request with fitness %v: %d replies, want %d", f, len(pl.replies), i+1)
+				}
+				_, own := opt.Solver.Best()
+				if rf := pl.replies[i]; rf != own {
+					t.Fatalf("request with fitness %v answered with %v, want the receiver's best %v", f, rf, own)
+				}
+				pl.data = &bestPointReply{P: BestPoint{X: make([]float64, dim), F: f}}
+				net.Step()
+			}
+			if _, bf := opt.Solver.Best(); math.IsNaN(bf) || math.IsInf(bf, 0) {
+				t.Fatalf("solver best %v after planted points", bf)
+			}
+			if m := net.Metrics(); m.Rejected != 4 || m.Adoptions != 0 {
+				t.Fatalf("Rejected = %d, Adoptions = %d; want 4 and 0", m.Rejected, m.Adoptions)
+			}
+
+			// A finite better point still gets through.
+			pl.data = &BestPoint{X: make([]float64, dim), F: -1}
+			net.Step()
+			if _, bf := opt.Solver.Best(); bf != -1 || opt.Adoptions != 1 || opt.Rejected != 4 {
+				t.Fatalf("finite request: best %v, Adoptions %d, Rejected %d", bf, opt.Adoptions, opt.Rejected)
+			}
+		})
+	}
+}

@@ -115,27 +115,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// particle holds one particle's state: current position and velocity, and
-// the best position it has visited with its fitness.
-type particle struct {
-	x, v, p []float64
-	fp      float64
-	seeded  bool // initial position evaluated
-}
-
 // Swarm is a particle swarm minimizing one objective. It satisfies the
 // framework's Solver contract (EvalOne / Best / Inject / Evals).
+//
+// The whole swarm lives in one slab of floats: particle i's position,
+// velocity and personal best are the runs x, v, p of dim floats starting
+// at i·3·dim, the k personal-best fitnesses follow, and the swarm optimum
+// g is the last run.
 type Swarm struct {
-	f    funcs.Function
-	dim  int
-	cfg  Config
-	rng  *rng.RNG
-	vmax float64
+	eval   funcs.Objective
+	lo, hi float64
+	dim    int
+	cfg    Config
+	rng    *rng.RNG
+	vmax   float64
 
-	parts []particle
+	slab  []float64
+	k     int     // particles
 	nbors [][]int // neighbor indices per particle (nil for GBest)
 
-	g  []float64 // swarm optimum position (paper's g_p)
+	g  []float64 // swarm optimum position (paper's g_p); nil until the first improvement or Inject
 	fg float64
 
 	next  int
@@ -149,28 +148,52 @@ func New(f funcs.Function, dim, k int, cfg Config, r *rng.RNG) *Swarm {
 	cfg = cfg.withDefaults()
 	d := f.Dim(dim)
 	s := &Swarm{
-		f:    f,
+		eval: f.Eval, lo: f.Lo, hi: f.Hi,
 		dim:  d,
 		cfg:  cfg,
 		rng:  r,
 		vmax: cfg.VMaxFrac * (f.Hi - f.Lo),
+		slab: make([]float64, 3*k*d+k+d),
+		k:    k,
 		fg:   math.Inf(1),
 	}
-	s.parts = make([]particle, k)
-	for i := range s.parts {
-		p := &s.parts[i]
-		p.x = make([]float64, d)
-		p.v = make([]float64, d)
-		p.p = make([]float64, d)
+	fp := s.fitness()
+	for i := range fp {
+		x, v, p := s.particle(i)
 		for j := 0; j < d; j++ {
-			p.x[j] = r.UniformIn(f.Lo, f.Hi)
-			p.v[j] = r.UniformIn(-s.vmax, s.vmax)
+			x[j] = r.UniformIn(f.Lo, f.Hi)
+			v[j] = r.UniformIn(-s.vmax, s.vmax)
 		}
-		copy(p.p, p.x)
-		p.fp = math.Inf(1)
+		copy(p, x)
+		fp[i] = math.Inf(1)
 	}
 	s.nbors = neighborhoods(cfg.Variant, k)
 	return s
+}
+
+// particle returns particle i's position, velocity and personal best.
+func (s *Swarm) particle(i int) (x, v, p []float64) {
+	d, o := s.dim, 3*s.dim*i
+	return s.slab[o : o+d], s.slab[o+d : o+2*d], s.slab[o+2*d : o+3*d]
+}
+
+// fitness returns the k personal-best fitnesses.
+func (s *Swarm) fitness() []float64 { return s.slab[3*s.k*s.dim : 3*s.k*s.dim+s.k] }
+
+// seeded reports whether particle i has had its initial evaluation.
+// Particles are first evaluated in index order, one per EvalOne, so that
+// is exactly the first evals particles.
+func (s *Swarm) seeded(i int) bool { return int64(i) < s.evals }
+
+// setBest makes x, with fitness fx, the swarm optimum. g is the slab's
+// last run, so no improvement or adoption allocates, and a caller
+// appending to the slice Best returns cannot write into particle state.
+func (s *Swarm) setBest(x []float64, fx float64) {
+	if s.g == nil {
+		s.g = s.slab[len(s.slab)-s.dim:]
+	}
+	copy(s.g, x)
+	s.fg = fx
 }
 
 // neighborhoods builds the per-particle neighbor lists (including self) for
@@ -215,7 +238,7 @@ func neighborhoods(v Variant, k int) [][]int {
 }
 
 // K returns the number of particles.
-func (s *Swarm) K() int { return len(s.parts) }
+func (s *Swarm) K() int { return s.k }
 
 // Dim returns the search-space dimension.
 func (s *Swarm) Dim() int { return s.dim }
@@ -229,8 +252,8 @@ func (s *Swarm) Best() ([]float64, float64) { return s.g, s.fg }
 
 // Inject offers a remote best (the coordination service's gossip payload).
 // It is adopted as the swarm optimum when strictly better; it reports
-// whether adoption happened. The position is copied into the swarm-owned
-// buffer in place — gossip hands a node many adoptions per run, and a
+// whether adoption happened. The position is copied into the swarm's own
+// g run in place — gossip hands a node many adoptions per run, and a
 // fresh clone per adoption was a measurable share of steady-state
 // allocations at large populations. A NaN or -Inf fitness is refused: NaN
 // fails every comparison and -Inf wins every one, so either would own the
@@ -245,12 +268,7 @@ func (s *Swarm) Inject(x []float64, fx float64) bool {
 	if len(x) != s.dim {
 		return false
 	}
-	if s.g == nil {
-		s.g = vec.Clone(x)
-	} else {
-		copy(s.g, x)
-	}
-	s.fg = fx
+	s.setBest(x, fx)
 	return true
 }
 
@@ -262,18 +280,20 @@ func (s *Swarm) localBest(i int) ([]float64, bool) {
 		}
 		return s.g, true
 	}
+	fp := s.fitness()
 	bi := -1
 	bf := math.Inf(1)
 	for _, j := range s.nbors[i] {
-		if s.parts[j].seeded && s.parts[j].fp < bf {
-			bf = s.parts[j].fp
+		if s.seeded(j) && fp[j] < bf {
+			bf = fp[j]
 			bi = j
 		}
 	}
 	if bi < 0 {
 		return nil, false
 	}
-	return s.parts[bi].p, true
+	_, _, p := s.particle(bi)
+	return p, true
 }
 
 // EvalOne performs exactly one function evaluation: the next particle in
@@ -282,28 +302,20 @@ func (s *Swarm) localBest(i int) ([]float64, bool) {
 // fitness just computed.
 func (s *Swarm) EvalOne() float64 {
 	i := s.next
-	s.next = (s.next + 1) % len(s.parts)
-	p := &s.parts[i]
-
-	if p.seeded {
-		s.move(i, p)
-	} else {
-		p.seeded = true
+	s.next = (s.next + 1) % s.k
+	if s.seeded(i) {
+		s.move(i)
 	}
 
-	fx := s.f.Eval(p.x)
+	x, _, p := s.particle(i)
+	fx := s.eval(x)
 	s.evals++
-	if fx < p.fp {
-		p.fp = fx
-		copy(p.p, p.x)
+	if fp := s.fitness(); fx < fp[i] {
+		fp[i] = fx
+		copy(p, x)
 	}
 	if fx < s.fg {
-		if s.g == nil {
-			s.g = vec.Clone(p.x)
-		} else {
-			copy(s.g, p.x)
-		}
-		s.fg = fx
+		s.setBest(x, fx)
 	}
 	return fx
 }
@@ -323,7 +335,8 @@ func (s *Swarm) inertia() float64 {
 }
 
 // move applies the velocity and position update to particle i.
-func (s *Swarm) move(i int, p *particle) {
+func (s *Swarm) move(i int) {
+	x, v, p := s.particle(i)
 	w, c1, c2 := s.inertia(), s.cfg.C1, s.cfg.C2
 	chi := 1.0
 	if s.cfg.Constriction {
@@ -341,37 +354,37 @@ func (s *Swarm) move(i int, p *particle) {
 			var acc float64
 			cnt := 0
 			for _, q := range nb {
-				if !s.parts[q].seeded {
+				if !s.seeded(q) {
 					continue
 				}
-				acc += phi / float64(len(nb)) * s.rng.Float64() * (s.parts[q].p[j] - p.x[j])
+				acc += phi / float64(len(nb)) * s.rng.Float64() * (s.slab[(3*q+2)*s.dim+j] - x[j])
 				cnt++
 			}
 			if cnt == 0 {
 				continue
 			}
-			p.v[j] = chi * (w*p.v[j] + acc)
+			v[j] = chi * (w*v[j] + acc)
 		}
 	} else {
 		g, ok := s.localBest(i)
 		for j := 0; j < s.dim; j++ {
-			nv := w*p.v[j] + c1*s.rng.Float64()*(p.p[j]-p.x[j])
+			nv := w*v[j] + c1*s.rng.Float64()*(p[j]-x[j])
 			if ok {
-				nv += c2 * s.rng.Float64() * (g[j] - p.x[j])
+				nv += c2 * s.rng.Float64() * (g[j] - x[j])
 			}
-			p.v[j] = chi * nv
+			v[j] = chi * nv
 		}
 	}
-	vec.ClampAbs(p.v, s.vmax)
-	vec.Add(p.x, p.x, p.v)
+	vec.ClampAbs(v, s.vmax)
+	vec.Add(x, x, v)
 	if s.cfg.ClampPosition {
-		vec.Clamp(p.x, s.f.Lo, s.f.Hi)
+		vec.Clamp(x, s.lo, s.hi)
 	}
 }
 
 // Step performs one full swarm iteration (K evaluations).
 func (s *Swarm) Step() {
-	for range s.parts {
+	for range s.k {
 		s.EvalOne()
 	}
 }

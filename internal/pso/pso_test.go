@@ -1,7 +1,10 @@
 package pso
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -157,8 +160,9 @@ func TestVelocityClamped(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.EvalOne()
 	}
-	for i := range s.parts {
-		for _, vj := range s.parts[i].v {
+	for i := 0; i < s.K(); i++ {
+		_, v, _ := s.particle(i)
+		for _, vj := range v {
 			if math.Abs(vj) > vmax+1e-12 {
 				t.Fatalf("velocity %v exceeds vmax %v", vj, vmax)
 			}
@@ -259,8 +263,9 @@ func TestClampPositionKeepsParticlesInBox(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.EvalOne()
 	}
-	for i := range s.parts {
-		for _, xj := range s.parts[i].x {
+	for i := 0; i < s.K(); i++ {
+		x, _, _ := s.particle(i)
+		for _, xj := range x {
 			if xj < funcs.Rastrigin.Lo || xj > funcs.Rastrigin.Hi {
 				t.Fatalf("particle escaped box: %v", xj)
 			}
@@ -275,8 +280,9 @@ func TestNoClampAllowsFlight(t *testing.T) {
 	escaped := false
 	for i := 0; i < 2000 && !escaped; i++ {
 		s.EvalOne()
-		for j := range s.parts {
-			for _, xj := range s.parts[j].x {
+		for j := 0; j < s.K(); j++ {
+			x, _, _ := s.particle(j)
+			for _, xj := range x {
 				if xj < funcs.Sphere.Lo || xj > funcs.Sphere.Hi {
 					escaped = true
 				}
@@ -336,11 +342,130 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// TestVariantTrajectoriesPinned pins the bit pattern of every variant's
+// swarm optimum after 2 000 evaluations from fixed seeds, each with and
+// without position clamping: the goldens exercise only GBest, and a wrong
+// slab offset on any other path moves its trajectory.
+func TestVariantTrajectoriesPinned(t *testing.T) {
+	cases := []struct {
+		name     string
+		cfg      Config
+		seed     uint64
+		fg, hash uint64 // Float64bits of the optimum's fitness; FNV-1a of its position's bits
+	}{
+		{"gbest", Config{}, 700, 0x4030c38096980e9c, 0x7c7aa2b3ecce341c},
+		{"gbest-clamp", Config{ClampPosition: true}, 701, 0x4037306cebdf8a1c, 0xec6eb13e27a0c838},
+		{"lbest-ring", Config{Variant: LBestRing}, 702, 0x4030bb710506d970, 0xe51c4d35adf6f8d7},
+		{"lbest-ring-clamp", Config{Variant: LBestRing, ClampPosition: true}, 703, 0x4038b24d473a87ae, 0xa212ecffe95e5724},
+		{"von-neumann", Config{Variant: VonNeumann}, 704, 0x4035ebd729a7bc80, 0x2a9462dbf349c25e},
+		{"von-neumann-clamp", Config{Variant: VonNeumann, ClampPosition: true}, 705, 0x403266a72475437f, 0x3ba74d39f01d03ae},
+		{"fips", Config{Variant: FIPS}, 706, 0x4038e52d6d826016, 0x782b2f56de7fdc97},
+		{"fips-clamp", Config{Variant: FIPS, ClampPosition: true}, 707, 0x4030a6fac69bc07d, 0xca5f9903f1f8aead},
+		{"gbest-inertia-decay", Config{Inertia: 0.9, InertiaFinal: 0.4, InertiaDecayEvals: 1500}, 708, 0x4021e8c577bbae06, 0xfd0c6a076c258f18},
+		{"gbest-constriction", Config{Constriction: true}, 709, 0x4030620cec81e8a4, 0x34ec4704bae06428},
+	}
+	for _, c := range cases {
+		s := New(funcs.Rastrigin, 10, 16, c.cfg, rng.New(c.seed))
+		s.Run(2000, -1)
+		g, fg := s.Best()
+		h := fnv.New64a()
+		var b [8]byte
+		for _, x := range g {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+		if got := math.Float64bits(fg); got != c.fg || h.Sum64() != c.hash {
+			t.Errorf("%s: best %v (bits %#x, position hash %#x), want bits %#x, hash %#x",
+				c.name, fg, got, h.Sum64(), c.fg, c.hash)
+		}
+	}
+}
+
+var (
+	swarmSink *Swarm
+	slabSink  []float64
+)
+
+// heapBytes returns the heap bytes the runtime accounts to one call of f:
+// the least of three averages over 100 calls each.
+func heapBytes(f func()) float64 {
+	least := math.Inf(1)
+	for trial := 0; trial < 3; trial++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 100; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&m1)
+		least = math.Min(least, float64(m1.TotalAlloc-m0.TotalAlloc)/100)
+	}
+	return least
+}
+
+// TestSwarmMemory pins what a swarm costs: New makes two allocations, the
+// Swarm and one slab of 3kd + k + d floats, and no more bytes than those
+// two objects take in the runtime's size classes; and EvalOne and Inject
+// never allocate, a fresh swarm's first improvement and first adoption
+// included.
+func TestSwarmMemory(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct{ d, k int }{{10, 16}, {30, 16}, {2, 2}} {
+		r := rng.New(1)
+		mk := func() { swarmSink = New(funcs.Sphere, c.d, c.k, Config{}, r) }
+		if a := testing.AllocsPerRun(100, mk); a != 2 {
+			t.Errorf("d=%d k=%d: New makes %v allocations, want 2", c.d, c.k, a)
+		}
+		floats := 3*c.k*c.d + c.k + c.d
+		limit := heapBytes(func() { swarmSink = new(Swarm) }) +
+			heapBytes(func() { slabSink = make([]float64, floats) })
+		if got := heapBytes(mk); got > limit {
+			t.Errorf("d=%d k=%d: New allocates %v B, want at most %v B", c.d, c.k, got, limit)
+		}
+
+		// A stray allocation elsewhere in the process can land in one
+		// window; one the swarm makes lands in every window.
+		least := uint64(math.MaxUint64)
+		for trial := uint64(0); trial < 3; trial++ {
+			s := New(funcs.Sphere, c.d, c.k, Config{}, rng.New(2+trial))
+			fresh := New(funcs.Sphere, c.d, c.k, Config{}, rng.New(5+trial))
+			star := make([]float64, c.d)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			fresh.Inject(star, funcs.Sphere.Eval(star))
+			for i := 0; i < 10000; i++ {
+				s.EvalOne()
+				if i == 5000 {
+					s.Inject(star, funcs.Sphere.Eval(star))
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.Mallocs-m0.Mallocs)
+			if g, _ := fresh.Best(); g == nil {
+				t.Fatalf("d=%d k=%d: a fresh swarm refused its first adoption", c.d, c.k)
+			}
+		}
+		if least != 0 {
+			t.Errorf("d=%d k=%d: 10 000 evaluations and two adoptions made %d allocations, want 0", c.d, c.k, least)
+		}
+	}
+}
+
+// BenchmarkEvalOne times one evaluation of solver-heavy's swarm
+// (Rastrigin, d = 30, k = 16). The swarm is rebuilt every 3 200
+// evaluations with the timer stopped: a swarm stepped for millions of
+// evaluations converges until its arithmetic is subnormal, and the
+// benchmark would time that instead.
 func BenchmarkEvalOne(b *testing.B) {
-	s := New(funcs.Sphere, 10, 16, Config{}, rng.New(1))
+	r := rng.New(1)
+	var s *Swarm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%3200 == 0 {
+			b.StopTimer()
+			s = New(funcs.Rastrigin, 30, 16, Config{}, r)
+			b.StartTimer()
+		}
 		s.EvalOne()
 	}
 }

@@ -10,7 +10,10 @@
 // for controlled experiments.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256++ pseudo-random generator. The zero value is invalid;
 // use New or Split to obtain an initialized stream.
@@ -88,29 +91,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n called with n == 0")
 	}
 	// Lemire's nearly-divisionless method.
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // UniformIn returns a uniform float64 in [lo, hi).

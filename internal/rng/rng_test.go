@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,68 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 	if sum != 36 {
 		t.Fatalf("shuffle lost elements: %v", s)
+	}
+}
+
+// schoolbookMul64 is the hand-written 128-bit product Uint64n used before
+// math/bits.Mul64, kept as the reference its draws must match.
+func schoolbookMul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += a0 * b1
+	hi = a1*b1 + w2 + w1>>32
+	lo = a * b
+	return
+}
+
+// schoolbookUint64n is Uint64n over schoolbookMul64.
+func schoolbookUint64n(r *RNG, n uint64) uint64 {
+	hi, lo := schoolbookMul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = schoolbookMul64(r.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// TestUint64nMatchesSchoolbookProduct checks that every Uint64n draw is
+// bit-identical to the schoolbook product it replaced, on every pair of
+// edge values and on random bounds, and that both streams stay in step.
+func TestUint64nMatchesSchoolbookProduct(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	for _, a := range edges {
+		for _, b := range edges {
+			hi, lo := schoolbookMul64(a, b)
+			if ghi, glo := bits.Mul64(a, b); ghi != hi || glo != lo {
+				t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), schoolbook (%#x, %#x)", a, b, ghi, glo, hi, lo)
+			}
+		}
+	}
+	bounds := New(53)
+	for i := 0; i < 200000; i++ {
+		n := bounds.Uint64() >> (bounds.Uint64() % 64)
+		if i < len(edges) {
+			n = edges[i]
+		}
+		if n == 0 {
+			continue
+		}
+		a, b := New(uint64(i)), New(uint64(i))
+		for k := 0; k < 4; k++ {
+			if got, want := a.Uint64n(n), schoolbookUint64n(b, n); got != want {
+				t.Fatalf("Uint64n(%#x) draw %d = %#x, schoolbook %#x", n, k, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("Uint64n(%#x) consumed a different number of outputs", n)
+		}
 	}
 }
 

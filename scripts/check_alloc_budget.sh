@@ -23,6 +23,8 @@ ENGINE_BENCH_NODES=$NODES go test . -run '^$' \
 go test ./internal/sim/ -run '^$' \
     -bench 'BenchmarkRandomLiveNode|BenchmarkApplyShardsHotspot|BenchmarkApplyRound|BenchmarkFreeListGetPut' \
     -benchtime 100x -benchmem | tee -a "$tmp"
+go test ./internal/pso/ -run '^$' -bench 'BenchmarkEvalOne' \
+    -benchtime 10000x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
     NR == FNR {
