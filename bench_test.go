@@ -1,10 +1,6 @@
-// Benchmarks regenerating the paper's tables and figures at reduced scale,
-// plus microbenchmarks of the framework's hot paths. Every BenchmarkFigure*
-// / BenchmarkTable* target runs the corresponding experiment's sweep shape
-// (smaller grids, 1 repetition per b.N iteration) and reports the measured
-// solution quality / time as custom benchmark metrics, so `go test -bench`
-// output directly exhibits the reproduced trends. For full-size runs use
-// cmd/exptables.
+// Benchmarks of the framework's hot paths and of the scenario layer end to
+// end. The paper's tables and ablations are sweep files in paper/, run by
+// cmd/scenario -sweep.
 package gossipopt_test
 
 import (
@@ -22,143 +18,6 @@ import (
 	"gossipopt/internal/scenario"
 	"gossipopt/internal/sim"
 )
-
-// benchCell runs one experiment cell once per iteration and reports the
-// average quality (or time) as a benchmark metric.
-func benchCell(b *testing.B, c exp.Cell) {
-	b.Helper()
-	var qSum, tSum float64
-	reached := 0
-	for i := 0; i < b.N; i++ {
-		res := exp.RunRep(c, uint64(i)+1)
-		qSum += res.Quality
-		tSum += float64(res.Cycles)
-		if res.Reached {
-			reached++
-		}
-	}
-	b.ReportMetric(qSum/float64(b.N), "quality")
-	b.ReportMetric(tSum/float64(b.N), "cycles")
-	if c.Threshold >= 0 {
-		b.ReportMetric(float64(reached)/float64(b.N), "reached")
-	}
-}
-
-// --- Experiment 1 (Table 1, Figure 1): quality vs swarm size ---
-
-func BenchmarkFigure1(b *testing.B) {
-	for _, f := range funcs.PaperSuite {
-		for _, n := range []int{1, 10, 100} {
-			for _, k := range []int{1, 8, 32} {
-				c := exp.Cell{Function: f, N: n, K: k, R: k,
-					Budget: int64(n) * 1000, Threshold: -1}
-				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) {
-					benchCell(b, c)
-				})
-			}
-		}
-	}
-}
-
-// --- Experiment 2 (Table 2, Figure 2): quality vs network size ---
-
-func BenchmarkFigure2(b *testing.B) {
-	for _, f := range funcs.PaperSuite {
-		for _, n := range []int{1, 16, 256} {
-			for _, k := range []int{1, 16} {
-				c := exp.Cell{Function: f, N: n, K: k, R: k,
-					Budget: 1 << 15, Threshold: -1}
-				b.Run(fmt.Sprintf("%s/n=%d/k=%d", f.Name, n, k), func(b *testing.B) {
-					benchCell(b, c)
-				})
-			}
-		}
-	}
-}
-
-// --- Experiment 3 (Table 3, Figure 3): quality vs gossip cycle length ---
-
-func BenchmarkFigure3(b *testing.B) {
-	for _, f := range funcs.PaperSuite {
-		for _, r := range []int{2, 16, 64} {
-			c := exp.Cell{Function: f, N: 100, K: 16, R: r,
-				Budget: 100 * 1000, Threshold: -1}
-			b.Run(fmt.Sprintf("%s/r=%d", f.Name, r), func(b *testing.B) {
-				benchCell(b, c)
-			})
-		}
-	}
-}
-
-// --- Experiment 4 (Table 4, Figure 4): time to quality threshold ---
-
-func BenchmarkFigure4(b *testing.B) {
-	// Griewank is censored in the paper too; keep the cap small so the
-	// benchmark terminates quickly when the threshold is unreachable.
-	for _, f := range funcs.PaperSuite {
-		for _, n := range []int{1, 8, 64} {
-			c := exp.Cell{Function: f, N: n, K: 8, R: 8,
-				Threshold: 1e-10, MaxEvals: 1 << 17}
-			b.Run(fmt.Sprintf("%s/n=%d", f.Name, n), func(b *testing.B) {
-				benchCell(b, c)
-			})
-		}
-	}
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationNoGossip(b *testing.B) {
-	for _, coord := range []bool{true, false} {
-		name := "gossip"
-		if !coord {
-			name = "isolated"
-		}
-		c := exp.Cell{Function: funcs.Rastrigin, N: 50, K: 16, R: 16,
-			Budget: 50 * 1000, Threshold: -1, NoCoordination: !coord}
-		b.Run(name, func(b *testing.B) { benchCell(b, c) })
-	}
-}
-
-func BenchmarkAblationTopology(b *testing.B) {
-	for _, topo := range []gossipopt.TopologyKind{
-		gossipopt.TopoNewscast, gossipopt.TopoRandom, gossipopt.TopoRing, gossipopt.TopoStar,
-	} {
-		c := exp.Cell{Function: funcs.Sphere, N: 64, K: 16, R: 16,
-			Budget: 64 * 1000, Threshold: -1, Topology: topo}
-		b.Run(topo.String(), func(b *testing.B) { benchCell(b, c) })
-	}
-}
-
-func BenchmarkAblationChurn(b *testing.B) {
-	for _, frac := range []float64{0, 0.5} {
-		frac := frac
-		c := exp.Cell{Function: funcs.Sphere, N: 64, K: 16, R: 16,
-			Budget: 64 * 1000, Threshold: -1}
-		if frac > 0 {
-			c.Churn = func() sim.ChurnModel {
-				return &sim.CatastropheChurn{AtCycle: 250, Fraction: frac}
-			}
-		}
-		b.Run(fmt.Sprintf("crash=%.0f%%", frac*100), func(b *testing.B) { benchCell(b, c) })
-	}
-}
-
-func BenchmarkAblationMixedSolvers(b *testing.B) {
-	spec := exp.Spec{Funcs: []funcs.Function{funcs.Rastrigin}, Reps: 1, BudgetPerNode: 1000}
-	for _, c := range gossipopt.AblationMixedSolvers(spec, true) {
-		c := c
-		b.Run(c.Tag, func(b *testing.B) { benchCell(b, c) })
-	}
-}
-
-func BenchmarkAblationMessageLoss(b *testing.B) {
-	for _, p := range []float64{0, 0.5, 0.9} {
-		c := exp.Cell{Function: funcs.Sphere, N: 32, K: 16, R: 16,
-			Budget: 32 * 1000, Threshold: -1, DropProb: p}
-		b.Run(fmt.Sprintf("loss=%.0f%%", p*100), func(b *testing.B) { benchCell(b, c) })
-	}
-}
 
 // --- Microbenchmarks of the framework's hot paths ---
 

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"time"
 
 	"gossipopt"
@@ -16,7 +18,15 @@ import (
 )
 
 func main() {
-	const nodes = 12
+	if err := run(os.Stdout, 12, 500*time.Millisecond, 8); err != nil {
+		fmt.Println("start:", err)
+	}
+}
+
+// run starts a cluster of the given size, reports it every tick for the
+// given number of ticks, then crashes the bootstrap node and reports the
+// survivors after two more ticks (separated from main for testability).
+func run(out io.Writer, nodes int, tick time.Duration, ticks int) error {
 	cluster := make([]*p2p.Node, 0, nodes)
 	defer func() {
 		for _, n := range cluster {
@@ -29,7 +39,7 @@ func main() {
 			Function:         gossipopt.Rastrigin,
 			Particles:        16,
 			GossipEvery:      16,
-			NewscastInterval: 50 * time.Millisecond,
+			NewscastInterval: tick / 10,
 			EvalThrottle:     200 * time.Microsecond, // pretend evaluations are costly
 			Seed:             uint64(i + 1),
 		}
@@ -38,16 +48,15 @@ func main() {
 		}
 		n, err := p2p.Start(cfg)
 		if err != nil {
-			fmt.Println("start:", err)
-			return
+			return err
 		}
 		cluster = append(cluster, n)
-		fmt.Printf("started node %2d at %s\n", i, n.Addr())
+		fmt.Fprintf(out, "started node %2d at %s\n", i, n.Addr())
 	}
 
-	fmt.Println("\nletting the cluster self-organize and optimize...")
-	for tick := 0; tick < 8; tick++ {
-		time.Sleep(500 * time.Millisecond)
+	fmt.Fprintln(out, "\nletting the cluster self-organize and optimize...")
+	for t := 0; t < ticks; t++ {
+		time.Sleep(tick)
 		best := math.Inf(1)
 		var evals int64
 		minPeers := 1 << 30
@@ -60,21 +69,21 @@ func main() {
 				minPeers = p
 			}
 		}
-		fmt.Printf("t=%.1fs  cluster best=%.6g  total evals=%d  min view size=%d\n",
-			float64(tick+1)*0.5, best, evals, minPeers)
+		fmt.Fprintf(out, "t=%.1fs  cluster best=%.6g  total evals=%d  min view size=%d\n",
+			(time.Duration(t+1) * tick).Seconds(), best, evals, minPeers)
 	}
 
 	// Kill the bootstrap node: the overlay self-heals and work continues.
-	fmt.Println("\ncrashing the bootstrap node...")
+	fmt.Fprintln(out, "\ncrashing the bootstrap node...")
 	cluster[0].Stop()
-	time.Sleep(time.Second)
+	time.Sleep(2 * tick)
 	best := math.Inf(1)
 	for _, n := range cluster[1:] {
 		if _, f, ok := n.Best(); ok && f < best {
 			best = f
 		}
 	}
-	fmt.Printf("survivors' best after crash: %.6g — computation unaffected\n", best)
+	fmt.Fprintf(out, "survivors' best after crash: %.6g — computation unaffected\n", best)
 
 	var exch, adopt int64
 	for _, n := range cluster[1:] {
@@ -82,5 +91,6 @@ func main() {
 		exch += e
 		adopt += a
 	}
-	fmt.Printf("coordination totals: %d exchanges, %d adoptions\n", exch, adopt)
+	fmt.Fprintf(out, "coordination totals: %d exchanges, %d adoptions\n", exch, adopt)
+	return nil
 }

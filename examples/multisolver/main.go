@@ -10,41 +10,47 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gossipopt"
 )
 
-func run(label string, factory gossipopt.SolverFactory, f gossipopt.Function) float64 {
-	net := gossipopt.New(gossipopt.Config{
-		Nodes:         48,
-		Particles:     16, // used by the default PSO factory only
-		GossipEvery:   16,
-		Function:      f,
-		Seed:          11,
-		SolverFactory: factory,
-	})
-	net.RunEvals(1 << 18)
-	q := net.Quality()
-	fmt.Printf("  %-10s quality %.6g\n", label, q)
-	return q
+func main() {
+	run(os.Stdout, 48, 1<<18)
 }
 
-func main() {
+// run compares the four populations on three functions at the given
+// network size and global evaluation budget (separated from main for
+// testability).
+func run(out io.Writer, nodes int, budget int64) {
 	mixed := gossipopt.MixedSolvers(
 		gossipopt.PSOSolver(16, gossipopt.PSOConfig{}),
 		gossipopt.DESolver(16),
 		gossipopt.ESSolver(),
 	)
+	quality := func(label string, factory gossipopt.SolverFactory, f gossipopt.Function) {
+		net := gossipopt.New(gossipopt.Config{
+			Nodes:         nodes,
+			Particles:     16, // used by the default PSO factory only
+			GossipEvery:   16,
+			Function:      f,
+			Seed:          11,
+			SolverFactory: factory,
+		})
+		net.RunEvals(budget)
+		fmt.Fprintf(out, "  %-10s quality %.6g\n", label, net.Quality())
+	}
 
 	for _, f := range []gossipopt.Function{gossipopt.Rosenbrock, gossipopt.Rastrigin, gossipopt.Griewank} {
-		fmt.Printf("%s (dim %d):\n", f.Name, f.Dim(0))
-		run("pso", nil, f) // nil = default homogeneous PSO
-		run("de", gossipopt.DESolver(16), f)
-		run("es", gossipopt.ESSolver(), f)
-		run("mixed", mixed, f)
-		fmt.Println()
+		fmt.Fprintf(out, "%s (dim %d):\n", f.Name, f.Dim(0))
+		quality("pso", nil, f) // nil = default homogeneous PSO
+		quality("de", gossipopt.DESolver(16), f)
+		quality("es", gossipopt.ESSolver(), f)
+		quality("mixed", mixed, f)
+		fmt.Fprintln(out)
 	}
-	fmt.Println("heterogeneous populations hedge across landscapes: the mixed")
-	fmt.Println("network tracks the best homogeneous solver on each function")
-	fmt.Println("because gossip lets every solver adopt whatever any solver finds.")
+	fmt.Fprintln(out, "heterogeneous populations hedge across landscapes: the mixed")
+	fmt.Fprintln(out, "network tracks the best homogeneous solver on each function")
+	fmt.Fprintln(out, "because gossip lets every solver adopt whatever any solver finds.")
 }

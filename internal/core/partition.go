@@ -72,7 +72,7 @@ func (z *zoneSolver) Best() ([]float64, float64) { return z.bx, z.bf }
 // Inject implements solver.Solver: report-only adoption, preserving the
 // zone partition.
 func (z *zoneSolver) Inject(x []float64, fx float64) bool {
-	if fx >= z.bf || len(x) == 0 {
+	if fx >= z.bf || len(x) == 0 || math.IsNaN(fx) || math.IsInf(fx, -1) {
 		return false
 	}
 	z.bx = vec.Clone(x)

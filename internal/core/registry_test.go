@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/rng"
+	"gossipopt/internal/solver"
 )
 
 func TestTopologyByName(t *testing.T) {
@@ -65,5 +69,64 @@ func TestSolversByNameMixed(t *testing.T) {
 	}
 	if _, err := SolversByName([]string{"pso", "nope"}, 4); err == nil {
 		t.Fatal("bad name inside list accepted")
+	}
+}
+
+// TestInjectRefusesNonFiniteFitness offers a NaN and a -Inf point to every
+// registered solver and to a partitioned zone solver, fresh and after some
+// evaluations. Each Inject must return false and leave the solver exactly
+// as an untouched twin: the same Best, then the same fitness sequence over
+// further evaluations (a planted point in the population would change it).
+func TestInjectRefusesNonFiniteFitness(t *testing.T) {
+	const dim = 4
+	makers := map[string]solver.Factory{
+		"zone": PartitionedConfig(Config{Nodes: 4, Particles: 8, Function: funcs.Sphere}).SolverFactory,
+	}
+	for _, name := range SolverNames() {
+		mk, err := SolverByName(name, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		makers[name] = mk
+	}
+	sameBest := func(a, b solver.Solver) bool {
+		ax, af := a.Best()
+		bx, bf := b.Best()
+		return slices.Equal(ax, bx) && math.Float64bits(af) == math.Float64bits(bf)
+	}
+	for _, name := range append(SolverNames(), "zone") {
+		for _, seeded := range []int{0, 20} {
+			t.Run(fmt.Sprintf("%s/evals=%d", name, seeded), func(t *testing.T) {
+				build := func() solver.Solver {
+					s := makers[name](funcs.Sphere, dim, 1, rng.New(5))
+					for i := 0; i < seeded; i++ {
+						s.EvalOne()
+					}
+					return s
+				}
+				s, twin := build(), build()
+				x := make([]float64, dim) // Sphere's optimum: any finite fitness here is adoptable
+				for _, f := range []float64{math.NaN(), math.Inf(-1)} {
+					if s.Inject(x, f) {
+						t.Fatalf("Inject(x, %v) accepted", f)
+					}
+					if !sameBest(s, twin) {
+						x, f := s.Best()
+						t.Fatalf("Best changed to (%v, %v) by a refused point", x, f)
+					}
+				}
+				for i := 0; i < 50; i++ {
+					if a, b := s.EvalOne(), twin.EvalOne(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("eval %d after the refused points: %v, untouched twin %v", i, a, b)
+					}
+				}
+				if !sameBest(s, twin) {
+					t.Fatal("Best diverged from the untouched twin")
+				}
+				if !s.Inject(x, -1) {
+					t.Fatal("a finite better point was refused")
+				}
+			})
+		}
 	}
 }

@@ -14,9 +14,8 @@ import (
 // (one spec per grid point); every cell runs Reps repetitions, and this
 // file reduces each cell's final-sample records to min/mean/max/stddev
 // per metric plus the cycles-to-threshold statistic, rendered as a
-// deterministic long-format summary table (CSV or JSONL) and consumed by
-// the human-readable comparison report in report.go. exp.Runner sweeps
-// bridge into the same shape via CellResult.Summary.
+// deterministic long-format summary table (CSV or JSONL) and a
+// human-readable comparison report (SweepReport).
 
 // MetricStat summarizes one metric across a cell's repetitions.
 type MetricStat struct {
@@ -100,32 +99,6 @@ func AggregateCell(sweep, cell string, finals []Record, toThreshold []float64, t
 	cs.Quality, cs.Time, cs.Evals, cs.Live = statOf(&q), statOf(&tm), statOf(&ev), statOf(&lv)
 	cs.Exchanges, cs.Lost, cs.Adoptions = statOf(&ex), statOf(&lo), statOf(&ad)
 	cs.Delivered, cs.Dropped, cs.ToThreshold = statOf(&dl), statOf(&dr), statOf(&tth)
-	return cs
-}
-
-// Summary bridges a Runner sweep cell into the scenario-sweep summary
-// shape, so paper-style exp.Runner results render through the same
-// CSV/JSONL summary table and comparison report as scenario sweeps.
-// Threshold-mode cells (Cell.Threshold >= 0) map their time summary onto
-// ToThreshold with the Reached/Censored counts carried over.
-func (r CellResult) Summary(sweep string) CellSummary {
-	conv := func(s stats.Summary) MetricStat {
-		return MetricStat{N: s.N, Min: s.Min, Mean: s.Avg, Max: s.Max, Std: math.Sqrt(s.Var)}
-	}
-	cs := CellSummary{
-		Sweep:   sweep,
-		Cell:    r.Cell.Label(),
-		Reps:    r.Reps,
-		Quality: conv(r.Quality),
-		Time:    conv(r.Time),
-		Evals:   conv(r.Evals),
-	}
-	if r.Cell.Threshold >= 0 {
-		th := r.Cell.Threshold
-		cs.Threshold = &th
-		cs.ToThreshold = conv(r.Time)
-		cs.Reached, cs.Censored = r.Reached, r.Censored
-	}
 	return cs
 }
 
@@ -216,4 +189,72 @@ func TimeToThreshold(recs []Record, threshold float64) float64 {
 		}
 	}
 	return math.NaN()
+}
+
+// SweepReport renders cell summaries as a human-readable comparison
+// table: one row per cell with the final-sample quality (mean ± std over
+// repetitions), mean time and evaluation counts, mean dropped messages,
+// and — when the sweep declares a threshold — the mean time-to-threshold
+// with the reached/total ratio. The row with the best (lowest) mean
+// quality is marked '*'; with a threshold, the row with the best mean
+// time-to-threshold among fully-reaching cells is marked '>' ('*>' when
+// one cell wins both).
+func SweepReport(title string, cells []CellSummary) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== sweep %s ==\n", title)
+	hasThreshold := false
+	for i := range cells {
+		if cells[i].Threshold != nil {
+			hasThreshold = true
+			break
+		}
+	}
+	width := 12
+	for i := range cells {
+		if n := len(cells[i].Cell); n > width {
+			width = n
+		}
+	}
+	fmt.Fprintf(&b, "   %-*s %5s %24s %10s %10s %10s", width, "cell", "reps",
+		"quality (mean±std)", "time", "evals", "dropped")
+	if hasThreshold {
+		fmt.Fprintf(&b, " %16s", "to-thr (reached)")
+	}
+	b.WriteString("\n")
+
+	bestQ, bestT := -1, -1
+	for i := range cells {
+		c := &cells[i]
+		if c.Quality.N > 0 && (bestQ < 0 || c.Quality.Mean < cells[bestQ].Quality.Mean) {
+			bestQ = i
+		}
+		if c.Threshold != nil && c.Reached == c.Reps && c.Reps > 0 &&
+			(bestT < 0 || c.ToThreshold.Mean < cells[bestT].ToThreshold.Mean) {
+			bestT = i
+		}
+	}
+	for i := range cells {
+		c := &cells[i]
+		mark := ""
+		if i == bestQ {
+			mark += "*"
+		}
+		if i == bestT {
+			mark += ">"
+		}
+		fmt.Fprintf(&b, "%-2s %-*s %5d %24s %10.5g %10.5g %10.5g", mark, width, c.Cell, c.Reps,
+			fmt.Sprintf("%.5g±%.3g", c.Quality.Mean, c.Quality.Std),
+			c.Time.Mean, c.Evals.Mean, c.Dropped.Mean)
+		if hasThreshold {
+			if c.Reached > 0 {
+				fmt.Fprintf(&b, " %10.5g %2d/%2d", c.ToThreshold.Mean, c.Reached, c.Reps)
+			} else {
+				// ASCII dash: %10s pads by bytes, so a multi-byte dash
+				// would misalign the column.
+				fmt.Fprintf(&b, " %10s %2d/%2d", "-", 0, c.Reps)
+			}
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"gossipopt/internal/funcs"
 )
 
 // TestAggregateCellStddev checks the aggregation math on known inputs:
@@ -121,40 +119,6 @@ func TestCellSummaryTables(t *testing.T) {
 	}
 	if strings.Contains(b2.String(), "to_threshold") {
 		t.Fatalf("to_threshold emitted without a threshold:\n%s", b2.String())
-	}
-}
-
-// TestCellResultSummaryBridge: Runner sweep cells render through the
-// same summary shape as scenario sweeps.
-func TestCellResultSummaryBridge(t *testing.T) {
-	r := Runner{Reps: 3, BaseSeed: 1, Workers: 2}
-	cells := []Cell{{Function: funcs.Sphere, N: 4, K: 4, R: 4, Budget: 400, Threshold: -1}}
-	res := r.Sweep(cells)
-	cs := res[0].Summary("paper")
-	if cs.Sweep != "paper" || cs.Reps != 3 || cs.Quality.N != 3 {
-		t.Fatalf("bridge mislabeled: %+v", cs)
-	}
-	if cs.Quality.Mean != res[0].Quality.Avg {
-		t.Fatalf("bridge mean %v != runner avg %v", cs.Quality.Mean, res[0].Quality.Avg)
-	}
-	if want := math.Sqrt(res[0].Quality.Var); math.Abs(cs.Quality.Std-want) > 1e-12 {
-		t.Fatalf("bridge std %v, want sqrt(var) %v", cs.Quality.Std, want)
-	}
-	if cs.Threshold != nil {
-		t.Fatalf("budget-mode cell must not set a threshold: %+v", cs)
-	}
-
-	thr := r.Sweep([]Cell{{Function: funcs.Sphere, N: 4, K: 4, R: 4, Threshold: 1e3, MaxEvals: 400}})
-	ct := thr[0].Summary("paper")
-	if ct.Threshold == nil || *ct.Threshold != 1e3 {
-		t.Fatalf("threshold-mode cell lost its threshold: %+v", ct)
-	}
-	if ct.Reached != thr[0].Reached || ct.Censored != thr[0].Censored {
-		t.Fatalf("reached/censored not carried over: %+v vs %+v", ct, thr[0])
-	}
-	report := SweepReport("paper", []CellSummary{cs, ct})
-	if !strings.Contains(report, "== sweep paper ==") || !strings.Contains(report, "quality") {
-		t.Fatalf("report malformed:\n%s", report)
 	}
 }
 

@@ -1,91 +1,13 @@
-// Package exp reproduces the paper's four experiment sets (Tables 1–4,
-// Figures 1–4) plus the ablations listed in DESIGN.md. Each experiment is a
-// parameter sweep over (function, n, k, r) cells; every cell is repeated
-// Reps times with derived seeds and summarized as avg/min/max/Var — the
-// exact columns of the paper's tables — and assembled into the figures'
-// series.
+// Package exp holds the measurement primitives the scenario layer runs on:
+// the metric Record and its byte-deterministic CSV/JSONL sinks, the
+// repetition seed mixer, per-cell aggregation over a sweep's repetitions
+// (min/mean/max/stddev plus time-to-threshold), the summary-table writers,
+// the human-readable sweep report and the engine-stats aggregate.
 //
-// Experiments run cells in parallel across a worker pool; results are
-// deterministic regardless of worker count because every (cell, repetition)
-// pair derives its seed from the base seed and its own indices.
+// The paper's experiments are sweep files in the repository's paper/
+// directory, run by cmd/scenario -sweep; docs/SCENARIOS.md ("Reproducing
+// the paper") maps each file to its table.
 package exp
-
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"gossipopt/internal/core"
-	"gossipopt/internal/funcs"
-	"gossipopt/internal/sim"
-	"gossipopt/internal/solver"
-	"gossipopt/internal/stats"
-)
-
-// Cell is one sweep point: a full network configuration plus the stopping
-// rule (budget or threshold).
-type Cell struct {
-	Function funcs.Function
-	// N, K, R are the paper's parameters: nodes, particles per node, and
-	// gossip cycle length in local evaluations.
-	N, K, R int
-	// Budget is the total (network-wide) evaluation budget; used when
-	// Threshold < 0.
-	Budget int64
-	// Threshold, when >= 0, switches the cell to run-until-quality mode
-	// with MaxEvals as a safety cap (the paper's fourth experiment).
-	Threshold float64
-	MaxEvals  int64
-	// Topology and churn variations (ablations).
-	Topology core.TopologyKind
-	Churn    func() sim.ChurnModel
-	DropProb float64
-	// NoCoordination disables gossip entirely (sets r = 0).
-	NoCoordination bool
-	// Solvers, when non-nil, builds a fresh per-repetition solver factory
-	// (heterogeneous deployments; factories may be stateful, so each
-	// repetition gets its own).
-	Solvers func() solver.Factory
-	// Workers is the per-repetition engine parallelism (propose-phase
-	// worker goroutines); results are identical for every value.
-	Workers int
-	// Tag labels ablation variants (e.g. "churn=0.50", "topo=ring").
-	Tag string
-}
-
-// RepResult is the outcome of a single repetition.
-type RepResult struct {
-	Quality float64
-	// Cycles is the paper's "time": local evaluations per node.
-	Cycles int64
-	Evals  int64
-	// Reached reports whether the threshold was hit (threshold mode).
-	Reached bool
-}
-
-// CellResult aggregates all repetitions of one cell.
-type CellResult struct {
-	Cell     Cell
-	Quality  stats.Summary
-	Time     stats.Summary // over cycles; threshold mode: reaching runs only
-	Evals    stats.Summary
-	Reached  int
-	Reps     int
-	PerRep   []RepResult
-	Censored int // runs that never reached the threshold
-}
-
-// Label renders the cell compactly for tables and logs.
-func (c Cell) Label() string {
-	s := fmt.Sprintf("%s n=%d k=%d r=%d", c.Function.Name, c.N, c.K, c.R)
-	if c.NoCoordination {
-		s += " nogossip"
-	}
-	if c.Tag != "" {
-		s += " " + c.Tag
-	}
-	return s
-}
 
 // SeedFor derives a deterministic repetition seed from a base seed and
 // the repetition's indices (SplitMix64-style mixing). Sweeps use their
@@ -97,119 +19,4 @@ func SeedFor(base uint64, cellIdx, rep int) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 29
 	return x
-}
-
-// RunRep executes one repetition of a cell with the given seed.
-func RunRep(c Cell, seed uint64) RepResult {
-	r := c.R
-	if c.NoCoordination {
-		r = 0
-	}
-	cfg := core.Config{
-		Nodes:       c.N,
-		Particles:   c.K,
-		GossipEvery: r,
-		Function:    c.Function,
-		Seed:        seed,
-		Topology:    c.Topology,
-		DropProb:    c.DropProb,
-		Workers:     c.Workers,
-	}
-	if c.Churn != nil {
-		cfg.Churn = c.Churn()
-	}
-	if c.Solvers != nil {
-		cfg.SolverFactory = c.Solvers()
-	}
-	net := core.NewNetwork(cfg)
-	// One engine per repetition: release its worker pool deterministically
-	// rather than leaving parked goroutines to the finalizer backstop.
-	defer net.Engine().Close()
-	if c.Threshold >= 0 {
-		cycles, evals, reached := net.RunUntil(c.Threshold, c.MaxEvals)
-		return RepResult{Quality: net.Quality(), Cycles: cycles, Evals: evals, Reached: reached}
-	}
-	cycles := net.RunEvals(c.Budget)
-	return RepResult{Quality: net.Quality(), Cycles: cycles, Evals: net.TotalEvals()}
-}
-
-// Runner executes sweeps.
-type Runner struct {
-	// Reps is the number of repetitions per cell (the paper uses 50).
-	Reps int
-	// BaseSeed drives all derived seeds.
-	BaseSeed uint64
-	// Workers bounds parallelism (default: NumCPU).
-	Workers int
-	// Progress, when non-nil, is invoked once per cell during the final
-	// aggregation pass (after all repetitions have run).
-	Progress func(done, total int, c Cell)
-}
-
-// Sweep runs every cell×repetition on a worker pool and aggregates.
-func (r *Runner) Sweep(cells []Cell) []CellResult {
-	reps := r.Reps
-	if reps <= 0 {
-		reps = 50
-	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	type job struct{ cell, rep int }
-	jobs := make(chan job)
-	results := make([]CellResult, len(cells))
-	for i := range results {
-		results[i] = CellResult{
-			Cell:   cells[i],
-			Reps:   reps,
-			PerRep: make([]RepResult, reps),
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res := RunRep(cells[j.cell], SeedFor(r.BaseSeed, j.cell, j.rep))
-				results[j.cell].PerRep[j.rep] = res
-			}
-		}()
-	}
-	for ci := range cells {
-		for rep := 0; rep < reps; rep++ {
-			jobs <- job{ci, rep}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	for i := range results {
-		res := &results[i]
-		var q, tm, ev stats.Acc
-		for _, rr := range res.PerRep {
-			q.Add(rr.Quality)
-			ev.Add(float64(rr.Evals))
-			if res.Cell.Threshold >= 0 {
-				if rr.Reached {
-					res.Reached++
-					tm.Add(float64(rr.Cycles))
-				} else {
-					res.Censored++
-				}
-			} else {
-				tm.Add(float64(rr.Cycles))
-			}
-		}
-		res.Quality = stats.Summary{N: q.N(), Avg: q.Mean(), Min: q.Min(), Max: q.Max(), Var: q.Var()}
-		res.Time = stats.Summary{N: tm.N(), Avg: tm.Mean(), Min: tm.Min(), Max: tm.Max(), Var: tm.Var()}
-		res.Evals = stats.Summary{N: ev.N(), Avg: ev.Mean(), Min: ev.Min(), Max: ev.Max(), Var: ev.Var()}
-		if r.Progress != nil {
-			r.Progress(i+1, len(results), res.Cell)
-		}
-	}
-	return results
 }

@@ -1,24 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-
-	"gossipopt/internal/core"
-	"gossipopt/internal/funcs"
-)
-
-// tinySpec keeps unit-test sweeps fast.
-func tinySpec() Spec {
-	return Spec{
-		Funcs:         []funcs.Function{funcs.Sphere, funcs.F2},
-		Reps:          3,
-		BudgetPerNode: 200,
-		TotalBudget:   4000,
-		Threshold:     1e-10,
-		MaxEvals:      60000,
-	}.withDefaults()
-}
+import "testing"
 
 func TestSeedForDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
@@ -30,230 +12,5 @@ func TestSeedForDistinct(t *testing.T) {
 			}
 			seen[s] = true
 		}
-	}
-}
-
-func TestRunRepBudgetMode(t *testing.T) {
-	c := Cell{Function: funcs.Sphere, N: 4, K: 8, R: 8, Budget: 2000, Threshold: -1}
-	res := RunRep(c, 1)
-	if res.Evals < 2000 || res.Evals > 2000+4 {
-		t.Fatalf("evals = %d", res.Evals)
-	}
-	if res.Cycles != 500 {
-		t.Fatalf("cycles = %d, want 500", res.Cycles)
-	}
-	if res.Quality < 0 {
-		t.Fatalf("quality = %g", res.Quality)
-	}
-}
-
-func TestRunRepThresholdMode(t *testing.T) {
-	c := Cell{Function: funcs.Sphere, N: 4, K: 16, R: 16, Threshold: 1e-6, MaxEvals: 1 << 20}
-	res := RunRep(c, 2)
-	if !res.Reached {
-		t.Fatalf("threshold not reached, quality %g", res.Quality)
-	}
-	if res.Quality > 1e-6 {
-		t.Fatalf("quality %g above threshold", res.Quality)
-	}
-}
-
-func TestRunRepDeterministic(t *testing.T) {
-	c := Cell{Function: funcs.Rastrigin, N: 4, K: 8, R: 8, Budget: 1000, Threshold: -1}
-	a, b := RunRep(c, 7), RunRep(c, 7)
-	if a != b {
-		t.Fatalf("RunRep not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-func TestSweepAggregation(t *testing.T) {
-	cells := []Cell{
-		{Function: funcs.Sphere, N: 2, K: 8, R: 8, Budget: 500, Threshold: -1},
-		{Function: funcs.F2, N: 2, K: 8, R: 8, Budget: 500, Threshold: -1},
-	}
-	r := &Runner{Reps: 4, BaseSeed: 1}
-	results := r.Sweep(cells)
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, res := range results {
-		if res.Quality.N != 4 {
-			t.Fatalf("quality N = %d, want 4", res.Quality.N)
-		}
-		if res.Quality.Min > res.Quality.Avg || res.Quality.Avg > res.Quality.Max {
-			t.Fatalf("summary ordering broken: %+v", res.Quality)
-		}
-		if len(res.PerRep) != 4 {
-			t.Fatalf("PerRep = %d", len(res.PerRep))
-		}
-	}
-}
-
-func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	cells := Experiment1(tinySpec(), true)[:4]
-	run := func(workers int) []CellResult {
-		r := &Runner{Reps: 3, BaseSeed: 9, Workers: workers}
-		return r.Sweep(cells)
-	}
-	a, b := run(1), run(8)
-	for i := range a {
-		if a[i].Quality != b[i].Quality {
-			t.Fatalf("cell %d differs across worker counts: %+v vs %+v",
-				i, a[i].Quality, b[i].Quality)
-		}
-	}
-}
-
-func TestExperimentCellCounts(t *testing.T) {
-	s := Paper()
-	if got := len(Experiment1(s, false)); got != 6*4*5 {
-		t.Fatalf("E1 cells = %d, want 120", got)
-	}
-	if got := len(Experiment2(s, false)); got != 6*17*4 {
-		t.Fatalf("E2 cells = %d, want 408", got)
-	}
-	if got := len(Experiment3(s, false)); got != 6*3*17 {
-		t.Fatalf("E3 cells = %d, want 306", got)
-	}
-	if got := len(Experiment4(s, false)); got != 6*11*4 {
-		t.Fatalf("E4 cells = %d, want 264", got)
-	}
-}
-
-func TestExperimentParamsMatchPaper(t *testing.T) {
-	s := Paper()
-	e1 := Experiment1(s, false)
-	for _, c := range e1 {
-		if c.R != c.K {
-			t.Fatalf("E1 cell %s: r != k", c.Label())
-		}
-		if c.Budget != int64(c.N)*1000 {
-			t.Fatalf("E1 cell %s: budget %d != 1000n", c.Label(), c.Budget)
-		}
-	}
-	e2 := Experiment2(s, false)
-	for _, c := range e2 {
-		if c.Budget != 1<<20 {
-			t.Fatalf("E2 budget %d != 2^20", c.Budget)
-		}
-	}
-	e4 := Experiment4(s, false)
-	for _, c := range e4 {
-		if c.Threshold != 1e-10 {
-			t.Fatalf("E4 threshold %g", c.Threshold)
-		}
-	}
-}
-
-func TestAblationCells(t *testing.T) {
-	s := tinySpec()
-	ng := AblationNoGossip(s, true)
-	if len(ng)%2 != 0 {
-		t.Fatal("AblationNoGossip must pair cells")
-	}
-	half := 0
-	for _, c := range ng {
-		if c.NoCoordination {
-			half++
-		}
-	}
-	if half != len(ng)/2 {
-		t.Fatalf("NoCoordination in %d of %d cells", half, len(ng))
-	}
-	topo := AblationTopology(s, true)
-	kinds := map[core.TopologyKind]bool{}
-	for _, c := range topo {
-		kinds[c.Topology] = true
-	}
-	if len(kinds) != 4 {
-		t.Fatalf("topology ablation covers %d kinds", len(kinds))
-	}
-	churn := AblationChurn(s, true)
-	withChurn := 0
-	for _, c := range churn {
-		if c.Churn != nil {
-			withChurn++
-			if c.Churn() == nil {
-				t.Fatal("churn factory returned nil")
-			}
-		}
-	}
-	if withChurn == 0 {
-		t.Fatal("no churn cells")
-	}
-	loss := AblationMessageLoss(s, true)
-	if loss[0].DropProb != 0 || loss[1].DropProb == 0 {
-		t.Fatal("loss sweep shape wrong")
-	}
-}
-
-func TestReportTableAndBestRows(t *testing.T) {
-	cells := []Cell{
-		{Function: funcs.Sphere, N: 1, K: 4, R: 4, Budget: 300, Threshold: -1},
-		{Function: funcs.Sphere, N: 4, K: 8, R: 8, Budget: 1200, Threshold: -1},
-		{Function: funcs.F2, N: 1, K: 4, R: 4, Budget: 300, Threshold: -1},
-	}
-	r := &Runner{Reps: 2, BaseSeed: 3}
-	rep := &Report{Title: "test", Results: r.Sweep(cells)}
-	table := rep.Table()
-	if !strings.Contains(table, "Sphere") || !strings.Contains(table, "F2") {
-		t.Fatalf("table missing functions:\n%s", table)
-	}
-	if !strings.Contains(table, "*") {
-		t.Fatal("no best row marked")
-	}
-	best := rep.BestRows()
-	if len(best) != 2 {
-		t.Fatalf("BestRows = %d, want 2 (one per function)", len(best))
-	}
-}
-
-func TestReportFigures(t *testing.T) {
-	cells := Experiment1(Spec{
-		Funcs: []funcs.Function{funcs.Sphere},
-		Reps:  2, BudgetPerNode: 100,
-		Ns: []int{1, 4}, Ks: []int{4, 8},
-	}.withDefaults(), true)
-	r := &Runner{Reps: 2, BaseSeed: 5}
-	rep := &Report{Title: "fig", Results: r.Sweep(cells)}
-	charts := rep.Figure1()
-	if len(charts) != 1 {
-		t.Fatalf("charts = %d", len(charts))
-	}
-	ch := charts[0]
-	if len(ch.Series) != 2 {
-		t.Fatalf("series = %d, want one per network size", len(ch.Series))
-	}
-	if out := ch.ASCII(60, 12); !strings.Contains(out, "size=1") {
-		t.Fatalf("legend missing:\n%s", out)
-	}
-	if tsv := ch.TSV(); !strings.Contains(tsv, "size=4") {
-		t.Fatalf("tsv missing series:\n%s", tsv)
-	}
-}
-
-func TestFigure4SkipsCensored(t *testing.T) {
-	// Griewank at a tiny eval cap never reaches 1e-10; its series must be
-	// dropped rather than plotted at 0.
-	cells := []Cell{
-		{Function: funcs.Griewank, N: 2, K: 8, R: 8, Threshold: 1e-10, MaxEvals: 500},
-	}
-	r := &Runner{Reps: 2, BaseSeed: 6}
-	rep := &Report{Title: "cens", Results: r.Sweep(cells)}
-	charts := rep.Figure4()
-	if len(charts) != 1 {
-		t.Fatalf("charts = %d", len(charts))
-	}
-	if len(charts[0].Series) != 0 {
-		t.Fatalf("censored series plotted: %+v", charts[0].Series)
-	}
-	if !strings.Contains(rep.Table(), "never reached") {
-		t.Fatalf("table does not mark censored rows:\n%s", rep.Table())
-	}
-}
-
-func TestQuickSpecSmallerThanPaper(t *testing.T) {
-	if len(Experiment2(Quick(), true)) >= len(Experiment2(Paper(), false)) {
-		t.Fatal("quick spec not smaller")
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Structured per-cycle metric emission. Experiments and the scenario
-// runner emit one Record per sample point into a Sink; the CSV and JSONL
+// Structured per-cycle metric emission. The scenario runner emits one
+// Record per sample point into a Sink; the CSV and JSONL
 // sinks render rows byte-deterministically (fields in a fixed order,
 // floats via strconv's shortest round-trip form), so identical runs
 // produce identical files — the property the scenario subsystem's golden

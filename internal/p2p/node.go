@@ -219,7 +219,7 @@ func (n *Node) serve(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(n.cfg.DialTimeout))
 	var req Envelope
-	if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+	if err := decodeEnvelope(conn, &req); err != nil {
 		return
 	}
 	var resp Envelope

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +237,81 @@ func TestServerSurvivesGarbageAndPartialConnections(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool {
 		return nd.Evals() > before+500
 	}, "node stalled after malformed connections")
+}
+
+// countingConn counts the bytes the server side reads.
+type countingConn struct {
+	net.Conn
+	read atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// sendHostilePrefix writes a gob message length of 1 GB, then junk, until
+// the peer hangs up or 4x the envelope limit has gone out; it returns the
+// bytes written.
+func sendHostilePrefix(conn net.Conn) int {
+	// gob encodes a uint >= 128 as its negated byte count, then big-endian
+	// bytes: 0xFC = -4, followed by 1<<30.
+	n, err := conn.Write([]byte{0xFC, 0x40, 0x00, 0x00, 0x00})
+	junk := make([]byte, 4<<10)
+	for err == nil && n < 4*maxEnvelopeBytes {
+		var w int
+		w, err = conn.Write(junk)
+		n += w
+	}
+	return n
+}
+
+// TestServerBoundsHostileLengthPrefix: a peer announcing a 1 GB message is
+// disconnected after at most maxEnvelopeBytes of input, and the node then
+// still completes a valid view exchange and a valid best exchange.
+func TestServerBoundsHostileLengthPrefix(t *testing.T) {
+	nd, err := Start(fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+
+	client, server := net.Pipe()
+	counted := &countingConn{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		nd.serve(counted)
+		close(done)
+	}()
+	sent := sendHostilePrefix(client)
+	client.Close()
+	<-done
+	if got := counted.read.Load(); got > maxEnvelopeBytes {
+		t.Fatalf("server read %d bytes of a hostile message, limit %d", got, maxEnvelopeBytes)
+	}
+	if sent >= 4*maxEnvelopeBytes {
+		t.Fatalf("server kept accepting input: %d bytes sent", sent)
+	}
+
+	// The same attack over TCP, then the two legitimate exchanges.
+	conn, err := net.Dial("tcp", nd.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second)) // a write error ends the attack either way
+	sendHostilePrefix(conn)
+	conn.Close()
+	view, err := roundTrip(nd.Addr(), &Envelope{Kind: kindViewExchange, From: "10.0.0.7:1",
+		View: []Descriptor{{Addr: "10.0.0.7:1", Stamp: time.Now().UnixNano()}}}, 2*time.Second)
+	if err != nil || view.Kind != kindViewExchange || len(view.View) == 0 {
+		t.Fatalf("view exchange after the attack: %+v, %v", view, err)
+	}
+	best, err := roundTrip(nd.Addr(), &Envelope{Kind: kindBestExchange, From: "10.0.0.7:1",
+		X: make([]float64, 10), F: 0, Has: true}, 2*time.Second)
+	if err != nil || !best.Has || best.F != 0 {
+		t.Fatalf("best exchange after the attack: %+v, %v", best, err)
+	}
 }
 
 func TestViewExchangeOverWire(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"sort"
 	"time"
@@ -27,6 +28,21 @@ const (
 	kindViewExchange = iota + 1
 	kindBestExchange
 )
+
+// maxEnvelopeBytes bounds what one exchange reads from a peer, so a
+// hostile length prefix costs at most this many bytes of input. The largest
+// legitimate envelope is a view exchange of c + 1 descriptors or a best
+// exchange carrying one d-dimensional point. Gob-encoded with
+// maximum-length addresses (a 253-byte host plus ":65535"), a c = 20 view
+// is 6.2 kB and a 1 000-dimensional point 9.5 kB; 256 KiB still fits views
+// of c = 950 and points of 29 000 dimensions.
+const maxEnvelopeBytes = 256 << 10
+
+// decodeEnvelope reads one envelope from conn, never more than
+// maxEnvelopeBytes of it.
+func decodeEnvelope(conn net.Conn, env *Envelope) error {
+	return gob.NewDecoder(io.LimitReader(conn, maxEnvelopeBytes)).Decode(env)
+}
 
 // Descriptor is a Newscast node descriptor on the wire: peer address plus
 // logical timestamp (wall-clock nanoseconds; nodes need only be loosely
@@ -62,7 +78,7 @@ func roundTrip(addr string, req *Envelope, timeout time.Duration) (*Envelope, er
 		return nil, fmt.Errorf("p2p: send to %s: %w", addr, err)
 	}
 	var resp Envelope
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+	if err := decodeEnvelope(conn, &resp); err != nil {
 		return nil, fmt.Errorf("p2p: recv from %s: %w", addr, err)
 	}
 	return &resp, nil

@@ -119,7 +119,7 @@ func (de *DE) Best() ([]float64, float64) { return de.b.x, de.b.f }
 // return value reports whether the solver's *best* improved, matching the
 // other solvers' adoption semantics.
 func (de *DE) Inject(x []float64, fx float64) bool {
-	if len(x) != de.dim {
+	if len(x) != de.dim || !admissible(fx) {
 		return false
 	}
 	adopted := de.b.offer(x, fx)

@@ -96,7 +96,7 @@ func (e *ES) Best() ([]float64, float64) { return e.b.x, e.b.f }
 
 // Inject implements Solver: a better remote point becomes the parent.
 func (e *ES) Inject(x []float64, fx float64) bool {
-	if len(x) != e.dim {
+	if len(x) != e.dim || !admissible(fx) {
 		return false
 	}
 	if !e.b.offer(x, fx) {

@@ -117,7 +117,7 @@ func (g *GA) Best() ([]float64, float64) { return g.b.x, g.b.f }
 // worst individual. The return value reports whether the solver's best
 // improved.
 func (g *GA) Inject(x []float64, fx float64) bool {
-	if len(x) != g.dim {
+	if len(x) != g.dim || !admissible(fx) {
 		return false
 	}
 	adopted := g.b.offer(x, fx)

@@ -85,7 +85,7 @@ func (s *SA) Best() ([]float64, float64) { return s.b.x, s.b.f }
 
 // Inject implements Solver: a better remote point restarts the walk there.
 func (s *SA) Inject(x []float64, fx float64) bool {
-	if len(x) != s.dim {
+	if len(x) != s.dim || !admissible(fx) {
 		return false
 	}
 	if !s.b.offer(x, fx) {

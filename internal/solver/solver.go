@@ -29,6 +29,7 @@ type Solver interface {
 	Best() ([]float64, float64)
 	// Inject offers a remote best from the coordination service; the
 	// solver adopts it when strictly better and reports whether it did.
+	// A NaN or -Inf fitness is never adopted.
 	Inject(x []float64, fx float64) bool
 	// Evals returns the number of evaluations performed so far.
 	Evals() int64
@@ -63,6 +64,11 @@ type best struct {
 }
 
 func newBest() best { return best{f: math.Inf(1)} }
+
+// admissible reports whether an injected fitness may be adopted. NaN
+// passes no comparison (so it would replace any best), and -Inf would
+// own the population forever; both are refused at every Inject.
+func admissible(fx float64) bool { return !math.IsNaN(fx) && !math.IsInf(fx, -1) }
 
 func (b *best) offer(x []float64, f float64) bool {
 	if f >= b.f {
@@ -111,7 +117,7 @@ func (s *RandomSearch) Best() ([]float64, float64) { return s.b.x, s.b.f }
 // Inject implements Solver. Random search has no state to steer, so the
 // injection only improves the reported best.
 func (s *RandomSearch) Inject(x []float64, fx float64) bool {
-	if len(x) != s.dim {
+	if len(x) != s.dim || !admissible(fx) {
 		return false
 	}
 	return s.b.offer(x, fx)
