@@ -38,9 +38,8 @@ import (
 // variable bound by asserting the type of that message's Data is a received
 // payload; assigning it, or a pointer, slice or map reached through it, to
 // anything reached through the function's receiver or parameters, or to a
-// package variable, is flagged. Stores into local variables are not —
-// that is how Cyclon forwards the request's subset inside the reply it
-// sends in the same cycle — and neither is the buffer swap Newscast does:
+// package variable, is flagged. Stores into local variables are not, and
+// neither is the buffer swap Newscast does:
 // a payload drawn from a free list and not yet sent belongs to the
 // handler, so its slices may move into the node's state as the node's move
 // into it.

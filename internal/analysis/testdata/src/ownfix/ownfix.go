@@ -164,8 +164,9 @@ func (h *Holder) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message)
 	p.N = len(h.buf)
 }
 
-// forward moves the received slice into a different payload sent in the
-// same cycle (Cyclon's echo): clean, the reply's Recycle drops the alias.
+// forward moves the received slice into a different payload through a
+// local: not flagged, because the rule does not follow stores into locals
+// (sim's ownership contract still forbids it: a net model may delay rep).
 func forward(ax *sim.ApplyContext, msg sim.Message) {
 	p := msg.Data.(*Payload)
 	rep := &Payload{}

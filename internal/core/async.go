@@ -116,8 +116,16 @@ type asyncNode struct {
 	Adoptions int64
 }
 
+// stampsPerTime is how many logical Newscast timestamps one unit of engine
+// time spans.
+const stampsPerTime = 1024
+
+// MaxAsyncTime is the latest engine time whose Newscast stamp still fits the
+// int32 stamp of an overlay view entry; a view refuses later ones.
+const MaxAsyncTime = math.MaxInt32 / float64(stampsPerTime)
+
 // stamp converts engine time into a logical Newscast timestamp.
-func stamp(e *sim.EventEngine) int64 { return int64(e.Now() * 1024) }
+func stamp(e *sim.EventEngine) int64 { return int64(e.Now() * stampsPerTime) }
 
 // Deliver implements sim.Handler.
 func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {

@@ -26,10 +26,10 @@ type Cyclon struct {
 	// shuffles aimed at crashed peers.
 	Exchanges, FailedExchanges int64
 
-	// poolScratch holds the filtered candidate pool during appendSubset.
-	// Node-local (Propose and Receive run on the worker owning this node),
-	// so reusing it across calls is race-free.
-	poolScratch []Descriptor
+	// poolScratch holds the filtered candidate pool during appendSubset,
+	// sized once at C. Node-local (Propose and Receive run on the worker
+	// owning this node), so reusing it across calls is race-free.
+	poolScratch []entry
 }
 
 // Compile-time guards for the two-phase contracts (see Newscast's note).
@@ -66,30 +66,30 @@ func (cy *Cyclon) Bootstrap(peers []sim.NodeID) { bootstrapView(cy.view, cy.self
 
 // oldest returns the stalest descriptor in the view (Cyclon always
 // shuffles with its oldest neighbor, which is what ages out dead nodes).
-func (cy *Cyclon) oldest() (Descriptor, bool) {
-	ds := cy.view.items
-	if len(ds) == 0 {
-		return Descriptor{}, false
+func (cy *Cyclon) oldest() (entry, bool) {
+	es := cy.view.items
+	if len(es) == 0 {
+		return entry{}, false
 	}
-	old := ds[0]
-	for _, d := range ds[1:] {
-		if d.Stamp < old.Stamp {
-			old = d
+	old := es[0]
+	for _, e := range es[1:] {
+		if e.stamp < old.stamp {
+			old = e
 		}
 	}
 	return old, true
 }
 
-// appendSubset appends up to l random view descriptors (excluding the one
-// with the peer's ID — it is replaced by the fresh self-descriptor) onto
-// dst and returns the extended slice. The RNG draw pattern matches the
-// historical subset helper exactly: no draw when the filtered pool fits
-// in l, one Sample(len(pool), l) otherwise.
-func (cy *Cyclon) appendSubset(dst []Descriptor, r *rng.RNG, l int, exclude sim.NodeID) []Descriptor {
-	pool := cy.poolScratch[:0]
-	for _, d := range cy.view.items {
-		if d.ID != exclude {
-			pool = append(pool, d)
+// appendSubset appends up to l random view entries (excluding the one with
+// the peer's ID — it is replaced by the fresh self-descriptor) onto dst and
+// returns the extended slice. The RNG draw pattern matches the historical
+// subset helper exactly: no draw when the filtered pool fits in l, one
+// Sample(len(pool), l) otherwise.
+func (cy *Cyclon) appendSubset(dst []entry, r *rng.RNG, l int, exclude sim.NodeID) []entry {
+	pool := sized(cy.poolScratch, cy.C)
+	for _, e := range cy.view.items {
+		if sim.NodeID(e.id) != exclude {
+			pool = append(pool, e)
 		}
 	}
 	cy.poolScratch = pool
@@ -104,20 +104,21 @@ func (cy *Cyclon) appendSubset(dst []Descriptor, r *rng.RNG, l int, exclude sim.
 
 // shuffleReq is Cyclon's proposed exchange: the initiator's shuffle subset
 // (L-1 random descriptors plus a fresh self-descriptor). Pooled via
-// sim.Recyclable, like Newscast's payloads.
+// sim.Recyclable, like Newscast's payloads; both payloads' buffers are
+// sized once, at exactly L.
 type shuffleReq struct {
-	Sent []Descriptor
+	Sent []entry
 }
 
 // shuffleRep is the answer leg: the partner's reply subset plus an echo of
 // what the initiator sent, so the initiator can do its own swap
 // bookkeeping node-locally (discard what it sent, merge what it got).
-// Echo aliases the request's Sent buffer — legal within the cycle, and
-// Recycle drops the alias instead of recycling it (the request's own
-// Recycle returns that buffer).
+// Echo is a copy of the request's Sent, in the reply's own buffer: a net
+// model may delay the reply past the cycle end that recycles the request,
+// and an alias would then read whatever request reused that buffer.
 type shuffleRep struct {
-	Reply []Descriptor
-	Echo  []Descriptor
+	Reply []entry
+	Echo  []entry
 }
 
 var (
@@ -133,8 +134,7 @@ func (s *shuffleReq) Recycle(c *sim.PayloadCache) {
 
 // Recycle implements sim.Recyclable.
 func (s *shuffleRep) Recycle(c *sim.PayloadCache) {
-	s.Reply = s.Reply[:0]
-	s.Echo = nil // aliases the request's buffer; its Recycle owns it
+	s.Reply, s.Echo = s.Reply[:0], s.Echo[:0]
 	shuffleRepPool.Put(c, s)
 }
 
@@ -149,9 +149,9 @@ func (cy *Cyclon) Propose(n *sim.Node, px *sim.Proposals) {
 	}
 	cy.Exchanges++
 	req := shuffleReqPool.Get(px.Payloads())
-	req.Sent = cy.appendSubset(req.Sent[:0], n.RNG, cy.L-1, target.ID)
-	req.Sent = append(req.Sent, Descriptor{ID: cy.self, Stamp: px.Cycle()})
-	px.Send(target.ID, cy.Slot, req)
+	req.Sent = cy.appendSubset(sized(req.Sent, cy.L), n.RNG, cy.L-1, sim.NodeID(target.id))
+	req.Sent = append(req.Sent, entryOf(Descriptor{ID: cy.self, Stamp: px.Cycle()}))
+	px.Send(sim.NodeID(target.id), cy.Slot, req)
 }
 
 // Receive implements sim.Receiver, node-locally. On the request leg the
@@ -165,21 +165,21 @@ func (cy *Cyclon) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch req := msg.Data.(type) {
 	case *shuffleReq:
 		rep := shuffleRepPool.Get(ax.Payloads())
-		rep.Reply = cy.appendSubset(rep.Reply[:0], n.RNG, cy.L, msg.From)
-		for _, d := range rep.Reply {
-			cy.view.Remove(d.ID)
+		rep.Reply = cy.appendSubset(sized(rep.Reply, cy.L), n.RNG, cy.L, msg.From)
+		for _, e := range rep.Reply {
+			cy.view.Remove(sim.NodeID(e.id))
 		}
-		cy.view.Merge(cy.self, req.Sent)
-		rep.Echo = req.Sent
+		cy.view.mergeBatch(cy.self, req.Sent)
+		rep.Echo = append(sized(rep.Echo, cy.L), req.Sent...)
 		ax.Send(msg.From, cy.Slot, rep)
 	case *shuffleRep:
 		cy.view.Remove(msg.From)
-		for _, d := range req.Echo {
-			if d.ID != cy.self {
-				cy.view.Remove(d.ID)
+		for _, e := range req.Echo {
+			if sim.NodeID(e.id) != cy.self {
+				cy.view.Remove(sim.NodeID(e.id))
 			}
 		}
-		cy.view.Merge(cy.self, req.Reply)
+		cy.view.mergeBatch(cy.self, req.Reply)
 	}
 }
 

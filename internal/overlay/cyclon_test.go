@@ -119,6 +119,51 @@ func TestCyclonAsPeerSampler(t *testing.T) {
 	}
 }
 
+// capSpy is a Cyclon that records the capacity of every payload buffer it
+// receives.
+type capSpy struct {
+	*Cyclon
+	caps []int
+}
+
+func (s *capSpy) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	switch p := msg.Data.(type) {
+	case *shuffleReq:
+		s.caps = append(s.caps, cap(p.Sent))
+	case *shuffleRep:
+		s.caps = append(s.caps, cap(p.Reply), cap(p.Echo))
+	}
+	s.Cyclon.Receive(n, ax, msg)
+}
+
+// TestCyclonBuffersExactCapacity pins Cyclon to the rule Newscast's buffers
+// follow: every shuffle payload buffer is sized once, at exactly L, and the
+// candidate pool at exactly C, never grown by append's doubling. L = 20
+// exceeds every other L in this package, so no larger recycled buffer
+// reaches these payloads.
+func TestCyclonBuffersExactCapacity(t *testing.T) {
+	const n, c, l = 100, 40, 20
+	e := buildCyclonNet(6, n, c, l)
+	defer e.Close()
+	var spies []*capSpy
+	e.ForEachLive(func(nd *sim.Node) {
+		s := &capSpy{Cyclon: nd.Protocol(0).(*Cyclon)}
+		spies = append(spies, s)
+		nd.Protocols[0] = s
+	})
+	e.Run(20)
+	for _, s := range spies {
+		for _, got := range s.caps {
+			if got != l {
+				t.Fatalf("node %d received a shuffle buffer of capacity %d, want L = %d", s.self, got, l)
+			}
+		}
+		if got := cap(s.poolScratch); got != c {
+			t.Fatalf("node %d holds a candidate pool of capacity %d, want C = %d", s.self, got, c)
+		}
+	}
+}
+
 func TestCyclonEmptyView(t *testing.T) {
 	cy := NewCyclon(1, 10, 5, 0)
 	if _, ok := cy.SamplePeer(nil); ok {

@@ -98,7 +98,7 @@ func bootstrapView(v *View, self sim.NodeID, peers []sim.NodeID) {
 // descriptors of the exchange are not in it: the receiver's own would be
 // dropped as self, and the sender's is {Message.From, Stamp}.
 type viewSwap struct {
-	Descs []Descriptor
+	Descs []entry
 	Stamp int64
 }
 
@@ -108,13 +108,13 @@ type viewSwap struct {
 // reply was posted or arrives: a leg the network delays still announces
 // its sender as of the cycle the exchange began in.
 type viewSwapReply struct {
-	Descs []Descriptor
+	Descs []entry
 	Stamp int64
 }
 
 // The pools are process-global, so engines with different view sizes draw
 // each other's buffers; whoever fills one replaces it if it is too small
-// (View.sized).
+// (sized).
 var (
 	viewSwapPool      sim.FreeList[viewSwap]
 	viewSwapReplyPool sim.FreeList[viewSwapReply]
@@ -158,7 +158,7 @@ func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 	case *viewSwap:
 		ax.Send(msg.From, nc.Slot, nc.exchange(msg.From, sw, ax.Payloads()))
 	case *viewSwapReply:
-		nc.view.mergeInPlace(nc.self, sw.Descs, Descriptor{ID: msg.From, Stamp: sw.Stamp})
+		nc.view.mergeInPlace(nc.self, sw.Descs, entryOf(Descriptor{ID: msg.From, Stamp: sw.Stamp}))
 	}
 }
 
@@ -170,9 +170,9 @@ func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap, c *sim.PayloadCache) *viewSwapReply {
 	v := nc.view
 	rep := viewSwapReplyPool.Get(c)
-	out := v.sized(rep.Descs)
+	out := sized(rep.Descs, v.c)
 	rep.Descs, rep.Stamp = v.items, sw.Stamp
-	v.items = mergeRuns(out, v.items, sw.Descs, Descriptor{ID: from, Stamp: sw.Stamp}, nc.self, v.c)
+	v.items = mergeRuns(out, v.items, sw.Descs, entryOf(Descriptor{ID: from, Stamp: sw.Stamp}), nc.self, v.c)
 	return rep
 }
 

@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -202,7 +205,7 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 			check := func(leg string, p *peer) {
 				t.Helper()
 				got := p.nc.view.items
-				if !slices.Equal(got, p.ref) {
+				if !slices.Equal(descriptors(got), p.ref) {
 					t.Fatalf("c=%d seq=%d: node %d diverged on the %s leg\n got %v\nwant %v", c, seq, p.node.ID, leg, got, p.ref)
 				}
 				for i := 1; i < len(got); i++ {
@@ -224,11 +227,11 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 				cycle += int64(r.Intn(2))
 				i, j := r.Intn(len(peers)), r.Intn(len(peers)) // i == j: self-addressed
 				ini, rcv := peers[i], peers[j]
-				sw := &viewSwap{Descs: ini.nc.view.Descriptors(), Stamp: cycle}
+				sw := &viewSwap{Descs: slices.Clone(ini.nc.view.items), Stamp: cycle}
 				myDesc := Descriptor{ID: rcv.node.ID, Stamp: cycle}
 				peerDesc := Descriptor{ID: ini.node.ID, Stamp: cycle}
 				preMerge := slices.Clone(rcv.ref)
-				rcv.ref = referenceMerge(c, rcv.ref, rcv.node.ID, append(slices.Clone(sw.Descs), peerDesc, myDesc))
+				rcv.ref = referenceMerge(c, rcv.ref, rcv.node.ID, append(descriptors(sw.Descs), peerDesc, myDesc))
 
 				if r.Intn(4) == 0 {
 					// Through Receive, which posts the reply where only an
@@ -239,7 +242,7 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 				}
 				rep := rcv.nc.exchange(ini.node.ID, sw, nil)
 				check("request", rcv)
-				if !slices.Equal(rep.Descs, preMerge) || rep.Stamp != cycle {
+				if !slices.Equal(descriptors(rep.Descs), preMerge) || rep.Stamp != cycle {
 					t.Fatalf("c=%d seq=%d: reply of node %d carries %v stamped %d, want the pre-merge view %v stamped %d",
 						c, seq, rcv.node.ID, rep.Descs, rep.Stamp, preMerge, cycle)
 				}
@@ -269,6 +272,78 @@ func viewsDigest(e *sim.Engine) uint64 {
 		h = (h ^ uint64(n.ID)) * 1099511628211
 	})
 	return h
+}
+
+// TestNewscastViewsPinned pins the views themselves, not just the metrics
+// computed from them: for Newscast and Cyclon at two sizes, 60 cycles under
+// churn and 15% link loss, every live node's ID and view (IDs and stamps, in
+// order) after each cycle are folded into one FNV-1a digest. Any change to
+// the canonical order, the merge or a payload moves them.
+//
+// Every digest but the last two was recorded when descriptors were stored
+// as two int64s. Cyclon's with delayed links were recorded once its reply
+// carried its own copy of the echoed subset: before, a reply the network
+// held past cycle end read the request's recycled buffer, so its trace
+// depended on which request reused that buffer.
+func TestNewscastViewsPinned(t *testing.T) {
+	const c, cycles = 20, 60
+	for _, tc := range []struct {
+		proto    string
+		n        int
+		delayMax int64
+		want     uint64
+	}{
+		{"newscast", 16, 2, 0xd455a556ccf4ea23},
+		{"newscast", 1000, 2, 0xce65d29e5c000b76},
+		{"cyclon", 16, 0, 0x368c58c824d0fcd9},
+		{"cyclon", 1000, 0, 0xf5d13d4ad9e0e1b5},
+		{"cyclon", 16, 2, 0xa87ebd3b122fb161},
+		{"cyclon", 1000, 2, 0x7ad746a83171773b},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d/delay=%d", tc.proto, tc.n, tc.delayMax), func(t *testing.T) {
+			mk := func(self sim.NodeID) interface {
+				sim.Protocol
+				bootstrapper
+				View() *View
+			} {
+				if tc.proto == "cyclon" {
+					return NewCyclon(self, c, 0, 0)
+				}
+				return NewNewscast(self, c, 0)
+			}
+			e := sim.NewEngine(31)
+			defer e.Close()
+			e.AddNodes(tc.n)
+			initSamplers(e, 0, c, func(self sim.NodeID) bootstrapper { return mk(self) })
+			e.SetNodeFactory(func(nd *sim.Node) {
+				p := mk(nd.ID)
+				if b := e.RandomLiveNode(nd.ID); b != nil {
+					p.Bootstrap([]sim.NodeID{b.ID})
+				}
+				nd.Protocols = []sim.Protocol{p}
+			})
+			e.SetChurn(&sim.RateChurn{CrashProb: 0.01, JoinPerCycle: float64(tc.n) / 50, MinLive: tc.n / 2})
+			e.SetNetModel(&sim.LossyLinks{Loss: 0.15, DelayMax: tc.delayMax})
+			h := fnv.New64a()
+			var buf []byte
+			for i := 0; i < cycles; i++ {
+				e.RunCycle()
+				e.ForEachLive(func(nd *sim.Node) {
+					ds := nd.Protocol(0).(interface{ View() *View }).View().Descriptors()
+					buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(nd.ID))
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ds)))
+					for _, d := range ds {
+						buf = binary.LittleEndian.AppendUint64(buf, uint64(d.ID))
+						buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Stamp))
+					}
+					h.Write(buf)
+				})
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("views digest %#x, want %#x", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestNewscastEnginesShareFreeLists steps an engine with c=8 views and one
@@ -318,7 +393,7 @@ func TestNewscastNoDoubleRelease(t *testing.T) {
 	e.SetChurn(&sim.RateChurn{CrashProb: 0.01, JoinPerCycle: 3, MinLive: 100})
 	e.SetNetModel(&sim.LossyLinks{Loss: 0.1, DelayMax: 2})
 	e.Run(50) // the detector panics at the second release of one pointer
-	seen := map[*Descriptor]sim.NodeID{}
+	seen := map[*entry]sim.NodeID{}
 	e.ForEachLive(func(n *sim.Node) {
 		items := n.Protocol(0).(*Newscast).view.items
 		if cap(items) == 0 {

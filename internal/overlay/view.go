@@ -7,6 +7,9 @@
 package overlay
 
 import (
+	"fmt"
+	"math"
+
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
@@ -15,9 +18,37 @@ import (
 // logical timestamp recording when the descriptor was created. Fresher
 // descriptors win during view merges, which is what flushes crashed nodes
 // out of the overlay.
+//
+// Descriptor is the package's API type. Views and payloads store each one
+// as an 8-byte entry, so its ID and Stamp must lie in the int32 range.
 type Descriptor struct {
 	ID    sim.NodeID
 	Stamp int64
+}
+
+// entry is a Descriptor as views, payloads and merges hold it: half the
+// width, so that three descriptor buffers of c = 20 take 160 B each instead
+// of 320. Descriptors are converted only at the package boundary (entryOf
+// on the way in, descriptor on the way out); sign extension makes every
+// widened value equal the Descriptor's, so the canonical order is unchanged.
+type entry struct {
+	id, stamp int32
+}
+
+// entryOf narrows d to an entry. An ID or stamp outside int32 panics: a
+// view never truncates one into another node or another time.
+func entryOf(d Descriptor) entry {
+	e := entry{id: int32(d.ID), stamp: int32(d.Stamp)}
+	if e.descriptor() != d {
+		panic(fmt.Sprintf("overlay: descriptor %+v does not fit a view entry: IDs and stamps must lie in [%d, %d]",
+			d, math.MinInt32, math.MaxInt32))
+	}
+	return e
+}
+
+// descriptor widens e back to the API type.
+func (e entry) descriptor() Descriptor {
+	return Descriptor{ID: sim.NodeID(e.id), Stamp: int64(e.stamp)}
 }
 
 // View is a bounded set of descriptors, at most one per node ID. The zero
@@ -36,7 +67,7 @@ type Descriptor struct {
 // arrays.
 type View struct {
 	c     int
-	items []Descriptor
+	items []entry
 }
 
 // NewView creates an empty view with capacity c.
@@ -51,24 +82,28 @@ func (v *View) Len() int { return len(v.items) }
 // IDs returns the node IDs in the view, freshest first.
 func (v *View) IDs() []sim.NodeID {
 	out := make([]sim.NodeID, len(v.items))
-	for i, d := range v.items {
-		out[i] = d.ID
+	for i, e := range v.items {
+		out[i] = sim.NodeID(e.id)
 	}
 	return out
 }
 
 // Descriptors returns a copy of the view contents, freshest first.
 func (v *View) Descriptors() []Descriptor {
-	return append([]Descriptor(nil), v.items...)
+	out := make([]Descriptor, len(v.items))
+	for i, e := range v.items {
+		out[i] = e.descriptor()
+	}
+	return out
 }
 
-// sized returns buf emptied, or, when buf cannot hold a full view (it is
-// nil, or was recycled by an engine with smaller views), a new buffer of
-// exactly capacity c. Every descriptor buffer of a view or a Newscast
-// payload comes from here, so none is ever grown by append's doubling.
-func (v *View) sized(buf []Descriptor) []Descriptor {
-	if cap(buf) < v.c {
-		return make([]Descriptor, 0, v.c)
+// sized returns buf emptied, or, when buf cannot hold n entries (it is nil,
+// or was recycled by an engine with smaller views), a new buffer of exactly
+// capacity n. Every entry buffer of a view or a payload comes from here, so
+// none is ever grown by append's doubling.
+func sized(buf []entry, n int) []entry {
+	if cap(buf) < n {
+		return make([]entry, 0, n)
 	}
 	return buf[:0]
 }
@@ -76,8 +111,8 @@ func (v *View) sized(buf []Descriptor) []Descriptor {
 // snapshotInto copies the view contents, freshest first, into buf (see
 // sized) and returns it — the allocation-free variant of Descriptors for
 // per-cycle snapshots into recycled payload buffers.
-func (v *View) snapshotInto(buf []Descriptor) []Descriptor {
-	return append(v.sized(buf), v.items...)
+func (v *View) snapshotInto(buf []entry) []entry {
+	return append(sized(buf, v.c), v.items...)
 }
 
 // SampleID returns a uniformly random ID from the view without
@@ -87,7 +122,7 @@ func (v *View) SampleID(r *rng.RNG) (sim.NodeID, bool) {
 	if len(v.items) == 0 {
 		return 0, false
 	}
-	return v.items[r.Intn(len(v.items))].ID, true
+	return sim.NodeID(v.items[r.Intn(len(v.items))].id), true
 }
 
 // Contains reports whether the view holds a descriptor for id.
@@ -102,9 +137,11 @@ func (v *View) Insert(self sim.NodeID, d Descriptor) {
 
 // mix hashes a descriptor to break freshness ties. Breaking ties by plain
 // ID order would systematically favor low-ID nodes and grow hubs; a
-// deterministic hash keeps merging reproducible without the bias.
-func mix(d Descriptor) uint64 {
-	x := uint64(d.ID)*0x9e3779b97f4a7c15 ^ uint64(d.Stamp)*0xbf58476d1ce4e5b9
+// deterministic hash keeps merging reproducible without the bias. Each
+// field is sign-extended to 64 bits first, so the hash is the one of the
+// int64 Descriptor.
+func mix(e entry) uint64 {
+	x := uint64(e.id)*0x9e3779b97f4a7c15 ^ uint64(e.stamp)*0xbf58476d1ce4e5b9
 	x ^= x >> 31
 	x *= 0x94d049bb133111eb
 	return x ^ x>>29
@@ -114,14 +151,14 @@ func mix(d Descriptor) uint64 {
 // stamp first, ties by mix, then by ID. It is a strict total order on
 // distinct descriptors (neither precedes the other only when a == b),
 // which is what makes a merge result independent of how it is computed.
-func before(a, b Descriptor) bool {
-	if a.Stamp != b.Stamp {
-		return a.Stamp > b.Stamp
+func before(a, b entry) bool {
+	if a.stamp != b.stamp {
+		return a.stamp > b.stamp
 	}
 	if ha, hb := mix(a), mix(b); ha != hb {
 		return ha < hb
 	}
-	return a.ID < b.ID
+	return a.id < b.id
 }
 
 // mergeStack sizes the stack-resident buffers of the merges: enough for a
@@ -132,37 +169,50 @@ const mergeStack = 48
 // Merge folds a batch of descriptors into the view under the Newscast rule:
 // drop self-descriptors, deduplicate by ID keeping the freshest stamp, then
 // keep the Cap freshest overall. Ties in freshness break by a deterministic
-// hash of the descriptor so merging is reproducible yet unbiased.
+// hash of the descriptor so merging is reproducible yet unbiased. A
+// descriptor, or self, outside the int32 range panics (see entryOf).
 //
 // The result is the first Cap distinct IDs of (view ∪ batch) in canonical
-// order. Merge is the front-end for batches in any order (Cyclon's shuffle
-// subsets, Bootstrap, Insert, the event engine): it insertion-sorts the
-// batch — an unordered batch is merely slower, never wrong — and hands the
-// two sorted runs to mergeRuns, the one merge and the one dedup of this
-// package. Newscast's payloads are sorted already and skip the sort (see
-// Newscast.Receive). All scratch lives on the caller's stack, so Merge
-// allocates nothing once items exists, and a View carries no buffers.
+// order. Merge is the front-end for batches in any order (Bootstrap, Insert,
+// the event engine): it narrows the batch to entries on the stack and hands
+// it to mergeBatch.
 func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
-	var bufB [mergeStack]Descriptor
-	b := bufB[:0]
+	var buf [mergeStack]entry
+	b := buf[:0]
 	for _, d := range batch {
-		b = append(b, d)
-		i := len(b) - 1
-		for ; i > 0 && before(d, b[i-1]); i-- {
-			b[i] = b[i-1]
-		}
-		b[i] = d
+		b = append(b, entryOf(d))
 	}
-	v.mergeInPlace(self, b, Descriptor{ID: self})
+	v.mergeBatch(self, b)
 }
 
-// mergeInPlace merges the sorted run b and the extra descriptor x into the
-// view, reusing items for the output: the old contents move to the stack
-// first, because the output overwrites them.
-func (v *View) mergeInPlace(self sim.NodeID, b []Descriptor, x Descriptor) {
-	var bufA [mergeStack]Descriptor
+// mergeBatch merges a batch of entries in any order (Merge's, and Cyclon's
+// shuffle subsets): it insertion-sorts the batch into a stack buffer — an
+// unordered batch is merely slower, never wrong — and hands the two sorted
+// runs to mergeRuns, the one merge and the one dedup of this package.
+// Newscast's payloads are sorted already and skip the sort (see
+// Newscast.Receive). All scratch lives on the caller's stack, so merging
+// allocates nothing once items exists, and a View carries no buffers.
+func (v *View) mergeBatch(self sim.NodeID, batch []entry) {
+	var buf [mergeStack]entry
+	b := buf[:0]
+	for _, e := range batch {
+		b = append(b, e)
+		i := len(b) - 1
+		for ; i > 0 && before(e, b[i-1]); i-- {
+			b[i] = b[i-1]
+		}
+		b[i] = e
+	}
+	v.mergeInPlace(self, b, entryOf(Descriptor{ID: self}))
+}
+
+// mergeInPlace merges the sorted run b and the extra entry x into the view,
+// reusing items for the output: the old contents move to the stack first,
+// because the output overwrites them.
+func (v *View) mergeInPlace(self sim.NodeID, b []entry, x entry) {
+	var bufA [mergeStack]entry
 	a := append(bufA[:0], v.items...)
-	v.items = mergeRuns(v.sized(v.items), a, b, x, self, v.c)
+	v.items = mergeRuns(sized(v.items, v.c), a, b, x, self, v.c)
 }
 
 // dedupBits sizes mergeRuns' ID table, 128 slots: several times the
@@ -172,8 +222,9 @@ const dedupBits = 7
 // mergeRuns is the merge core. It writes into out[:0] the first c distinct
 // IDs of a ∪ b ∪ {x} in canonical order and returns that slice; a and b
 // must be sorted under before (repeats allowed) and must not overlap out,
-// whose capacity must be at least c. Descriptors of self are skipped, in
-// either run and as x — passing Descriptor{ID: self} means "no extra".
+// whose capacity must be at least c. Entries of self are skipped, in either
+// run and as x — passing an x with self's ID means "no extra". IDs are
+// compared with self widened, so an owner outside int32 matches no entry.
 //
 // Among descriptors with one ID the first in canonical order is the
 // freshest, so dropping every ID already emitted is the whole dedup. It is
@@ -185,19 +236,19 @@ const dedupBits = 7
 // per-view state. A slot is a byte, so indices from 254 up all read 255:
 // past that fill, which only views of c >= 255 reach, a non-empty slot
 // always scans.
-func mergeRuns(out, a, b []Descriptor, x Descriptor, self sim.NodeID, c int) []Descriptor {
+func mergeRuns(out, a, b []entry, x entry, self sim.NodeID, c int) []entry {
 	if c <= 0 {
 		return out[:0]
 	}
 	out = out[:c]
 	var tab [1 << dedupBits]uint8
-	hasX := x.ID != self
+	hasX := sim.NodeID(x.id) != self
 	n, i, j := 0, 0, 0
 	for n < len(out) {
-		// The next descriptor in canonical order: the head of a or of b
-		// (a first on a tie, which only equal descriptors produce), or x
-		// if it precedes that head.
-		var d Descriptor
+		// The next entry in canonical order: the head of a or of b (a
+		// first on a tie, which only equal entries produce), or x if it
+		// precedes that head.
+		var d entry
 		switch {
 		case j < len(b) && (i == len(a) || before(b[j], a[i])):
 			if d = b[j]; hasX && before(x, d) {
@@ -216,11 +267,11 @@ func mergeRuns(out, a, b []Descriptor, x Descriptor, self sim.NodeID, c int) []D
 		default:
 			return out[:n]
 		}
-		if d.ID == self {
+		if sim.NodeID(d.id) == self {
 			continue
 		}
-		h := uint64(d.ID) * 0x9e3779b97f4a7c15 >> (64 - dedupBits)
-		if k := tab[h]; k != 0 && (out[k-1].ID == d.ID || containsID(out[:n], d.ID)) {
+		h := uint64(d.id) * 0x9e3779b97f4a7c15 >> (64 - dedupBits)
+		if k := tab[h]; k != 0 && (out[k-1].id == d.id || containsID(out[:n], sim.NodeID(d.id))) {
 			continue
 		}
 		tab[h] = uint8(min(n+1, 255))
@@ -230,10 +281,10 @@ func mergeRuns(out, a, b []Descriptor, x Descriptor, self sim.NodeID, c int) []D
 	return out[:n]
 }
 
-// containsID reports whether ds holds a descriptor for id.
-func containsID(ds []Descriptor, id sim.NodeID) bool {
-	for i := range ds {
-		if ds[i].ID == id {
+// containsID reports whether es holds an entry for id.
+func containsID(es []entry, id sim.NodeID) bool {
+	for i := range es {
+		if sim.NodeID(es[i].id) == id {
 			return true
 		}
 	}
@@ -243,8 +294,8 @@ func containsID(ds []Descriptor, id sim.NodeID) bool {
 // Remove deletes the descriptor for id, if present, keeping the order of
 // the others.
 func (v *View) Remove(id sim.NodeID) {
-	for i, d := range v.items {
-		if d.ID == id {
+	for i, e := range v.items {
+		if sim.NodeID(e.id) == id {
 			v.items = append(v.items[:i], v.items[i+1:]...)
 			return
 		}
@@ -253,5 +304,5 @@ func (v *View) Remove(id sim.NodeID) {
 
 // Clone returns an independent copy of the view.
 func (v *View) Clone() *View {
-	return &View{c: v.c, items: append(make([]Descriptor, 0, max(v.c, 0)), v.items...)}
+	return &View{c: v.c, items: append(make([]entry, 0, max(v.c, 0)), v.items...)}
 }

@@ -3,7 +3,9 @@ package overlay
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -164,7 +166,7 @@ func referenceMerge(c int, items []Descriptor, self sim.NodeID, batch []Descript
 		if a.Stamp != b.Stamp {
 			return cmp.Compare(b.Stamp, a.Stamp)
 		}
-		if ha, hb := mix(a), mix(b); ha != hb {
+		if ha, hb := mix(entryOf(a)), mix(entryOf(b)); ha != hb {
 			return cmp.Compare(ha, hb)
 		}
 		return cmp.Compare(a.ID, b.ID)
@@ -221,7 +223,7 @@ func (p *viewPair) insert(t *testing.T, d Descriptor) {
 func (p *viewPair) mergeSorted(t *testing.T, run []Descriptor, x Descriptor) {
 	t.Helper()
 	run = referenceMerge(len(run), nil, -1, run) // sorted, one descriptor per ID, as a view is
-	p.v.mergeInPlace(p.self, run, x)
+	p.v.mergeInPlace(p.self, entries(run), entryOf(x))
 	p.ref = referenceMerge(p.v.Cap(), p.ref, p.self, append(slices.Clone(run), x))
 	p.check(t)
 }
@@ -241,7 +243,7 @@ func (p *viewPair) clone(t *testing.T) {
 
 func (p *viewPair) check(t *testing.T) {
 	t.Helper()
-	got := p.v.items
+	got := p.v.Descriptors()
 	if !slices.Equal(got, p.ref) {
 		t.Fatalf("view diverged from reference (c=%d self=%d)\n got %v\nwant %v", p.v.Cap(), p.self, got, p.ref)
 	}
@@ -254,10 +256,28 @@ func (p *viewPair) check(t *testing.T) {
 		}
 		// Strictly sorted also means no ID twice with the same stamp; a
 		// repeated ID with different stamps differs from the reference.
-		if i > 0 && !before(got[i-1], d) {
+		if i > 0 && !before(p.v.items[i-1], p.v.items[i]) {
 			t.Fatalf("items not strictly sorted at %d: %v", i, got)
 		}
 	}
+}
+
+// entries narrows ds to the entries a view or payload holds.
+func entries(ds []Descriptor) []entry {
+	out := make([]entry, len(ds))
+	for i, d := range ds {
+		out[i] = entryOf(d)
+	}
+	return out
+}
+
+// descriptors widens es back to Descriptors.
+func descriptors(es []entry) []Descriptor {
+	out := make([]Descriptor, len(es))
+	for i, e := range es {
+		out[i] = e.descriptor()
+	}
+	return out
 }
 
 // viewCaps are the capacities the differential tests run at: the
@@ -351,7 +371,7 @@ func TestViewOpsMatchReferenceRandom(t *testing.T) {
 					p.insert(t, desc())
 				case op < 9:
 					if n := p.v.Len(); n > 0 && r.Intn(4) > 0 {
-						p.remove(t, p.v.items[r.Intn(n)].ID)
+						p.remove(t, sim.NodeID(p.v.items[r.Intn(n)].id))
 					} else {
 						p.remove(t, sim.NodeID(r.Intn(ids)))
 					}
@@ -439,6 +459,37 @@ func TestViewZeroCapacityStaysEmpty(t *testing.T) {
 	}
 }
 
+// TestViewRefusesOutOfRangeDescriptors pins the int32 limits of a view
+// entry: descriptors at the limits round-trip exactly, and one past them
+// panics with a message naming the limit instead of being truncated into
+// another node or another time, leaving the view as it was.
+func TestViewRefusesOutOfRangeDescriptors(t *testing.T) {
+	v := NewView(4)
+	edge := []Descriptor{{ID: math.MaxInt32, Stamp: math.MinInt32}, {ID: math.MinInt32, Stamp: math.MaxInt32}}
+	v.Merge(0, edge)
+	if got := v.Descriptors(); !slices.Equal(got, []Descriptor{edge[1], edge[0]}) {
+		t.Fatalf("view holds %v, want %v freshest first", got, edge)
+	}
+	for _, d := range []Descriptor{
+		{ID: math.MaxInt32 + 1, Stamp: 1},
+		{ID: math.MinInt32 - 1, Stamp: 1},
+		{ID: 1, Stamp: math.MaxInt32 + 1},
+		{ID: 1, Stamp: math.MinInt32 - 1},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "2147483647") {
+					t.Errorf("Insert(%+v) panicked with %q, want a message naming the int32 limit", d, msg)
+				}
+			}()
+			v.Insert(0, d)
+		}()
+	}
+	if got := v.Descriptors(); !slices.Equal(got, []Descriptor{edge[1], edge[0]}) {
+		t.Fatalf("refused descriptors changed the view to %v", got)
+	}
+}
+
 // TestViewMergeZeroAllocs pins Merge's scratch to the stack: a warmed
 // c=20 view merges a Newscast exchange, and inserts one descriptor,
 // without allocating.
@@ -478,9 +529,9 @@ func TestViewMergeZeroAllocs(t *testing.T) {
 type exchangeBench struct {
 	nodes   []*sim.Node // node k's exchange partner is node k+1
 	ncs     []*Newscast
-	initial [][]Descriptor // each view's contents, restored every iteration
-	snaps   [][]Descriptor // the partner's view
-	stamp   int64          // the cycle the exchange happens in
+	initial [][]entry // each view's contents, restored every iteration
+	snaps   [][]entry // the partner's view
+	stamp   int64     // the cycle the exchange happens in
 }
 
 func newExchangeBench(b *testing.B) *exchangeBench {
@@ -498,8 +549,8 @@ func newExchangeBench(b *testing.B) *exchangeBench {
 		}
 		x.nodes = append(x.nodes, node)
 		x.ncs = append(x.ncs, nc)
-		x.initial = append(x.initial, nc.view.Descriptors())
-		x.snaps = append(x.snaps, peer.Protocol(0).(*Newscast).view.Descriptors())
+		x.initial = append(x.initial, slices.Clone(nc.view.items))
+		x.snaps = append(x.snaps, slices.Clone(peer.Protocol(0).(*Newscast).view.items))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -515,7 +566,7 @@ func BenchmarkViewMerge(b *testing.B) {
 	batches := make([][]Descriptor, len(x.snaps))
 	for k, snap := range x.snaps {
 		peer, self := x.nodes[(k+1)%len(x.nodes)].ID, x.nodes[k].ID
-		batches[k] = append(slices.Clone(snap), Descriptor{ID: peer, Stamp: x.stamp}, Descriptor{ID: self, Stamp: x.stamp})
+		batches[k] = append(descriptors(snap), Descriptor{ID: peer, Stamp: x.stamp}, Descriptor{ID: self, Stamp: x.stamp})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -549,7 +600,7 @@ func BenchmarkNewscastReceive(b *testing.B) {
 type exchangeDriver struct {
 	*Newscast
 	partner sim.NodeID
-	views   [][]Descriptor
+	views   [][]entry
 	next    int
 }
 
@@ -580,7 +631,7 @@ func BenchmarkNewscastExchange(b *testing.B) {
 		for _, view := range x.initial[k*len(x.initial)/2:][:len(x.initial)/2] {
 			v := NewView(c)
 			for _, desc := range view {
-				v.Insert(n.ID, Descriptor{ID: desc.ID + 2, Stamp: desc.Stamp})
+				v.Insert(n.ID, Descriptor{ID: sim.NodeID(desc.id) + 2, Stamp: int64(desc.stamp)})
 			}
 			d.views = append(d.views, v.items)
 		}

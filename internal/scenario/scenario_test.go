@@ -313,6 +313,30 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestParseStampLimits pins the run lengths an overlay view can stamp: its
+// entries hold int32 stamps, the cycle on the cycle engine and time·1024 on
+// the event engine. A spec that would run past the limit is a parse error
+// naming it, and the limit itself parses.
+func TestParseStampLimits(t *testing.T) {
+	for _, tc := range []struct{ raw, limit string }{
+		{`{"name":"x","stop":{"cycles":2147483648}}`, "2147483647"},
+		{`{"name":"x","engine":"event","stop":{"time":2097152}}`, "2097151.999"},
+	} {
+		_, err := Parse([]byte(tc.raw))
+		if err == nil || !strings.Contains(err.Error(), tc.limit) {
+			t.Errorf("%s: error %v, want one naming the limit %s", tc.raw, err, tc.limit)
+		}
+	}
+	for _, raw := range []string{
+		`{"name":"x","stop":{"cycles":2147483647}}`,
+		`{"name":"x","engine":"event","stop":{"time":2097151.9990234375}}`,
+	} {
+		if _, err := Parse([]byte(raw)); err != nil {
+			t.Errorf("%s: rejected at the limit: %v", raw, err)
+		}
+	}
+}
+
 // TestTotalWipeoutThenRecovery: a scripted 100% crash must not end the run
 // while a later revive/join is still scheduled — outage-and-recovery is a
 // legitimate experiment shape.

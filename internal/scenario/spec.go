@@ -277,6 +277,10 @@ func (s Spec) normalized() (Spec, error) {
 		if s.Stop.Cycles <= 0 {
 			s.Stop.Cycles = 200
 		}
+		// Overlay views hold int32 stamps, and the cycle is the stamp.
+		if s.Stop.Cycles > math.MaxInt32 {
+			return s, fmt.Errorf("scenario %q: stop.cycles=%d exceeds %d, the most cycles a view can stamp", s.Name, s.Stop.Cycles, math.MaxInt32)
+		}
 	} else {
 		if s.Stop.Cycles != 0 {
 			return s, fmt.Errorf("scenario %q: stop.cycles is a cycle-engine bound; use stop.time on the event engine", s.Name)
@@ -298,6 +302,9 @@ func (s Spec) normalized() (Spec, error) {
 		}
 		if s.Stop.Time <= 0 {
 			s.Stop.Time = 200
+		}
+		if s.Stop.Time > core.MaxAsyncTime {
+			return s, fmt.Errorf("scenario %q: stop.time=%v exceeds %.3f, the last time a view can stamp (time·1024 must fit an int32)", s.Name, s.Stop.Time, core.MaxAsyncTime)
 		}
 	}
 	if s.Nodes <= 0 {

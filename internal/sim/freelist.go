@@ -44,10 +44,10 @@ import (
 //     pointer twice (or never) double-recycles (or leaks) it.
 //   - The receiving handler owns the payload only until its cycle ends. It
 //     must not retain the pointer — or any slice inside it — beyond the
-//     handler call, except by forwarding a slice inside a *different*
-//     payload sent in the same cycle (Cyclon echoes the request subset in
-//     its reply; the reply's Recycle must then drop the alias, never
-//     recycle it).
+//     handler call, not even inside a *different* payload it sends: a net
+//     model may delay that payload past the cycle end that recycles this
+//     one. It copies instead (Cyclon's reply copies the request subset it
+//     echoes).
 //   - A payload drawn from a free list and not yet sent belongs to the
 //     handler that drew it, slices included. The handler may therefore
 //     swap: keep a slice of that payload as node state and put the slice

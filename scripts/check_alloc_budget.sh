@@ -25,6 +25,8 @@ go test ./internal/sim/ -run '^$' \
     -benchtime 100x -benchmem | tee -a "$tmp"
 go test ./internal/pso/ -run '^$' -bench 'BenchmarkEvalOne' \
     -benchtime 10000x -benchmem | tee -a "$tmp"
+go test ./internal/overlay/ -run '^$' -bench 'BenchmarkNewscastCycle' \
+    -benchtime 20x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
     NR == FNR {
