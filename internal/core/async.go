@@ -233,12 +233,11 @@ func NewAsyncNetwork(cfg AsyncConfig) *AsyncNetwork {
 	}
 	// Bootstrap views with up to ViewSize random other nodes.
 	r := eng.RNG()
+	k := min(cfg.ViewSize, cfg.Nodes-1)
+	sample := make([]int, 0, max(k, 0))
 	for _, a := range net.nodes {
-		k := cfg.ViewSize
-		if k > cfg.Nodes-1 {
-			k = cfg.Nodes - 1
-		}
-		for _, idx := range r.Sample(cfg.Nodes-1, k) {
+		sample = r.AppendSample(sample[:0], cfg.Nodes-1, k)
+		for _, idx := range sample {
 			j := idx
 			if sim.NodeID(j) >= a.id {
 				j++

@@ -340,6 +340,14 @@ type Network struct {
 // topology service in slot 0 and an OptNode in slot 1. Nodes joining later
 // through churn are wired identically and bootstrap their view from a
 // random live node (the "bootstrap service" of a real deployment).
+//
+// Each initial node's stack is built once; the churn factory is installed
+// only after the initial population is wired. Each initial node still
+// makes the two draws the factory makes for a join — one engine-RNG draw
+// for its bootstrap peer (none for node 0) and one node-RNG output where
+// the factory splits off a solver stream — because every recorded trace
+// and golden was cut while the factory also built, and threw away, a stack
+// for each initial node.
 func NewNetwork(cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	eng := sim.NewEngine(cfg.Seed)
@@ -363,7 +371,22 @@ func NewNetwork(cfg Config) *Network {
 		}
 	}
 
-	// Factory handles churn-joined nodes; initial nodes are re-wired below.
+	nodes := make([]*sim.Node, cfg.Nodes)
+	for i := range nodes {
+		n := eng.AddNode()
+		eng.RandomLiveNode(n.ID) // the factory's bootstrap draw (see above)
+		n.RNG.Uint64()           // the factory's solver Split (see above)
+		n.Protocols = make([]sim.Protocol, SlotOpt+1)
+		nodes[i] = n
+	}
+
+	// Topology service, then the optimizer + coordination service.
+	InitTopology(eng, SlotTopology, cfg.Topology, cfg.ViewSize)
+	for _, n := range nodes {
+		n.Protocols[SlotOpt] = newOptNode(n.ID, n.RNG)
+	}
+
+	// The factory serves churn joins only.
 	eng.SetNodeFactory(func(n *sim.Node) {
 		nc := overlay.NewNewscast(n.ID, cfg.ViewSize, SlotTopology)
 		if b := eng.RandomLiveNode(n.ID); b != nil {
@@ -371,20 +394,6 @@ func NewNetwork(cfg Config) *Network {
 		}
 		n.Protocols = []sim.Protocol{nc, newOptNode(n.ID, n.RNG)}
 	})
-
-	nodes := eng.AddNodes(cfg.Nodes)
-
-	// Topology service.
-	InitTopology(eng, SlotTopology, cfg.Topology, cfg.ViewSize)
-
-	// Optimizer + coordination service. InitNewscast/InitStatic already
-	// sized the protocol slice; ensure slot 1 exists and fill it.
-	for _, n := range nodes {
-		for len(n.Protocols) <= SlotOpt {
-			n.Protocols = append(n.Protocols, nil)
-		}
-		n.Protocols[SlotOpt] = newOptNode(n.ID, n.RNG)
-	}
 
 	if cfg.Churn != nil {
 		eng.SetChurn(cfg.Churn)

@@ -298,3 +298,48 @@ func TestGriewankProductTermMatters(t *testing.T) {
 		t.Fatalf("Griewank = %v, want %v", got, want)
 	}
 }
+
+// TestObjectiveBitsPinned records the exact bits of every objective at
+// three points of its default dimension — the origin, all ones, and the
+// asymmetric x_i = 0.75i - 1.3 — so a change to an objective's arithmetic,
+// or to a math routine it calls, shows up as a changed bit pattern rather
+// than as a drift in some later trace.
+func TestObjectiveBitsPinned(t *testing.T) {
+	want := []struct {
+		name string
+		bits [3]uint64 // origin, all ones, asymmetric
+	}{
+		{"F2", [3]uint64{0x3ff0000000000000, 0x0000000000000000, 0x407fb0cccccccccf}},
+		{"Zakharov", [3]uint64{0x0000000000000000, 0x41217a10a0000000, 0x418c9974cbb33338}},
+		{"Rosenbrock", [3]uint64{0x4022000000000000, 0x0000000000000000, 0x40e5fbfeccccccce}},
+		{"Sphere", [3]uint64{0x0000000000000000, 0x4024000000000000, 0x40565d999999999a}},
+		{"Schaffer", [3]uint64{0x0000000000000000, 0x3f850925d4ebbd20, 0x3fb4673b7b8b0f1c}},
+		{"Griewank", [3]uint64{0x0000000000000000, 0x3fe9d0f893292b38, 0x3ff05b9f82e2b5a1}},
+		{"Rastrigin", [3]uint64{0x0000000000000000, 0x4024000000000000, 0x4069420605a167ae}},
+		{"Ackley", [3]uint64{0x3cc0000000000000, 0x400d00c9d1901941, 0x4025ae73e1cbba48}},
+		{"Levy", [3]uint64{0x3ff714e4c5c91a7d, 0x395377ce858a5d39, 0x4029dba8c8b2e1ab}},
+		{"StyblinskiTang", [3]uint64{0x40787a9625b0a269, 0x40755a9625b0a269, 0x408319490ebfbdc0}},
+		{"Schwefel", [3]uint64{0x40b05dd43100bb95, 0x40b0556a069408c5, 0x40b04bdc2f28f8d3}},
+	}
+	if len(want) != len(ExtendedSuite) {
+		t.Fatalf("%d objectives pinned, ExtendedSuite has %d", len(want), len(ExtendedSuite))
+	}
+	for i, w := range want {
+		f := ExtendedSuite[i]
+		if f.Name != w.name {
+			t.Fatalf("ExtendedSuite[%d] is %s, pinned %s", i, f.Name, w.name)
+		}
+		d := f.Dim(0)
+		asym := make([]float64, d)
+		for j := range asym {
+			asym[j] = 0.75*float64(j) - 1.3
+		}
+		for p, x := range [3][]float64{origin(d), ones(d), asym} {
+			got := f.Eval(x)
+			if math.Float64bits(got) != w.bits[p] {
+				t.Errorf("%s at point %d: %v (%#016x), pinned %v (%#016x)",
+					f.Name, p, got, math.Float64bits(got), math.Float64frombits(w.bits[p]), w.bits[p])
+			}
+		}
+	}
+}

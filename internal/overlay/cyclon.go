@@ -30,6 +30,9 @@ type Cyclon struct {
 	// sized once at C. Node-local (Propose and Receive run on the worker
 	// owning this node), so reusing it across calls is race-free.
 	poolScratch []entry
+	// sampleScratch holds appendSubset's sampled pool indices, sized once
+	// at L, for the same reason.
+	sampleScratch []int
 }
 
 // Compile-time guards for the two-phase contracts (see Newscast's note).
@@ -84,7 +87,7 @@ func (cy *Cyclon) oldest() (entry, bool) {
 // the peer's ID — it is replaced by the fresh self-descriptor) onto dst and
 // returns the extended slice. The RNG draw pattern matches the historical
 // subset helper exactly: no draw when the filtered pool fits in l, one
-// Sample(len(pool), l) otherwise.
+// AppendSample(_, len(pool), l) otherwise.
 func (cy *Cyclon) appendSubset(dst []entry, r *rng.RNG, l int, exclude sim.NodeID) []entry {
 	pool := sized(cy.poolScratch, cy.C)
 	for _, e := range cy.view.items {
@@ -96,7 +99,11 @@ func (cy *Cyclon) appendSubset(dst []entry, r *rng.RNG, l int, exclude sim.NodeI
 	if len(pool) <= l {
 		return append(dst, pool...)
 	}
-	for _, i := range r.Sample(len(pool), l) {
+	if cap(cy.sampleScratch) < l {
+		cy.sampleScratch = make([]int, 0, cy.L)
+	}
+	cy.sampleScratch = r.AppendSample(cy.sampleScratch[:0], len(pool), l)
+	for _, i := range cy.sampleScratch {
 		dst = append(dst, pool[i])
 	}
 	return dst

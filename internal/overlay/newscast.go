@@ -206,7 +206,8 @@ type bootstrapper interface {
 
 // initSamplers installs mk(id) in protocol slot `slot` of every live node
 // of e, bootstrapped with up to c random other nodes chosen by the engine
-// RNG: one Sample(n, k+1) per node, in live order, whatever the protocol.
+// RNG: one AppendSample(_, n, k+1) per node, in live order, whatever the
+// protocol.
 func initSamplers(e *sim.Engine, slot, c int, mk func(self sim.NodeID) bootstrapper) {
 	nodes := e.LiveNodes()
 	ids := make([]sim.NodeID, len(nodes))
@@ -215,9 +216,11 @@ func initSamplers(e *sim.Engine, slot, c int, mk func(self sim.NodeID) bootstrap
 	}
 	k := min(c, len(ids)-1)
 	peers := make([]sim.NodeID, 0, max(k, 0))
+	sample := make([]int, 0, k+1)
 	for _, n := range nodes {
 		peers = peers[:0]
-		for _, idx := range e.RNG().Sample(len(ids), k+1) {
+		sample = e.RNG().AppendSample(sample[:0], len(ids), k+1)
+		for _, idx := range sample {
 			if ids[idx] != n.ID && len(peers) < k {
 				peers = append(peers, ids[idx])
 			}

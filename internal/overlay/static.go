@@ -119,19 +119,17 @@ func Grid(_ *rng.RNG, n int) [][]int {
 // at n-1). This approximates the stationary Newscast overlay.
 func KRegularRandom(k int) Topology {
 	return func(r *rng.RNG, n int) [][]int {
-		if k > n-1 {
-			k = n - 1
-		}
+		k := min(k, n-1)
 		out := make([][]int, n)
-		for i := 0; i < n; i++ {
-			for _, idx := range r.Sample(n-1, k) {
+		for i := range out {
+			row := r.AppendSample(make([]int, 0, k), n-1, k)
+			for t, j := range row {
 				// Map [0, n-2] onto [0, n-1] \ {i}.
-				j := idx
 				if j >= i {
-					j++
+					row[t] = j + 1
 				}
-				out[i] = append(out[i], j)
 			}
+			out[i] = row
 		}
 		return out
 	}

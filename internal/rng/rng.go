@@ -13,6 +13,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // RNG is a xoshiro256++ pseudo-random generator. The zero value is invalid;
@@ -160,26 +161,36 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Sample returns k distinct uniform indices from [0, n) in random order.
-// If k >= n it returns a full permutation. It panics if k < 0 or n < 0.
-func (r *RNG) Sample(n, k int) []int {
+// AppendSample appends k distinct uniform indices from [0, n), in random
+// order, onto dst and returns the extended slice; if k >= n it appends a
+// full permutation of [0, n). It panics if k < 0 or n < 0.
+//
+// The draws are Floyd's algorithm followed by a Fisher–Yates shuffle of
+// the appended indices (Perm's draws when k >= n). Membership is a scan of
+// the at most k indices already appended, so given the capacity for them
+// the call allocates nothing.
+func (r *RNG) AppendSample(dst []int, n, k int) []int {
 	if k < 0 || n < 0 {
-		panic("rng: Sample with negative argument")
+		panic("rng: AppendSample with negative argument")
 	}
+	base := len(dst)
 	if k >= n {
-		return r.Perm(n)
-	}
-	// Floyd's algorithm: O(k) expected time, O(k) space.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+	} else {
+		for j := n - k; j < n; j++ {
+			t := r.Intn(j + 1)
+			if slices.Contains(dst[base:], t) {
+				t = j
+			}
+			dst = append(dst, t)
+		}
 	}
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	out := dst[base:]
+	for i := len(out) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return dst
 }

@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,7 +187,7 @@ func TestSampleDistinct(t *testing.T) {
 	if err := quick.Check(func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		k := int(kRaw % 60)
-		s := r.Sample(n, k)
+		s := r.AppendSample(nil, n, k)
 		wantLen := k
 		if k >= n {
 			wantLen = n
@@ -208,11 +209,13 @@ func TestSampleDistinct(t *testing.T) {
 }
 
 func TestSampleCoverage(t *testing.T) {
-	// Over many draws of Sample(10, 3), every index must appear.
+	// Over many draws of AppendSample(_, 10, 3), every index must appear.
 	r := New(31)
 	seen := map[int]int{}
+	var buf []int
 	for i := 0; i < 2000; i++ {
-		for _, v := range r.Sample(10, 3) {
+		buf = r.AppendSample(buf[:0], 10, 3)
+		for _, v := range buf {
 			seen[v]++
 		}
 	}
@@ -221,6 +224,73 @@ func TestSampleCoverage(t *testing.T) {
 			t.Fatalf("index %d never sampled", i)
 		}
 	}
+}
+
+// mapSample is the map-based Sample AppendSample replaced, kept as the
+// reference its draws must match.
+func mapSample(r *RNG, n, k int) []int {
+	if k >= n {
+		return r.Perm(n)
+	}
+	chosen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestAppendSampleMatchesFloyd checks AppendSample against the map-based
+// reference over a grid of (n, k) — empty ranges, k = 0, k = n - 1,
+// k >= n — appending onto an empty and a non-empty dst: the same indices
+// in the same order, the prefix untouched, and both streams in step
+// afterwards. With a stack dst it allocates nothing.
+func TestAppendSampleMatchesFloyd(t *testing.T) {
+	ns := []int{0, 1, 2, 3, 5, 10, 21, 64, 1000}
+	for _, n := range ns {
+		ks := []int{0, 1, 2, n / 2, n - 1, n, n + 1, 2*n + 3}
+		for _, k := range ks {
+			if k < 0 {
+				continue
+			}
+			for _, prefix := range [][]int{nil, {-7, 42, -7}} {
+				for seed := uint64(0); seed < 8; seed++ {
+					a, b := New(seed), New(seed)
+					want := mapSample(b, n, k)
+					dst := append([]int(nil), prefix...)
+					got := a.AppendSample(dst, n, k)
+					if !slices.Equal(got[:len(prefix)], prefix) {
+						t.Fatalf("n=%d k=%d seed=%d: prefix %v became %v", n, k, seed, prefix, got[:len(prefix)])
+					}
+					if !slices.Equal(got[len(prefix):], want) {
+						t.Fatalf("n=%d k=%d seed=%d prefix=%v: got %v, reference %v", n, k, seed, prefix, got[len(prefix):], want)
+					}
+					if a.Uint64() != b.Uint64() {
+						t.Fatalf("n=%d k=%d seed=%d: AppendSample consumed a different number of outputs", n, k, seed)
+					}
+				}
+			}
+		}
+	}
+
+	r := New(59)
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [32]int
+		out := r.AppendSample(buf[:0], 100, 21)
+		out = r.AppendSample(out, 11, 11)
+		sink += out[len(out)-1]
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendSample onto a stack buffer allocates %.1f times per call", allocs)
+	}
+	_ = sink
 }
 
 func TestUniformIn(t *testing.T) {

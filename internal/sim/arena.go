@@ -7,9 +7,18 @@ package sim
 // that growing it never moves existing nodes — callers throughout the
 // codebase hold *Node pointers across joins (protocol views, churn models,
 // the live index), which a flat append-grown slice would invalidate.
+//
+// A chunk holds 1 024 nodes of 48 B: 48 KiB. Every engine pays for one
+// chunk however few nodes it holds, and a campaign builds many small
+// engines, so a chunk is kept small; but it stays above 32 KiB and a
+// multiple of the runtime's 8 KiB page, so it is a large object on pages
+// of its own. A smaller chunk is a small object of a pointer-bearing type,
+// which carries an 8-byte malloc header that pushes it up a size class
+// (256 or 512 nodes cost a large engine more heap per node, not less).
+// TestArenaChunkIsWholePages pins this.
 
 const (
-	arenaChunkShift = 12
+	arenaChunkShift = 10
 	arenaChunkSize  = 1 << arenaChunkShift
 	arenaChunkMask  = arenaChunkSize - 1
 )

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // countingProto records how many times each node was stepped.
@@ -71,6 +72,17 @@ func TestLiveCountAndSize(t *testing.T) {
 	}
 	if e.Size() != 8 {
 		t.Fatalf("size=%d after crashes", e.Size())
+	}
+}
+
+// TestArenaChunkIsWholePages pins the arena's chunk size (see arena.go): a
+// chunk stays a large object, above 32 KiB and a whole number of 8 KiB
+// pages, so the runtime gives it pages of its own and no malloc header.
+func TestArenaChunkIsWholePages(t *testing.T) {
+	node := unsafe.Sizeof(Node{})
+	if size := node * arenaChunkSize; size <= 32<<10 || size%(8<<10) != 0 {
+		t.Fatalf("an arena chunk is %d B (%d nodes of %d B), want above 32 KiB and a multiple of 8 KiB",
+			size, arenaChunkSize, node)
 	}
 }
 
