@@ -44,12 +44,17 @@ import (
 // handler, so its slices may move into the node's state as the node's move
 // into it.
 //
-// One field kind is exempt from the reset rule: a home-pool back-pointer,
-// i.e. a field of type *sim.FreeList[...]. Generic payloads (PR 10) carry
-// one because a generic type has no package-level pool per instantiation;
-// the pointer must SURVIVE Recycle — resetting it to nil would orphan the
-// payload on its next recycle — and it references only the process-shared
-// pool, never a previous cycle's data, so keeping it pins nothing.
+// A wholesale reset `*r = T{...}` does not reset a field its literal
+// carries back from the receiver, directly (`T{Peer: r.Peer}`) or through
+// a local read from it; a `[:0]` reslice is a reset, not a carry.
+//
+// Two field kinds are exempt from the reset rule. A home-pool
+// back-pointer, i.e. a field of type *sim.FreeList[...], must SURVIVE
+// Recycle — resetting it would orphan the payload on its next recycle —
+// and references only the process-shared pool. A field whose type is a
+// type parameter is a generic leg's value, which the sending holder's
+// Load overwrites in full before every send: keeping it keeps its
+// buffers warm and pins nothing a receiver could see.
 var Ownership = &Analyzer{
 	Name: "ownership",
 	Doc: "flags payload use-after-send (sent-exactly-once contract) and " +
@@ -248,6 +253,9 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 		return ok && obj != nil && pass.Info.Uses[id] == obj
 	}
 	assigned := map[string]bool{}
+	// fromRecv holds the receiver and the locals read from it; carried, the
+	// fields a wholesale reset's literal takes back from them.
+	fromRecv, carried := map[types.Object]bool{recvObj: true}, map[string]bool{}
 	fullReset, put := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -263,11 +271,27 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		for _, lhs := range as.Lhs {
+		for i, lhs := range as.Lhs {
 			lhs = ast.Unparen(lhs)
+			var rhs ast.Expr
+			if len(as.Rhs) == len(as.Lhs) {
+				rhs = ast.Unparen(as.Rhs[i])
+			}
+			if id, ok := lhs.(*ast.Ident); ok && readsFrom(pass, rhs, fromRecv) {
+				fromRecv[pass.Info.ObjectOf(id)] = true // home := r.home
+			}
 			if star, ok := lhs.(*ast.StarExpr); ok {
 				if isObj(star.X, recvObj) {
 					fullReset = true // *r = T{}
+					if cl, ok := rhs.(*ast.CompositeLit); ok {
+						for j, elt := range cl.Elts {
+							name, val := st.Field(j).Name(), elt
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								name, val = kv.Key.(*ast.Ident).Name, kv.Value
+							}
+							carried[name] = carried[name] || readsFrom(pass, val, fromRecv)
+						}
+					}
 				}
 				continue
 			}
@@ -282,16 +306,29 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if fullReset || !referenceType(f.Type()) || assigned[f.Name()] {
+		if !referenceType(f.Type()) || assigned[f.Name()] || fullReset && !carried[f.Name()] {
 			continue
 		}
-		// Home-pool back-pointers are exempt (and must survive the reset):
-		// they reference the payload's own free list, not cycle data.
-		if namedTypeIn(f.Type(), simPackageName, "FreeList") {
+		// Home-pool back-pointers (which must survive the reset) and
+		// type-parameter values (which Load overwrites) are exempt.
+		if _, param := f.Type().(*types.TypeParam); param || namedTypeIn(f.Type(), simPackageName, "FreeList") {
 			continue
 		}
 		pass.Reportf(fd.Name.Pos(), "Recycle leaves reference field %s unreset: a recycled payload pins the previous cycle's %s (reset slices to [:0], nil everything else)", f.Name(), f.Name())
 	}
+}
+
+// readsFrom reports whether e is rooted at an object in from, unless it
+// is a [:0] reslice, which keeps only capacity.
+func readsFrom(pass *Pass, e ast.Expr, from map[types.Object]bool) bool {
+	if s, ok := e.(*ast.SliceExpr); ok {
+		if lit, ok := s.High.(*ast.BasicLit); ok && lit.Value == "0" {
+			return false
+		}
+		e = ast.Unparen(s.X)
+	}
+	id := rootIdent(e)
+	return id != nil && pass.Info.Uses[id] != nil && from[pass.Info.Uses[id]]
 }
 
 // referenceType reports whether values of t can alias other memory:

@@ -1,7 +1,8 @@
 // Package ownfix is the ownership-analyzer fixture: use-after-send in its
 // direct, aliased and double-send forms, the renewal and scalar escapes,
-// Recycle methods leaky, clean and forgetful of Put, and handlers that
-// retain, forward or swap what they received.
+// Recycle methods leaky, clean and forgetful of Put, wholesale resets that
+// carry a field back and generic legs that keep their value, and handlers
+// that retain, forward or swap what they received.
 package ownfix
 
 import "internal/sim"
@@ -120,6 +121,61 @@ type HomedLeaky struct {
 // exemption is per-field, not a blanket pass for pooled payloads.
 func (h *HomedLeaky) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
 	h.home.Put(c, h)
+}
+
+type CarriedBack struct {
+	Buf  []byte
+	Peer *Payload
+}
+
+var carriedPool sim.FreeList[CarriedBack]
+
+// Recycle resets wholesale but carries Peer back into the literal: the
+// reset is not a reset for Peer.
+func (b *CarriedBack) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
+	*b = CarriedBack{Buf: b.Buf[:0], Peer: b.Peer}
+	carriedPool.Put(c, b)
+}
+
+type CarriedLocal struct {
+	Peer *Payload
+}
+
+var carriedLocalPool sim.FreeList[CarriedLocal]
+
+// Recycle carries Peer back through a local read from the receiver.
+func (l *CarriedLocal) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
+	peer := l.Peer
+	*l = CarriedLocal{peer}
+	carriedLocalPool.Put(c, l)
+}
+
+type Leg[T any] struct {
+	V    T
+	Buf  []byte
+	Peer *Payload
+	home *sim.FreeList[Leg[T]]
+}
+
+// Recycle keeps the home pointer through a local and the type-parameter
+// value, and empties Buf in the literal: clean — Load overwrites V before
+// every send, and home references only the pool.
+func (l *Leg[T]) Recycle(c *sim.PayloadCache) {
+	home := l.home
+	*l = Leg[T]{V: l.V, Buf: l.Buf[:0], home: home}
+	home.Put(c, l)
+}
+
+type LeakyLeg[T any] struct {
+	V    T
+	Peer *Payload
+	home *sim.FreeList[LeakyLeg[T]]
+}
+
+// Recycle keeps V and home (both exempt) but carries Peer too: flagged.
+func (l *LeakyLeg[T]) Recycle(c *sim.PayloadCache) { // want "leaves reference field Peer unreset"
+	*l = LeakyLeg[T]{V: l.V, Peer: l.Peer, home: l.home}
+	l.home.Put(c, l)
 }
 
 var pool sim.FreeList[Payload]

@@ -9,7 +9,8 @@
 //     simulation cycle;
 //   - a coordination service: an anti-entropy epidemic that, every r local
 //     evaluations, exchanges the node's swarm optimum ⟨g_p, f(g_p)⟩ with a
-//     sampled peer, both sides keeping the better point.
+//     sampled peer, both sides keeping the better point. The exchange is
+//     gossip.Exchange's; OptNode is its holder, backed by the solver.
 //
 // Network wires the three services onto a sim.Engine for n nodes and
 // exposes the run/measure operations the paper's experiments need: run to
@@ -22,6 +23,7 @@ import (
 	"math"
 
 	"gossipopt/internal/funcs"
+	"gossipopt/internal/gossip"
 	"gossipopt/internal/overlay"
 	"gossipopt/internal/pso"
 	"gossipopt/internal/rng"
@@ -37,11 +39,10 @@ const (
 	SlotOpt = 1
 )
 
-// BestPoint is the coordination service's payload: a position in the
-// search space and its fitness. Wire payloads travel as pooled *BestPoint
-// (sim.Recyclable) so a million-node cycle does not allocate one position
-// snapshot per exchange; solvers copy on Inject, so recycling the buffer
-// at cycle end is safe.
+// BestPoint is the coordination service's value: a position in the
+// search space and its fitness. It travels in gossip.Exchange's pooled
+// legs, whose X buffer OptNode.Load refills in place; solvers copy on
+// Inject, so recycling the buffer at cycle end is safe.
 type BestPoint struct {
 	X []float64
 	F float64
@@ -50,24 +51,10 @@ type BestPoint struct {
 // Better reports whether b is strictly better (lower fitness) than o.
 func (b BestPoint) Better(o BestPoint) bool { return b.F < o.F }
 
-var (
-	bestPointPool      sim.FreeList[BestPoint]
-	bestPointReplyPool sim.FreeList[bestPointReply]
-)
-
-// Recycle implements sim.Recyclable. The position buffer is kept (len 0)
-// for reuse; senders must explicitly nil X when shipping a "no best yet"
-// point, since nil-ness is semantic on this payload.
-func (b *BestPoint) Recycle(c *sim.PayloadCache) {
-	b.X = b.X[:0]
-	bestPointPool.Put(c, b)
-}
-
 // OptNode is the per-node composition of the function optimization service
-// and the coordination service. It speaks the engine's two-phase exchange
-// contract: each cycle the propose phase spends exactly one function
-// evaluation, and after every R evaluations it proposes one anti-entropy
-// exchange of the node's best point, completed during the apply phase.
+// and the coordination service: each cycle it spends one evaluation and,
+// every R evaluations, starts one §3.3.3 exchange of the node's best point
+// on Gossip, as the gossip.Holder backed by its solver.
 type OptNode struct {
 	// Solver is the node's function optimization service.
 	Solver solver.Solver
@@ -75,17 +62,13 @@ type OptNode struct {
 	// evaluations. R <= 0 disables coordination entirely (the paper's
 	// "without coordination" extreme of independent searches).
 	R int
-	// DropProb loses each initiated exchange with this probability
-	// (message loss; §3.3.4 — only slows diffusion down).
-	DropProb float64
-
+	// Gossip is the network-wide best-point exchange; its DropProb is the
+	// coordination message loss (§3.3.4).
+	Gossip      *gossip.Exchange[BestPoint]
 	sinceGossip int
-
-	// Metrics.
-	Exchanges     int64 // initiated exchanges
-	LostExchanges int64 // exchanges lost to drops or dead peers
-	Adoptions     int64 // times a remote best was adopted locally
-	Rejected      int64 // remote points refused for a NaN or -Inf fitness
+	gossip.Counters
+	// Rejected counts remote points refused for a NaN or -Inf fitness.
+	Rejected int64
 }
 
 // Compile-time guards: sim.Protocol is untyped, so assert the two-phase
@@ -98,9 +81,7 @@ var (
 )
 
 // Propose implements sim.Proposer: spend one evaluation on the local
-// solver and, every R evaluations, propose the paper's §3.3.3 exchange by
-// mailing the node's best point ⟨g_p, f(g_p)⟩ to a sampled peer. Only the
-// node's own state is touched; the exchange settles in Receive.
+// solver and, every R evaluations, start an exchange.
 func (o *OptNode) Propose(n *sim.Node, px *sim.Proposals) {
 	o.Solver.EvalOne()
 	px.CountEvals(1)
@@ -112,106 +93,60 @@ func (o *OptNode) Propose(n *sim.Node, px *sim.Proposals) {
 		return
 	}
 	o.sinceGossip = 0
-	sampler, ok := n.Protocol(SlotTopology).(overlay.PeerSampler)
-	if !ok {
-		return
-	}
-	peerID, ok := sampler.SamplePeer(n.RNG)
-	if !ok {
-		return
-	}
-	o.Exchanges++
-	if o.DropProb > 0 && n.RNG.Bool(o.DropProb) {
-		o.LostExchanges++
-		return
-	}
-	gx, gf := o.Solver.Best()
-	bp := bestPointPool.Get(px.Payloads())
-	if gx != nil {
-		bp.X = append(bp.X[:0], gx...) // solver-owned slice mutates; ship a snapshot
-	} else {
-		bp.X = nil // "no best yet" is signalled by a nil position
-	}
-	bp.F = gf
-	px.Send(peerID, SlotOpt, bp)
+	o.Gossip.Propose(o, &o.Counters, n, px)
 }
 
-// bestPointReply is the reply leg of the §3.3.3 exchange: the contacted
-// peer's better point, mailed back for the initiator to adopt. Pooled like
-// the request leg.
-type bestPointReply struct {
-	P BestPoint
-}
-
-// Recycle implements sim.Recyclable.
-func (r *bestPointReply) Recycle(c *sim.PayloadCache) {
-	r.P.X = r.P.X[:0]
-	bestPointReplyPool.Put(c, r)
-}
-
-// Receive implements sim.Receiver, node-locally, completing the
-// anti-entropy exchange: if the initiator p's point is better the
-// contacted peer q adopts it, otherwise q replies with its own and p
-// adopts it when the reply arrives. Both sides end with the better point.
-//
-// A point whose fitness is NaN or -Inf is refused and counted before any
-// solver sees it: NaN fails every comparison and -Inf wins every one, so
-// either would own a solver's optimum on one peer's say-so. A request
-// carrying a refused point is treated as carrying none, so q still
-// replies with its own best.
+// Receive implements sim.Receiver.
 func (o *OptNode) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	switch bp := msg.Data.(type) {
-	case *BestPoint:
-		px, pf := bp.X, bp.F
-		if px != nil && o.refuse(pf) {
-			px = nil
-		}
-		rx, rf := o.Solver.Best()
-		switch {
-		case px == nil && rx == nil:
-			return
-		case rx == nil || (px != nil && pf < rf):
-			// p's point wins: q adopts. Solvers copy on Inject (they never
-			// retain the slice), which is what lets the pooled payload's
-			// buffer be recycled at cycle end.
-			if o.Solver.Inject(px, pf) {
-				o.Adoptions++
-			}
-		case px == nil || rf < pf:
-			// q's point wins: mail it back for p to adopt. Snapshotted into
-			// the pooled reply because the solver keeps mutating its own
-			// best slice.
-			rep := bestPointReplyPool.Get(ax.Payloads())
-			rep.P.X = append(rep.P.X[:0], rx...)
-			rep.P.F = rf
-			ax.Send(msg.From, msg.Slot, rep)
-		}
-	case *bestPointReply:
-		// Inject adopts only if still strictly better than whatever the
-		// initiator has meanwhile, so a stale reply cannot regress it.
-		if !o.refuse(bp.P.F) && o.Solver.Inject(bp.P.X, bp.P.F) {
-			o.Adoptions++
-		}
-	}
+	o.Gossip.Receive(o, &o.Counters, ax, msg)
 }
 
-// refuse reports, and counts, a remote fitness no solver may adopt.
+// Undelivered implements sim.Undeliverable.
+func (o *OptNode) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	o.Gossip.Undelivered(&o.Counters, msg)
+}
+
+// Load implements gossip.Holder: a snapshot of the solver's best, which
+// keeps mutating.
+func (o *OptNode) Load(dst *BestPoint) bool {
+	x, f := o.Solver.Best()
+	dst.X, dst.F = append(dst.X[:0], x...), f
+	return x != nil
+}
+
+// Offer implements gossip.Holder: the solver decides, and copies.
+func (o *OptNode) Offer(p BestPoint) bool {
+	return !o.refuse(p.F) && o.Solver.Inject(p.X, p.F)
+}
+
+// Compare implements gossip.Holder on fitness. A refused point ranks below
+// everything, so a request carrying one is answered like one carrying
+// none.
+func (o *OptNode) Compare(p BestPoint) int {
+	x, f := o.Solver.Best()
+	switch {
+	case o.refuse(p.F):
+		if x == nil {
+			return 0
+		}
+		return 1
+	case x == nil || p.F < f:
+		return -1
+	case f < p.F:
+		return 1
+	}
+	return 0
+}
+
+// refuse reports, and counts, a remote fitness no solver may see: NaN
+// fails every comparison and -Inf wins every one, so either would own a
+// solver's optimum on one peer's say-so.
 func (o *OptNode) refuse(f float64) bool {
 	if math.IsNaN(f) || math.IsInf(f, -1) {
 		o.Rejected++
 		return true
 	}
 	return false
-}
-
-// Undelivered implements sim.Undeliverable: the sampled peer was dead or
-// unreachable, so the exchange is lost (the coordination layer's
-// message-loss path). A lost reply leg is not a lost initiation and does
-// not count.
-func (o *OptNode) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	if _, initiated := msg.Data.(*BestPoint); initiated {
-		o.LostExchanges++
-	}
 }
 
 // TopologyKind selects the topology service implementation.
@@ -363,11 +298,14 @@ func NewNetwork(cfg Config) *Network {
 			return pso.New(f, dim, cfg.Particles, cfg.PSO, r)
 		}
 	}
+	bestPoints := &gossip.Exchange[BestPoint]{
+		Slot: SlotTopology, SelfSlot: SlotOpt, Mode: gossip.PushPull, DropProb: cfg.DropProb,
+	}
 	newOptNode := func(id sim.NodeID, r *rng.RNG) *OptNode {
 		return &OptNode{
-			Solver:   mkSolver(cfg.Function, cfg.Dim, int64(id), r.Split()),
-			R:        cfg.GossipEvery,
-			DropProb: cfg.DropProb,
+			Solver: mkSolver(cfg.Function, cfg.Dim, int64(id), r.Split()),
+			R:      cfg.GossipEvery,
+			Gossip: bestPoints,
 		}
 	}
 

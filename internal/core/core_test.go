@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossipopt/internal/funcs"
+	"gossipopt/internal/gossip"
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 	"gossipopt/internal/solver"
@@ -286,32 +287,16 @@ func TestBestPointBetter(t *testing.T) {
 	}
 }
 
-// planter stands in for node 0's OptNode: it mails the payload it holds to
-// node 1's OptNode on the next propose phase and records the fitness of
-// every reply it gets back.
-type planter struct {
-	to      sim.NodeID
-	data    any
-	replies []float64
-}
-
-func (p *planter) Propose(n *sim.Node, px *sim.Proposals) {
-	if p.data != nil {
-		px.Send(p.to, SlotOpt, p.data)
-		p.data = nil
-	}
-}
-
-func (p *planter) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	if rep, ok := msg.Data.(*bestPointReply); ok {
-		p.replies = append(p.replies, rep.P.F)
-	}
-}
-
-// TestOptNodeRefusesNonFiniteFitness plants NaN and -Inf points, as
-// requests and as replies, on every registered solver: none is adopted,
-// each is counted in Metrics.Rejected, and a refused request is answered
-// with the receiver's own best like a request carrying no point.
+// TestOptNodeRefusesNonFiniteFitness puts a hostile peer in node 0's
+// optimizer slot: an AntiEntropy[BestPoint] whose order accepts and beats
+// everything, so it answers every request with the point it holds — a
+// NaN, then a -Inf one — and pushes that point when it initiates. Node 1,
+// every registered solver in turn, initiates every cycle too. Neither
+// point is adopted, each is counted in Metrics.Rejected on both legs, a
+// refused request is answered with node 1's own best like a request
+// carrying no point, and a finite better point still gets through. The
+// hostile's X is never read: it travels by assignment and may share a
+// buffer with legs the free lists reuse.
 func TestOptNodeRefusesNonFiniteFitness(t *testing.T) {
 	const dim = 4
 	for _, name := range SolverNames() {
@@ -320,26 +305,26 @@ func TestOptNodeRefusesNonFiniteFitness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := NewNetwork(Config{Nodes: 2, Seed: 17, Function: funcs.Sphere, Dim: dim,
+			net := NewNetwork(Config{Nodes: 2, GossipEvery: 1, Seed: 17, Function: funcs.Sphere, Dim: dim,
 				Topology: TopoFull, SolverFactory: mk})
 			nodes := net.Engine().AllNodes()
-			pl := &planter{to: nodes[1].ID}
-			nodes[0].Protocols[SlotOpt] = pl
 			opt := nodes[1].Protocol(SlotOpt).(*OptNode)
+			hostile := &gossip.AntiEntropy[BestPoint]{Exchange: opt.Gossip, Better: func(a, b BestPoint) bool { return true }}
+			nodes[0].Protocols[SlotOpt] = hostile
 			net.Step()
 
 			for i, f := range []float64{math.NaN(), math.Inf(-1)} {
-				pl.data = &BestPoint{X: make([]float64, dim), F: f}
+				hostile.SetLocal(BestPoint{X: make([]float64, dim), F: f})
 				net.Step()
-				if len(pl.replies) != i+1 {
-					t.Fatalf("request with fitness %v: %d replies, want %d", f, len(pl.replies), i+1)
+				if opt.Rejected != int64(2*i+2) {
+					t.Fatalf("point with fitness %v: Rejected = %d, want %d", f, opt.Rejected, 2*i+2)
 				}
+				// The hostile adopts only replies: node 1's answer to its
+				// refused request.
 				_, own := opt.Solver.Best()
-				if rf := pl.replies[i]; rf != own {
-					t.Fatalf("request with fitness %v answered with %v, want the receiver's best %v", f, rf, own)
+				if got, _ := hostile.Local(); got.F != own {
+					t.Fatalf("request with fitness %v answered with %v, want the receiver's best %v", f, got.F, own)
 				}
-				pl.data = &bestPointReply{P: BestPoint{X: make([]float64, dim), F: f}}
-				net.Step()
 			}
 			if _, bf := opt.Solver.Best(); math.IsNaN(bf) || math.IsInf(bf, 0) {
 				t.Fatalf("solver best %v after planted points", bf)
@@ -349,7 +334,7 @@ func TestOptNodeRefusesNonFiniteFitness(t *testing.T) {
 			}
 
 			// A finite better point still gets through.
-			pl.data = &BestPoint{X: make([]float64, dim), F: -1}
+			hostile.SetLocal(BestPoint{X: make([]float64, dim), F: -1})
 			net.Step()
 			if _, bf := opt.Solver.Best(); bf != -1 || opt.Adoptions != 1 || opt.Rejected != 4 {
 				t.Fatalf("finite request: best %v, Adoptions %d, Rejected %d", bf, opt.Adoptions, opt.Rejected)

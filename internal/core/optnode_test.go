@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+	"unsafe"
 
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/sim"
@@ -76,5 +77,33 @@ func TestOptNodeTrajectoryPinned(t *testing.T) {
 				t.Errorf("size %d: no node joined", eng.Size())
 			}
 		})
+	}
+}
+
+// TestOptNodeSteadyStateAllocs holds a warm cycle of the paper's stack
+// (Newscast c = 20, PSO k = 16, Griewank) at n = 1 000 with r = 2 to the
+// engine's own one allocation. Both legs of the best-point exchange are
+// pooled and keep their position buffer across Recycle, so Load refills
+// it in place; a leg that lost its buffer would cost one allocation per
+// exchange, about 750 a cycle here.
+func TestOptNodeSteadyStateAllocs(t *testing.T) {
+	const n, r = 1000, 2
+	net := NewNetwork(Config{Nodes: n, Particles: 16, GossipEvery: r, Seed: 1, Function: funcs.Griewank})
+	defer net.Engine().Close()
+	for range r {
+		net.Step() // one period: every node has gossiped once
+	}
+	if avg := testing.AllocsPerRun(20, net.Step); avg > 1 {
+		t.Fatalf("a steady-state cycle at n = %d, r = %d allocates %.1f times, budget 1", n, r, avg)
+	}
+}
+
+// TestOptNodeSize pins OptNode in the 80-B size class: one node's stack
+// is a few hundred bytes on churn-lossy's tiny swarms, so the next class
+// (96 B) would cost that workload most of its 2% heap_bytes_per_node
+// bound.
+func TestOptNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(OptNode{}); got > 80 {
+		t.Fatalf("OptNode is %d B, budget 80 B", got)
 	}
 }

@@ -4,6 +4,8 @@
 // gossip-based averaging aggregation (Jelasity et al.). All protocols run on
 // the cycle-driven simulator and obtain partners from a PeerSampler
 // (Newscast or a static topology) in a configurable protocol slot.
+// Exchange is the one anti-entropy implementation: AntiEntropy runs it on
+// a value held in a field, core.OptNode on its solver's best point.
 //
 // Every protocol in this package speaks the engine's two-phase exchange
 // contract (sim.Proposer/Receiver/Undeliverable): partners are sampled
@@ -45,108 +47,168 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// AntiEntropy diffuses the "best" value of type T through periodic pairwise
-// exchanges. Better defines a strict partial order; both parties converge to
-// the better of their two values, so the global best is monotone and
-// eventually reaches every live node.
-//
-// This is the paper's coordination service in its general form: with T
-// bound to a (position, fitness) pair and Better comparing fitness it is
-// exactly the global-optimum diffusion algorithm of Section 3.3.3.
-//
-// AntiEntropy speaks the two-phase exchange contract and is node-local in
-// both phases: the initiating message carries a propose-time snapshot of
-// the initiator's value (push/push-pull), and the contacted peer answers
-// through a reply message carrying its own. Snapshots may be a cycle
-// stale when several exchanges touch one node in the same cycle, but
-// Offer adopts only strictly-better values, so a stale offer is rejected
-// rather than clobbering fresher state — monotone convergence is
-// unaffected, diffusion is at worst one round slower.
-type AntiEntropy[T any] struct {
+// Exchange runs one anti-entropy diffusion of T values after Demers et
+// al., and is its network-wide setting: every node's Holder points at the
+// same Exchange, written once before the first cycle and only read by
+// handlers. It alone knows the exchange rule. An initiator samples one
+// partner and mails it its value (push, push-pull) or an empty ask (pull,
+// or nothing held). The partner adopts a strictly better pushed value;
+// when the initiator wants the pull half, it mails back its own value if
+// that is strictly better or the request carried none, and the initiator
+// offers itself the reply. Both sides end with the better value. A leg
+// carries a snapshot, which may be stale when several exchanges touch one
+// node in a cycle; holders adopt only strictly better values, so a stale
+// offer is refused and diffusion is at worst one round slower.
+type Exchange[T any] struct {
 	// Slot is the protocol slot holding the node's PeerSampler.
 	Slot int
-	// SelfSlot is the protocol slot where AntiEntropy instances live.
+	// SelfSlot is the protocol slot holding the exchange's holders.
 	SelfSlot int
 	// Mode selects push, pull or push-pull (the paper uses push-pull).
 	Mode Mode
-	// Better reports whether a is strictly better than b.
-	Better func(a, b T) bool
 	// DropProb, when positive, loses each initiated exchange with this
 	// probability, modelling message loss (paper §3.3.4: lost messages
 	// only slow diffusion down).
 	DropProb float64
+}
+
+// Holder is one node's side of an Exchange, called node-locally.
+type Holder[T any] interface {
+	// Load overwrites *dst in full with the held value, reusing dst's
+	// buffers, and reports whether a value is held.
+	Load(dst *T) bool
+	// Offer hands the holder a peer's value and reports whether it was
+	// adopted.
+	Offer(v T) bool
+	// Compare ranks the held value against a peer's v: positive when the
+	// held value is strictly better, negative when v is strictly better
+	// or nothing is held, zero otherwise.
+	Compare(v T) int
+}
+
+// Counters is an Exchange's accounting for one holder: initiations,
+// counted once a partner is sampled; initiations lost to the drop draw or
+// an undeliverable request (a lost reply loses only the pull half and is
+// not counted); and remote values adopted on either leg.
+type Counters struct{ Exchanges, LostExchanges, Adoptions int64 }
+
+// legPools maps each instantiated leg type to its process-wide free list:
+// a generic payload has no package-level pool per instantiation.
+var legPools sync.Map
+
+// legPool returns the free list of leg type L, creating it on first use.
+func legPool[L any]() *sim.FreeList[L] {
+	key := reflect.TypeOf((*L)(nil))
+	if v, ok := legPools.Load(key); ok {
+		return v.(*sim.FreeList[L])
+	}
+	v, _ := legPools.LoadOrStore(key, new(sim.FreeList[L]))
+	return v.(*sim.FreeList[L])
+}
+
+// aeReq is the initiating leg, aeVal the reply leg. Recycle keeps V, which
+// the sender's Load overwrites in full, so its buffers stay warm; the pool
+// is looked up, not carried, so a leg is as small as its value.
+type aeReq[T any] struct{ V T }
+
+// aeVal is the reply leg (see aeReq).
+type aeVal[T any] struct{ V T }
+
+// aeAsk is the initiating leg of a node that pushes nothing.
+type aeAsk struct{}
+
+// Recycle implements sim.Recyclable.
+func (r *aeReq[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, r) }
+
+// Recycle implements sim.Recyclable.
+func (v *aeVal[T]) Recycle(c *sim.PayloadCache) { legPool[aeVal[T]]().Put(c, v) }
+
+// Propose initiates one exchange for h, drawing from n.RNG only to sample
+// the partner and, when DropProb > 0, to lose the exchange.
+func (x *Exchange[T]) Propose(h Holder[T], c *Counters, n *sim.Node, px *sim.Proposals) {
+	sampler, ok := n.Protocol(x.Slot).(overlay.PeerSampler)
+	if !ok {
+		return
+	}
+	peerID, ok := sampler.SamplePeer(n.RNG)
+	if !ok {
+		return
+	}
+	c.Exchanges++
+	if x.DropProb > 0 && n.RNG.Bool(x.DropProb) {
+		c.LostExchanges++
+		return
+	}
+	var leg any = aeAsk{}
+	if x.Mode != Pull {
+		req := legPool[aeReq[T]]().Get(px.Payloads())
+		if h.Load(&req.V) {
+			leg = req
+		} else {
+			req.Recycle(px.Payloads())
+		}
+	}
+	px.Send(peerID, x.SelfSlot, leg)
+}
+
+// Receive settles a leg addressed to h.
+func (x *Exchange[T]) Receive(h Holder[T], c *Counters, ax *sim.ApplyContext, msg sim.Message) {
+	switch m := msg.Data.(type) {
+	case *aeReq[T]:
+		switch r := h.Compare(m.V); {
+		case r < 0 && h.Offer(m.V):
+			c.Adoptions++
+		case r > 0:
+			x.reply(h, ax, msg.From)
+		}
+	case aeAsk:
+		x.reply(h, ax, msg.From)
+	case *aeVal[T]:
+		if h.Offer(m.V) {
+			c.Adoptions++
+		}
+	}
+}
+
+// reply mails h's value back to the initiator, if the initiator wants the
+// pull half and h holds a value.
+func (x *Exchange[T]) reply(h Holder[T], ax *sim.ApplyContext, to sim.NodeID) {
+	if x.Mode == Push {
+		return
+	}
+	rep := legPool[aeVal[T]]().Get(ax.Payloads())
+	if !h.Load(&rep.V) {
+		rep.Recycle(ax.Payloads())
+		return
+	}
+	ax.Send(to, x.SelfSlot, rep)
+}
+
+// Undelivered counts an initiating leg the engine could not deliver (dead
+// or unreachable partner) as a lost exchange.
+func (x *Exchange[T]) Undelivered(c *Counters, msg sim.Message) {
+	switch msg.Data.(type) {
+	case *aeReq[T], aeAsk:
+		c.LostExchanges++
+	}
+}
+
+// AntiEntropy is the field-backed Holder: it keeps the node's value in a
+// field and ranks values by Better. With T a (position, fitness) pair and
+// Better comparing fitness it is the paper's §3.3.3 diffusion, which
+// core.OptNode runs with its solver as the holder. T travels by
+// assignment, so Load and Offer share what a T references with the legs
+// carrying it: T should be a value type.
+type AntiEntropy[T any] struct {
+	// Exchange is the network-wide exchange, shared by every node.
+	Exchange *Exchange[T]
+	// Better reports whether a is strictly better than b.
+	Better func(a, b T) bool
 
 	local T
 	has   bool
 
-	// Sent counts attempted initiations — incremented as soon as a partner
-	// is sampled, before drop or liveness checks, so the counter is
-	// comparable across protocols. Lost counts initiations that died in
-	// transit (DropProb, dead peer, or network partition). Updated counts
-	// adoptions of a remote value (on either side).
-	Sent, Lost, Updated int64
-
-	// pools caches the shared free lists for this T instantiation, fetched
-	// lazily from the process-global registry on first use (node-local
-	// state: only the node's own worker touches it).
-	pools *aePools[T]
-}
-
-// aePools bundles the payload free lists of one instantiation of the
-// generic exchange payloads. A generic payload cannot draw from a plain
-// package-level pool (there is no package variable per T), so every
-// AntiEntropy[T] of the same T shares one aePools[T] through a
-// process-global registry keyed by the instantiated type.
-type aePools[T any] struct {
-	req sim.FreeList[aeReq[T]]
-	val sim.FreeList[aeVal[T]]
-}
-
-// aePoolRegistry maps each instantiated *aePools[T] type to its shared
-// singleton.
-var aePoolRegistry sync.Map
-
-// aePoolsFor returns the shared pools for T, creating them on first use.
-func aePoolsFor[T any]() *aePools[T] {
-	key := reflect.TypeOf((*aePools[T])(nil))
-	if v, ok := aePoolRegistry.Load(key); ok {
-		return v.(*aePools[T])
-	}
-	v, _ := aePoolRegistry.LoadOrStore(key, &aePools[T]{})
-	return v.(*aePools[T])
-}
-
-// aeReq is the exchange proposal: the initiator's mode plus — for push and
-// push-pull — a snapshot of its value at propose time. home points back to
-// the free list the payload was drawn from; Recycle keeps it across the
-// reset (the documented back-pointer exemption to the reset-everything
-// rule) so the payload returns to the right instantiation's pool.
-type aeReq[T any] struct {
-	Mode Mode
-	V    T
-	Has  bool
-	home *sim.FreeList[aeReq[T]]
-}
-
-// Recycle implements sim.Recyclable.
-func (r *aeReq[T]) Recycle(c *sim.PayloadCache) {
-	home := r.home
-	*r = aeReq[T]{home: home}
-	home.Put(c, r)
-}
-
-// aeVal is the reply leg: the contacted peer's value, offered back to the
-// initiator (the pull half of pull and push-pull). Pooled like aeReq.
-type aeVal[T any] struct {
-	V    T
-	home *sim.FreeList[aeVal[T]]
-}
-
-// Recycle implements sim.Recyclable.
-func (v *aeVal[T]) Recycle(c *sim.PayloadCache) {
-	home := v.home
-	*v = aeVal[T]{home: home}
-	home.Put(c, v)
+	Counters
 }
 
 var (
@@ -164,83 +226,46 @@ func (a *AntiEntropy[T]) SetLocal(v T) {
 	a.has = true
 }
 
-// Offer merges a candidate value: it is adopted only if the node has none
-// or the candidate is strictly better. It reports whether adoption
-// happened.
+// Load implements Holder.
+func (a *AntiEntropy[T]) Load(dst *T) bool {
+	*dst = a.local
+	return a.has
+}
+
+// Offer implements Holder: a candidate value is adopted only if the node
+// has none or the candidate is strictly better. It reports whether
+// adoption happened.
 func (a *AntiEntropy[T]) Offer(v T) bool {
 	if !a.has || a.Better(v, a.local) {
 		a.local = v
 		a.has = true
-		a.Updated++
 		return true
 	}
 	return false
 }
 
-// Propose implements sim.Proposer: sample a partner from the node's own
-// view and propose one anti-entropy exchange.
+// Compare implements Holder.
+func (a *AntiEntropy[T]) Compare(v T) int {
+	switch {
+	case a.has && a.Better(a.local, v):
+		return 1
+	case !a.has || a.Better(v, a.local):
+		return -1
+	}
+	return 0
+}
+
+// Propose implements sim.Proposer: one exchange per cycle.
 func (a *AntiEntropy[T]) Propose(n *sim.Node, px *sim.Proposals) {
-	sampler, ok := n.Protocol(a.Slot).(overlay.PeerSampler)
-	if !ok {
-		return
-	}
-	peerID, ok := sampler.SamplePeer(n.RNG)
-	if !ok {
-		return
-	}
-	a.Sent++
-	if a.DropProb > 0 && n.RNG.Bool(a.DropProb) {
-		a.Lost++
-		return // lost in transit; diffusion merely slows down
-	}
-	if a.pools == nil {
-		a.pools = aePoolsFor[T]()
-	}
-	req := a.pools.req.Get(px.Payloads())
-	req.Mode, req.home = a.Mode, &a.pools.req
-	if a.Mode != Pull && a.has {
-		req.V, req.Has = a.local, true
-	}
-	px.Send(peerID, a.SelfSlot, req)
+	a.Exchange.Propose(a, &a.Counters, n, px)
 }
 
-// Receive implements sim.Receiver, node-locally. On the initiating leg the
-// contacted peer q adopts the pushed value if it is better (push,
-// push-pull) and, when the initiator wants the pull half and q holds
-// something the push did not already cover, replies with its own value; on
-// the reply leg the initiator offers the replied value to itself. Both
-// sides end with the better value, exactly as in an inline exchange.
+// Receive implements sim.Receiver.
 func (a *AntiEntropy[T]) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	switch req := msg.Data.(type) {
-	case *aeReq[T]:
-		if req.Has {
-			a.Offer(req.V)
-		}
-		if req.Mode == Push {
-			return
-		}
-		// Pull / push-pull: reply only when the initiator can learn
-		// something — q holds a value and the push leg did not already
-		// carry one at least as good.
-		if a.has && (!req.Has || a.Better(a.local, req.V)) {
-			if a.pools == nil {
-				a.pools = aePoolsFor[T]()
-			}
-			rep := a.pools.val.Get(ax.Payloads())
-			rep.V, rep.home = a.local, &a.pools.val
-			ax.Send(msg.From, a.SelfSlot, rep)
-		}
-	case *aeVal[T]:
-		a.Offer(req.V)
-	}
+	a.Exchange.Receive(a, &a.Counters, ax, msg)
 }
 
-// Undelivered implements sim.Undeliverable: the sampled partner was dead
-// or unreachable (partition), so the exchange is lost. A dead reply leg
-// (one-way partition) loses only the pull half and is not a lost
-// initiation, so it does not count.
+// Undelivered implements sim.Undeliverable.
 func (a *AntiEntropy[T]) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	if _, initiated := msg.Data.(*aeReq[T]); initiated {
-		a.Lost++
-	}
+	a.Exchange.Undelivered(&a.Counters, msg)
 }

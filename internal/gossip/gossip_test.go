@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"gossipopt/internal/overlay"
 	"gossipopt/internal/sim"
@@ -23,8 +24,14 @@ func buildNet(seed uint64, n int, mk func(id sim.NodeID) sim.Protocol) *sim.Engi
 
 func intBetter(a, b int) bool { return a > b }
 
-func newAE(mode Mode) *AntiEntropy[int] {
-	return &AntiEntropy[int]{Slot: 0, SelfSlot: 1, Mode: mode, Better: intBetter}
+// aeExchange is the network-wide anti-entropy setting of buildNet's
+// layout: the sampler in slot 0, the holders in slot 1.
+func aeExchange(mode Mode, dropProb float64) *Exchange[int] {
+	return &Exchange[int]{Slot: 0, SelfSlot: 1, Mode: mode, DropProb: dropProb}
+}
+
+func newAE(x *Exchange[int]) *AntiEntropy[int] {
+	return &AntiEntropy[int]{Exchange: x, Better: intBetter}
 }
 
 func aeAt(e *sim.Engine, id sim.NodeID) *AntiEntropy[int] {
@@ -32,8 +39,9 @@ func aeAt(e *sim.Engine, id sim.NodeID) *AntiEntropy[int] {
 }
 
 func TestAntiEntropyConvergesPushPull(t *testing.T) {
+	x := aeExchange(PushPull, 0)
 	e := buildNet(1, 100, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
+		ae := newAE(x)
 		ae.SetLocal(int(id)) // node 99 holds the best value
 		return ae
 	})
@@ -47,8 +55,9 @@ func TestAntiEntropyConvergesPushPull(t *testing.T) {
 
 func TestAntiEntropyPushSlowerThanPushPull(t *testing.T) {
 	countConverged := func(mode Mode, cycles int64) int {
+		x := aeExchange(mode, 0)
 		e := buildNet(2, 200, func(id sim.NodeID) sim.Protocol {
-			ae := newAE(mode)
+			ae := newAE(x)
 			ae.SetLocal(int(id))
 			return ae
 		})
@@ -70,8 +79,9 @@ func TestAntiEntropyPushSlowerThanPushPull(t *testing.T) {
 
 // Property: a node's local value is monotone non-decreasing under Better.
 func TestAntiEntropyMonotone(t *testing.T) {
+	x := aeExchange(PushPull, 0)
 	e := buildNet(3, 60, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
+		ae := newAE(x)
 		ae.SetLocal(int(id))
 		return ae
 	})
@@ -93,9 +103,9 @@ func TestAntiEntropyMonotone(t *testing.T) {
 }
 
 func TestAntiEntropySurvivesDrops(t *testing.T) {
+	x := aeExchange(PushPull, 0.5)
 	e := buildNet(4, 100, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
-		ae.DropProb = 0.5
+		ae := newAE(x)
 		ae.SetLocal(int(id))
 		return ae
 	})
@@ -108,8 +118,9 @@ func TestAntiEntropySurvivesDrops(t *testing.T) {
 }
 
 func TestAntiEntropySurvivesChurn(t *testing.T) {
+	x := aeExchange(PushPull, 0)
 	e := buildNet(5, 150, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
+		ae := newAE(x)
 		ae.SetLocal(int(id))
 		return ae
 	})
@@ -132,7 +143,7 @@ func TestAntiEntropySurvivesChurn(t *testing.T) {
 }
 
 func TestOfferSemantics(t *testing.T) {
-	ae := newAE(PushPull)
+	ae := newAE(aeExchange(PushPull, 0))
 	if _, has := ae.Local(); has {
 		t.Fatal("fresh AE claims a value")
 	}
@@ -232,10 +243,11 @@ func TestRumorPartitionIsolation(t *testing.T) {
 
 // TestAntiEntropyPartitionIsolation: under a parity partition no value may
 // cross the cut — every even node's value stays even, every odd node's
-// stays odd — and the filtered exchanges land in Lost.
+// stays odd — and the filtered exchanges land in LostExchanges.
 func TestAntiEntropyPartitionIsolation(t *testing.T) {
+	x := aeExchange(PushPull, 0)
 	e := buildNet(22, 100, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
+		ae := newAE(x)
 		ae.SetLocal(int(id))
 		return ae
 	})
@@ -248,7 +260,7 @@ func TestAntiEntropyPartitionIsolation(t *testing.T) {
 		if sim.NodeID(v)%2 != n.ID%2 {
 			t.Fatalf("value %d leaked across the partition to node %d", v, n.ID)
 		}
-		lost += ae.Lost
+		lost += ae.LostExchanges
 	})
 	if e.Dropped() == 0 || lost == 0 {
 		t.Fatalf("cross-partition exchanges not accounted: dropped=%d lost=%d", e.Dropped(), lost)
@@ -284,12 +296,12 @@ func TestRumorSentCountsAttempts(t *testing.T) {
 	}
 }
 
-// TestAntiEntropySentLostAccounting: Sent counts initiations before the
-// drop draw; DropProb=1 loses every one of them into Lost.
+// TestAntiEntropySentLostAccounting: Exchanges counts initiations before
+// the drop draw; DropProb=1 loses every one of them into LostExchanges.
 func TestAntiEntropySentLostAccounting(t *testing.T) {
+	x := aeExchange(PushPull, 1)
 	e := buildNet(24, 30, func(id sim.NodeID) sim.Protocol {
-		ae := newAE(PushPull)
-		ae.DropProb = 1
+		ae := newAE(x)
 		ae.SetLocal(int(id))
 		return ae
 	})
@@ -297,9 +309,9 @@ func TestAntiEntropySentLostAccounting(t *testing.T) {
 	var sent, lost, updated int64
 	e.ForEachLive(func(n *sim.Node) {
 		ae := aeAt(e, n.ID)
-		sent += ae.Sent
-		lost += ae.Lost
-		updated += ae.Updated
+		sent += ae.Exchanges
+		lost += ae.LostExchanges
+		updated += ae.Adoptions
 	})
 	if sent == 0 || lost != sent {
 		t.Fatalf("total loss not accounted: sent=%d lost=%d", sent, lost)
@@ -350,9 +362,9 @@ func TestAntiEntropyWorkerInvariant(t *testing.T) {
 		e.SetApplyWorkers(applyWorkers)
 		nodes := e.AddNodes(80)
 		overlay.InitNewscast(e, 0, 20)
+		x := aeExchange(PushPull, 0.2)
 		for _, nd := range nodes {
-			ae := newAE(PushPull)
-			ae.DropProb = 0.2
+			ae := newAE(x)
 			ae.SetLocal(int(nd.ID))
 			nd.Protocols = append(nd.Protocols, ae)
 		}
@@ -565,5 +577,31 @@ func TestEstimateSize(t *testing.T) {
 	fresh := &Average{}
 	if EstimateSize(fresh) != 0 {
 		t.Fatal("estimate from zero value should be 0")
+	}
+}
+
+// TestExchangeSizes pins the bytes an exchange costs. The legs stay in
+// flight across a cycle end under delaying net models and the free lists
+// keep them, so on churn-lossy each 16 B of a best-point leg costs about
+// 10-20 B per node against a 2% heap_bytes_per_node bound: both legs of a
+// core.BestPoint-shaped value stay at the value's own 32 B (the pools are
+// looked up, not carried). AntiEntropy[float64], the scenario layer's
+// node, must not grow past the 88 B it had when it carried its own
+// settings.
+func TestExchangeSizes(t *testing.T) {
+	type point struct {
+		X []float64
+		F float64
+	}
+	for name, got := range map[string]uintptr{
+		"aeReq[point]": unsafe.Sizeof(aeReq[point]{}),
+		"aeVal[point]": unsafe.Sizeof(aeVal[point]{}),
+	} {
+		if got != 32 {
+			t.Errorf("%s is %d B, want 32 B", name, got)
+		}
+	}
+	if got := unsafe.Sizeof(AntiEntropy[float64]{}); got > 88 {
+		t.Errorf("AntiEntropy[float64] is %d B, budget 88 B", got)
 	}
 }

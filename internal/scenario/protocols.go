@@ -171,14 +171,11 @@ func buildRumorNet(s Spec, seed uint64, opts Options) cycleNet {
 }
 
 func buildAntiEntropyNet(s Spec, seed uint64, opts Options) cycleNet {
+	x := &gossip.Exchange[float64]{
+		Slot: core.SlotTopology, SelfSlot: protoSlot, Mode: gossip.PushPull, DropProb: s.Stack.DropProb,
+	}
 	eng := newSubstrate(s, seed, opts, func(n *sim.Node) sim.Protocol {
-		return &gossip.AntiEntropy[float64]{
-			Slot:     core.SlotTopology,
-			SelfSlot: protoSlot,
-			Mode:     gossip.PushPull,
-			Better:   func(a, b float64) bool { return a > b },
-			DropProb: s.Stack.DropProb,
-		}
+		return &gossip.AntiEntropy[float64]{Exchange: x, Better: func(a, b float64) bool { return a > b }}
 	})
 	// Every initial node starts with a distinct value (its ID); the
 	// epidemic diffuses the maximum. Joiners start empty and adopt on
@@ -215,9 +212,9 @@ func buildAntiEntropyNet(s Spec, seed uint64, opts Options) cycleNet {
 		counters: func(e *sim.Engine) (ex, lost, adopt int64) {
 			e.ForEachLive(func(n *sim.Node) {
 				if ae, ok := n.Protocol(protoSlot).(*gossip.AntiEntropy[float64]); ok {
-					ex += ae.Sent
-					lost += ae.Lost
-					adopt += ae.Updated
+					ex += ae.Exchanges
+					lost += ae.LostExchanges
+					adopt += ae.Adoptions
 				}
 			})
 			return ex, lost, adopt

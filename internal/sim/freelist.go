@@ -59,9 +59,13 @@ import (
 //     process — so whoever fills it checks the capacity it needs.
 //   - Recycle must reset slice fields to length zero (keeping capacity —
 //     that reuse is the whole point) and nil out aliases it does not own.
-//     A payload carrying a home-pool back-pointer (generic payloads whose
-//     free list cannot be a package variable) keeps that one field across
-//     the reset; the ownership analyzer knows the exemption.
+//     Two kinds of field may survive the reset: a home-pool back-pointer
+//     (generic payloads whose free list cannot be a package variable),
+//     and a type-parameter-typed value that the sender overwrites in full
+//     before every send — gossip.Exchange's legs, whose holder's Load
+//     refills the value, buffers included, in place. A wholesale
+//     `*r = T{...}` resets only what its literal does not carry back from
+//     r. The ownership analyzer knows both exemptions.
 //
 // Depot and magazines hold strong references, NOT a sync.Pool: pool
 // contents are released at every GC, and a million-node cycle that still
