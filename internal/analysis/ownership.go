@@ -32,17 +32,25 @@ import (
 // be assigned somewhere in the method body (nil, or s[:0] to keep warm
 // capacity), or the whole receiver to be reset with *r = T{...}; and it
 // requires the body to call Put on a sim.FreeList with the cache parameter
-// and the receiver, without which the payload never returns to its list.
+// and the receiver (or the receiver converted to a type of its shape),
+// without which the payload never returns to its list.
 //
-// The retention rule looks at functions with a sim.Message parameter. A
-// variable bound by asserting the type of that message's Data is a received
-// payload; assigning it, or a pointer, slice or map reached through it, to
-// anything reached through the function's receiver or parameters, or to a
-// package variable, is flagged. Stores into local variables are not, and
-// neither is the buffer swap Newscast does:
-// a payload drawn from a free list and not yet sent belongs to the
-// handler, so its slices may move into the node's state as the node's move
-// into it.
+// The retention rule knows two kinds of received payload: a variable bound
+// by asserting the type of a sim.Message parameter's Data, and a parameter
+// whose type is a pointer to a payload type (one with a Recycle method), as
+// in a request-leg helper like Newscast.exchange. Assigning a received
+// payload, or a pointer, slice or map reached through it, to anything
+// reached through the function's receiver or other parameters, or to a
+// package variable, is flagged as retained. Storing it into a field or
+// element of a local, or into a composite literal, is flagged as forwarded
+// — the local is a payload on its way out, and a net model may delay it
+// past the cycle end that recycles the one received — unless it is a move:
+// the received field is set to nil later in the same function, so the
+// received payload no longer references the memory. Plain local variables
+// are not followed. What a store takes is looked for through reslices,
+// append's first argument, and the first argument of a function of the
+// same package whose result has its first parameter's slice type (sized,
+// mergeRuns), which may return it; the elements append copies are not.
 //
 // A wholesale reset `*r = T{...}` does not reset a field its literal
 // carries back from the receiver, directly (`T{Peer: r.Peer}`) or through
@@ -262,7 +270,7 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 			// <free list>.Put(<the cache parameter>, <the receiver>)
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" && len(call.Args) == 2 {
 				if tv, ok := pass.Info.Types[sel.X]; ok && namedTypeIn(tv.Type, simPackageName, "FreeList") {
-					put = put || isObj(call.Args[0], cacheObj) && isObj(call.Args[1], recvObj)
+					put = put || isObj(call.Args[0], cacheObj) && isObj(unconvert(pass, call.Args[1]), recvObj)
 				}
 			}
 			return true
@@ -318,6 +326,16 @@ func checkRecycle(pass *Pass, fd *ast.FuncDecl) {
 	}
 }
 
+// unconvert returns the operand of a conversion, (*U)(r), and any other
+// expression as it is: a header may return to the list of another type of
+// its shape.
+func unconvert(pass *Pass, e ast.Expr) ast.Expr {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(call.Args) == 1 && pass.Info.Types[call.Fun].IsType() {
+		return call.Args[0]
+	}
+	return e
+}
+
 // readsFrom reports whether e is rooted at an object in from, unless it
 // is a [:0] reslice, which keeps only capacity.
 func readsFrom(pass *Pass, e ast.Expr, from map[types.Object]bool) bool {
@@ -342,12 +360,15 @@ func referenceType(t types.Type) bool {
 }
 
 // checkRetained flags a handler that stores a received payload, or
-// reference-typed data reached through it, where it outlives the call.
+// reference-typed data reached through it, where it outlives the call, or
+// forwards it into another payload without moving it out.
 func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 	// Objects that outlive the call when stored through: the receiver and
-	// the parameters. Message parameters are where payloads arrive.
+	// the parameters. Message parameters are where payloads arrive, and
+	// payload parameters are received payloads themselves.
 	outer := map[types.Object]bool{}
 	msgs := map[types.Object]bool{}
+	received := map[types.Object]bool{}
 	for _, list := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
 		if list == nil {
 			continue
@@ -362,11 +383,11 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 				if namedTypeIn(obj.Type(), simPackageName, "Message") {
 					msgs[obj] = true
 				}
+				if list == fd.Type.Params && recyclable(obj.Type()) {
+					received[obj] = true
+				}
 			}
 		}
-	}
-	if len(msgs) == 0 {
-		return
 	}
 	// isData matches <message parameter>.Data.(...).
 	isData := func(e ast.Expr) bool {
@@ -381,7 +402,6 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 		id, ok := ast.Unparen(sel.X).(*ast.Ident)
 		return ok && msgs[pass.Info.Uses[id]]
 	}
-	received := map[types.Object]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.TypeSwitchStmt:
@@ -408,22 +428,61 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 	if len(received) == 0 {
 		return
 	}
+	// src returns what of a received payload a stored value may share
+	// memory with, and that payload's identifier; nils when nothing.
+	src := func(e ast.Expr) (ast.Expr, *ast.Ident) {
+		e = aliasSource(pass, e)
+		id := rootIdent(e)
+		if id == nil || !received[pass.Info.Uses[id]] || !referenceType(pass.Info.TypeOf(e)) {
+			return nil, nil
+		}
+		return e, id
+	}
+	// moved reports whether e, a field reached through a received payload,
+	// is set to nil after pos.
+	moved := func(e ast.Expr, pos token.Pos) bool {
+		if _, field := e.(*ast.SelectorExpr); !field {
+			return false
+		}
+		found := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && as.Pos() > pos && len(as.Lhs) == len(as.Rhs) {
+				for i, lhs := range as.Lhs {
+					found = found || pass.Info.Types[as.Rhs[i]].IsNil() &&
+						types.ExprString(lhs) == types.ExprString(e) &&
+						pass.Info.Uses[rootIdent(lhs)] == pass.Info.Uses[rootIdent(e)]
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	// forwarded reports a store at pos, in a statement ending at end, of
+	// e, reached through the received payload id, unless it is a move.
+	forwarded := func(pos, end token.Pos, e ast.Expr, id *ast.Ident) {
+		if !moved(e, end) {
+			pass.Reportf(pos, "handler forwards received payload %s into another payload: a net model may delay that one past the cycle end that recycles %s (copy, or move the field out and set it to nil)", id.Name, id.Name)
+		}
+	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if cl, ok := n.(*ast.CompositeLit); ok {
+			for _, elt := range cl.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				if e, id := src(elt); e != nil {
+					forwarded(elt.Pos(), elt.End(), e, id)
+				}
+			}
+			return true
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			rhs = ast.Unparen(rhs)
-			for {
-				sl, ok := rhs.(*ast.SliceExpr) // p.Buf[:k] aliases p.Buf
-				if !ok {
-					break
-				}
-				rhs = ast.Unparen(sl.X)
-			}
-			src := rootIdent(rhs)
-			if src == nil || !received[pass.Info.Uses[src]] || !referenceType(pass.Info.TypeOf(rhs)) {
+			e, id := src(rhs)
+			if e == nil {
 				continue
 			}
 			lhs := ast.Unparen(as.Lhs[i])
@@ -433,10 +492,73 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 			}
 			dObj := pass.Info.ObjectOf(dst)
 			_, plain := lhs.(*ast.Ident)
-			if isPackageLevel(dObj, pass.Pkg) || outer[dObj] && !plain {
-				pass.Reportf(as.Lhs[i].Pos(), "handler retains received payload %s beyond the call: the engine recycles it at cycle end (copy what must stay, or swap with a payload drawn from a free list and not yet sent)", src.Name)
+			switch {
+			case received[dObj]:
+				// Back into a received payload: recycled with it.
+			case isPackageLevel(dObj, pass.Pkg) || outer[dObj] && !plain:
+				pass.Reportf(as.Lhs[i].Pos(), "handler retains received payload %s beyond the call: the engine recycles it at cycle end (copy what must stay)", id.Name)
+			case !plain:
+				forwarded(as.Lhs[i].Pos(), as.End(), e, id)
 			}
 		}
 		return true
 	})
+}
+
+// aliasSource strips from e what hands back its operand's memory —
+// parens, reslices, and calls that may return their first argument (see
+// passesFirst) — and returns the expression whose memory e may share.
+func aliasSource(pass *Pass, e ast.Expr) ast.Expr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.CallExpr:
+			if !passesFirst(pass, x) {
+				return x
+			}
+			e = x.Args[0]
+		default:
+			return x
+		}
+	}
+}
+
+// passesFirst reports whether call may return its first argument, or a
+// reslice of it: append does, and so may a function of the package under
+// analysis whose one result has its first parameter's slice type (sized,
+// mergeRuns). Functions of other packages are taken to copy (slices.Clone).
+func passesFirst(pass *Pass, call *ast.CallExpr) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	if calleeBuiltin(pass.Info, call) == "append" {
+		return true
+	}
+	fn := calleeFunc(pass.Info, call)
+	if fn == nil || fn.Pkg() != pass.Pkg {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Params().Len() == 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	first := sig.Params().At(0).Type()
+	_, slice := first.Underlying().(*types.Slice)
+	return slice && types.Identical(first, sig.Results().At(0).Type())
+}
+
+// recyclable reports whether t is a pointer to a payload type: one whose
+// method set has Recycle(*sim.PayloadCache).
+func recyclable(t types.Type) bool {
+	if _, ok := t.(*types.Pointer); !ok {
+		return false
+	}
+	m, _, _ := types.LookupFieldOrMethod(t, false, nil, "Recycle")
+	fn, ok := m.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 1 && namedTypeIn(sig.Params().At(0).Type(), simPackageName, "PayloadCache")
 }

@@ -2,7 +2,7 @@
 // direct, aliased and double-send forms, the renewal and scalar escapes,
 // Recycle methods leaky, clean and forgetful of Put, wholesale resets that
 // carry a field back and generic legs that keep their value, and handlers
-// that retain, forward or swap what they received.
+// and helpers that retain, forward, copy or move what they received.
 package ownfix
 
 import "internal/sim"
@@ -180,6 +180,16 @@ func (l *LeakyLeg[T]) Recycle(c *sim.PayloadCache) { // want "leaves reference f
 
 var pool sim.FreeList[Payload]
 
+// Twin has Payload's shape. Its Recycle files the header in Payload's
+// list, converted: still a Put of the receiver — clean.
+type Twin Payload
+
+// Recycle implements sim.Recyclable.
+func (t *Twin) Recycle(c *sim.PayloadCache) {
+	t.N, t.Buf, t.Next = 0, t.Buf[:0], nil
+	pool.Put(c, (*Payload)(t))
+}
+
 var lastSeen *Payload
 
 // Holder is a protocol whose state includes a buffer.
@@ -188,17 +198,15 @@ type Holder struct {
 	last *Payload
 }
 
-// Receive swaps buffers with a reply it drew from the free list and has
-// not sent yet: the reply's buffer takes the new state, the old state
-// leaves in the reply. Both slices have one owner throughout: clean. What
-// it received is only read.
+// Receive echoes what it received in a reply of its own, copied into the
+// reply's buffer the way Cyclon echoes a shuffle request: clean. Only the
+// appended elements come from the received payload.
 func (h *Holder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch p := msg.Data.(type) {
 	case *Payload:
 		rep := pool.Get(ax.Payloads())
-		out := rep.Buf[:0]
-		rep.Buf = h.buf
-		h.buf = append(out, p.Buf...)
+		rep.Buf = append(sized(rep.Buf, len(p.Buf)), p.Buf...)
+		h.buf = append(h.buf[:0], p.Buf...)
 		ax.Send(msg.From, 0, rep)
 	case *Leaky:
 		h.last = p.Peer // want "retains received payload p"
@@ -220,12 +228,59 @@ func (h *Holder) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message)
 	p.N = len(h.buf)
 }
 
-// forward moves the received slice into a different payload through a
-// local: not flagged, because the rule does not follow stores into locals
-// (sim's ownership contract still forbids it: a net model may delay rep).
-func forward(ax *sim.ApplyContext, msg sim.Message) {
+// sized returns buf emptied, or a new buffer when buf cannot hold n: it
+// may return its argument, so what it is given is what a store takes.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, 0, n)
+	}
+	return buf[:0]
+}
+
+// Forwarder answers with the received buffer itself and leaves it in the
+// request too: the request's Recycle returns the buffer to the free list
+// while a net model may still hold the reply.
+type Forwarder struct{ state []byte }
+
+// Receive forwards the received slice through a local payload, whatever
+// hands it on.
+func (f *Forwarder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	p := msg.Data.(*Payload)
-	rep := &Payload{}
-	rep.Buf = p.Buf
+	rep := pool.Get(ax.Payloads())
+	rep.Buf = p.Buf                            // want "forwards received payload p"
+	rep.Buf = sized(p.Buf, len(f.state))       // want "forwards received payload p"
+	rep.Buf = append(p.Buf[:0], f.state...)    // want "forwards received payload p"
+	ax.Send(msg.From, 0, &Payload{Next: p})    // want "forwards received payload p"
+	ax.Send(msg.From, 1, &Payload{Buf: p.Buf}) // want "forwards received payload p"
+	ax.Send(msg.From, 2, rep)
+}
+
+// Mover answers in the buffer the request brought and sets the request's
+// field to nil: a move, so the reply is the buffer's one owner — clean.
+type Mover struct{ state []byte }
+
+// Receive moves the received buffer into its reply.
+func (m *Mover) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	p, ok := msg.Data.(*Payload)
+	if !ok {
+		return
+	}
+	rep := pool.Get(ax.Payloads())
+	rep.Buf = append(sized(p.Buf, len(m.state)), m.state...)
+	p.Buf = nil
 	ax.Send(msg.From, 0, rep)
+}
+
+// answer is a request-leg helper that takes the received payload as a
+// parameter, as Newscast.exchange does: it keeps part of it as node state
+// and forwards the rest without setting the field to nil, and moving the
+// payload pointer itself out is never a move.
+func (m *Mover) answer(p *Payload, c *sim.PayloadCache) *Payload {
+	m.state = p.Buf[:1] // want "retains received payload p"
+	rep := pool.Get(c)
+	rep.Next = p.Next         // want "forwards received payload p"
+	rep.Buf = sized(p.Buf, 8) // want "forwards received payload p"
+	rep.Next = p              // want "forwards received payload p"
+	p.Buf = p.Buf[:0]
+	return rep
 }

@@ -70,14 +70,15 @@ func BenchmarkNewscastCycle(b *testing.B) {
 
 // TestNewscastBytesPerNode gates resident memory (ROADMAP item 1): the live
 // heap a warmed n=5000, c=20 Newscast network adds, engine included, stays
-// under 1150 B per node. What a node needs is three descriptor buffers of
-// exactly c — its view, and one pooled payload per leg of its exchange,
-// 3 x 160 B of 8-byte entries — plus its structs and its share of the
-// engine's arena and scratch. 16-byte descriptors measured 1536 B, and
-// buffers that append grew by doubling (items at capacity 32, payloads at
-// 40) 2350 B.
+// under 880 B per node. What a node needs is two descriptor buffers of
+// exactly c — its view, and the one pooled buffer its exchange's request
+// carries out and its reply carries home, 2 x 160 B of 8-byte entries —
+// plus its structs, its two payload headers and its share of the engine's
+// arena and scratch. A third buffer, one per leg, measured 929-978 B;
+// 16-byte descriptors 1536 B; and buffers that append grew by doubling
+// (items at capacity 32, payloads at 40) 2350 B.
 func TestNewscastBytesPerNode(t *testing.T) {
-	const n, c, budget = 5000, 20, 1150
+	const n, c, budget = 5000, 20, 880
 	if size := unsafe.Sizeof(entry{}); size != 8 {
 		t.Fatalf("a view entry is %d bytes, want 8", size)
 	}

@@ -91,7 +91,9 @@ func bootstrapView(v *View, self sim.NodeID, peers []sim.NodeID) {
 // view plus the logical time of the cycle, delivered to the chosen partner.
 // Payloads are pooled (sim.Recyclable): a cycle at large n creates one
 // snapshot per live node, so recycling the descriptor buffers removes the
-// dominant per-cycle allocation.
+// dominant per-cycle allocation. The snapshot's buffer also carries the
+// reply home (see Newscast.exchange): an exchange needs one buffer besides
+// the views.
 //
 // Descs is a view verbatim, so it is strictly sorted under the canonical
 // order and the receiver merges it without sorting. The two fresh
@@ -103,15 +105,17 @@ type viewSwap struct {
 }
 
 // viewSwapReply is the pull half of the exchange: the partner's pre-merge
-// view, mailed back to the initiator in the next apply round. Descs is
-// sorted like viewSwap's. Stamp repeats the request's, not the time the
-// reply was posted or arrives: a leg the network delays still announces
-// its sender as of the cycle the exchange began in.
-type viewSwapReply struct {
-	Descs []entry
-	Stamp int64
-}
+// view, mailed back to the initiator in the next apply round, in the buffer
+// its request brought (see Newscast.exchange). Descs is sorted like
+// viewSwap's. Stamp repeats the request's, not the time the reply was
+// posted or arrives: a leg the network delays still announces its sender as
+// of the cycle the exchange began in.
+type viewSwapReply viewSwap
 
+// One buffer serves both legs of an exchange, so the two pools hold the
+// same headers sorted by what they carry: viewSwapPool those with a
+// buffer, which requests draw, and viewSwapReplyPool bare ones, which
+// replies draw. Recycle files a header by its buffer, whatever its type.
 // The pools are process-global, so engines with different view sizes draw
 // each other's buffers; whoever fills one replaces it if it is too small
 // (sized).
@@ -120,21 +124,26 @@ var (
 	viewSwapReplyPool sim.FreeList[viewSwapReply]
 )
 
-// Recycle implements sim.Recyclable.
+// Recycle implements sim.Recyclable. A request its partner answered gave
+// its buffer to the reply and leaves bare; one that never arrived keeps it.
 func (s *viewSwap) Recycle(c *sim.PayloadCache) {
+	if s.Descs == nil {
+		viewSwapReplyPool.Put(c, (*viewSwapReply)(s))
+		return
+	}
 	s.Descs = s.Descs[:0]
 	viewSwapPool.Put(c, s)
 }
 
-// Recycle implements sim.Recyclable.
+// Recycle implements sim.Recyclable: a reply always carries a buffer.
 func (s *viewSwapReply) Recycle(c *sim.PayloadCache) {
 	s.Descs = s.Descs[:0]
-	viewSwapReplyPool.Put(c, s)
+	viewSwapPool.Put(c, (*viewSwap)(s))
 }
 
 // Propose implements sim.Proposer: pick a partner from the node's own view
 // and propose a symmetric view exchange. Only the node's own state is
-// touched — the swap itself happens in Receive during the apply phase.
+// touched — the exchange itself happens in Receive during the apply phase.
 func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 	peerID, ok := nc.SamplePeer(n.RNG)
 	if !ok {
@@ -163,16 +172,21 @@ func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 }
 
 // exchange is the request leg: it merges the initiator's snapshot into the
-// view and returns the reply, which carries the pre-merge view. Nothing is
-// copied. The merge writes into the buffer of the pooled reply, which
-// becomes the view's items; the old items buffer — exactly the pre-merge
-// view — leaves in the reply and returns to the pool at cycle end.
+// view in place and returns the reply, which carries the pre-merge view in
+// the request's buffer. As on the reply leg, the view moves to the stack
+// first, so its items buffer never changes. Once merged the snapshot is
+// dead, so its buffer is overwritten with the pre-merge view and moves into
+// a bare reply header; sw.Descs is set to nil, and the request returns to
+// its pool holding nothing a reply the network delays past cycle end
+// still reads.
 func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap, c *sim.PayloadCache) *viewSwapReply {
 	v := nc.view
+	var bufA [mergeStack]entry
+	a := append(bufA[:0], v.items...)
+	v.items = mergeRuns(sized(v.items, v.c), a, sw.Descs, entryOf(Descriptor{ID: from, Stamp: sw.Stamp}), nc.self, v.c)
 	rep := viewSwapReplyPool.Get(c)
-	out := sized(rep.Descs, v.c)
-	rep.Descs, rep.Stamp = v.items, sw.Stamp
-	v.items = mergeRuns(out, v.items, sw.Descs, entryOf(Descriptor{ID: from, Stamp: sw.Stamp}), nc.self, v.c)
+	rep.Descs, rep.Stamp = append(sized(sw.Descs, v.c), a...), sw.Stamp
+	sw.Descs = nil
 	return rep
 }
 

@@ -174,6 +174,14 @@ func TestNewscastUnderContinuousChurn(t *testing.T) {
 // larger than c give short, empty and full views, initiators the receiver
 // already knows, and self-addressed requests; replies are delivered late
 // (their stamp older than what the views hold by then) or never.
+//
+// Payloads cycle through a real sim.PayloadCache the way an engine cycles
+// them: every request is drawn from viewSwapPool and recycled as soon as
+// its reply is built, and every delivered reply is recycled. A late reply
+// thus arrives after its request went back to the pool and later requests
+// were drawn and filled — the last-in-first-out magazine hands the very
+// same header out next — and must still carry the pre-merge view: a reply
+// that aliased its request's buffer would read another view by then.
 func TestNewscastExchangeMatchesReference(t *testing.T) {
 	type peer struct {
 		node *sim.Node
@@ -183,8 +191,10 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 	type lateReply struct {
 		from, to int
 		rep      *viewSwapReply
+		pre      []Descriptor // the receiver's pre-merge view
 		want     []Descriptor // the batch the old construction would have merged
 	}
+	var pc sim.PayloadCache
 	for _, c := range viewCaps {
 		for seq := 0; seq < 12; seq++ {
 			r := rng.New(uint64(7000*c + seq))
@@ -216,10 +226,15 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 			}
 			deliver := func(l lateReply) {
 				t.Helper()
+				if !slices.Equal(descriptors(l.rep.Descs), l.pre) {
+					t.Fatalf("c=%d seq=%d: reply of node %d arrived carrying %v, want the pre-merge view %v",
+						c, seq, l.from, l.rep.Descs, l.pre)
+				}
 				p := peers[l.to]
 				p.ref = referenceMerge(c, p.ref, p.node.ID, l.want)
 				p.nc.Receive(p.node, nil, sim.Message{From: sim.NodeID(l.from), To: p.node.ID, Data: l.rep})
 				check("reply", p)
+				l.rep.Recycle(&pc)
 			}
 			var late []lateReply
 			var cycle int64
@@ -227,7 +242,8 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 				cycle += int64(r.Intn(2))
 				i, j := r.Intn(len(peers)), r.Intn(len(peers)) // i == j: self-addressed
 				ini, rcv := peers[i], peers[j]
-				sw := &viewSwap{Descs: slices.Clone(ini.nc.view.items), Stamp: cycle}
+				sw := viewSwapPool.Get(&pc)
+				sw.Descs, sw.Stamp = ini.nc.view.snapshotInto(sw.Descs), cycle
 				myDesc := Descriptor{ID: rcv.node.ID, Stamp: cycle}
 				peerDesc := Descriptor{ID: ini.node.ID, Stamp: cycle}
 				preMerge := slices.Clone(rcv.ref)
@@ -238,15 +254,17 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 					// engine can reach it: this exchange loses its reply leg.
 					rcv.nc.Receive(rcv.node, new(sim.ApplyContext), sim.Message{From: ini.node.ID, To: rcv.node.ID, Data: sw})
 					check("request", rcv)
+					sw.Recycle(&pc)
 					continue
 				}
-				rep := rcv.nc.exchange(ini.node.ID, sw, nil)
+				rep := rcv.nc.exchange(ini.node.ID, sw, &pc)
+				sw.Recycle(&pc)
 				check("request", rcv)
 				if !slices.Equal(descriptors(rep.Descs), preMerge) || rep.Stamp != cycle {
 					t.Fatalf("c=%d seq=%d: reply of node %d carries %v stamped %d, want the pre-merge view %v stamped %d",
 						c, seq, rcv.node.ID, rep.Descs, rep.Stamp, preMerge, cycle)
 				}
-				l := lateReply{from: j, to: i, rep: rep, want: append(preMerge, myDesc, peerDesc)}
+				l := lateReply{from: j, to: i, rep: rep, pre: preMerge, want: append(slices.Clip(preMerge), myDesc, peerDesc)}
 				if r.Intn(3) == 0 {
 					late = append(late, l) // delayed: delivered after later exchanges
 				} else {
@@ -383,7 +401,7 @@ func TestNewscastEnginesShareFreeLists(t *testing.T) {
 }
 
 // TestNewscastNoDoubleRelease runs 50 cycles under churn and link loss with
-// the free-list double-release detector on: the buffer swap of the request
+// the free-list double-release detector on: the buffer move of the request
 // leg must leave every payload, and every buffer, with exactly one owner.
 func TestNewscastNoDoubleRelease(t *testing.T) {
 	sim.EnableFreeListDebug(true)

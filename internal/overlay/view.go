@@ -27,10 +27,11 @@ type Descriptor struct {
 }
 
 // entry is a Descriptor as views, payloads and merges hold it: half the
-// width, so that three descriptor buffers of c = 20 take 160 B each instead
-// of 320. Descriptors are converted only at the package boundary (entryOf
-// on the way in, descriptor on the way out); sign extension makes every
-// widened value equal the Descriptor's, so the canonical order is unchanged.
+// width, so that a node's two descriptor buffers of c = 20 (its view and
+// its exchange's one payload buffer) take 160 B each instead of 320.
+// Descriptors are converted only at the package boundary (entryOf on the
+// way in, descriptor on the way out); sign extension makes every widened
+// value equal the Descriptor's, so the canonical order is unchanged.
 type entry struct {
 	id, stamp int32
 }
@@ -62,9 +63,8 @@ func (e entry) descriptor() Descriptor {
 // preserve it.
 //
 // items is allocated once, at capacity c, by the first merge that needs
-// it (or taken over from a pooled payload, see Newscast.exchange); it is
-// never grown by append, whose doubling held c=20 views in capacity-32
-// arrays.
+// it, and every later merge writes into it in place; it is never grown by
+// append, whose doubling held c=20 views in capacity-32 arrays.
 type View struct {
 	c     int
 	items []entry

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Payload recycling. A cycle at n = 10^6 creates on the order of n message
@@ -47,14 +48,14 @@ import (
 //     handler call, not even inside a *different* payload it sends: a net
 //     model may delay that payload past the cycle end that recycles this
 //     one. It copies instead (Cyclon's reply copies the request subset it
-//     echoes).
-//   - A payload drawn from a free list and not yet sent belongs to the
-//     handler that drew it, slices included. The handler may therefore
-//     swap: keep a slice of that payload as node state and put the slice
-//     it replaces into the payload, which then carries it away (Newscast's
-//     request leg merges into the reply's buffer and mails its old view
-//     buffer back). Every buffer keeps exactly one owner, and the pools
-//     neither gain nor lose one. A buffer that arrives this way may have
+//     echoes), or moves the slice out (next rule).
+//   - A handler may move a slice out of a received payload into a payload
+//     it sends, provided it sets the received field to nil in the same
+//     handler (Newscast's request leg mails the pre-merge view home in the
+//     buffer the request brought). The received payload then references
+//     nothing the free list can hand out again: a reply the net model
+//     delays past cycle end is the buffer's one owner, and the request's
+//     Recycle finds a nil field. A buffer that arrives this way may have
 //     any capacity — the free lists are shared by every engine in the
 //     process — so whoever fills it checks the capacity it needs.
 //   - Recycle must reset slice fields to length zero (keeping capacity —
@@ -190,11 +191,13 @@ func EnableFreeListStats(on bool) { flStatsOn.Store(on) }
 // stats: off (the default), Get and Put pay one atomic load each; on, every
 // outstanding payload pointer is tracked in a process-global set and a
 // second release of the same pointer panics at the Put, naming the type —
-// at the misuse site, not at the eventual corruption.
+// at the misuse site, not at the eventual corruption. The set is keyed by
+// address, not by typed pointer: a header that changes type between two
+// lists of one shape (Newscast's two legs) is still one payload.
 var (
 	flDebugOn  atomic.Bool
 	flDebugMu  sync.Mutex
-	flDebugSet map[any]struct{}
+	flDebugSet map[unsafe.Pointer]struct{}
 )
 
 // EnableFreeListDebug turns the process-global double-release detector on
@@ -204,28 +207,29 @@ func EnableFreeListDebug(on bool) {
 	flDebugMu.Lock()
 	defer flDebugMu.Unlock()
 	if on {
-		flDebugSet = make(map[any]struct{})
+		flDebugSet = make(map[unsafe.Pointer]struct{})
 	} else {
 		flDebugSet = nil
 	}
 	flDebugOn.Store(on)
 }
 
-// flDebugTrack records p as released, panicking if it already was.
-func flDebugTrack(p any) {
+// flDebugTrack records p as released, panicking, with p's type, if it
+// already was.
+func flDebugTrack[T any](p *T) {
 	flDebugMu.Lock()
 	defer flDebugMu.Unlock()
 	if flDebugSet == nil {
 		return
 	}
-	if _, dup := flDebugSet[p]; dup {
+	if _, dup := flDebugSet[unsafe.Pointer(p)]; dup {
 		panic(fmt.Sprintf("sim: free-list double release of %T payload", p))
 	}
-	flDebugSet[p] = struct{}{}
+	flDebugSet[unsafe.Pointer(p)] = struct{}{}
 }
 
 // flDebugUntrack forgets p when it leaves the list through Get.
-func flDebugUntrack(p any) {
+func flDebugUntrack(p unsafe.Pointer) {
 	flDebugMu.Lock()
 	defer flDebugMu.Unlock()
 	delete(flDebugSet, p)
@@ -255,7 +259,7 @@ func (f *FreeList[T]) Get(c *PayloadCache) *T {
 		c.hits++
 	}
 	if flDebugOn.Load() {
-		flDebugUntrack(p)
+		flDebugUntrack(unsafe.Pointer(p))
 	}
 	return p
 }

@@ -140,6 +140,31 @@ func TestFreeListDoubleReleaseDetected(t *testing.T) {
 	fl.Put(&c2, p) // planted double release
 }
 
+// flTestTwin has flTestPayload's shape, so a header can move between their
+// lists by pointer conversion, as Newscast's two legs do.
+type flTestTwin flTestPayload
+
+// TestFreeListDoubleReleaseAcrossTypes releases one header through two
+// lists of the same shape: the detector keys on the address, so the second
+// release is caught although it arrives as another type.
+func TestFreeListDoubleReleaseAcrossTypes(t *testing.T) {
+	EnableFreeListDebug(true)
+	defer EnableFreeListDebug(false)
+
+	var fl FreeList[flTestPayload]
+	var twins FreeList[flTestTwin]
+	var c PayloadCache
+	p := fl.Get(&c)
+	fl.Put(&c, p)
+
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.Contains(msg, "double release of *sim.flTestTwin") {
+			t.Fatalf("panic = %q, want a double release of *sim.flTestTwin", msg)
+		}
+	}()
+	twins.Put(&c, (*flTestTwin)(p)) // planted double release, converted
+}
+
 // TestFreeListReleaseAfterReuseAllowed guards the detector against false
 // positives on the legitimate life cycle: Get → Put → Get → Put of one
 // pointer is exactly how recycling is supposed to work, also when the
