@@ -123,11 +123,14 @@ func BenchmarkEngineMillion(b *testing.B) {
 				Function: gossipopt.Sphere, Seed: 1, Workers: w,
 			})
 			defer net.Engine().Close()
-			// Warm one full GossipEvery period, not just one cycle: the
+			// Warm four full GossipEvery periods, not just one cycle: the
 			// best-point exchange pools first fill on the first gossip
-			// cycle (cycle 2 here), so a single-Step warmup would bill
-			// that one-time fill to the measured steady state.
-			for i := 0; i < 2; i++ {
+			// cycle (cycle 2 here), and with eight workers the per-worker
+			// payload caches need more than one period to fill, so a
+			// shorter warm-up bills that one-time fill to the measured
+			// steady state when no earlier sub-benchmark filled the
+			// process-wide depots.
+			for i := 0; i < 8; i++ {
 				net.Step()
 			}
 			start := net.Engine().Stats()

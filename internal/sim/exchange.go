@@ -14,11 +14,12 @@ package sim
 //     read and write the state of its own node — never a peer's — which
 //     is what makes the phase safe to run on concurrent workers.
 //
-//   - Phase 2 (parallel apply): the per-worker outboxes are concatenated
-//     in shard order (= sender-ID order, independent of the propose worker
-//     count) and shuffled into a seed-derived canonical order with the
-//     engine RNG. Delivery then proceeds in *rounds*, each in three steps
-//     (Engine.applyRound). The coordinator classifies the round in
+//   - Phase 2 (parallel apply): the other workers' outboxes are appended
+//     onto worker 0's in shard order (= sender-ID order, independent of
+//     the propose worker count), and that list is shuffled in place into a
+//     seed-derived canonical order with the engine RNG. Delivery then
+//     proceeds in *rounds*, each in three steps (Engine.applyRound). The
+//     coordinator classifies the round in
 //     canonical order: liveness, the delivery filter, the net model's
 //     draws, the delay queue and the counters advance exactly as in a
 //     sequential pass, and each message is assigned the node that must
@@ -28,9 +29,10 @@ package sim
 //     contiguous spans of that order cut at node boundaries. A handler is
 //     node-local: Receive/Undelivered may touch only the handled node's
 //     state and post follow-up messages (replies) through the
-//     ApplyContext. Finally the follow-ups are scattered into the next
-//     round's buffer by the canonical index of the message that triggered
-//     them. Rounds repeat until no protocol posts a follow-up.
+//     ApplyContext. Finally the follow-ups are ordered in place, in the
+//     buffer that becomes the next round, by the canonical index of the
+//     message that triggered them. Rounds repeat until no protocol posts a
+//     follow-up.
 //
 // Determinism: because handlers are node-local, the only order a handler
 // can observe is the order of its own node's messages, which is the
@@ -75,6 +77,11 @@ type Message struct {
 	// delivery filter at its release cycle, but never judged by the model
 	// twice — a delayed leg cannot be re-delayed, re-lost or corrupted.
 	redelivered bool
+	// trigger is set on a follow-up only: the canonical index of the
+	// message whose handler posted it, then its final index in the next
+	// round (see Engine.applyRound). It fills padding, so Message stays
+	// 48 bytes.
+	trigger int32
 }
 
 // Proposer is the phase-1 contract of the two-phase exchange model.
@@ -144,14 +151,6 @@ func (px *Proposals) Payloads() *PayloadCache { return px.cache }
 // begin readies the outbox for the next node of the worker's shard.
 func (px *Proposals) begin(id NodeID) { px.from = id }
 
-// followUp is one reply posted during apply, tagged with the canonical
-// index of the message whose handler posted it so the coordinator can
-// place it where a sequential apply would have appended it.
-type followUp struct {
-	trigger int
-	msg     Message
-}
-
 // ApplyContext is the restricted per-worker context handed to phase-2
 // handlers (Receive/Undelivered). It deliberately does not expose the
 // engine: a handler sees only the node it was invoked on, the logical
@@ -165,9 +164,11 @@ type ApplyContext struct {
 	// self is the node currently being handled; follow-ups are sent from
 	// it.
 	self NodeID
-	// trigger is the canonical index of the message being handled.
+	// trigger is the canonical index of the message being handled; every
+	// follow-up carries it so the coordinator can place it where a
+	// sequential apply would have appended it.
 	trigger int
-	outbox  []followUp
+	outbox  []Message
 	evals   int64
 	cache   *PayloadCache
 }
@@ -193,10 +194,7 @@ func (ax *ApplyContext) Cycle() int64 { return ax.cycle }
 // triggering message's canonical index, so their delivery order is
 // independent of the apply worker count.
 func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
-	ax.outbox = append(ax.outbox, followUp{
-		trigger: ax.trigger,
-		msg:     Message{From: ax.self, To: to, Slot: slot, Data: data},
-	})
+	ax.outbox = append(ax.outbox, Message{From: ax.self, To: to, Slot: slot, Data: data, trigger: int32(ax.trigger)})
 }
 
 // Alive reports whether the node with the given ID currently exists and is

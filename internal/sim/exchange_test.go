@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
+
+	"gossipopt/internal/rng"
 )
 
 // pingProto is a minimal two-phase protocol: every cycle each node
@@ -239,4 +243,80 @@ func TestLiveCountMaintained(t *testing.T) {
 	e.SetChurn(&RateChurn{CrashProb: 0.1, JoinPerCycle: 1.5, MinLive: 5})
 	e.Run(30)
 	check("churn")
+}
+
+// fanoutProto posts 0, 1 or several follow-ups for each message it handles,
+// delivered or bounced, each tagged with the handled message's index in
+// its round and the follow-up's rank among that message's follow-ups.
+type fanoutProto struct{ nodes int }
+
+type fanoutTag struct{ trigger, rank int }
+
+func fanoutOf(trigger int) int { return [...]int{0, 1, 3, 0, 1, 6, 2}[trigger%7] }
+
+func (p fanoutProto) Receive(n *Node, ax *ApplyContext, msg Message) { p.post(ax, msg) }
+
+func (p fanoutProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.post(ax, msg) }
+
+func (p fanoutProto) post(ax *ApplyContext, msg Message) {
+	i := msg.Data.(int)
+	for r := 0; r < fanoutOf(i); r++ {
+		ax.Send(NodeID((i+r)%p.nodes), 0, fanoutTag{i, r})
+	}
+}
+
+// TestFollowUpPlacement checks the in-place ordering of applyRound's
+// step 3 directly: whatever the apply worker count, the next round must
+// equal a stable sort by trigger of the concatenated outboxes — the
+// follow-ups of each handled message in emission order, handled messages
+// in canonical order. Worker 0 posts into a round buffer far too small
+// for its share, so the ordering also runs on a buffer append regrew.
+// Some messages bounce to their sender (dead destination), some reach no
+// handler (no sender either) and some address a missing slot, so the
+// triggers carrying follow-ups are sparse.
+func TestFollowUpPlacement(t *testing.T) {
+	if s := unsafe.Sizeof(Message{}); s != 48 {
+		t.Fatalf("sim.Message is %d bytes, want 48: every engine buffer holds one per message", s)
+	}
+	const nodes, msgs, dead = 40, 700, 7
+	r := rng.New(9)
+	round := make([]Message, msgs)
+	var want []fanoutTag
+	for i := range round {
+		m := Message{From: NodeID(r.Intn(nodes)), To: NodeID(r.Intn(nodes)), Data: i}
+		switch i % 11 {
+		case 3:
+			m.To = dead // bounces to the sender's Undelivered
+		case 5:
+			m.From, m.To = nodes+3, dead // nobody handles it
+		case 8:
+			m.Slot = 1 // routed, but the node has no such slot
+		}
+		round[i] = m
+		if i%11 != 5 && i%11 != 8 {
+			for k := 0; k < fanoutOf(i); k++ {
+				want = append(want, fanoutTag{i, k})
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		e := NewEngine(3)
+		e.SetApplyWorkers(w)
+		e.SetNodeFactory(func(nd *Node) { nd.Protocols = []Protocol{fanoutProto{nodes}} })
+		e.AddNodes(nodes)
+		e.Crash(dead)
+		next := e.applyRound(slices.Clone(round), make([]Message, 0, 4))
+		e.Close()
+		if len(next) != len(want) {
+			t.Fatalf("workers=%d: %d follow-ups, want %d", w, len(next), len(want))
+		}
+		for k, m := range next {
+			if tag := m.Data.(fanoutTag); tag != want[k] {
+				t.Fatalf("workers=%d: follow-up %d is %+v, want %+v", w, k, tag, want[k])
+			}
+			if m.To != NodeID((want[k].trigger+want[k].rank)%nodes) {
+				t.Fatalf("workers=%d: follow-up %d goes to node %d, not where it was sent", w, k, m.To)
+			}
+		}
+	}
 }

@@ -222,9 +222,7 @@ func (r *refEngine) runCycle() {
 			}
 			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: i}
 			n.Protocols[m.Slot].(*refProto).handle(ax, m, deliver)
-			for _, f := range ax.outbox {
-				next = append(next, f.msg)
-			}
+			next = append(next, ax.outbox...)
 		}
 		lists = append(lists, next)
 		round = next

@@ -14,16 +14,18 @@ import (
 // workload that has nothing else: gossip averaging over a 20-regular
 // static overlay, where a node is its structs, 20 neighbour IDs and its
 // share of the engine's buffers. Per message of a round the engine holds
-// the propose outbox, the canonical list, the follow-up outbox and the
-// next round's buffer (48-56 B each) plus 12 B of routing key, job order
-// and per-node counter, all sized once to the need: 628 B per node
-// measured here. A merged copy of the follow-ups (56 B per reply) or
-// index arrays grown by doubling put it back above the budget (the engine
-// this replaced: 670 B). A first network is run and dropped before the
-// measured one so that the process-wide payload free lists are full either
-// way, whatever ran earlier in the test binary.
+// one 48-B slot — worker 0's propose outbox is the canonical list, and
+// each round's follow-ups are posted into and ordered in the next round's
+// buffer — plus the propose outbox of each worker other than worker 0,
+// plus 12 B of routing key, job order and per-node counter, all sized once
+// to the need: 487 B per node measured here. A second copy of each
+// message (a canonical list apart from the outboxes, or follow-up
+// outboxes scattered into a separate round buffer, as in the engine this
+// replaced at 598-628 B) puts it back above the budget. A first network is
+// run and dropped before the measured one so that the process-wide payload
+// free lists are full either way, whatever ran earlier in the test binary.
 func TestEngineScratchBytesPerNode(t *testing.T) {
-	const n, budget = 5000, 650
+	const n, budget = 5000, 540
 	build := func() *sim.Engine {
 		e := sim.NewEngine(21)
 		nodes := e.AddNodes(n)

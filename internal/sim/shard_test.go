@@ -234,15 +234,16 @@ func BenchmarkApplyRound(b *testing.B) {
 	}
 	e.rng.Shuffle(n, func(i, j int) { requests[i], requests[j] = requests[j], requests[i] })
 	e.growCaches(1)
+	outs := make([]Proposals, 1)
 	cycle := func() {
-		msgs := append(e.msgScratch[:0], requests...)
+		msgs := append(outs[0].msgs[:0], requests...)
 		for i := range msgs {
 			pl := avgPayloads.Get(&e.caches[0])
 			*pl = avgPayload{v: protos[msgs[i].From].v}
 			msgs[i].Data = pl
 		}
-		e.msgScratch = msgs
-		e.releaseApplyScratch(nil, e.deliver(msgs))
+		outs[0].msgs = msgs
+		e.releaseApplyScratch(outs, e.deliver(msgs))
 	}
 	cycle() // size the buffers, fill the free list
 	cycle()

@@ -134,8 +134,7 @@ type Engine struct {
 	// observers run after every cycle.
 	observers []Observer
 
-	// scratch buffers reused across cycles.
-	msgScratch []Message
+	// scratch buffers reused across cycles; outScratch[0] is the canonical list.
 	outScratch []Proposals
 	applyCtxs  []ApplyContext
 	// caches holds one payload cache per pool worker (see freelist.go).
@@ -143,10 +142,10 @@ type Engine struct {
 	// phases never overlap — and the coordinator's, caches[0], also takes
 	// the end-of-cycle release. flushCaches empties them at every barrier.
 	caches []PayloadCache
-	// rounds keeps one buffer per apply round, all retained until
-	// releaseApplyScratch so each cycle's payloads can be recycled exactly
-	// once: a payload lives either in msgScratch (proposed this cycle) or
-	// in exactly one round buffer (posted as a follow-up).
+	// rounds keeps one buffer per apply round: rounds[d] is worker 0's
+	// follow-up outbox in round d, then round d+1. All are retained until
+	// releaseApplyScratch, so each payload, in the canonical list or in one
+	// round buffer, is recycled exactly once.
 	rounds [][]Message
 
 	// Apply-round scratch (see applyRound), all index-only: jobKeys holds
@@ -549,15 +548,15 @@ func (e *Engine) RunCycle() bool {
 	e.proposeNanos += now.Sub(phaseStart).Nanoseconds()
 	phaseStart = now
 
-	// Phase 2: deterministic parallel apply. Move the outbox messages into
-	// the canonical list, shuffle into the cycle's canonical delivery
-	// order with the engine RNG, then deliver in rounds (see applyRound)
-	// until no handler posts a follow-up. Every round's buffer is
-	// retained so payload references die — and recyclable payloads return
-	// to their free lists — in one place, releaseApplyScratch, once the
-	// rounds are done.
-	msgs := e.msgScratch[:0]
-	for w := range outs {
+	// Phase 2: deterministic parallel apply. Worker 0's outbox becomes the
+	// canonical list: append the other outboxes onto it, shuffle it into
+	// the cycle's canonical delivery order with the engine RNG, then
+	// deliver in rounds (see applyRound) until no handler posts a
+	// follow-up. Every round's buffer is retained so payload references
+	// die — and recyclable payloads return to their free lists — in one
+	// place, releaseApplyScratch, once the rounds are done.
+	msgs := outs[0].msgs
+	for w := 1; w < len(outs); w++ {
 		msgs = append(msgs, outs[w].msgs...)
 	}
 	// Released delayed legs join before the canonical shuffle, so their
@@ -577,7 +576,7 @@ func (e *Engine) RunCycle() bool {
 		clear(e.delayQ[len(q):])
 		e.delayQ = q
 	}
-	e.msgScratch = msgs
+	outs[0].msgs = msgs
 	e.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 	depth := e.deliver(msgs)
 	e.releaseApplyScratch(outs, depth)
@@ -689,7 +688,7 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // applyRound delivers one non-empty round of messages and returns the
-// follow-ups its handlers posted, written into next's storage in canonical
+// follow-ups its handlers posted, in next's storage (regrown as needed) in
 // (trigger index, emission) order. One path serves every worker count:
 //
 //  1. Classify in canonical order. The coordinator routes every message
@@ -706,20 +705,21 @@ func sized[T any](buf []T, n int) []T {
 //     chasing the canonical shuffle through the heap. Workers take
 //     contiguous spans of the job order (see cutSpans), so one node's
 //     messages also land on one worker whatever the worker count.
-//  3. Scatter the follow-ups by trigger. A handler's follow-ups sit
-//     contiguously, in emission order, in one worker's outbox, tagged with
-//     the canonical index of the message that triggered them, and that
-//     index is unique per routed message. Counting follow-ups per trigger
-//     and prefix-summing gives each run's final offset, so one pass over
-//     the outboxes places every follow-up exactly where a stable sort of
-//     the concatenated outboxes by trigger would — in O(messages), with no
-//     intermediate copy.
+//  3. Order the follow-ups by trigger, in place. Worker 0 posts into
+//     next, the other outboxes are appended after it, and a handler's
+//     follow-ups sit contiguously, in emission order, tagged with the
+//     canonical index of their trigger, unique per routed message. A count
+//     per trigger and a prefix sum turn each tag into the final index a
+//     stable sort of the buffer by trigger would give, and cycle-following
+//     swaps move each follow-up there, one swap settling one: O(messages)
+//     time and no second buffer.
 func (e *Engine) applyRound(round, next []Message) []Message {
 	workers := min(e.ApplyWorkers(), len(round))
 	if cap(e.applyCtxs) < workers {
 		e.applyCtxs = make([]ApplyContext, workers)
 	}
 	ctxs := e.applyCtxs[:workers]
+	ctxs[0].outbox = next[:0]
 	e.growCaches(workers)
 	e.applyRounds++
 
@@ -767,34 +767,34 @@ func (e *Engine) applyRound(round, next []Message) []Message {
 	e.round = nil
 	e.flushCaches()
 
-	total := 0
+	next, ctxs[0].outbox = ctxs[0].outbox, nil
 	for w := range ctxs {
 		e.evals += ctxs[w].evals
-		total += len(ctxs[w].outbox)
+		next = append(next, ctxs[w].outbox...)
 	}
-	next = sized(next, total)
-	if total == 0 {
+	if len(next) == 0 {
 		return next
 	}
 	// Dispatch is done with the routing keys; the array becomes the
-	// per-trigger cursor of the scatter.
+	// per-trigger cursor that turns each tag into a final index.
 	pos := keys
 	clear(pos)
-	for w := range ctxs {
-		for i := range ctxs[w].outbox {
-			pos[ctxs[w].outbox[i].trigger]++
-		}
+	for i := range next {
+		pos[next[i].trigger]++
 	}
 	off = 0
 	for t, c := range pos {
 		pos[t] = off
 		off += c
 	}
-	for w := range ctxs {
-		for i := range ctxs[w].outbox {
-			f := &ctxs[w].outbox[i]
-			next[pos[f.trigger]] = f.msg
-			pos[f.trigger]++
+	for i := range next {
+		t := next[i].trigger
+		next[i].trigger = pos[t]
+		pos[t]++
+	}
+	for i := range next {
+		for j := next[i].trigger; j != int32(i); j = next[i].trigger {
+			next[i], next[j] = next[j], next[i]
 		}
 	}
 	return next
@@ -885,21 +885,20 @@ func (e *Engine) flushCaches() {
 
 // releaseApplyScratch is the one place a cycle's payload references die.
 // First every payload the cycle sent is offered back to its free list —
-// each message lives in exactly one of the canonical list (proposed) or
-// one round buffer (follow-up), so Recycle runs exactly once per payload.
-// Then every payload-carrying scratch buffer — the propose outboxes, the
-// canonical list, the per-worker follow-up outboxes, the round buffers —
-// is cleared over its full capacity extent; otherwise stale entries beyond
-// the next cycle's high-water mark would pin delivered payloads for the
-// engine's lifetime. The routing keys, the job order, the per-node
-// counters and the spans hold only indices, pin nothing, and are
-// deliberately not cleared — at n = 10^6 that skips megabytes of
-// per-cycle memset.
+// each message lives in exactly one of the canonical list (outs[0]) or one
+// round buffer, so Recycle runs exactly once per payload. Then every
+// payload-carrying scratch buffer — the propose outboxes and the round
+// buffers, with the other apply workers' outboxes — is cleared over its
+// full capacity extent; otherwise stale entries beyond the next cycle's
+// high-water mark would pin delivered payloads for the engine's lifetime.
+// The routing keys, the job order, the per-node counters and the spans
+// hold only indices, pin nothing, and are deliberately not cleared — at
+// n = 10^6 that skips megabytes of per-cycle memset.
 func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 	e.growCaches(1)
 	c := &e.caches[0]
-	for i := range e.msgScratch {
-		if recyclePayload(&e.msgScratch[i], c) {
+	for i := range outs[0].msgs {
+		if recyclePayload(&outs[0].msgs[i], c) {
 			e.payloadsRecycled++
 		}
 	}
@@ -915,7 +914,6 @@ func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 	for w := range outs {
 		clear(outs[w].msgs[:cap(outs[w].msgs)])
 	}
-	clear(e.msgScratch[:cap(e.msgScratch)])
 	for w := range e.applyCtxs {
 		out := e.applyCtxs[w].outbox
 		clear(out[:cap(out)])
