@@ -73,15 +73,13 @@ func TestSolversByNameMixed(t *testing.T) {
 }
 
 // TestInjectRefusesNonFiniteFitness offers a NaN and a -Inf point to every
-// registered solver and to a partitioned zone solver, fresh and after some
-// evaluations. Each Inject must return false and leave the solver exactly
-// as an untouched twin: the same Best, then the same fitness sequence over
-// further evaluations (a planted point in the population would change it).
+// registered solver, fresh and after some evaluations. Each Inject must
+// return false and leave the solver exactly as an untouched twin: the same
+// Best, then the same fitness sequence over further evaluations (a planted
+// point in the population would change it).
 func TestInjectRefusesNonFiniteFitness(t *testing.T) {
 	const dim = 4
-	makers := map[string]solver.Factory{
-		"zone": PartitionedConfig(Config{Nodes: 4, Particles: 8, Function: funcs.Sphere}).SolverFactory,
-	}
+	makers := map[string]solver.Factory{}
 	for _, name := range SolverNames() {
 		mk, err := SolverByName(name, 8)
 		if err != nil {
@@ -94,7 +92,7 @@ func TestInjectRefusesNonFiniteFitness(t *testing.T) {
 		bx, bf := b.Best()
 		return slices.Equal(ax, bx) && math.Float64bits(af) == math.Float64bits(bf)
 	}
-	for _, name := range append(SolverNames(), "zone") {
+	for _, name := range SolverNames() {
 		for _, seeded := range []int{0, 20} {
 			t.Run(fmt.Sprintf("%s/evals=%d", name, seeded), func(t *testing.T) {
 				build := func() solver.Solver {

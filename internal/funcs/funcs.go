@@ -331,12 +331,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// Counting wraps f so that every evaluation increments *n. It is the hook
-// experiments use to enforce global evaluation budgets.
-func Counting(f Objective, n *int64) Objective {
-	return func(x []float64) float64 {
-		*n++
-		return f(x)
-	}
-}

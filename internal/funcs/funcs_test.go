@@ -171,17 +171,6 @@ func TestPaperSuiteOrder(t *testing.T) {
 	}
 }
 
-func TestCounting(t *testing.T) {
-	var n int64
-	f := Counting(Sphere.Eval, &n)
-	for i := 0; i < 7; i++ {
-		f([]float64{1, 2})
-	}
-	if n != 7 {
-		t.Fatalf("Counting recorded %d evals, want 7", n)
-	}
-}
-
 func TestDimResolution(t *testing.T) {
 	if Sphere.Dim(0) != 10 {
 		t.Errorf("Sphere.Dim(0) = %d", Sphere.Dim(0))

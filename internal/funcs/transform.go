@@ -1,20 +1,12 @@
 package funcs
 
-import (
-	"fmt"
-
-	"gossipopt/internal/rng"
-)
-
-// Landscape transformations, standard practice in optimization
-// benchmarking: shifting moves the optimum away from the origin (defeating
-// origin-biased solvers), noise models measurement error, and dimension
-// pinning fixes a function to a specific dimensionality.
+import "fmt"
 
 // Shifted returns f with its landscape translated so the global optimum
 // moves to `at` (which must lie inside the domain and have the function's
-// dimension). The domain box is unchanged; regions shifted outside simply
-// become unreachable, as is conventional.
+// dimension). Shifting is standard practice in optimization benchmarking:
+// it defeats origin-biased solvers. The domain box is unchanged; regions
+// shifted outside simply become unreachable, as is conventional.
 func Shifted(f Function, at []float64) (Function, error) {
 	d := f.Dim(len(at))
 	if len(at) != d {
@@ -46,49 +38,4 @@ func Shifted(f Function, at []float64) (Function, error) {
 		return append([]float64(nil), atCopy...)
 	}
 	return shifted, nil
-}
-
-// RandomShift builds a Shifted copy of f with the optimum moved to a
-// uniform random point in the central half of the domain (staying away
-// from the boundary keeps the basin fully inside the box).
-func RandomShift(f Function, dim int, r *rng.RNG) Function {
-	d := f.Dim(dim)
-	at := make([]float64, d)
-	mid := (f.Lo + f.Hi) / 2
-	half := (f.Hi - f.Lo) / 4
-	for i := range at {
-		at[i] = r.UniformIn(mid-half, mid+half)
-	}
-	out, err := Shifted(f, at)
-	if err != nil {
-		// Unreachable by construction; fail loudly in development.
-		panic(err)
-	}
-	return out
-}
-
-// Noisy returns f with additive Gaussian evaluation noise of the given
-// standard deviation drawn from r. The optimum metadata is unchanged:
-// solution quality is still measured against the true landscape, while the
-// solver only sees noisy values — the usual noisy-optimization setup.
-// The returned function is NOT safe for concurrent evaluation (r is
-// shared); give each node its own Noisy wrapper.
-func Noisy(f Function, sigma float64, r *rng.RNG) Function {
-	inner := f.Eval
-	noisy := f
-	noisy.Name = f.Name + "+noise"
-	noisy.Eval = func(x []float64) float64 {
-		return inner(x) + sigma*r.NormFloat64()
-	}
-	return noisy
-}
-
-// WithDim pins f to dimension d (returns f unchanged for fixed-dimension
-// functions such as F2).
-func WithDim(f Function, d int) Function {
-	if f.FixedDim > 0 || d <= 0 {
-		return f
-	}
-	f.FixedDim = d
-	return f
 }

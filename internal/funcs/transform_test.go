@@ -73,54 +73,3 @@ func TestShiftedDimFromPoint(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomShiftSolvableByPSO(t *testing.T) {
-	r := rng.New(2)
-	sh := RandomShift(Sphere, 10, r)
-	opt := sh.OptimumAt(10)
-	if got := sh.Eval(opt); math.Abs(got) > 1e-9 {
-		t.Fatalf("f(optimum) = %g", got)
-	}
-	for _, xi := range opt {
-		if xi < sh.Lo || xi > sh.Hi {
-			t.Fatalf("optimum coordinate %g outside domain", xi)
-		}
-	}
-}
-
-func TestNoisyMeanIsTrueValue(t *testing.T) {
-	r := rng.New(3)
-	nf := Noisy(Sphere, 0.5, r)
-	x := []float64{1, 2, 0, 0, 0, 0, 0, 0, 0, 0}
-	truth := Sphere.Eval(x)
-	var sum float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += nf.Eval(x)
-	}
-	if mean := sum / n; math.Abs(mean-truth) > 0.02 {
-		t.Fatalf("noisy mean %g, truth %g", mean, truth)
-	}
-}
-
-func TestNoisyZeroSigmaIsExact(t *testing.T) {
-	nf := Noisy(Sphere, 0, rng.New(4))
-	x := []float64{3, 4}
-	if nf.Eval(x) != 25 {
-		t.Fatal("zero-sigma noise changed values")
-	}
-}
-
-func TestWithDim(t *testing.T) {
-	f5 := WithDim(Sphere, 5)
-	if f5.Dim(0) != 5 || f5.Dim(30) != 5 {
-		t.Fatalf("WithDim not pinned: %d", f5.Dim(0))
-	}
-	// F2 already fixed: unchanged.
-	if WithDim(F2, 7).Dim(0) != 2 {
-		t.Fatal("WithDim overrode FixedDim")
-	}
-	if WithDim(Sphere, 0).Dim(0) != 10 {
-		t.Fatal("WithDim(0) should be identity")
-	}
-}

@@ -132,176 +132,3 @@ func (a *Average) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message
 		a.value += req.D
 	}
 }
-
-// Aggregate generalizes pairwise gossip aggregation to any commutative,
-// associative, idempotent combiner: both parties converge onto
-// Combine(a, b). With Combine = min or max every node converges to the
-// global extremum in O(log n) cycles.
-//
-// Like Average, Aggregate speaks the two-phase exchange contract
-// node-locally: the contacted peer combines the initiator's snapshot into
-// its own value and replies with the combined result, which the initiator
-// re-combines into its own (possibly since-updated) value. Re-combining
-// is exact for idempotent combiners like min/max; a non-idempotent
-// combiner (e.g. the mean) is not supported here — use Average, whose
-// delta exchange conserves the sum.
-type Aggregate struct {
-	// Slot is the protocol slot of the node's PeerSampler. SelfSlot is
-	// where Aggregate instances live. Combine merges two values.
-	Slot     int
-	SelfSlot int
-	Combine  func(a, b float64) float64
-
-	value float64
-
-	// Exchanges counts initiated pairwise steps; Lost counts initiations
-	// that died in transit.
-	Exchanges int64
-	Lost      int64
-}
-
-var (
-	_ sim.Proposer      = (*Aggregate)(nil)
-	_ sim.Receiver      = (*Aggregate)(nil)
-	_ sim.Undeliverable = (*Aggregate)(nil)
-)
-
-// Value returns the node's current estimate.
-func (a *Aggregate) Value() float64 { return a.value }
-
-// SetValue initializes the node's local value.
-func (a *Aggregate) SetValue(v float64) { a.value = v }
-
-// Propose implements sim.Proposer: sample a partner and propose one
-// combining exchange.
-func (a *Aggregate) Propose(n *sim.Node, px *sim.Proposals) {
-	sampler, ok := n.Protocol(a.Slot).(overlay.PeerSampler)
-	if !ok {
-		return
-	}
-	peerID, ok := sampler.SamplePeer(n.RNG)
-	if !ok {
-		return
-	}
-	a.Exchanges++
-	req := aggReqPool.Get(px.Payloads())
-	req.V = a.value
-	px.Send(peerID, a.SelfSlot, req)
-}
-
-// aggReq is the combining proposal, carrying the initiator's value at
-// propose time; aggVal is the reply carrying the combined result. Both are
-// pooled like Average's payloads.
-type aggReq struct {
-	V float64
-}
-
-var aggReqPool sim.FreeList[aggReq]
-
-// Recycle implements sim.Recyclable.
-func (r *aggReq) Recycle(c *sim.PayloadCache) {
-	*r = aggReq{}
-	aggReqPool.Put(c, r)
-}
-
-// aggVal is the reply leg of an Aggregate exchange.
-type aggVal struct {
-	V float64
-}
-
-var aggValPool sim.FreeList[aggVal]
-
-// Recycle implements sim.Recyclable.
-func (v *aggVal) Recycle(c *sim.PayloadCache) {
-	*v = aggVal{}
-	aggValPool.Put(c, v)
-}
-
-// Receive implements sim.Receiver, node-locally: the contacted peer
-// combines the initiator's snapshot into its value and replies with the
-// result; the initiator re-combines the reply into its own. For
-// idempotent combiners both sides end at Combine of their values, exactly
-// as in an inline exchange.
-func (a *Aggregate) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	switch req := msg.Data.(type) {
-	case *aggReq:
-		a.value = a.Combine(a.value, req.V)
-		rep := aggValPool.Get(ax.Payloads())
-		rep.V = a.value
-		ax.Send(msg.From, msg.Slot, rep)
-	case *aggVal:
-		a.value = a.Combine(a.value, req.V)
-	}
-}
-
-// Undelivered implements sim.Undeliverable: a lost initiation counts; a
-// lost reply leg (one-way partition) leaves a one-sided combine, which is
-// harmless for idempotent combiners.
-func (a *Aggregate) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	if _, initiated := msg.Data.(*aggReq); initiated {
-		a.Lost++
-	}
-}
-
-// MinCombine and MaxCombine are the extremum combiners.
-func MinCombine(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxCombine returns the larger of a and b.
-func MaxCombine(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// EstimateSize reads the network-size estimate off an Average instance
-// seeded with a single 1.0 (all other nodes 0): the converged mean is 1/n.
-// It returns 0 if the node's current value is not yet positive.
-func EstimateSize(a *Average) float64 {
-	v := a.Value()
-	if v <= 0 {
-		return 0
-	}
-	return 1 / v
-}
-
-// Sum returns the sum of all live nodes' values (the conserved quantity).
-func Sum(e *sim.Engine, selfSlot int) float64 {
-	var s float64
-	e.ForEachLive(func(n *sim.Node) {
-		if a, ok := n.Protocol(selfSlot).(*Average); ok {
-			s += a.Value()
-		}
-	})
-	return s
-}
-
-// Spread returns max-min of all live nodes' values (convergence measure).
-func Spread(e *sim.Engine, selfSlot int) float64 {
-	first := true
-	var lo, hi float64
-	e.ForEachLive(func(n *sim.Node) {
-		a, ok := n.Protocol(selfSlot).(*Average)
-		if !ok {
-			return
-		}
-		v := a.Value()
-		if first {
-			lo, hi = v, v
-			first = false
-			return
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	})
-	return hi - lo
-}

@@ -393,14 +393,14 @@ func TestAverageConservesSumAndConverges(t *testing.T) {
 		a.SetValue(float64(id))
 		return a
 	})
-	want := Sum(e, 1)
+	want := sum(e, 1)
 	for c := 0; c < 40; c++ {
 		e.RunCycle()
-		if got := Sum(e, 1); math.Abs(got-want) > 1e-6*math.Abs(want) {
+		if got := sum(e, 1); math.Abs(got-want) > 1e-6*math.Abs(want) {
 			t.Fatalf("sum drifted: %v -> %v at cycle %d", want, got, c)
 		}
 	}
-	if s := Spread(e, 1); s > 1e-3 {
+	if s := spread(e, 1); s > 1e-3 {
 		t.Fatalf("spread %v after 40 cycles, want ~0", s)
 	}
 	// Every node's value must equal the true average.
@@ -441,10 +441,10 @@ func TestAverageSpreadContracts(t *testing.T) {
 		a.SetValue(float64(id * id))
 		return a
 	})
-	prev := Spread(e, 1)
+	prev := spread(e, 1)
 	for c := 0; c < 60; c += 5 {
 		e.Run(5)
-		cur := Spread(e, 1)
+		cur := spread(e, 1)
 		if cur > prev/2 {
 			t.Fatalf("spread did not halve over cycles %d-%d: %v -> %v", c, c+5, prev, cur)
 		}
@@ -510,76 +510,6 @@ func TestAverageLostExchanges(t *testing.T) {
 	}
 }
 
-func TestAggregateMinConverges(t *testing.T) {
-	e := buildNet(12, 100, func(id sim.NodeID) sim.Protocol {
-		a := &Aggregate{Slot: 0, SelfSlot: 1, Combine: MinCombine}
-		a.SetValue(float64(id) + 5)
-		return a
-	})
-	e.Run(15)
-	e.ForEachLive(func(n *sim.Node) {
-		if v := n.Protocol(1).(*Aggregate).Value(); v != 5 {
-			t.Fatalf("node %d min = %v, want 5", n.ID, v)
-		}
-	})
-}
-
-func TestAggregateMaxConverges(t *testing.T) {
-	e := buildNet(13, 80, func(id sim.NodeID) sim.Protocol {
-		a := &Aggregate{Slot: 0, SelfSlot: 1, Combine: MaxCombine}
-		a.SetValue(float64(id))
-		return a
-	})
-	e.Run(15)
-	e.ForEachLive(func(n *sim.Node) {
-		if v := n.Protocol(1).(*Aggregate).Value(); v != 79 {
-			t.Fatalf("node %d max = %v, want 79", n.ID, v)
-		}
-	})
-}
-
-func TestAggregateMinMonotone(t *testing.T) {
-	e := buildNet(14, 40, func(id sim.NodeID) sim.Protocol {
-		a := &Aggregate{Slot: 0, SelfSlot: 1, Combine: MinCombine}
-		a.SetValue(float64(id * 3))
-		return a
-	})
-	prev := map[sim.NodeID]float64{}
-	e.ForEachLive(func(n *sim.Node) {
-		prev[n.ID] = n.Protocol(1).(*Aggregate).Value()
-	})
-	for c := 0; c < 10; c++ {
-		e.RunCycle()
-		e.ForEachLive(func(n *sim.Node) {
-			v := n.Protocol(1).(*Aggregate).Value()
-			if v > prev[n.ID] {
-				t.Fatalf("min aggregate increased at node %d", n.ID)
-			}
-			prev[n.ID] = v
-		})
-	}
-}
-
-func TestEstimateSize(t *testing.T) {
-	const n = 100
-	e := buildNet(15, n, func(id sim.NodeID) sim.Protocol {
-		a := &Average{Slot: 0, SelfSlot: 1}
-		if id == 7 {
-			a.SetValue(1)
-		}
-		return a
-	})
-	e.Run(60)
-	est := EstimateSize(e.Node(42).Protocol(1).(*Average))
-	if est < n*0.9 || est > n*1.1 {
-		t.Fatalf("size estimate %.1f, want ≈ %d", est, n)
-	}
-	fresh := &Average{}
-	if EstimateSize(fresh) != 0 {
-		t.Fatal("estimate from zero value should be 0")
-	}
-}
-
 // TestExchangeSizes pins the bytes an exchange costs. The legs stay in
 // flight across a cycle end under delaying net models and the free lists
 // keep them, so on churn-lossy each 16 B of a best-point leg costs about
@@ -604,4 +534,42 @@ func TestExchangeSizes(t *testing.T) {
 	if got := unsafe.Sizeof(AntiEntropy[float64]{}); got > 88 {
 		t.Errorf("AntiEntropy[float64] is %d B, budget 88 B", got)
 	}
+}
+
+// sum returns the sum of all live nodes' Average values (the conserved
+// quantity).
+func sum(e *sim.Engine, selfSlot int) float64 {
+	var s float64
+	e.ForEachLive(func(n *sim.Node) {
+		if a, ok := n.Protocol(selfSlot).(*Average); ok {
+			s += a.Value()
+		}
+	})
+	return s
+}
+
+// spread returns max-min of all live nodes' Average values (the
+// convergence measure).
+func spread(e *sim.Engine, selfSlot int) float64 {
+	first := true
+	var lo, hi float64
+	e.ForEachLive(func(n *sim.Node) {
+		a, ok := n.Protocol(selfSlot).(*Average)
+		if !ok {
+			return
+		}
+		v := a.Value()
+		if first {
+			lo, hi = v, v
+			first = false
+			return
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	})
+	return hi - lo
 }

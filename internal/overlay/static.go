@@ -11,17 +11,11 @@ import (
 // different neighbor sets. Static implements the protocol contract as a
 // no-op so it can occupy a protocol slot interchangeably with Newscast.
 type Static struct {
-	self  sim.NodeID
 	peers []sim.NodeID
 }
 
 // Compile-time guard for the two-phase contract (see Newscast's note).
 var _ sim.Proposer = (*Static)(nil)
-
-// NewStatic creates a static sampler for self with the given out-links.
-func NewStatic(self sim.NodeID, peers []sim.NodeID) *Static {
-	return &Static{self: self, peers: append([]sim.NodeID(nil), peers...)}
-}
 
 // SamplePeer implements PeerSampler.
 func (s *Static) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
@@ -87,34 +81,6 @@ func Star(_ *rng.RNG, n int) [][]int {
 	return out
 }
 
-// Grid arranges nodes in a near-square 2-D mesh with 4-neighborhoods
-// (the "mesh topology connecting nodes responsible for different partitions"
-// alternative mentioned in the paper).
-func Grid(_ *rng.RNG, n int) [][]int {
-	cols := 1
-	for cols*cols < n {
-		cols++
-	}
-	out := make([][]int, n)
-	at := func(r, c int) int { return r*cols + c }
-	for i := 0; i < n; i++ {
-		r, c := i/cols, i%cols
-		if r > 0 {
-			out[i] = append(out[i], at(r-1, c))
-		}
-		if c > 0 {
-			out[i] = append(out[i], at(r, c-1))
-		}
-		if c+1 < cols && at(r, c+1) < n {
-			out[i] = append(out[i], at(r, c+1))
-		}
-		if at(r+1, c) < n {
-			out[i] = append(out[i], at(r+1, c))
-		}
-	}
-	return out
-}
-
 // KRegularRandom gives every node k distinct random out-links (k is capped
 // at n-1). This approximates the stationary Newscast overlay.
 func KRegularRandom(k int) Topology {
@@ -135,47 +101,6 @@ func KRegularRandom(k int) Topology {
 	}
 }
 
-// SmallWorld is the Watts–Strogatz construction: a ring lattice where each
-// node links to its k nearest neighbors (k even), with each link rewired to
-// a uniform random target with probability beta. Kennedy's PSO topology
-// studies [8] motivate including it.
-func SmallWorld(k int, beta float64) Topology {
-	return func(r *rng.RNG, n int) [][]int {
-		if k >= n {
-			k = n - 1
-		}
-		out := make([][]int, n)
-		for i := 0; i < n; i++ {
-			for d := 1; d <= k/2; d++ {
-				j := (i + d) % n
-				if r.Bool(beta) {
-					for {
-						j = r.Intn(n)
-						if j != i {
-							break
-						}
-					}
-				}
-				out[i] = append(out[i], j)
-				out[j] = append(out[j], i)
-			}
-		}
-		// Deduplicate.
-		for i := range out {
-			seen := map[int]bool{}
-			uniq := out[i][:0]
-			for _, j := range out[i] {
-				if !seen[j] && j != i {
-					seen[j] = true
-					uniq = append(uniq, j)
-				}
-			}
-			out[i] = uniq
-		}
-		return out
-	}
-}
-
 // InitStatic wires Static samplers built from topo into protocol slot
 // `slot` of every live node of e. Node index order follows e.LiveNodes().
 func InitStatic(e *sim.Engine, slot int, topo Topology) {
@@ -189,8 +114,6 @@ func InitStatic(e *sim.Engine, slot int, topo Topology) {
 		for len(n.Protocols) <= slot {
 			n.Protocols = append(n.Protocols, nil)
 		}
-		// Not NewStatic: peers is this loop's own, so the constructor's
-		// defensive copy would be a second allocation per node.
-		n.Protocols[slot] = &Static{self: n.ID, peers: peers}
+		n.Protocols[slot] = &Static{peers: peers}
 	}
 }

@@ -92,21 +92,6 @@ func TestStar(t *testing.T) {
 	}
 }
 
-func TestGrid(t *testing.T) {
-	for _, n := range []int{1, 4, 9, 12, 100} {
-		links := Grid(nil, n)
-		degreeOK(t, links, n)
-		if n > 1 && !IsConnected(asGraph(links)) {
-			t.Fatalf("grid(%d) disconnected", n)
-		}
-	}
-	// Interior nodes of a 3x3 grid have degree 4.
-	links := Grid(nil, 9)
-	if len(links[4]) != 4 {
-		t.Fatalf("grid center degree %d", len(links[4]))
-	}
-}
-
 func TestKRegularRandom(t *testing.T) {
 	r := rng.New(1)
 	links := KRegularRandom(5)(r, 50)
@@ -125,31 +110,8 @@ func TestKRegularRandom(t *testing.T) {
 	}
 }
 
-func TestSmallWorld(t *testing.T) {
-	r := rng.New(2)
-	links := SmallWorld(4, 0.1)(r, 100)
-	degreeOK(t, links, 100)
-	g := asGraph(links)
-	if !IsConnected(g) {
-		t.Fatal("small world disconnected")
-	}
-	// With beta = 0 we get a pure lattice: high clustering.
-	lattice := asGraph(SmallWorld(6, 0)(r, 100))
-	ccLattice := ClusteringCoefficient(lattice)
-	if ccLattice < 0.4 {
-		t.Fatalf("lattice clustering %.3f, want > 0.4", ccLattice)
-	}
-	// Rewiring shortens paths.
-	aplLattice, _ := AvgPathLength(lattice, 0)
-	rewired := asGraph(SmallWorld(6, 0.2)(r, 100))
-	aplRewired, _ := AvgPathLength(rewired, 0)
-	if aplRewired >= aplLattice {
-		t.Fatalf("rewiring did not shorten paths: %.2f vs %.2f", aplRewired, aplLattice)
-	}
-}
-
 func TestStaticSampler(t *testing.T) {
-	s := NewStatic(0, []sim.NodeID{1, 2, 3})
+	s := &Static{peers: []sim.NodeID{1, 2, 3}}
 	r := rng.New(3)
 	seen := map[sim.NodeID]bool{}
 	for i := 0; i < 100; i++ {
@@ -162,7 +124,7 @@ func TestStaticSampler(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("sampled %d distinct peers, want 3", len(seen))
 	}
-	empty := NewStatic(0, nil)
+	empty := &Static{}
 	if _, ok := empty.SamplePeer(r); ok {
 		t.Fatal("empty static sampler returned ok")
 	}

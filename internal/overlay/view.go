@@ -1,9 +1,7 @@
 // Package overlay implements the paper's topology service: the NEWSCAST
-// gossip-based peer-sampling protocol (Jelasity et al.), a set of static
-// reference topologies (full mesh, ring, star/master-slave, grid,
-// k-regular random, Watts–Strogatz small-world) and graph-analysis helpers
-// used to verify that Newscast indeed maintains a strongly connected,
-// random-graph-like overlay under churn.
+// gossip-based peer-sampling protocol (Jelasity et al.), the Cyclon and
+// T-Man alternatives, and a set of static reference topologies (full mesh,
+// ring, star/master-slave, k-regular random).
 package overlay
 
 import (

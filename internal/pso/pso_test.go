@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,7 +84,7 @@ func TestInjectAdoptsOnlyBetter(t *testing.T) {
 		t.Fatal("perfect injection rejected")
 	}
 	g, fg := s.Best()
-	if fg != 0 || !vec.Equal(g, star) {
+	if fg != 0 || !slices.Equal(g, star) {
 		t.Fatalf("Best after injection = %v, %v", g, fg)
 	}
 	// The injected best must be copied, not aliased.
@@ -117,7 +118,7 @@ func TestInjectRejectsNonFiniteFitness(t *testing.T) {
 			t.Fatalf("injection with fitness %v adopted", fx)
 		}
 	}
-	if g, fg := s.Best(); fg != f0 || !vec.Equal(g, g0) {
+	if g, fg := s.Best(); fg != f0 || !slices.Equal(g, g0) {
 		t.Fatalf("Best moved from %v, %v to %v, %v", g0, f0, g, fg)
 	}
 	if !s.Inject(x, 0) {

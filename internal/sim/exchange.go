@@ -199,10 +199,10 @@ func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
 
 // Alive reports whether the node with the given ID currently exists and is
 // live. Node liveness is frozen while the apply phase runs (churn happens
-// at the start of a cycle, observers at its end, and handlers cannot crash
-// nodes), so the query is safe from concurrent apply workers. T-Man uses
-// it in Undelivered to distinguish a confirmed crash (tombstone) from an
-// unreachable, partitioned peer (re-adopted after the heal).
+// at the start of a cycle and handlers cannot crash nodes), so the query
+// is safe from concurrent apply workers. T-Man uses it in Undelivered to
+// distinguish a confirmed crash (tombstone) from an unreachable,
+// partitioned peer (re-adopted after the heal).
 func (ax *ApplyContext) Alive(id NodeID) bool {
 	n := ax.engine.arena.at(id)
 	return n != nil && n.Alive

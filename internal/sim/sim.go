@@ -14,10 +14,10 @@
 //
 // Determinism: given the same seed, node count and protocol stack, a run
 // produces the identical trace — for any propose-worker and apply-worker
-// count, 1×1 included. Each node owns a split RNG stream so that adding
-// observers or reordering unrelated code does not perturb results, and so
-// that stepping nodes on parallel workers neither races nor changes the
-// per-node draw sequence.
+// count, 1×1 included. Each node owns a split RNG stream so that inspecting
+// the network between cycles or reordering unrelated code does not perturb
+// results, and so that stepping nodes on parallel workers neither races nor
+// changes the per-node draw sequence.
 package sim
 
 import (
@@ -131,9 +131,6 @@ type Engine struct {
 	delivered, dropped int64
 	delayed, corrupted int64
 
-	// observers run after every cycle.
-	observers []Observer
-
 	// scratch buffers reused across cycles; outScratch[0] is the canonical list.
 	outScratch []Proposals
 	applyCtxs  []ApplyContext
@@ -186,11 +183,6 @@ type delayedMsg struct {
 	release int64
 	msg     Message
 }
-
-// Observer inspects the network after each cycle; returning false stops the
-// simulation (used for threshold-based termination, e.g. the paper's
-// fourth experiment).
-type Observer func(e *Engine) bool
 
 // NewEngine creates an empty engine with a deterministic RNG stream.
 func NewEngine(seed uint64) *Engine {
@@ -313,9 +305,6 @@ func (e *Engine) CountEvals(k int64) { e.evals += k }
 // SetNodeFactory installs the function used to populate the protocol stack
 // of nodes created by AddNode or by churn-driven joins.
 func (e *Engine) SetNodeFactory(f func(n *Node)) { e.makeNode = f }
-
-// AddObserver registers a per-cycle observer.
-func (e *Engine) AddObserver(o Observer) { e.observers = append(e.observers, o) }
 
 // AddNode creates a new live node, populates its protocol stack via the
 // node factory (if set) and returns it. The node turns live only after the
@@ -482,10 +471,10 @@ func (e *Engine) RandomLiveNode(exclude NodeID) *Node {
 }
 
 // RunCycle executes one cycle of the two-phase exchange model: churn, the
-// parallel propose phase, the parallel apply phase, then observers. It
-// reports false if any observer requested termination.
+// parallel propose phase, then the parallel apply phase. Threshold stops
+// are the caller's (core.Network.RunUntil checks between cycles).
 // See exchange.go for the model's contracts and the determinism argument.
-func (e *Engine) RunCycle() bool {
+func (e *Engine) RunCycle() {
 	if e.churn != nil {
 		e.churn.Apply(e)
 	}
@@ -584,14 +573,7 @@ func (e *Engine) RunCycle() bool {
 	e.applyNanos += time.Since(phaseStart).Nanoseconds()
 
 	e.cycle++
-	cont := true
-	for _, o := range e.observers {
-		if !o(e) {
-			cont = false
-		}
-	}
 	e.publishStats()
-	return cont
 }
 
 // deliver runs the apply rounds of one cycle: the canonical list first,
@@ -923,16 +905,11 @@ func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 	}
 }
 
-// Run executes up to maxCycles cycles, stopping early if an observer
-// requests termination. It returns the number of cycles executed.
-func (e *Engine) Run(maxCycles int64) int64 {
-	var i int64
-	for i = 0; i < maxCycles; i++ {
-		if !e.RunCycle() {
-			return i + 1
-		}
+// Run executes cycles cycles.
+func (e *Engine) Run(cycles int64) {
+	for range cycles {
+		e.RunCycle()
 	}
-	return i
 }
 
 // String summarizes the engine state.

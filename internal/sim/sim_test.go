@@ -86,15 +86,6 @@ func TestArenaChunkIsWholePages(t *testing.T) {
 	}
 }
 
-func TestObserverStopsRun(t *testing.T) {
-	e, _ := newCountingEngine(5, 3)
-	e.AddObserver(func(e *Engine) bool { return e.Cycle() < 4 })
-	ran := e.Run(100)
-	if ran != 4 {
-		t.Fatalf("ran %d cycles, want 4", ran)
-	}
-}
-
 func TestRandomLiveNodeExcludes(t *testing.T) {
 	e, _ := newCountingEngine(6, 5)
 	for i := 0; i < 200; i++ {

@@ -1,28 +1,14 @@
 // Package vec provides small dense-vector helpers used by the optimization
-// services: allocation-free arithmetic on []float64, clamping, and distance
-// computations. All binary operations require equal lengths and panic
-// otherwise; length mismatches are programming errors, not runtime
-// conditions.
+// services: copying, allocation-free arithmetic on []float64 and clamping.
+// All binary operations require equal lengths and panic otherwise; length
+// mismatches are programming errors, not runtime conditions.
 package vec
-
-import "math"
 
 // Clone returns a fresh copy of v.
 func Clone(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-// Zeros returns a new zero vector of dimension n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
-// Fill sets every component of v to x and returns v.
-func Fill(v []float64, x float64) []float64 {
-	for i := range v {
-		v[i] = x
-	}
-	return v
 }
 
 func assertSameLen(a, b []float64) {
@@ -51,24 +37,6 @@ func Sub(dst, a, b []float64) []float64 {
 	return dst
 }
 
-// Scale stores s*a into dst and returns dst. dst may alias a.
-func Scale(dst, a []float64, s float64) []float64 {
-	assertSameLen(dst, a)
-	for i := range dst {
-		dst[i] = s * a[i]
-	}
-	return dst
-}
-
-// AXPY stores dst + s*a into dst (dst += s*a) and returns dst.
-func AXPY(dst []float64, s float64, a []float64) []float64 {
-	assertSameLen(dst, a)
-	for i := range dst {
-		dst[i] += s * a[i]
-	}
-	return dst
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	assertSameLen(a, b)
@@ -77,33 +45,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// Dist2 returns the Euclidean distance between a and b.
-func Dist2(a, b []float64) float64 {
-	assertSameLen(a, b)
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// DistInf returns the Chebyshev (max-component) distance between a and b.
-func DistInf(a, b []float64) float64 {
-	assertSameLen(a, b)
-	var m float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Clamp limits every component of v to [lo, hi] in place and returns v.
@@ -121,51 +62,3 @@ func Clamp(v []float64, lo, hi float64) []float64 {
 // ClampAbs limits every component of v to [-m, m] in place and returns v.
 // This is the velocity-clamping rule used by PSO (per-dimension vmax).
 func ClampAbs(v []float64, m float64) []float64 { return Clamp(v, -m, m) }
-
-// ClampBox limits v[i] to [lo[i], hi[i]] in place and returns v.
-func ClampBox(v, lo, hi []float64) []float64 {
-	assertSameLen(v, lo)
-	assertSameLen(v, hi)
-	for i := range v {
-		if v[i] < lo[i] {
-			v[i] = lo[i]
-		} else if v[i] > hi[i] {
-			v[i] = hi[i]
-		}
-	}
-	return v
-}
-
-// InBox reports whether every component of v lies in [lo, hi].
-func InBox(v []float64, lo, hi float64) bool {
-	for _, x := range v {
-		if x < lo || x > hi {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether a and b have the same length and identical
-// components.
-func Equal(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFinite reports whether every component of v is finite (not NaN/Inf).
-func AllFinite(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
-}
