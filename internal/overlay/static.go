@@ -10,8 +10,9 @@ import (
 // mesh, a star for master-slave — which are all instances of Static with
 // different neighbor sets. Static implements the protocol contract as a
 // no-op so it can occupy a protocol slot interchangeably with Newscast.
+// Its links are int32 IDs, half-width like view entries (see InitStatic).
 type Static struct {
-	peers []sim.NodeID
+	peers []int32
 }
 
 // Compile-time guard for the two-phase contract (see Newscast's note).
@@ -22,12 +23,16 @@ func (s *Static) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 	if len(s.peers) == 0 {
 		return 0, false
 	}
-	return s.peers[r.Intn(len(s.peers))], true
+	return sim.NodeID(s.peers[r.Intn(len(s.peers))]), true
 }
 
 // Neighbors implements PeerSampler.
 func (s *Static) Neighbors() []sim.NodeID {
-	return append([]sim.NodeID(nil), s.peers...)
+	out := make([]sim.NodeID, len(s.peers))
+	for i, id := range s.peers {
+		out[i] = sim.NodeID(id)
+	}
+	return out
 }
 
 // Propose implements sim.Proposer as a no-op: static topologies need no
@@ -81,11 +86,11 @@ func Star(_ *rng.RNG, n int) [][]int {
 	return out
 }
 
-// KRegularRandom gives every node k distinct random out-links (k is capped
-// at n-1). This approximates the stationary Newscast overlay.
+// KRegularRandom gives every node k distinct random out-links (k is clamped
+// to [0, n-1]). This approximates the stationary Newscast overlay.
 func KRegularRandom(k int) Topology {
 	return func(r *rng.RNG, n int) [][]int {
-		k := min(k, n-1)
+		k := max(min(k, n-1), 0)
 		out := make([][]int, n)
 		for i := range out {
 			row := r.AppendSample(make([]int, 0, k), n-1, k)
@@ -103,17 +108,28 @@ func KRegularRandom(k int) Topology {
 
 // InitStatic wires Static samplers built from topo into protocol slot
 // `slot` of every live node of e. Node index order follows e.LiveNodes().
+// The network's links take two allocations whatever its size: one int32
+// slab holding every node's links in node order, each node's row capped
+// so that no append can run into the next, and one []Static. An ID is
+// narrowed as a view entry's is (entryOf), so one outside int32 panics.
 func InitStatic(e *sim.Engine, slot int, topo Topology) {
 	nodes := e.LiveNodes()
 	links := topo(e.RNG(), len(nodes))
+	total := 0
+	for _, row := range links {
+		total += len(row)
+	}
+	slab := make([]int32, 0, total)
+	statics := make([]Static, len(nodes))
 	for i, n := range nodes {
-		peers := make([]sim.NodeID, 0, len(links[i]))
+		start := len(slab)
 		for _, j := range links[i] {
-			peers = append(peers, nodes[j].ID)
+			slab = append(slab, entryOf(Descriptor{ID: nodes[j].ID}).id)
 		}
+		statics[i].peers = slab[start:len(slab):len(slab)]
 		for len(n.Protocols) <= slot {
 			n.Protocols = append(n.Protocols, nil)
 		}
-		n.Protocols[slot] = &Static{peers: peers}
+		n.Protocols[slot] = &statics[i]
 	}
 }

@@ -1,7 +1,10 @@
 package overlay
 
 import (
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
@@ -108,10 +111,21 @@ func TestKRegularRandom(t *testing.T) {
 			t.Fatalf("capped degree %d, want 3", len(nbrs))
 		}
 	}
+	// A negative k (a negative view size reaching core.InitTopology) is
+	// clamped to 0 instead of panicking inside make.
+	links = KRegularRandom(-3)(r, 10)
+	if len(links) != 10 {
+		t.Fatalf("%d rows, want 10", len(links))
+	}
+	for _, nbrs := range links {
+		if len(nbrs) != 0 {
+			t.Fatalf("negative k gave degree %d, want 0", len(nbrs))
+		}
+	}
 }
 
 func TestStaticSampler(t *testing.T) {
-	s := &Static{peers: []sim.NodeID{1, 2, 3}}
+	s := &Static{peers: []int32{1, 2, 3}}
 	r := rng.New(3)
 	seen := map[sim.NodeID]bool{}
 	for i := 0; i < 100; i++ {
@@ -142,6 +156,65 @@ func TestInitStatic(t *testing.T) {
 		if len(nbrs) != 2 {
 			t.Fatalf("ring degree %d", len(nbrs))
 		}
+	}
+
+	// Neighbors returns exactly the topology's links mapped to live IDs.
+	// Two crashed nodes make row index and node ID differ.
+	for name, topo := range map[string]Topology{
+		"ring": Ring, "star": Star, "full": FullMesh, "random": KRegularRandom(5),
+	} {
+		e := sim.NewEngine(4)
+		e.AddNodes(16)
+		e.Crash(3)
+		e.Crash(7)
+		var links [][]int
+		InitStatic(e, 0, func(r *rng.RNG, n int) [][]int {
+			links = topo(r, n)
+			return links
+		})
+		live := e.LiveNodes()
+		for i, nd := range live {
+			want := make([]sim.NodeID, len(links[i]))
+			for k, j := range links[i] {
+				want[k] = live[j].ID
+			}
+			if got := nd.Protocol(0).(*Static).Neighbors(); !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d neighbors %v, want %v", name, nd.ID, got, want)
+			}
+		}
+		if name == "ring" {
+			if got := e.Node(2).Protocol(0).(*Static).Neighbors(); !slices.Equal(got, []sim.NodeID{1, 4}) {
+				t.Fatalf("ring: node 2 neighbors %v, want [1 4]", got)
+			}
+		}
+	}
+}
+
+// TestStaticSlabLayout pins how InitStatic stores links: 4-byte IDs, a
+// fixed number of allocations per network whatever its size, and every
+// row capped at its length so that an append cannot overwrite the next.
+func TestStaticSlabLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Static{}.peers[0]); size != 4 {
+		t.Fatalf("a static link is %d bytes, want 4", size)
+	}
+	// The first collection starts the runtime's mark workers, allocating;
+	// run it now, not inside whichever measurement first fills the heap.
+	runtime.GC()
+	allocs := func(n int) float64 {
+		e := sim.NewEngine(6)
+		e.AddNodes(n)
+		links := KRegularRandom(20)(rng.New(7), n)
+		prebuilt := func(*rng.RNG, int) [][]int { return links }
+		avg := testing.AllocsPerRun(5, func() { InitStatic(e, 0, prebuilt) })
+		for _, nd := range e.LiveNodes() {
+			if p := nd.Protocol(0).(*Static).peers; cap(p) != len(p) {
+				t.Fatalf("n = %d: node %d links have cap %d, len %d", n, nd.ID, cap(p), len(p))
+			}
+		}
+		return avg
+	}
+	if small, large := allocs(1000), allocs(5000); small != large {
+		t.Fatalf("InitStatic allocates %.0f times at n = 1000 but %.0f at n = 5000", small, large)
 	}
 }
 
