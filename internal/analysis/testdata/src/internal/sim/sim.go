@@ -6,12 +6,12 @@
 package sim
 
 // NodeID identifies a node.
-type NodeID int64
+type NodeID int32
 
 // Message is one delivered exchange message.
 type Message struct {
 	From, To NodeID
-	Slot     int
+	Slot     int32
 	Data     any
 }
 

@@ -113,7 +113,7 @@ func (a *Average) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 		a.value += d
 		rep := avgDeltaPool.Get(ax.Payloads())
 		rep.D = -d
-		ax.Send(msg.From, msg.Slot, rep)
+		ax.Send(msg.From, int(msg.Slot), rep)
 	case *avgDelta:
 		a.value += req.D
 	}

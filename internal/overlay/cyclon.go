@@ -91,7 +91,7 @@ func (cy *Cyclon) oldest() (entry, bool) {
 func (cy *Cyclon) appendSubset(dst []entry, r *rng.RNG, l int, exclude sim.NodeID) []entry {
 	pool := sized(cy.poolScratch, cy.C)
 	for _, e := range cy.view.items {
-		if sim.NodeID(e.id) != exclude {
+		if e.id != exclude {
 			pool = append(pool, e)
 		}
 	}
@@ -156,9 +156,9 @@ func (cy *Cyclon) Propose(n *sim.Node, px *sim.Proposals) {
 	}
 	cy.Exchanges++
 	req := shuffleReqPool.Get(px.Payloads())
-	req.Sent = cy.appendSubset(sized(req.Sent, cy.L), n.RNG, cy.L-1, sim.NodeID(target.id))
+	req.Sent = cy.appendSubset(sized(req.Sent, cy.L), n.RNG, cy.L-1, target.id)
 	req.Sent = append(req.Sent, entryOf(Descriptor{ID: cy.self, Stamp: px.Cycle()}))
-	px.Send(sim.NodeID(target.id), cy.Slot, req)
+	px.Send(target.id, cy.Slot, req)
 }
 
 // Receive implements sim.Receiver, node-locally. On the request leg the
@@ -174,7 +174,7 @@ func (cy *Cyclon) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 		rep := shuffleRepPool.Get(ax.Payloads())
 		rep.Reply = cy.appendSubset(sized(rep.Reply, cy.L), n.RNG, cy.L, msg.From)
 		for _, e := range rep.Reply {
-			cy.view.Remove(sim.NodeID(e.id))
+			cy.view.Remove(e.id)
 		}
 		cy.view.mergeBatch(cy.self, req.Sent)
 		rep.Echo = append(sized(rep.Echo, cy.L), req.Sent...)
@@ -182,8 +182,8 @@ func (cy *Cyclon) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	case *shuffleRep:
 		cy.view.Remove(msg.From)
 		for _, e := range req.Echo {
-			if sim.NodeID(e.id) != cy.self {
-				cy.view.Remove(sim.NodeID(e.id))
+			if e.id != cy.self {
+				cy.view.Remove(e.id)
 			}
 		}
 		cy.view.mergeBatch(cy.self, req.Reply)

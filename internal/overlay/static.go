@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
@@ -10,9 +12,9 @@ import (
 // mesh, a star for master-slave — which are all instances of Static with
 // different neighbor sets. Static implements the protocol contract as a
 // no-op so it can occupy a protocol slot interchangeably with Newscast.
-// Its links are int32 IDs, half-width like view entries (see InitStatic).
+// Every node's links share one slab (see InitStatic).
 type Static struct {
-	peers []int32
+	peers []sim.NodeID
 }
 
 // Compile-time guard for the two-phase contract (see Newscast's note).
@@ -23,17 +25,11 @@ func (s *Static) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 	if len(s.peers) == 0 {
 		return 0, false
 	}
-	return sim.NodeID(s.peers[r.Intn(len(s.peers))]), true
+	return s.peers[r.Intn(len(s.peers))], true
 }
 
 // Neighbors implements PeerSampler.
-func (s *Static) Neighbors() []sim.NodeID {
-	out := make([]sim.NodeID, len(s.peers))
-	for i, id := range s.peers {
-		out[i] = sim.NodeID(id)
-	}
-	return out
-}
+func (s *Static) Neighbors() []sim.NodeID { return slices.Clone(s.peers) }
 
 // Propose implements sim.Proposer as a no-op: static topologies need no
 // maintenance, and by speaking the two-phase contract they keep a node's
@@ -108,10 +104,9 @@ func KRegularRandom(k int) Topology {
 
 // InitStatic wires Static samplers built from topo into protocol slot
 // `slot` of every live node of e. Node index order follows e.LiveNodes().
-// The network's links take two allocations whatever its size: one int32
-// slab holding every node's links in node order, each node's row capped
-// so that no append can run into the next, and one []Static. An ID is
-// narrowed as a view entry's is (entryOf), so one outside int32 panics.
+// The network's links take two allocations whatever its size: one slab
+// holding every node's links in node order, each node's row capped so that
+// no append can run into the next, and one []Static.
 func InitStatic(e *sim.Engine, slot int, topo Topology) {
 	nodes := e.LiveNodes()
 	links := topo(e.RNG(), len(nodes))
@@ -119,12 +114,12 @@ func InitStatic(e *sim.Engine, slot int, topo Topology) {
 	for _, row := range links {
 		total += len(row)
 	}
-	slab := make([]int32, 0, total)
+	slab := make([]sim.NodeID, 0, total)
 	statics := make([]Static, len(nodes))
 	for i, n := range nodes {
 		start := len(slab)
 		for _, j := range links[i] {
-			slab = append(slab, entryOf(Descriptor{ID: nodes[j].ID}).id)
+			slab = append(slab, nodes[j].ID)
 		}
 		statics[i].peers = slab[start:len(slab):len(slab)]
 		for len(n.Protocols) <= slot {

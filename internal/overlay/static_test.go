@@ -125,7 +125,7 @@ func TestKRegularRandom(t *testing.T) {
 }
 
 func TestStaticSampler(t *testing.T) {
-	s := &Static{peers: []int32{1, 2, 3}}
+	s := &Static{peers: []sim.NodeID{1, 2, 3}}
 	r := rng.New(3)
 	seen := map[sim.NodeID]bool{}
 	for i := 0; i < 100; i++ {

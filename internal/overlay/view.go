@@ -18,7 +18,8 @@ import (
 // out of the overlay.
 //
 // Descriptor is the package's API type. Views and payloads store each one
-// as an 8-byte entry, so its ID and Stamp must lie in the int32 range.
+// as an 8-byte entry, so its Stamp must lie in the int32 range, as every
+// sim.NodeID does.
 type Descriptor struct {
 	ID    sim.NodeID
 	Stamp int64
@@ -29,26 +30,25 @@ type Descriptor struct {
 // its exchange's one payload buffer) take 160 B each instead of 320.
 // Descriptors are converted only at the package boundary (entryOf on the
 // way in, descriptor on the way out); sign extension makes every widened
-// value equal the Descriptor's, so the canonical order is unchanged.
+// stamp equal the Descriptor's, so the canonical order is unchanged.
 type entry struct {
-	id, stamp int32
+	id    sim.NodeID
+	stamp int32
 }
 
-// entryOf narrows d to an entry. An ID or stamp outside int32 panics: a
-// view never truncates one into another node or another time.
+// entryOf narrows d to an entry. A stamp outside int32 panics: a view
+// never truncates one into another time.
 func entryOf(d Descriptor) entry {
-	e := entry{id: int32(d.ID), stamp: int32(d.Stamp)}
-	if e.descriptor() != d {
-		panic(fmt.Sprintf("overlay: descriptor %+v does not fit a view entry: IDs and stamps must lie in [%d, %d]",
+	e := entry{id: d.ID, stamp: int32(d.Stamp)}
+	if int64(e.stamp) != d.Stamp {
+		panic(fmt.Sprintf("overlay: descriptor %+v does not fit a view entry: stamps must lie in [%d, %d]",
 			d, math.MinInt32, math.MaxInt32))
 	}
 	return e
 }
 
 // descriptor widens e back to the API type.
-func (e entry) descriptor() Descriptor {
-	return Descriptor{ID: sim.NodeID(e.id), Stamp: int64(e.stamp)}
-}
+func (e entry) descriptor() Descriptor { return Descriptor{ID: e.id, Stamp: int64(e.stamp)} }
 
 // View is a bounded set of descriptors, at most one per node ID. The zero
 // value is an empty view that stays empty (capacity 0).
@@ -81,7 +81,7 @@ func (v *View) Len() int { return len(v.items) }
 func (v *View) IDs() []sim.NodeID {
 	out := make([]sim.NodeID, len(v.items))
 	for i, e := range v.items {
-		out[i] = sim.NodeID(e.id)
+		out[i] = e.id
 	}
 	return out
 }
@@ -120,7 +120,7 @@ func (v *View) SampleID(r *rng.RNG) (sim.NodeID, bool) {
 	if len(v.items) == 0 {
 		return 0, false
 	}
-	return sim.NodeID(v.items[r.Intn(len(v.items))].id), true
+	return v.items[r.Intn(len(v.items))].id, true
 }
 
 // Contains reports whether the view holds a descriptor for id.
@@ -167,8 +167,8 @@ const mergeStack = 48
 // Merge folds a batch of descriptors into the view under the Newscast rule:
 // drop self-descriptors, deduplicate by ID keeping the freshest stamp, then
 // keep the Cap freshest overall. Ties in freshness break by a deterministic
-// hash of the descriptor so merging is reproducible yet unbiased. A
-// descriptor, or self, outside the int32 range panics (see entryOf).
+// hash of the descriptor so merging is reproducible yet unbiased. A stamp
+// outside the int32 range panics (see entryOf).
 //
 // The result is the first Cap distinct IDs of (view ∪ batch) in canonical
 // order. Merge is the front-end for batches in any order (Bootstrap, Insert,
@@ -201,7 +201,7 @@ func (v *View) mergeBatch(self sim.NodeID, batch []entry) {
 		}
 		b[i] = e
 	}
-	v.mergeInPlace(self, b, entryOf(Descriptor{ID: self}))
+	v.mergeInPlace(self, b, entry{id: self})
 }
 
 // mergeInPlace merges the sorted run b and the extra entry x into the view,
@@ -221,8 +221,7 @@ const dedupBits = 7
 // IDs of a ∪ b ∪ {x} in canonical order and returns that slice; a and b
 // must be sorted under before (repeats allowed) and must not overlap out,
 // whose capacity must be at least c. Entries of self are skipped, in either
-// run and as x — passing an x with self's ID means "no extra". IDs are
-// compared with self widened, so an owner outside int32 matches no entry.
+// run and as x — passing an x with self's ID means "no extra".
 //
 // Among descriptors with one ID the first in canonical order is the
 // freshest, so dropping every ID already emitted is the whole dedup. It is
@@ -240,7 +239,7 @@ func mergeRuns(out, a, b []entry, x entry, self sim.NodeID, c int) []entry {
 	}
 	out = out[:c]
 	var tab [1 << dedupBits]uint8
-	hasX := sim.NodeID(x.id) != self
+	hasX := x.id != self
 	n, i, j := 0, 0, 0
 	for n < len(out) {
 		// The next entry in canonical order: the head of a or of b (a
@@ -265,11 +264,11 @@ func mergeRuns(out, a, b []entry, x entry, self sim.NodeID, c int) []entry {
 		default:
 			return out[:n]
 		}
-		if sim.NodeID(d.id) == self {
+		if d.id == self {
 			continue
 		}
 		h := uint64(d.id) * 0x9e3779b97f4a7c15 >> (64 - dedupBits)
-		if k := tab[h]; k != 0 && (out[k-1].id == d.id || containsID(out[:n], sim.NodeID(d.id))) {
+		if k := tab[h]; k != 0 && (out[k-1].id == d.id || containsID(out[:n], d.id)) {
 			continue
 		}
 		tab[h] = uint8(min(n+1, 255))
@@ -282,7 +281,7 @@ func mergeRuns(out, a, b []entry, x entry, self sim.NodeID, c int) []entry {
 // containsID reports whether es holds an entry for id.
 func containsID(es []entry, id sim.NodeID) bool {
 	for i := range es {
-		if sim.NodeID(es[i].id) == id {
+		if es[i].id == id {
 			return true
 		}
 	}
@@ -293,7 +292,7 @@ func containsID(es []entry, id sim.NodeID) bool {
 // the others.
 func (v *View) Remove(id sim.NodeID) {
 	for i, e := range v.items {
-		if sim.NodeID(e.id) == id {
+		if e.id == id {
 			v.items = append(v.items[:i], v.items[i+1:]...)
 			return
 		}

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // The dense node arena. NodeIDs are monotonic and never reused, so nodes
 // can live in a slice indexed by ID instead of a map: an ID lookup is two
 // array indexings, and walking the population in ID order is a linear scan
@@ -8,7 +10,7 @@ package sim
 // codebase hold *Node pointers across joins (protocol views, churn models,
 // the live index), which a flat append-grown slice would invalidate.
 //
-// A chunk holds 1 024 nodes of 48 B: 48 KiB. Every engine pays for one
+// A chunk holds 1 024 nodes of 40 B: 40 KiB. Every engine pays for one
 // chunk however few nodes it holds, and a campaign builds many small
 // engines, so a chunk is kept small; but it stays above 32 KiB and a
 // multiple of the runtime's 8 KiB page, so it is a large object on pages
@@ -36,9 +38,12 @@ func (a *nodeArena) len() int { return int(a.n) }
 
 // alloc appends a fresh node with the next ID and returns its pointer.
 // Everything but the ID is zero; the caller wires RNG, liveness and the
-// protocol stack.
+// protocol stack. An ID past the routing keys' range panics.
 func (a *nodeArena) alloc() *Node {
 	id := a.n
+	if id >= maxNodes {
+		panic(fmt.Sprintf("sim: an engine holds at most %d nodes, the IDs a routing key can name", maxNodes))
+	}
 	a.n++
 	ci := int(id >> arenaChunkShift)
 	if ci == len(a.chunks) {

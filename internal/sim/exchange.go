@@ -65,24 +65,23 @@ type Message struct {
 	// bundled protocols are symmetric (Newscast talks to Newscast, OptNode
 	// to OptNode), so Slot also locates the sender's own instance when a
 	// failure must be reported back.
-	Slot int
+	Slot int32
+	// trigger is, on a follow-up, the canonical index of the message that
+	// posted it, then its final index in the next round (see applyRound);
+	// a leg a net-model delay held back carries redelivered instead, so its
+	// release is checked against liveness and the filter but never judged
+	// twice. Released legs join the canonical list, which ignores trigger.
+	// The four 32-bit fields pack ahead of Data: a Message is 32 bytes.
+	trigger int32
 	// Data is the protocol-specific payload. Ownership transfers to the
 	// receiver: proposers must not retain or mutate it after Send. A
 	// payload implementing Recyclable returns to its free list when the
 	// cycle ends (see freelist.go for the full ownership rules), so
 	// handlers must not retain it — or slices inside it — across cycles.
 	Data any
-	// redelivered marks a leg re-entering a later cycle after a net-model
-	// delay (see netmodel.go): it is re-checked against liveness and the
-	// delivery filter at its release cycle, but never judged by the model
-	// twice — a delayed leg cannot be re-delayed, re-lost or corrupted.
-	redelivered bool
-	// trigger is set on a follow-up only: the canonical index of the
-	// message whose handler posted it, then its final index in the next
-	// round (see Engine.applyRound). It fills padding, so Message stays
-	// 48 bytes.
-	trigger int32
 }
+
+const redelivered int32 = -1 // the trigger of a delayed leg (see Message)
 
 // Proposer is the phase-1 contract of the two-phase exchange model.
 // Propose performs the node's local work for the cycle and posts exchange
@@ -136,7 +135,7 @@ func (px *Proposals) Cycle() int64 { return px.cycle }
 // their proposal order within the outbox; across nodes the engine imposes
 // the canonical order.
 func (px *Proposals) Send(to NodeID, slot int, data any) {
-	px.msgs = append(px.msgs, Message{From: px.from, To: to, Slot: slot, Data: data})
+	px.msgs = append(px.msgs, Message{From: px.from, To: to, Slot: int32(slot), Data: data})
 }
 
 // CountEvals adds k objective evaluations to the engine's global counter
@@ -167,7 +166,7 @@ type ApplyContext struct {
 	// trigger is the canonical index of the message being handled; every
 	// follow-up carries it so the coordinator can place it where a
 	// sequential apply would have appended it.
-	trigger int
+	trigger int32
 	outbox  []Message
 	evals   int64
 	cache   *PayloadCache
@@ -194,7 +193,7 @@ func (ax *ApplyContext) Cycle() int64 { return ax.cycle }
 // triggering message's canonical index, so their delivery order is
 // independent of the apply worker count.
 func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
-	ax.outbox = append(ax.outbox, Message{From: ax.self, To: to, Slot: slot, Data: data, trigger: int32(ax.trigger)})
+	ax.outbox = append(ax.outbox, Message{From: ax.self, To: to, Slot: int32(slot), trigger: ax.trigger, Data: data})
 }
 
 // Alive reports whether the node with the given ID currently exists and is

@@ -275,8 +275,8 @@ func (p fanoutProto) post(ax *ApplyContext, msg Message) {
 // handler (no sender either) and some address a missing slot, so the
 // triggers carrying follow-ups are sparse.
 func TestFollowUpPlacement(t *testing.T) {
-	if s := unsafe.Sizeof(Message{}); s != 48 {
-		t.Fatalf("sim.Message is %d bytes, want 48: every engine buffer holds one per message", s)
+	if s := unsafe.Sizeof(Message{}); s != 32 {
+		t.Fatalf("sim.Message is %d bytes, want 32: every engine buffer holds one per message", s)
 	}
 	const nodes, msgs, dead = 40, 700, 7
 	r := rng.New(9)

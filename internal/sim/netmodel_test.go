@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gossipopt/internal/rng"
@@ -266,6 +267,107 @@ func TestNetModelWorkerGridInvariance(t *testing.T) {
 		for _, aw := range []int{1, 2, 8} {
 			if got := run(pw, aw); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trace diverged at propose=%d apply=%d:\n got %+v\nwant %+v", pw, aw, got, want)
+			}
+		}
+	}
+}
+
+// delayAll holds back every leg it judges for one cycle and counts its
+// judgments. A leg judged again at its release would be held again and
+// never arrive.
+type delayAll struct{ judged int }
+
+func (d *delayAll) Judge(from, to NodeID, r *rng.RNG) Verdict {
+	d.judged++
+	return Verdict{Fate: FateDelay, Delay: 1}
+}
+
+// foldLeg names one leg and the cycle it was sent in.
+type foldLeg struct {
+	id    string
+	sent  int64
+	reply bool
+}
+
+// foldProto sends one request a cycle to a peer drawn from its node's RNG
+// and answers each request it receives with a follow-up, so the model
+// judges reply legs (trigger >= 0) as well as proposals.
+type foldProto struct {
+	nodes    int
+	received []string
+	posted   int
+}
+
+func (p *foldProto) Propose(n *Node, px *Proposals) {
+	to := NodeID((int(n.ID) + 1 + n.RNG.Intn(p.nodes-1)) % p.nodes)
+	px.Send(to, 0, foldLeg{id: fmt.Sprintf("c%dn%d", px.Cycle(), n.ID), sent: px.Cycle()})
+	p.posted++
+}
+
+func (p *foldProto) Receive(n *Node, ax *ApplyContext, msg Message) {
+	leg := msg.Data.(foldLeg)
+	p.received = append(p.received, fmt.Sprintf("%s@%d", leg.id, ax.Cycle()-leg.sent))
+	if !leg.reply {
+		ax.Send(msg.From, 0, foldLeg{id: leg.id + "/r", sent: ax.Cycle(), reply: true})
+		p.posted++
+	}
+}
+
+// TestDelayedLegsJudgedOnceDeliveredOnce checks the trigger sentinel that
+// marks a delayed leg: under a model that delays every leg it judges, each
+// leg, reply legs included, is judged once, held one cycle, and delivered
+// exactly once at its release, and the receive logs are identical across
+// the (propose × apply) worker grid.
+func TestDelayedLegsJudgedOnceDeliveredOnce(t *testing.T) {
+	const nodes, cycles = 24, 6
+	run := func(pw, aw int) [][]string {
+		e := NewEngine(39)
+		e.SetWorkers(pw)
+		e.SetApplyWorkers(aw)
+		protos := make([]*foldProto, 0, nodes)
+		e.SetNodeFactory(func(nd *Node) {
+			p := &foldProto{nodes: nodes}
+			protos = append(protos, p)
+			nd.Protocols = []Protocol{p}
+		})
+		e.AddNodes(nodes)
+		model := &delayAll{}
+		e.SetNetModel(model)
+		e.Run(cycles)
+		defer e.Close()
+
+		posted, seen := 0, map[string]int{}
+		logs := make([][]string, nodes)
+		for i, p := range protos {
+			posted += p.posted
+			logs[i] = p.received
+			for _, r := range p.received {
+				seen[r]++
+			}
+		}
+		// Requests of cycles 0..4 arrive, and their replies are posted;
+		// replies posted in cycles 1..4 arrive. Everything else is queued.
+		wantPosted, wantArrived := nodes*cycles+nodes*(cycles-1), nodes*(cycles-1)+nodes*(cycles-2)
+		if model.judged != posted || posted != wantPosted || e.Delayed() != int64(posted) {
+			t.Fatalf("workers=%d/%d: %d legs posted (want %d), %d judged, %d delayed: each leg must be judged once",
+				pw, aw, posted, wantPosted, model.judged, e.Delayed())
+		}
+		if len(seen) != wantArrived || e.Delivered() != int64(wantArrived) || len(e.delayQ) != posted-wantArrived {
+			t.Fatalf("workers=%d/%d: %d distinct legs arrived, %d delivered, %d queued; want %d arrived",
+				pw, aw, len(seen), e.Delivered(), len(e.delayQ), wantArrived)
+		}
+		for r, k := range seen {
+			if k != 1 || !strings.HasSuffix(r, "@1") {
+				t.Fatalf("workers=%d/%d: leg %s arrived %d times, want once, one cycle after it was sent", pw, aw, r, k)
+			}
+		}
+		return logs
+	}
+	want := run(1, 1)
+	for _, pw := range []int{1, 2, 8} {
+		for _, aw := range []int{1, 2, 8} {
+			if got := run(pw, aw); !reflect.DeepEqual(got, want) {
+				t.Fatalf("receive logs diverged at propose=%d apply=%d", pw, aw)
 			}
 		}
 	}

@@ -44,7 +44,7 @@ type refWorld struct {
 // refCall is one handler invocation as the handled node saw it.
 type refCall struct {
 	cycle   int64
-	trigger int
+	trigger int32
 	id      string // payload id, or "corrupted"
 	deliver bool
 	posted  int
@@ -163,7 +163,7 @@ func (r *refEngine) route(slot *Message) (*Node, Message, bool) {
 		r.dropped++
 		return r.node(m.From), m, false
 	}
-	if r.netmod != nil && m.From != m.To && !m.redelivered {
+	if r.netmod != nil && m.From != m.To && m.trigger != redelivered {
 		switch v := r.netmod.Judge(m.From, m.To, r.netRNG); v.Fate {
 		case FateDrop:
 			r.dropped++
@@ -173,7 +173,7 @@ func (r *refEngine) route(slot *Message) (*Node, Message, bool) {
 			return nil, m, false
 		case FateDelay:
 			r.delayed++
-			m.redelivered = true
+			m.trigger = redelivered
 			r.delayQ = append(r.delayQ, delayedMsg{release: r.cycle + max(v.Delay, 1), msg: m})
 			slot.Data = nil // the payload now belongs to the delay queue
 			return nil, m, false
@@ -217,10 +217,10 @@ func (r *refEngine) runCycle() {
 				continue
 			}
 			r.jobs++
-			if m.Slot < 0 || m.Slot >= len(n.Protocols) {
+			if m.Slot < 0 || int(m.Slot) >= len(n.Protocols) {
 				continue
 			}
-			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: i}
+			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: int32(i)}
 			n.Protocols[m.Slot].(*refProto).handle(ax, m, deliver)
 			next = append(next, ax.outbox...)
 		}

@@ -12,22 +12,24 @@ import (
 
 // TestEngineScratchBytesPerNode gates the engine's own memory on the
 // workload that has nothing else: gossip averaging over a 20-regular
-// static overlay, where a node is its structs, its 20 neighbour IDs (80 B
-// of int32 in a slab the network shares, plus a 24-B Static header in a
-// second one) and its share of the engine's buffers. Per message of a
-// round the engine holds one 48-B slot — worker 0's propose outbox is the
-// canonical list, and each round's follow-ups are posted into and ordered
-// in the next round's buffer — plus the propose outbox of each worker
-// other than worker 0, plus 12 B of routing key, job order and per-node
-// counter, all sized once to the need: 399 B per node measured here. Links
-// held as a separate 160-B slice of 8-byte IDs and a Static apiece
-// measured 479 B; a second copy of each message (a canonical list apart
-// from the outboxes, or follow-up outboxes scattered into a separate round
-// buffer) measured 598-628 B with those links. A first network is run and
-// dropped before the measured one so that the process-wide payload free
-// lists are full either way, whatever ran earlier in the test binary.
+// static overlay, where a node is its structs (a 40-B arena node among
+// them), its 20 neighbour IDs (80 B of 4-byte sim.NodeIDs in a slab the
+// network shares, plus a 24-B Static header in a second one) and its share
+// of the engine's buffers. Per message of a round the engine holds one
+// 32-B slot — worker 0's propose outbox is the canonical list, and each
+// round's follow-ups are posted into and ordered in the next round's
+// buffer — plus the propose outbox of each worker other than worker 0,
+// plus 12 B of routing key, job order and per-node counter, all sized once
+// to the need: 352 B per node measured here. 64-bit IDs (a 48-B slot and
+// a 48-B node) measured 399 B; links held as a separate 160-B slice of
+// 8-byte IDs and a Static apiece 479 B; a second copy of each message (a
+// canonical list apart from the outboxes, or follow-up outboxes scattered
+// into a separate round buffer) 598-628 B with those links. A first
+// network is run and dropped before the measured one so that the
+// process-wide payload free lists are full either way, whatever ran
+// earlier in the test binary.
 func TestEngineScratchBytesPerNode(t *testing.T) {
-	const n, budget = 5000, 440
+	const n, budget = 5000, 390
 	build := func() *sim.Engine {
 		e := sim.NewEngine(21)
 		nodes := e.AddNodes(n)

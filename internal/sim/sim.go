@@ -29,9 +29,9 @@ import (
 	"gossipopt/internal/rng"
 )
 
-// NodeID identifies a simulated node. IDs are never reused within a run,
-// so a crashed node's ID never refers to a different live node later.
-type NodeID int64
+// NodeID identifies a simulated node. IDs are 32-bit and never reused
+// within a run, so a crashed node's ID never names another node later.
+type NodeID int32
 
 // Protocol is one layer of a node's protocol stack in the cycle-driven
 // model. An implementation provides the two-phase exchange contract of
@@ -595,8 +595,8 @@ func (e *Engine) deliver(msgs []Message) int {
 // A routing key is all the coordinator records about one message of a
 // round: the handling node's ID above two flag bits, or noHandler when no
 // handler fires at all (no sender exists, a blackhole swallowed the leg,
-// or the leg was delayed). 29 ID bits are far beyond any population that
-// fits in memory.
+// or the leg was delayed). That leaves 29 ID bits, so the arena issues at
+// most maxNodes IDs.
 const (
 	// keyDeliver selects the destination's Receive; without it the key
 	// names the sender, whose Undeliverable hook fires.
@@ -605,6 +605,7 @@ const (
 	keyCorrupt
 	keyShift        = 2
 	noHandler int32 = -1
+	maxNodes        = 1 << (31 - keyShift)
 )
 
 // route classifies one canonical message on the coordinator: delivered to
@@ -625,7 +626,7 @@ func (e *Engine) route(m *Message) int32 {
 		e.dropped++
 		return e.senderKey(m.From)
 	}
-	if e.netmod != nil && m.From != m.To && !m.redelivered {
+	if e.netmod != nil && m.From != m.To && m.trigger != redelivered {
 		switch v := e.netmod.Judge(m.From, m.To, e.netRNG); v.Fate {
 		case FateDrop:
 			e.dropped++
@@ -635,9 +636,8 @@ func (e *Engine) route(m *Message) int32 {
 			return noHandler
 		case FateDelay:
 			e.delayed++
-			held := *m
-			held.redelivered = true
-			e.delayQ = append(e.delayQ, delayedMsg{release: e.cycle + max(v.Delay, 1), msg: held})
+			m.trigger = redelivered
+			e.delayQ = append(e.delayQ, delayedMsg{release: e.cycle + max(v.Delay, 1), msg: *m})
 			m.Data = nil
 			return noHandler
 		case FateCorrupt:
@@ -832,7 +832,7 @@ func (e *Engine) applySpan(w int) {
 			continue
 		}
 		ax.self = n.ID
-		ax.trigger = int(i)
+		ax.trigger = i
 		if k&keyDeliver != 0 {
 			if r, ok := n.Protocols[m.Slot].(Receiver); ok {
 				r.Receive(n, ax, m)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -84,6 +85,39 @@ func TestArenaChunkIsWholePages(t *testing.T) {
 		t.Fatalf("an arena chunk is %d B (%d nodes of %d B), want above 32 KiB and a multiple of 8 KiB",
 			size, arenaChunkSize, node)
 	}
+}
+
+// TestRecordLayouts pins the per-node and per-delayed-leg records to their
+// 32-bit-ID layouts; TestFollowUpPlacement pins Message.
+func TestRecordLayouts(t *testing.T) {
+	if s := unsafe.Sizeof(Node{}); s != 40 {
+		t.Fatalf("sim.Node is %d bytes, want 40: the arena holds one per node ever created", s)
+	}
+	if s := unsafe.Sizeof(delayedMsg{}); s != 40 {
+		t.Fatalf("delayedMsg is %d bytes, want 40: the delay queue holds one per delayed leg", s)
+	}
+}
+
+// TestArenaRefusesIDsPastRoutingKey starts an arena one ID below the limit
+// a routing key can name: the last ID is issued and round-trips through a
+// routing key, and the next one panics with a message naming the limit.
+func TestArenaRefusesIDsPastRoutingKey(t *testing.T) {
+	a := nodeArena{n: maxNodes - 1, chunks: make([][]Node, (maxNodes-1)>>arenaChunkShift)}
+	if n := a.alloc(); n.ID != maxNodes-1 {
+		t.Fatalf("last ID below the limit allocated as %d, want %d", n.ID, maxNodes-1)
+	}
+	if key := int32(maxNodes-1)<<keyShift | keyDeliver | keyCorrupt; key>>keyShift != maxNodes-1 {
+		t.Fatalf("routing key %d does not round-trip ID %d", key, maxNodes-1)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "536870912") {
+			t.Fatalf("alloc at the limit panicked with %q, want a message naming 536870912", msg)
+		}
+		if a.len() != maxNodes {
+			t.Fatalf("the refused alloc moved the arena to %d nodes", a.len())
+		}
+	}()
+	a.alloc()
 }
 
 func TestRandomLiveNodeExcludes(t *testing.T) {
