@@ -8,15 +8,15 @@
 //
 // A sweep spec (-sweep) is a base scenario plus a grid of named override
 // axes; every grid cell runs its repetitions on one bounded worker pool
-// (-sweepworkers), the per-cycle rows stream out in cell-then-repetition
+// (-repworkers), the per-cycle rows stream out in cell-then-repetition
 // order, each cell is aggregated (min/mean/max/stddev per metric at the
 // final sample, plus time-to-threshold) into a summary table (-summary),
 // and a human-readable comparison report lands on stderr.
 //
 // The same spec + seed produces byte-identical metric output at any
-// -workers / -applyworkers (engine parallelism), -repworkers (campaign
-// parallelism) and -sweepworkers (sweep pool) value. -cpuprofile and
-// -memprofile write pprof profiles of a campaign or sweep run.
+// -workers (engine parallelism) and -repworkers (campaign or sweep pool)
+// value. -cpuprofile and -memprofile write pprof profiles of a campaign or
+// sweep run.
 //
 // Observability (docs/OBSERVABILITY.md): -progress renders live progress
 // lines on stderr, -statsjson dumps end-of-run engine instrumentation as
@@ -32,7 +32,7 @@
 //	scenario -run rumor-netsplit -reps 8 -repworkers 4   # parallel campaign
 //	scenario -show lossy-wan                # print a built-in as JSON
 //	scenario -spec my.json -format jsonl    # run a spec file
-//	scenario -sweep overlay-vs-churn -sweepworkers 8 -o rows.csv -summary cells.csv
+//	scenario -sweep overlay-vs-churn -repworkers 8 -o rows.csv -summary cells.csv
 //	scenario -sweep my-sweep.json -reps 10  # sweep from a file
 //	scenario -sweep overlay-vs-churn -progress -statsjson stats.jsonl -debugaddr 127.0.0.1:6060
 package main
@@ -80,25 +80,23 @@ func run(args []string, out, errOut io.Writer) (err error) {
 	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		list         = fs.Bool("list", false, "list built-in scenarios and sweeps and exit")
-		name         = fs.String("run", "", "run a built-in scenario by name")
-		show         = fs.String("show", "", "print a built-in scenario or sweep as JSON and exit")
-		specPath     = fs.String("spec", "", "run a scenario spec from a JSON file")
-		sweepName    = fs.String("sweep", "", "run a sweep: a built-in sweep name or a JSON file")
-		reps         = fs.Int("reps", 1, "repetitions in the campaign (sweeps: per cell; 0 keeps the sweep's default)")
-		seed         = fs.Uint64("seed", 0, "override the spec's base seed (0: keep)")
-		workers      = fs.Int("workers", 1, "cycle-engine pool workers for both phases (output is identical for any value)")
-		applyWorkers = fs.Int("applyworkers", 0, "override the cycle engine's apply-phase workers (0: follow -workers; output is identical for any value)")
-		repWorkers   = fs.Int("repworkers", 1, "repetitions run in parallel (output is identical for any value)")
-		sweepWorkers = fs.Int("sweepworkers", 1, "sweep pool size: cell×rep jobs run in parallel (output is identical for any value)")
-		format       = fs.String("format", "csv", "metric output format: csv or jsonl")
-		outPath      = fs.String("o", "", "write metrics to a file instead of stdout")
-		summaryPath  = fs.String("summary", "", "sweeps: write the aggregated per-cell summary table to this file (same -format)")
-		cpuProfile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign/sweep to this file")
-		memProfile   = fs.String("memprofile", "", "write a pprof heap profile taken after the campaign/sweep to this file")
-		progress     = fs.Bool("progress", false, "render live progress (reps, rows, ETA) to stderr once a second")
-		statsJSON    = fs.String("statsjson", "", "write end-of-run engine stats as JSON lines (one per rep, plus one per sweep cell) to this file")
-		debugAddr    = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. 127.0.0.1:6060; port 0 picks one) for the run's duration")
+		list        = fs.Bool("list", false, "list built-in scenarios and sweeps and exit")
+		name        = fs.String("run", "", "run a built-in scenario by name")
+		show        = fs.String("show", "", "print a built-in scenario or sweep as JSON and exit")
+		specPath    = fs.String("spec", "", "run a scenario spec from a JSON file")
+		sweepName   = fs.String("sweep", "", "run a sweep: a built-in sweep name or a JSON file")
+		reps        = fs.Int("reps", 1, "repetitions in the campaign (sweeps: per cell; 0 keeps the sweep's default)")
+		seed        = fs.Uint64("seed", 0, "override the spec's base seed (0: keep)")
+		workers     = fs.Int("workers", 1, "cycle-engine pool workers for both phases (output is identical for any value)")
+		repWorkers  = fs.Int("repworkers", 1, "repetitions (sweeps: cell×rep jobs) run in parallel (output is identical for any value)")
+		format      = fs.String("format", "csv", "metric output format: csv or jsonl")
+		outPath     = fs.String("o", "", "write metrics to a file instead of stdout")
+		summaryPath = fs.String("summary", "", "sweeps: write the aggregated per-cell summary table to this file (same -format)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign/sweep to this file")
+		memProfile  = fs.String("memprofile", "", "write a pprof heap profile taken after the campaign/sweep to this file")
+		progress    = fs.Bool("progress", false, "render live progress (reps, rows, ETA) to stderr once a second")
+		statsJSON   = fs.String("statsjson", "", "write end-of-run engine stats as JSON lines (one per rep, plus one per sweep cell) to this file")
+		debugAddr   = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. 127.0.0.1:6060; port 0 picks one) for the run's duration")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -164,18 +162,15 @@ func run(args []string, out, errOut io.Writer) (err error) {
 
 	// Resolve the mode — names, spec files, and flag combinations — before
 	// any output file is created: a typo'd name must not truncate an
-	// existing results file. Mode-foreign parallelism/output flags are
-	// rejected rather than silently ignored, the same strictness the spec
-	// layer applies to unknown fields.
+	// existing results file. Mode-foreign output flags are rejected rather
+	// than silently ignored, the same strictness the spec layer applies to
+	// unknown fields.
 	var (
 		sw    scenario.SweepSpec
 		spec  scenario.Spec
 		isSwp = *sweepName != ""
 	)
 	if isSwp {
-		if setFlags["repworkers"] {
-			return fmt.Errorf("-repworkers applies to -run/-spec campaigns; sweeps parallelize with -sweepworkers")
-		}
 		s, ok := scenario.BuiltinSweep(*sweepName)
 		if !ok {
 			data, err := os.ReadFile(*sweepName)
@@ -192,9 +187,6 @@ func run(args []string, out, errOut io.Writer) (err error) {
 		}
 		sw = s
 	} else {
-		if setFlags["sweepworkers"] {
-			return fmt.Errorf("-sweepworkers applies to -sweep; campaigns parallelize with -repworkers")
-		}
 		if setFlags["summary"] {
 			return fmt.Errorf("-summary applies to -sweep (only sweeps aggregate cells)")
 		}
@@ -346,14 +338,13 @@ func run(args []string, out, errOut io.Writer) (err error) {
 		return statsErr
 	}
 
+	opts := scenario.Options{
+		BaseSeed:   *seed,
+		Workers:    *workers,
+		RepWorkers: *repWorkers,
+		Progress:   onProgress,
+	}
 	if isSwp {
-		opts := scenario.Options{
-			BaseSeed:     *seed,
-			Workers:      *workers,
-			ApplyWorkers: *applyWorkers,
-			RepWorkers:   *sweepWorkers,
-			Progress:     onProgress,
-		}
 		if setFlags["reps"] {
 			opts.Reps = *reps
 		}
@@ -402,14 +393,8 @@ func run(args []string, out, errOut io.Writer) (err error) {
 		return nil
 	}
 
-	sums, err := scenario.Run(spec, scenario.Options{
-		Reps:         *reps,
-		BaseSeed:     *seed,
-		Workers:      *workers,
-		ApplyWorkers: *applyWorkers,
-		RepWorkers:   *repWorkers,
-		Progress:     onProgress,
-	}, sink)
+	opts.Reps = *reps
+	sums, err := scenario.Run(spec, opts, sink)
 	if err != nil {
 		return err
 	}

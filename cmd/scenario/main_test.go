@@ -226,14 +226,15 @@ func TestSweepGoldenDeterminism(t *testing.T) {
 }
 
 // TestSweepWorkersInvariance is the acceptance criterion: rows, summary
-// table and comparison report are byte-identical for -sweepworkers 1/2/8.
+// table and comparison report are byte-identical for -repworkers 1/2/8,
+// the pool a sweep's cell × repetition jobs run on.
 func TestSweepWorkersInvariance(t *testing.T) {
 	render := func(workers string) (string, string, string) {
 		sumPath := filepath.Join(t.TempDir(), "cells.csv")
 		out, errOut, err := runCmd(t, "-sweep", "protocol-vs-loss", "-reps", "2",
-			"-sweepworkers", workers, "-summary", sumPath)
+			"-repworkers", workers, "-summary", sumPath)
 		if err != nil {
-			t.Fatalf("sweepworkers=%s: %v", workers, err)
+			t.Fatalf("repworkers=%s: %v", workers, err)
 		}
 		sum, err := os.ReadFile(sumPath)
 		if err != nil {
@@ -245,13 +246,13 @@ func TestSweepWorkersInvariance(t *testing.T) {
 	for _, w := range []string{"2", "8"} {
 		rows, sum, rep := render(w)
 		if rows != rows1 {
-			t.Fatalf("rows differ between -sweepworkers 1 and %s", w)
+			t.Fatalf("rows differ between -repworkers 1 and %s", w)
 		}
 		if sum != sum1 {
-			t.Fatalf("summary differs between -sweepworkers 1 and %s", w)
+			t.Fatalf("summary differs between -repworkers 1 and %s", w)
 		}
 		if rep != rep1 {
-			t.Fatalf("report differs between -sweepworkers 1 and %s", w)
+			t.Fatalf("report differs between -repworkers 1 and %s", w)
 		}
 	}
 	if !strings.Contains(rep1, "== sweep protocol-vs-loss ==") {
@@ -313,14 +314,6 @@ func TestSweepBadUsage(t *testing.T) {
 	if _, _, err := runCmd(t, "-sweep", "overlay-vs-churn", "-run", "baseline"); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-run with -sweep accepted: %v", err)
-	}
-	if _, _, err := runCmd(t, "-sweep", "overlay-vs-churn", "-repworkers", "4"); err == nil ||
-		!strings.Contains(err.Error(), "-sweepworkers") {
-		t.Fatalf("inert -repworkers with -sweep accepted: %v", err)
-	}
-	if _, _, err := runCmd(t, "-run", "baseline", "-sweepworkers", "4"); err == nil ||
-		!strings.Contains(err.Error(), "-repworkers") {
-		t.Fatalf("inert -sweepworkers with -run accepted: %v", err)
 	}
 	if _, _, err := runCmd(t, "-run", "baseline", "-summary", "cells.csv"); err == nil ||
 		!strings.Contains(err.Error(), "-summary") {

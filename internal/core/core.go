@@ -221,11 +221,8 @@ type Config struct {
 	// Churn, when non-nil, is applied by the engine every cycle.
 	Churn sim.ChurnModel
 	// Workers is the engine's pool parallelism for both cycle phases
-	// (<= 1: single-threaded). ApplyWorkers, when positive, overrides the
-	// apply-phase parallelism independently. The trace is bit-identical
-	// for every (Workers, ApplyWorkers) combination.
-	Workers      int
-	ApplyWorkers int
+	// (<= 1: single-threaded). The trace is bit-identical for every value.
+	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -288,9 +285,6 @@ func NewNetwork(cfg Config) *Network {
 	eng := sim.NewEngine(cfg.Seed)
 
 	eng.SetWorkers(cfg.Workers)
-	if cfg.ApplyWorkers > 0 {
-		eng.SetApplyWorkers(cfg.ApplyWorkers)
-	}
 
 	mkSolver := cfg.SolverFactory
 	if mkSolver == nil {
@@ -299,7 +293,7 @@ func NewNetwork(cfg Config) *Network {
 		}
 	}
 	bestPoints := &gossip.Exchange[BestPoint]{
-		Slot: SlotTopology, SelfSlot: SlotOpt, Mode: gossip.PushPull, DropProb: cfg.DropProb,
+		Slot: SlotTopology, SelfSlot: SlotOpt, DropProb: cfg.DropProb,
 	}
 	newOptNode := func(id sim.NodeID, r *rng.RNG) *OptNode {
 		return &OptNode{

@@ -12,9 +12,7 @@ import (
 
 // qualityTrace runs a network for the given cycles and records Quality()
 // after every cycle.
-func qualityTrace(t *testing.T, cfg Config, cycles int) []float64 {
-	t.Helper()
-	net := NewNetwork(cfg)
+func qualityTrace(net *Network, cycles int) []float64 {
 	out := make([]float64, 0, cycles)
 	for i := 0; i < cycles; i++ {
 		net.Step()
@@ -24,8 +22,9 @@ func qualityTrace(t *testing.T, cfg Config, cycles int) []float64 {
 }
 
 // TestWorkerCountInvariance is the tentpole acceptance test: for a fixed
-// seed the Quality() trace is bit-identical across workers ∈ {1, 4, 8} —
-// parallelism changes wall-clock only, never results.
+// seed the Quality() trace is bit-identical across workers ∈ {1, 4} and
+// (propose × apply) workers ∈ {1, 2, 8}² — parallelism changes wall-clock
+// only, never results.
 func TestWorkerCountInvariance(t *testing.T) {
 	base := Config{
 		Nodes:       96,
@@ -55,11 +54,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 				cfg := base
 				v.mut(&cfg)
 				cfg.Workers = workers
-				cfg.ApplyWorkers = applyWorkers
-				return qualityTrace(t, cfg, 30)
+				net := NewNetwork(cfg)
+				if applyWorkers > 0 {
+					net.Engine().SetApplyWorkers(applyWorkers)
+				}
+				return qualityTrace(net, 30)
 			}
 			want := mk(1, 0)
-			for _, w := range [][2]int{{4, 0}, {8, 0}, {1, 8}, {8, 2}} {
+			grid := [][2]int{{4, 0}}
+			for _, p := range []int{1, 2, 8} {
+				for _, a := range []int{1, 2, 8} {
+					grid = append(grid, [2]int{p, a})
+				}
+			}
+			for _, w := range grid {
 				got := mk(w[0], w[1])
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -1,9 +1,9 @@
 // Package gossip implements the epidemic protocols from Demers et al. that
-// the paper builds its coordination service on: anti-entropy exchanges
-// (push, pull, push-pull), rumor mongering with a stop probability, and
-// gossip-based averaging aggregation (Jelasity et al.). All protocols run on
-// the cycle-driven simulator and obtain partners from a PeerSampler
-// (Newscast or a static topology) in a configurable protocol slot.
+// the paper builds its coordination service on: push-pull anti-entropy,
+// rumor mongering with a stop probability, and gossip-based averaging
+// aggregation (Jelasity et al.). All protocols run on the cycle-driven
+// simulator and obtain partners from a PeerSampler (Newscast or a static
+// topology) in a configurable protocol slot.
 // Exchange is the one anti-entropy implementation: AntiEntropy runs it on
 // a value held in a field, core.OptNode on its solver's best point.
 //
@@ -23,49 +23,23 @@ import (
 	"gossipopt/internal/sim"
 )
 
-// Mode selects the anti-entropy exchange direction.
-type Mode int
-
-// Exchange directions, after Demers et al.: the originator pushes its state,
-// pulls the peer's state, or both.
-const (
-	Push Mode = iota
-	Pull
-	PushPull
-)
-
-// String returns the conventional name of the mode.
-func (m Mode) String() string {
-	switch m {
-	case Push:
-		return "push"
-	case Pull:
-		return "pull"
-	case PushPull:
-		return "push-pull"
-	}
-	return "unknown"
-}
-
 // Exchange runs one anti-entropy diffusion of T values after Demers et
 // al., and is its network-wide setting: every node's Holder points at the
 // same Exchange, written once before the first cycle and only read by
-// handlers. It alone knows the exchange rule. An initiator samples one
-// partner and mails it its value (push, push-pull) or an empty ask (pull,
-// or nothing held). The partner adopts a strictly better pushed value;
-// when the initiator wants the pull half, it mails back its own value if
-// that is strictly better or the request carried none, and the initiator
-// offers itself the reply. Both sides end with the better value. A leg
-// carries a snapshot, which may be stale when several exchanges touch one
-// node in a cycle; holders adopt only strictly better values, so a stale
-// offer is refused and diffusion is at worst one round slower.
+// handlers. It alone knows the exchange rule, push-pull as the paper
+// runs it. An initiator samples one partner and mails it its value, or an
+// empty ask when it holds none. The partner adopts a strictly better
+// pushed value, or mails back its own value if that is strictly better or
+// the request carried none, and the initiator offers itself the reply.
+// Both sides end with the better value. A leg carries a snapshot, which
+// may be stale when several exchanges touch one node in a cycle; holders
+// adopt only strictly better values, so a stale offer is refused and
+// diffusion is at worst one round slower.
 type Exchange[T any] struct {
 	// Slot is the protocol slot holding the node's PeerSampler.
 	Slot int
 	// SelfSlot is the protocol slot holding the exchange's holders.
 	SelfSlot int
-	// Mode selects push, pull or push-pull (the paper uses push-pull).
-	Mode Mode
 	// DropProb, when positive, loses each initiated exchange with this
 	// probability, modelling message loss (paper §3.3.4: lost messages
 	// only slow diffusion down).
@@ -140,13 +114,11 @@ func (x *Exchange[T]) Propose(h Holder[T], c *Counters, n *sim.Node, px *sim.Pro
 		return
 	}
 	var leg any = aeAsk{}
-	if x.Mode != Pull {
-		req := legPool[aeReq[T]]().Get(px.Payloads())
-		if h.Load(&req.V) {
-			leg = req
-		} else {
-			req.Recycle(px.Payloads())
-		}
+	req := legPool[aeReq[T]]().Get(px.Payloads())
+	if h.Load(&req.V) {
+		leg = req
+	} else {
+		req.Recycle(px.Payloads())
 	}
 	px.Send(peerID, x.SelfSlot, leg)
 }
@@ -170,12 +142,8 @@ func (x *Exchange[T]) Receive(h Holder[T], c *Counters, ax *sim.ApplyContext, ms
 	}
 }
 
-// reply mails h's value back to the initiator, if the initiator wants the
-// pull half and h holds a value.
+// reply mails h's value back to the initiator, if h holds one.
 func (x *Exchange[T]) reply(h Holder[T], ax *sim.ApplyContext, to sim.NodeID) {
-	if x.Mode == Push {
-		return
-	}
 	rep := legPool[aeVal[T]]().Get(ax.Payloads())
 	if !h.Load(&rep.V) {
 		rep.Recycle(ax.Payloads())

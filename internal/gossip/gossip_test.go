@@ -26,8 +26,8 @@ func intBetter(a, b int) bool { return a > b }
 
 // aeExchange is the network-wide anti-entropy setting of buildNet's
 // layout: the sampler in slot 0, the holders in slot 1.
-func aeExchange(mode Mode, dropProb float64) *Exchange[int] {
-	return &Exchange[int]{Slot: 0, SelfSlot: 1, Mode: mode, DropProb: dropProb}
+func aeExchange(dropProb float64) *Exchange[int] {
+	return &Exchange[int]{Slot: 0, SelfSlot: 1, DropProb: dropProb}
 }
 
 func newAE(x *Exchange[int]) *AntiEntropy[int] {
@@ -39,7 +39,7 @@ func aeAt(e *sim.Engine, id sim.NodeID) *AntiEntropy[int] {
 }
 
 func TestAntiEntropyConvergesPushPull(t *testing.T) {
-	x := aeExchange(PushPull, 0)
+	x := aeExchange(0)
 	e := buildNet(1, 100, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id)) // node 99 holds the best value
@@ -53,33 +53,9 @@ func TestAntiEntropyConvergesPushPull(t *testing.T) {
 	})
 }
 
-func TestAntiEntropyPushSlowerThanPushPull(t *testing.T) {
-	countConverged := func(mode Mode, cycles int64) int {
-		x := aeExchange(mode, 0)
-		e := buildNet(2, 200, func(id sim.NodeID) sim.Protocol {
-			ae := newAE(x)
-			ae.SetLocal(int(id))
-			return ae
-		})
-		e.Run(cycles)
-		n := 0
-		e.ForEachLive(func(nd *sim.Node) {
-			if v, _ := aeAt(e, nd.ID).Local(); v == 199 {
-				n++
-			}
-		})
-		return n
-	}
-	push := countConverged(Push, 6)
-	pushpull := countConverged(PushPull, 6)
-	if pushpull < push {
-		t.Fatalf("push-pull (%d) slower than push (%d)", pushpull, push)
-	}
-}
-
 // Property: a node's local value is monotone non-decreasing under Better.
 func TestAntiEntropyMonotone(t *testing.T) {
-	x := aeExchange(PushPull, 0)
+	x := aeExchange(0)
 	e := buildNet(3, 60, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id))
@@ -103,7 +79,7 @@ func TestAntiEntropyMonotone(t *testing.T) {
 }
 
 func TestAntiEntropySurvivesDrops(t *testing.T) {
-	x := aeExchange(PushPull, 0.5)
+	x := aeExchange(0.5)
 	e := buildNet(4, 100, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id))
@@ -118,7 +94,7 @@ func TestAntiEntropySurvivesDrops(t *testing.T) {
 }
 
 func TestAntiEntropySurvivesChurn(t *testing.T) {
-	x := aeExchange(PushPull, 0)
+	x := aeExchange(0)
 	e := buildNet(5, 150, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id))
@@ -143,7 +119,7 @@ func TestAntiEntropySurvivesChurn(t *testing.T) {
 }
 
 func TestOfferSemantics(t *testing.T) {
-	ae := newAE(aeExchange(PushPull, 0))
+	ae := newAE(aeExchange(0))
 	if _, has := ae.Local(); has {
 		t.Fatal("fresh AE claims a value")
 	}
@@ -158,15 +134,6 @@ func TestOfferSemantics(t *testing.T) {
 	}
 	if v, _ := ae.Local(); v != 9 {
 		t.Fatalf("Local = %d", v)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Push.String() != "push" || Pull.String() != "pull" || PushPull.String() != "push-pull" {
-		t.Fatal("Mode.String wrong")
-	}
-	if Mode(42).String() != "unknown" {
-		t.Fatal("unknown mode string")
 	}
 }
 
@@ -245,7 +212,7 @@ func TestRumorPartitionIsolation(t *testing.T) {
 // cross the cut — every even node's value stays even, every odd node's
 // stays odd — and the filtered exchanges land in LostExchanges.
 func TestAntiEntropyPartitionIsolation(t *testing.T) {
-	x := aeExchange(PushPull, 0)
+	x := aeExchange(0)
 	e := buildNet(22, 100, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id))
@@ -299,7 +266,7 @@ func TestRumorSentCountsAttempts(t *testing.T) {
 // TestAntiEntropySentLostAccounting: Exchanges counts initiations before
 // the drop draw; DropProb=1 loses every one of them into LostExchanges.
 func TestAntiEntropySentLostAccounting(t *testing.T) {
-	x := aeExchange(PushPull, 1)
+	x := aeExchange(1)
 	e := buildNet(24, 30, func(id sim.NodeID) sim.Protocol {
 		ae := newAE(x)
 		ae.SetLocal(int(id))
@@ -362,7 +329,7 @@ func TestAntiEntropyWorkerInvariant(t *testing.T) {
 		e.SetApplyWorkers(applyWorkers)
 		nodes := e.AddNodes(80)
 		overlay.InitNewscast(e, 0, 20)
-		x := aeExchange(PushPull, 0.2)
+		x := aeExchange(0.2)
 		for _, nd := range nodes {
 			ae := newAE(x)
 			ae.SetLocal(int(nd.ID))

@@ -30,7 +30,6 @@ type NodeConfig struct {
 	// Particles is the per-node swarm size (default 16); SolverFactory
 	// overrides the default PSO when set.
 	Particles     int
-	PSO           pso.Config
 	SolverFactory solver.Factory
 	// GossipEvery is r: one best-point exchange per r local evaluations
 	// (default = Particles).
@@ -121,7 +120,7 @@ func Start(cfg NodeConfig) (*Node, error) {
 	mk := cfg.SolverFactory
 	if mk == nil {
 		mk = func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
-			return pso.New(f, dim, cfg.Particles, cfg.PSO, r)
+			return pso.New(f, dim, cfg.Particles, pso.Config{}, r)
 		}
 	}
 	// A TCP node's identity is its address; the seed derived from it

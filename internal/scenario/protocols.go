@@ -106,9 +106,6 @@ func newSubstrate(s Spec, seed uint64, opts Options, mk func(n *sim.Node) sim.Pr
 	topo, _ := core.TopologyByName(s.Stack.Topology)
 	eng := sim.NewEngine(seed)
 	eng.SetWorkers(opts.Workers)
-	if opts.ApplyWorkers > 0 {
-		eng.SetApplyWorkers(opts.ApplyWorkers)
-	}
 	nodes := eng.AddNodes(s.Nodes)
 	core.InitTopology(eng, core.SlotTopology, topo, s.Stack.ViewSize)
 	for _, n := range nodes {
@@ -172,7 +169,7 @@ func buildRumorNet(s Spec, seed uint64, opts Options) cycleNet {
 
 func buildAntiEntropyNet(s Spec, seed uint64, opts Options) cycleNet {
 	x := &gossip.Exchange[float64]{
-		Slot: core.SlotTopology, SelfSlot: protoSlot, Mode: gossip.PushPull, DropProb: s.Stack.DropProb,
+		Slot: core.SlotTopology, SelfSlot: protoSlot, DropProb: s.Stack.DropProb,
 	}
 	eng := newSubstrate(s, seed, opts, func(n *sim.Node) sim.Protocol {
 		return &gossip.AntiEntropy[float64]{Exchange: x, Better: func(a, b float64) bool { return a > b }}

@@ -18,17 +18,15 @@ type Options struct {
 	Reps int
 	// BaseSeed overrides the spec's seed when non-zero.
 	BaseSeed uint64
-	// Workers is the cycle engine's pool parallelism for both phases;
-	// ApplyWorkers, when positive, overrides the apply-phase parallelism
-	// independently. Output is bit-identical for every combination (the
-	// event engine is single-threaded and ignores both).
-	Workers      int
-	ApplyWorkers int
-	// RepWorkers runs repetitions on a bounded worker pool (<= 1:
-	// sequential). Each repetition's rows are buffered and flushed into
-	// the sink in repetition order, so the emitted bytes are identical to
-	// the sequential runner's for every value — RepWorkers, like Workers,
-	// only changes wall-clock speed.
+	// Workers is the cycle engine's pool parallelism for both phases.
+	// Output is bit-identical for every value (the event engine is
+	// single-threaded and ignores it).
+	Workers int
+	// RepWorkers runs repetitions — a sweep's cell × repetition jobs — on
+	// a bounded worker pool (<= 1: sequential). Each repetition's rows are
+	// buffered and flushed into the sink in repetition order, so the
+	// emitted bytes are identical to the sequential runner's for every
+	// value — RepWorkers, like Workers, only changes wall-clock speed.
 	RepWorkers int
 	// Progress, when set, is called once per finished repetition — after
 	// its rows entered the sink, on the flush goroutine, in canonical
@@ -36,6 +34,10 @@ type Options struct {
 	// update stream (timing fields aside) is identical for every worker
 	// count. The callback must not write to the campaign's sink.
 	Progress func(ProgressUpdate)
+
+	// applyWorkers, when positive, overrides the cycle engine's
+	// apply-phase parallelism; only the invariance tests set it.
+	applyWorkers int
 }
 
 // ProgressUpdate reports one finished repetition to Options.Progress.
@@ -315,13 +317,15 @@ func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (Rep
 			SolverFactory: factory,
 			DropProb:      s.Stack.DropProb,
 			Workers:       opts.Workers,
-			ApplyWorkers:  opts.ApplyWorkers,
 		})}
 	}
 	eng := net.Engine()
 	// Campaigns build one engine per repetition; release its worker pool
 	// deterministically instead of waiting for the finalizer backstop.
 	defer eng.Close()
+	if opts.applyWorkers > 0 {
+		eng.SetApplyWorkers(opts.applyWorkers)
+	}
 
 	ns := netState{baseline: s.Stack.Net, link: netModelOf(s.Stack.Net)}
 	if ns.link != nil {
@@ -525,7 +529,7 @@ func applyCycleEvent(eng *sim.Engine, ns *netState, ev Event, scratch *[]*sim.No
 			break
 		}
 		if ns.byz == nil {
-			ns.byz = sim.NewByzantine()
+			ns.byz = new(sim.Byzantine)
 		}
 		live := eng.AppendLiveNodes((*scratch)[:0])
 		*scratch = live

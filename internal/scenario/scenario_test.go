@@ -100,7 +100,7 @@ func TestApplyWorkerGridInvariance(t *testing.T) {
 		}
 		render := func(workers, applyWorkers int) string {
 			var buf bytes.Buffer
-			if _, err := Run(spec, Options{Workers: workers, ApplyWorkers: applyWorkers}, exp.NewCSVSink(&buf)); err != nil {
+			if _, err := Run(spec, Options{Workers: workers, applyWorkers: applyWorkers}, exp.NewCSVSink(&buf)); err != nil {
 				t.Fatalf("%s workers=%d applyworkers=%d: %v", name, workers, applyWorkers, err)
 			}
 			return buf.String()
@@ -285,6 +285,8 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"stop.time on cycle":   `{"name":"x","stop":{"time":50}}`,
 		"stop.cycles on event": `{"name":"x","engine":"event","stop":{"cycles":50}}`,
 		"fractional metrics":   `{"name":"x","metrics_every":2.5}`,
+		"huge metrics":         `{"name":"x","metrics_every":1e300}`,
+		"too many joins":       `{"name":"x","nodes":64,"timeline":[{"at":1,"action":"join","count":536870849}]}`,
 		"event past stop":      `{"name":"x","stop":{"cycles":100},"timeline":[{"at":150,"action":"heal"}]}`,
 		"event past horizon":   `{"name":"x","engine":"event","stop":{"time":100},"timeline":[{"at":150,"action":"heal"}]}`,
 		"drop_prob on event":   `{"name":"x","engine":"event","stack":{"drop_prob":0.3}}`,
@@ -315,12 +317,19 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 
 // TestParseStampLimits pins the run lengths an overlay view can stamp: its
 // entries hold int32 stamps, the cycle on the cycle engine and time·1024 on
-// the event engine. A spec that would run past the limit is a parse error
-// naming it, and the limit itself parses.
+// the event engine. The sampling interval is held to the same cycle limit,
+// and the initial nodes plus every join to the IDs the engine's arena can
+// issue. A spec past a limit is a parse error naming it, and the limit
+// itself parses.
 func TestParseStampLimits(t *testing.T) {
 	for _, tc := range []struct{ raw, limit string }{
 		{`{"name":"x","stop":{"cycles":2147483648}}`, "2147483647"},
 		{`{"name":"x","engine":"event","stop":{"time":2097152}}`, "2097151.999"},
+		{`{"name":"x","metrics_every":2147483648}`, "2147483647"},
+		{`{"name":"x","metrics_every":1e300}`, "2147483647"},
+		{`{"name":"x","nodes":536870913}`, "536870912"},
+		{`{"name":"x","nodes":536870000,"timeline":[{"at":1,"action":"join","count":900},{"at":2,"action":"join","count":13}]}`, "536870912"},
+		{`{"name":"x","nodes":2,"timeline":[{"at":1,"action":"join","count":9223372036854775807},{"at":2,"action":"join","count":9223372036854775807}]}`, "536870912"},
 	} {
 		_, err := Parse([]byte(tc.raw))
 		if err == nil || !strings.Contains(err.Error(), tc.limit) {
@@ -330,6 +339,8 @@ func TestParseStampLimits(t *testing.T) {
 	for _, raw := range []string{
 		`{"name":"x","stop":{"cycles":2147483647}}`,
 		`{"name":"x","engine":"event","stop":{"time":2097151.9990234375}}`,
+		`{"name":"x","metrics_every":2147483647}`,
+		`{"name":"x","nodes":536870000,"timeline":[{"at":1,"action":"join","count":900},{"at":2,"action":"join","count":12}]}`,
 	} {
 		if _, err := Parse([]byte(raw)); err != nil {
 			t.Errorf("%s: rejected at the limit: %v", raw, err)

@@ -23,6 +23,7 @@ import (
 
 	"gossipopt/internal/core"
 	"gossipopt/internal/funcs"
+	"gossipopt/internal/sim"
 )
 
 // Spec is one declarative experiment.
@@ -274,6 +275,9 @@ func (s Spec) normalized() (Spec, error) {
 		if s.MetricsEvery != math.Trunc(s.MetricsEvery) {
 			return s, fmt.Errorf("scenario %q: metrics_every=%v must be a whole number of cycles on the cycle engine", s.Name, s.MetricsEvery)
 		}
+		if s.MetricsEvery > math.MaxInt32 {
+			return s, fmt.Errorf("scenario %q: metrics_every=%v exceeds %d, the most cycles a run can last", s.Name, s.MetricsEvery, math.MaxInt32)
+		}
 		if s.Stop.Cycles <= 0 {
 			s.Stop.Cycles = 200
 		}
@@ -413,6 +417,17 @@ func (s Spec) normalized() (Spec, error) {
 		if err := s.validateEvent(ev); err != nil {
 			return s, fmt.Errorf("scenario %q: timeline[%d]: %w", s.Name, i, err)
 		}
+	}
+	// Every initial node and every joiner takes a fresh ID from the
+	// engine's arena.
+	room := sim.MaxNodes - s.Nodes
+	for _, ev := range s.Timeline {
+		if room >= 0 && ev.Action == "join" {
+			room -= ev.Count
+		}
+	}
+	if room < 0 {
+		return s, fmt.Errorf("scenario %q: nodes plus join counts exceed %d, the most nodes an engine can hold", s.Name, sim.MaxNodes)
 	}
 	return s, nil
 }

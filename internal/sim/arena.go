@@ -41,8 +41,8 @@ func (a *nodeArena) len() int { return int(a.n) }
 // protocol stack. An ID past the routing keys' range panics.
 func (a *nodeArena) alloc() *Node {
 	id := a.n
-	if id >= maxNodes {
-		panic(fmt.Sprintf("sim: an engine holds at most %d nodes, the IDs a routing key can name", maxNodes))
+	if id >= MaxNodes {
+		panic(fmt.Sprintf("sim: an engine holds at most %d nodes, the IDs a routing key can name", MaxNodes))
 	}
 	a.n++
 	ci := int(id >> arenaChunkShift)

@@ -167,9 +167,9 @@ const (
 	// swallowed without feedback (FateBlackhole). The node itself keeps
 	// sending — a data sink that starves its peers of replies.
 	ByzDrop ByzBehavior = iota + 1
-	// ByzDelay delays every leg the node sends by a uniform draw from the
-	// model's [DelayMin, DelayMax] cycles — a laggard that stays
-	// protocol-correct but serves stale state.
+	// ByzDelay delays every leg the node sends by a uniform draw of 1 to 3
+	// cycles — a laggard that stays protocol-correct but serves stale
+	// state.
 	ByzDelay
 	// ByzCorrupt garbles every leg the node sends (FateCorrupt) — its
 	// messages arrive as unparseable Corrupted payloads.
@@ -178,19 +178,9 @@ const (
 
 // Byzantine assigns adversarial behaviors to individual nodes. Honest
 // pairs pass through untouched, so it composes with a link model via
-// Compose. The zero value has no adversaries; construct with
-// NewByzantine and populate with Set.
+// Compose. The zero value has no adversaries; populate it with Set.
 type Byzantine struct {
-	// DelayMin and DelayMax bound ByzDelay's per-leg delay draw in cycles
-	// (defaults 1 and 3 when both are zero).
-	DelayMin, DelayMax int64
-	behavior           map[NodeID]ByzBehavior
-}
-
-// NewByzantine builds an empty Byzantine model with the default delay
-// range [1, 3].
-func NewByzantine() *Byzantine {
-	return &Byzantine{DelayMin: 1, DelayMax: 3, behavior: make(map[NodeID]ByzBehavior)}
+	behavior map[NodeID]ByzBehavior
 }
 
 // Set assigns (or, with 0, clears) a node's behavior.
@@ -220,37 +210,9 @@ func (b *Byzantine) Judge(from, to NodeID, r *rng.RNG) Verdict {
 	}
 	switch b.behavior[from] {
 	case ByzDelay:
-		lo, hi := b.DelayMin, b.DelayMax
-		if lo <= 0 && hi <= 0 {
-			lo, hi = 1, 3
-		}
-		if lo < 1 {
-			lo = 1
-		}
-		if hi < lo {
-			hi = lo
-		}
-		return Verdict{Fate: FateDelay, Delay: lo + int64(r.Uint64n(uint64(hi-lo+1)))}
+		return Verdict{Fate: FateDelay, Delay: 1 + int64(r.Uint64n(3))}
 	case ByzCorrupt:
 		return Verdict{Fate: FateCorrupt}
-	}
-	return Verdict{Fate: FateDeliver}
-}
-
-// FilterLinks adapts a DeliveryFilter into a NetModel (blocked legs are
-// dropped with sender feedback), so group splits compose with the other
-// models under Compose. The engine-level filter installed by
-// SetDeliveryFilter stays its own, earlier hook; this adapter exists for
-// model-only composition.
-func FilterLinks(f DeliveryFilter) NetModel { return filterModel{f} }
-
-// filterModel is FilterLinks' NetModel wrapper.
-type filterModel struct{ f DeliveryFilter }
-
-// Judge implements NetModel via the wrapped filter.
-func (m filterModel) Judge(from, to NodeID, r *rng.RNG) Verdict {
-	if m.f.blocked(from, to) {
-		return Verdict{Fate: FateDrop}
 	}
 	return Verdict{Fate: FateDeliver}
 }

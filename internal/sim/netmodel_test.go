@@ -14,6 +14,17 @@ type fateModel struct{ v Verdict }
 
 func (f fateModel) Judge(from, to NodeID, r *rng.RNG) Verdict { return f.v }
 
+// crossIsland is a test model that drops every leg between the two
+// islands of SplitGroups(2), even and odd IDs.
+type crossIsland struct{}
+
+func (crossIsland) Judge(from, to NodeID, r *rng.RNG) Verdict {
+	if from%2 != to%2 {
+		return Verdict{Fate: FateDrop}
+	}
+	return Verdict{Fate: FateDeliver}
+}
+
 func TestNetModelFullLossDropsEverything(t *testing.T) {
 	e, protos := buildPingRing(31, 4, 1)
 	e.SetNetModel(LossyLinks{Loss: 1})
@@ -102,7 +113,7 @@ func buildRecordRing(seed uint64, n int) (*Engine, []*recordProto) {
 
 func TestByzantineCorruptDeliversMarkerAndCountsDropped(t *testing.T) {
 	e, protos := buildRecordRing(34, 4)
-	byz := NewByzantine()
+	byz := &Byzantine{}
 	byz.Set(0, ByzCorrupt)
 	e.SetNetModel(byz)
 	e.Run(3)
@@ -131,7 +142,7 @@ func TestByzantineCorruptDeliversMarkerAndCountsDropped(t *testing.T) {
 
 func TestByzantineBlackholeGivesNoFeedback(t *testing.T) {
 	e, protos := buildRecordRing(35, 4)
-	byz := NewByzantine()
+	byz := &Byzantine{}
 	byz.Set(1, ByzDrop)
 	e.SetNetModel(byz)
 	e.Run(3)
@@ -148,26 +159,66 @@ func TestByzantineBlackholeGivesNoFeedback(t *testing.T) {
 	}
 }
 
-func TestByzantineDelayUsesConfiguredRange(t *testing.T) {
-	e, protos := buildRecordRing(36, 4)
-	byz := &Byzantine{DelayMin: 2, DelayMax: 2}
-	byz.Set(0, ByzDelay)
-	e.SetNetModel(byz)
-	e.Run(2)
-	if protos[1].got != 0 {
-		t.Fatalf("delayed leg arrived early: got=%d", protos[1].got)
+// lagProto pings its successor with its propose count, which is one more
+// than the cycle number, and records how many cycles each ping it receives
+// took to arrive.
+type lagProto struct {
+	next  NodeID
+	cycle int
+	lags  []int
+}
+
+func (p *lagProto) Propose(n *Node, px *Proposals) {
+	p.cycle++
+	px.Send(p.next, 0, p.cycle)
+}
+
+func (p *lagProto) Receive(n *Node, ax *ApplyContext, msg Message) {
+	p.lags = append(p.lags, p.cycle-msg.Data.(int))
+}
+
+func TestByzantineDelayLagsOneToThreeCycles(t *testing.T) {
+	const n, cycles = 4, 60
+	e := NewEngine(36)
+	protos := make([]*lagProto, n)
+	for i, nd := range e.AddNodes(n) {
+		protos[i] = &lagProto{next: NodeID((i + 1) % n)}
+		nd.Protocols = []Protocol{protos[i]}
 	}
-	e.Run(1)
-	if protos[1].got != 1 || e.Delayed() != 3 {
-		t.Fatalf("got=%d delayed=%d after 3 cycles, want 1/3", protos[1].got, e.Delayed())
+	var byz Byzantine
+	byz.Set(0, ByzDelay)
+	e.SetNetModel(&byz)
+	e.Run(cycles)
+	if e.Delayed() != cycles {
+		t.Fatalf("delayed=%d, want every one of node 0's %d legs", e.Delayed(), cycles)
+	}
+	// Node 0's legs lag 1, 2 or 3 cycles, and each lag occurs; the last
+	// few may still be queued. Honest legs arrive in the cycle they were
+	// sent.
+	seen := map[int]int{}
+	for _, lag := range protos[1].lags {
+		if lag < 1 || lag > 3 {
+			t.Fatalf("lagged leg arrived %d cycles late, want 1-3", lag)
+		}
+		seen[lag]++
+	}
+	if len(seen) != 3 || len(protos[1].lags) < cycles-3 {
+		t.Fatalf("lags %v over %d arrivals, want all of 1-3 over at least %d", seen, len(protos[1].lags), cycles-3)
+	}
+	for i, p := range protos[2:] {
+		for _, lag := range p.lags {
+			if lag != 0 {
+				t.Fatalf("honest leg into node %d lagged %d cycles", i+2, lag)
+			}
+		}
 	}
 }
 
 func TestComposeFirstNonDeliverVerdictWins(t *testing.T) {
 	r := rng.New(1)
-	m := Compose(nil, FilterLinks(SplitGroups(2)), fateModel{Verdict{Fate: FateCorrupt}})
+	m := Compose(nil, crossIsland{}, fateModel{Verdict{Fate: FateCorrupt}})
 	if v := m.Judge(0, 1, r); v.Fate != FateDrop {
-		t.Fatalf("cross-island leg: fate=%v, want FateDrop from the filter", v.Fate)
+		t.Fatalf("cross-island leg: fate=%v, want FateDrop from the island model", v.Fate)
 	}
 	if v := m.Judge(0, 2, r); v.Fate != FateCorrupt {
 		t.Fatalf("same-island leg: fate=%v, want the later model's FateCorrupt", v.Fate)
@@ -235,7 +286,7 @@ func TestNetModelWorkerGridInvariance(t *testing.T) {
 		e, protos := buildRecordRing(38, 12)
 		e.SetWorkers(pw)
 		e.SetApplyWorkers(aw)
-		byz := NewByzantine()
+		byz := &Byzantine{}
 		byz.Set(2, ByzDrop)
 		byz.Set(3, ByzDelay)
 		byz.Set(5, ByzCorrupt)

@@ -247,7 +247,7 @@ const (
 )
 
 func refNetModel() NetModel {
-	byz := NewByzantine()
+	byz := &Byzantine{}
 	byz.Set(7, ByzDrop)
 	byz.Set(9, ByzCorrupt)
 	return Compose(byz, LossyLinks{Loss: 0.1, DelayMax: 2})

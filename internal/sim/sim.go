@@ -233,9 +233,6 @@ func (e *Engine) SetNetModel(m NetModel) {
 	}
 }
 
-// NetModelInstalled reports whether a net model is currently judging legs.
-func (e *Engine) NetModelInstalled() bool { return e.netmod != nil }
-
 // Delivered returns the count of apply-phase messages delivered to a live,
 // reachable destination (reply legs included). Coordinator-side accessor:
 // like every counter it is also folded into the Stats snapshot, which is
@@ -596,7 +593,7 @@ func (e *Engine) deliver(msgs []Message) int {
 // round: the handling node's ID above two flag bits, or noHandler when no
 // handler fires at all (no sender exists, a blackhole swallowed the leg,
 // or the leg was delayed). That leaves 29 ID bits, so the arena issues at
-// most maxNodes IDs.
+// most MaxNodes IDs.
 const (
 	// keyDeliver selects the destination's Receive; without it the key
 	// names the sender, whose Undeliverable hook fires.
@@ -605,7 +602,10 @@ const (
 	keyCorrupt
 	keyShift        = 2
 	noHandler int32 = -1
-	maxNodes        = 1 << (31 - keyShift)
+	// MaxNodes is the most nodes an engine holds over its lifetime,
+	// initial population and joins together: the IDs a routing key can
+	// name.
+	MaxNodes = 1 << (31 - keyShift)
 )
 
 // route classifies one canonical message on the coordinator: delivered to

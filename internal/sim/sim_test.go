@@ -102,18 +102,18 @@ func TestRecordLayouts(t *testing.T) {
 // a routing key can name: the last ID is issued and round-trips through a
 // routing key, and the next one panics with a message naming the limit.
 func TestArenaRefusesIDsPastRoutingKey(t *testing.T) {
-	a := nodeArena{n: maxNodes - 1, chunks: make([][]Node, (maxNodes-1)>>arenaChunkShift)}
-	if n := a.alloc(); n.ID != maxNodes-1 {
-		t.Fatalf("last ID below the limit allocated as %d, want %d", n.ID, maxNodes-1)
+	a := nodeArena{n: MaxNodes - 1, chunks: make([][]Node, (MaxNodes-1)>>arenaChunkShift)}
+	if n := a.alloc(); n.ID != MaxNodes-1 {
+		t.Fatalf("last ID below the limit allocated as %d, want %d", n.ID, MaxNodes-1)
 	}
-	if key := int32(maxNodes-1)<<keyShift | keyDeliver | keyCorrupt; key>>keyShift != maxNodes-1 {
-		t.Fatalf("routing key %d does not round-trip ID %d", key, maxNodes-1)
+	if key := int32(MaxNodes-1)<<keyShift | keyDeliver | keyCorrupt; key>>keyShift != MaxNodes-1 {
+		t.Fatalf("routing key %d does not round-trip ID %d", key, MaxNodes-1)
 	}
 	defer func() {
 		if msg, _ := recover().(string); !strings.Contains(msg, "536870912") {
 			t.Fatalf("alloc at the limit panicked with %q, want a message naming 536870912", msg)
 		}
-		if a.len() != maxNodes {
+		if a.len() != MaxNodes {
 			t.Fatalf("the refused alloc moved the arena to %d nodes", a.len())
 		}
 	}()

@@ -105,17 +105,6 @@ func (s EngineStats) ShardSkew() float64 {
 	return float64(s.ShardMaxLoad) / s.ShardMeanLoad
 }
 
-// FreeListHitRate is the fraction of free-list Gets served by a recycled
-// payload rather than a fresh allocation. Returns 0 when no Gets were
-// counted (EnableFreeListStats off, or no recycling protocols in play).
-func (s EngineStats) FreeListHitRate() float64 {
-	total := s.FreeListHits + s.FreeListMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.FreeListHits) / float64(total)
-}
-
 // engineStats is the published snapshot: atomics written by the
 // coordinator in publishStats, read by Stats from any goroutine. The
 // float accumulator travels as its IEEE bits.
