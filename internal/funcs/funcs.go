@@ -173,7 +173,7 @@ var Griewank = Function{
 		prod := 1.0
 		for i, xi := range x {
 			sum += xi * xi
-			prod *= math.Cos(xi / math.Sqrt(float64(i+1)))
+			prod *= cos(xi / math.Sqrt(float64(i+1)))
 		}
 		return 1 + sum/4000 - prod
 	},
@@ -190,7 +190,7 @@ var Rastrigin = Function{
 	Eval: func(x []float64) float64 {
 		s := 10 * float64(len(x))
 		for _, xi := range x {
-			s += xi*xi - 10*math.Cos(2*math.Pi*xi)
+			s += xi*xi - 10*cos(2*math.Pi*xi)
 		}
 		return s
 	},
@@ -209,7 +209,7 @@ var Ackley = Function{
 		var s1, s2 float64
 		for _, xi := range x {
 			s1 += xi * xi
-			s2 += math.Cos(2 * math.Pi * xi)
+			s2 += cos(2 * math.Pi * xi)
 		}
 		return -20*math.Exp(-0.2*math.Sqrt(s1/d)) - math.Exp(s2/d) + 20 + math.E
 	},
@@ -321,13 +321,4 @@ func ByName(name string) (Function, error) {
 		}
 	}
 	return Function{}, fmt.Errorf("funcs: unknown function %q", name)
-}
-
-// Names returns the names of all available functions.
-func Names() []string {
-	out := make([]string, len(ExtendedSuite))
-	for i, f := range ExtendedSuite {
-		out[i] = f.Name
-	}
-	return out
 }

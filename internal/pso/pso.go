@@ -334,7 +334,13 @@ func (s *Swarm) inertia() float64 {
 	return w + t*(s.cfg.InertiaFinal-w)
 }
 
-// move applies the velocity and position update to particle i.
+// moveBlock is the number of dimensions whose uniforms move draws in one
+// Float64s fill: two per dimension fit a 64-float stack array.
+const moveBlock = 32
+
+// move applies the velocity and position update to particle i. Each
+// dimension's new velocity is clamped to ±vmax and added to x in the
+// pass that computes it.
 func (s *Swarm) move(i int) {
 	x, v, p := s.particle(i)
 	w, c1, c2 := s.inertia(), s.cfg.C1, s.cfg.C2
@@ -360,26 +366,49 @@ func (s *Swarm) move(i int) {
 				acc += phi / float64(len(nb)) * s.rng.Float64() * (s.slab[(3*q+2)*s.dim+j] - x[j])
 				cnt++
 			}
-			if cnt == 0 {
-				continue
+			nv := v[j]
+			if cnt > 0 {
+				nv = chi * (w*nv + acc)
 			}
-			v[j] = chi * (w*v[j] + acc)
+			s.advance(x, v, j, nv)
 		}
 	} else {
+		// Uniforms are drawn a block at a time in the order the update
+		// consumes them: c1's, then c2's when there is an attractor.
 		g, ok := s.localBest(i)
-		for j := 0; j < s.dim; j++ {
-			nv := w*v[j] + c1*s.rng.Float64()*(p[j]-x[j])
-			if ok {
-				nv += c2 * s.rng.Float64() * (g[j] - x[j])
+		per := 1
+		if ok {
+			per = 2
+		}
+		var u [2 * moveBlock]float64
+		for lo := 0; lo < s.dim; lo += moveBlock {
+			n := min(moveBlock, s.dim-lo)
+			s.rng.Float64s(u[:per*n])
+			for k := 0; k < n; k++ {
+				j := lo + k
+				nv := w*v[j] + c1*u[per*k]*(p[j]-x[j])
+				if ok {
+					nv += c2 * u[per*k+1] * (g[j] - x[j])
+				}
+				s.advance(x, v, j, chi*nv)
 			}
-			v[j] = chi * nv
 		}
 	}
-	vec.ClampAbs(v, s.vmax)
-	vec.Add(x, x, v)
 	if s.cfg.ClampPosition {
 		vec.Clamp(x, s.lo, s.hi)
 	}
+}
+
+// advance makes nv, clamped to ±vmax, dimension j's velocity and moves
+// x[j] by it.
+func (s *Swarm) advance(x, v []float64, j int, nv float64) {
+	if nv < -s.vmax {
+		nv = -s.vmax
+	} else if nv > s.vmax {
+		nv = s.vmax
+	}
+	v[j] = nv
+	x[j] += nv
 }
 
 // Step performs one full swarm iteration (K evaluations).

@@ -478,3 +478,54 @@ func BenchmarkStepGBest(b *testing.B) {
 		s.Step()
 	}
 }
+
+// TestMoveFitnessPinned pins an FNV-1a digest of the fitness bits of
+// 2 000 evaluations for every branch of move — each neighbourhood, the
+// constriction, position-clamp and inertia-decay settings, and a GBest
+// swarm whose first 300 evaluations report +Inf, so its moves run with
+// no swarm optimum to attract them — at dimensions 2, 30 and 70. Moves
+// draw their randomness a block of dimensions at a time; 70 spans more
+// than one block, so a block seam that reorders or drops a draw moves
+// a digest.
+func TestMoveFitnessPinned(t *testing.T) {
+	dims := [3]int{2, 30, 70}
+	cases := []struct {
+		name   string
+		cfg    Config
+		blind  int       // leading evaluations reported to the swarm as +Inf
+		digest [3]uint64 // per dimension in dims
+	}{
+		{"gbest", Config{}, 0, [3]uint64{0x96a157ab9f2d49bd, 0x3886b133efca43ca, 0xb2bcbff56fdc645d}},
+		{"gbest-no-optimum", Config{}, 300, [3]uint64{0x1dc75c214ce5221a, 0x41cb7ab303fc3898, 0x06bcfccf796466db}},
+		{"lbest-ring", Config{Variant: LBestRing}, 0, [3]uint64{0xbed4cb2ec2384c94, 0x20d79d7b19d2f554, 0x14df056b4fa82a60}},
+		{"von-neumann", Config{Variant: VonNeumann}, 0, [3]uint64{0x54385fe974592490, 0xbac8a4201aa5e8bd, 0xece343a3a2eda769}},
+		{"fips", Config{Variant: FIPS}, 0, [3]uint64{0xd88ab2546b067f88, 0xcc06146ce5c46923, 0x21e9a951aa3b6bdc}},
+		{"constriction", Config{Constriction: true}, 0, [3]uint64{0xa2c7c0486257bb72, 0x0d5d35efcbf48d82, 0xa1d548dfa487d0e7}},
+		{"clamp-position", Config{ClampPosition: true}, 0, [3]uint64{0xe5baf4bc2d468c46, 0x07a554bbae2dff52, 0x2bc7c217055a23c1}},
+		{"inertia-decay", Config{Inertia: 0.9, InertiaFinal: 0.4, InertiaDecayEvals: 1500}, 0, [3]uint64{0x755b8b618edeab72, 0x5ad0f41eeeb6cf20, 0xc2ffe628d7483fce}},
+	}
+	for ci, c := range cases {
+		for di, d := range dims {
+			h := fnv.New64a()
+			var b [8]byte
+			calls := 0
+			f := funcs.Rastrigin
+			f.Eval = func(x []float64) float64 {
+				fx := funcs.Rastrigin.Eval(x)
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(fx))
+				h.Write(b[:])
+				if calls++; calls <= c.blind {
+					return math.Inf(1)
+				}
+				return fx
+			}
+			s := New(f, d, 16, c.cfg, rng.New(uint64(800+10*ci+di)))
+			for range 2000 {
+				s.EvalOne()
+			}
+			if got := h.Sum64(); got != c.digest[di] {
+				t.Errorf("%s d=%d: fitness digest %#016x, pinned %#016x", c.name, d, got, c.digest[di])
+			}
+		}
+	}
+}

@@ -50,17 +50,26 @@ func New(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is one xoshiro256++ step on the state words s0..s3: it returns the
+// output and the advanced words. It takes and returns the words as values
+// so that a caller looping over many steps can keep them in registers.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[0]+r.s[3], 23) + r.s[0]
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Split derives a new, statistically independent stream from r. The parent
@@ -75,6 +84,20 @@ func (r *RNG) Split() *RNG {
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Float64s fills dst with the next len(dst) Float64 values and leaves r
+// where that many Float64 calls would: the same values, the same state.
+// The state words stay in registers for the whole fill instead of being
+// loaded and stored once per value.
+func (r *RNG) Float64s(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		var out uint64
+		out, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		dst[i] = float64(out>>11) / (1 << 53)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

@@ -81,6 +81,27 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestFloat64sMatchesFloat64 checks that one Float64s fill yields the
+// values of successive Float64 calls and leaves the same state, at the
+// lengths around a 64-value fill, the most a particle move asks for.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		a, b := New(uint64(n)+5), New(uint64(n)+5)
+		a.Uint64() // start mid-stream, not at a fresh seed's state
+		b.Uint64()
+		got := make([]float64, n)
+		a.Float64s(got)
+		for i, g := range got {
+			if w := b.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("n=%d: value %d is %v, Float64 gives %v", n, i, g, w)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("n=%d: state %x after Float64s, %x after %d Float64 calls", n, a.s, b.s, n)
+		}
+	}
+}
+
 func TestFloat64Mean(t *testing.T) {
 	r := New(11)
 	var sum float64
@@ -421,6 +442,17 @@ func BenchmarkFloat64(b *testing.B) {
 		sink = r.Float64()
 	}
 	_ = sink
+}
+
+// BenchmarkFloat64s times Float64s per value, in fills of 64 (the most a
+// particle move asks for at once), so its ns/op compares with
+// BenchmarkFloat64's.
+func BenchmarkFloat64s(b *testing.B) {
+	r := New(1)
+	var buf [64]float64
+	for i := 0; i < b.N; i += len(buf) {
+		r.Float64s(buf[:min(len(buf), b.N-i)])
+	}
 }
 
 func BenchmarkIntn(b *testing.B) {

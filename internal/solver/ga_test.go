@@ -20,7 +20,7 @@ func TestGAEvalAccounting(t *testing.T) {
 
 func TestGAConvergesOnSphere(t *testing.T) {
 	g := NewGA(funcs.Sphere, 10, 30, rng.New(2))
-	Run(g, 60000, -1)
+	evalN(g, 60000)
 	if _, f := g.Best(); f > 1e-3 {
 		t.Fatalf("GA best %g after 60k evals", f)
 	}
@@ -41,7 +41,7 @@ func TestGABestMonotone(t *testing.T) {
 
 func TestGAPopulationStaysInBox(t *testing.T) {
 	g := NewGA(funcs.Rastrigin, 10, 10, rng.New(4))
-	Run(g, 2000, -1)
+	evalN(g, 2000)
 	for i, ind := range g.pop {
 		for _, x := range ind {
 			if x < funcs.Rastrigin.Lo || x > funcs.Rastrigin.Hi {
@@ -53,7 +53,7 @@ func TestGAPopulationStaysInBox(t *testing.T) {
 
 func TestGAInject(t *testing.T) {
 	g := NewGA(funcs.Sphere, 10, 10, rng.New(5))
-	Run(g, 100, -1)
+	evalN(g, 100)
 	star := make([]float64, 10)
 	if !g.Inject(star, 0) {
 		t.Fatal("perfect injection rejected")
@@ -80,8 +80,8 @@ func TestGAInject(t *testing.T) {
 func TestGABeatsRandomSearch(t *testing.T) {
 	g := NewGA(funcs.Sphere, 10, 20, rng.New(6))
 	rs := NewRandomSearch(funcs.Sphere, 10, rng.New(6))
-	Run(g, 20000, -1)
-	Run(rs, 20000, -1)
+	evalN(g, 20000)
+	evalN(rs, 20000)
 	_, fg := g.Best()
 	_, fr := rs.Best()
 	if fg >= fr {
@@ -92,7 +92,7 @@ func TestGABeatsRandomSearch(t *testing.T) {
 func TestGADeterministic(t *testing.T) {
 	run := func() float64 {
 		g := NewGA(funcs.Griewank, 10, 16, rng.New(7))
-		Run(g, 3000, -1)
+		evalN(g, 3000)
 		_, f := g.Best()
 		return f
 	}
@@ -106,7 +106,7 @@ func TestGAMinPopulation(t *testing.T) {
 	if len(g.pop) != 4 {
 		t.Fatalf("population = %d, want floor of 4", len(g.pop))
 	}
-	Run(g, 100, -1)
+	evalN(g, 100)
 	if _, f := g.Best(); math.IsInf(f, 0) {
 		t.Fatal("no evaluations")
 	}

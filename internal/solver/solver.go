@@ -44,19 +44,6 @@ type Solver interface {
 // workers (a shared round-robin counter would be neither).
 type Factory func(f funcs.Function, dim int, id int64, r *rng.RNG) Solver
 
-// Run drives s until budget evaluations are spent or the best fitness
-// reaches threshold (negative disables). It returns the evaluations spent.
-func Run(s Solver, budget int64, threshold float64) int64 {
-	start := s.Evals()
-	for s.Evals()-start < budget {
-		s.EvalOne()
-		if _, f := s.Best(); f <= threshold {
-			break
-		}
-	}
-	return s.Evals() - start
-}
-
 // best tracks the best-so-far state shared by the simple solvers.
 type best struct {
 	x []float64

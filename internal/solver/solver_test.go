@@ -9,6 +9,13 @@ import (
 	"gossipopt/internal/rng"
 )
 
+// evalN spends n evaluations of s.
+func evalN(s Solver, n int) {
+	for range n {
+		s.EvalOne()
+	}
+}
+
 // all solver constructors under test, as factories.
 func factories() map[string]Factory {
 	return map[string]Factory{
@@ -59,7 +66,7 @@ func TestAllImproveOverInitial(t *testing.T) {
 		s := mk(funcs.Sphere, 10, 0, rng.New(3))
 		s.EvalOne()
 		_, first := s.Best()
-		Run(s, 5000, -1)
+		evalN(s, 5000)
 		_, final := s.Best()
 		if final >= first {
 			t.Errorf("%s: no improvement (%g -> %g)", name, first, final)
@@ -69,7 +76,7 @@ func TestAllImproveOverInitial(t *testing.T) {
 
 func TestDEConvergesOnSphere(t *testing.T) {
 	de := NewDE(funcs.Sphere, 10, 30, rng.New(4))
-	Run(de, 60000, -1)
+	evalN(de, 60000)
 	if _, f := de.Best(); f > 1e-6 {
 		t.Fatalf("DE best %g after 60k evals", f)
 	}
@@ -77,7 +84,7 @@ func TestDEConvergesOnSphere(t *testing.T) {
 
 func TestESConvergesOnSphere(t *testing.T) {
 	es := NewES(funcs.Sphere, 10, rng.New(5))
-	Run(es, 20000, -1)
+	evalN(es, 20000)
 	if _, f := es.Best(); f > 1e-8 {
 		t.Fatalf("ES best %g after 20k evals", f)
 	}
@@ -87,7 +94,7 @@ func TestSAImprovesSubstantially(t *testing.T) {
 	sa := NewSA(funcs.Sphere, 10, rng.New(6))
 	sa.EvalOne()
 	_, first := sa.Best()
-	Run(sa, 30000, -1)
+	evalN(sa, 30000)
 	if _, f := sa.Best(); f > first/100 {
 		t.Fatalf("SA barely improved: %g -> %g", first, f)
 	}
@@ -96,8 +103,8 @@ func TestSAImprovesSubstantially(t *testing.T) {
 func TestRandomSearchBeatenByDE(t *testing.T) {
 	rs := NewRandomSearch(funcs.Sphere, 10, rng.New(7))
 	de := NewDE(funcs.Sphere, 10, 20, rng.New(7))
-	Run(rs, 20000, -1)
-	Run(de, 20000, -1)
+	evalN(rs, 20000)
+	evalN(de, 20000)
 	_, frs := rs.Best()
 	_, fde := de.Best()
 	if fde >= frs {
@@ -109,7 +116,7 @@ func TestInjectSemanticsAll(t *testing.T) {
 	star := make([]float64, 10)
 	for name, mk := range factories() {
 		s := mk(funcs.Sphere, 10, 0, rng.New(8))
-		Run(s, 200, -1)
+		evalN(s, 200)
 		if !s.Inject(star, 0) {
 			t.Errorf("%s: rejected perfect injection", name)
 			continue
@@ -136,26 +143,15 @@ func TestInjectSteersSearch(t *testing.T) {
 	}
 	es.EvalOne()
 	es.Inject(near, funcs.Sphere.Eval(near))
-	Run(es, 5000, -1)
+	evalN(es, 5000)
 	if _, f := es.Best(); f >= funcs.Sphere.Eval(near) {
 		t.Fatalf("ES did not refine injected point: %g", f)
 	}
 }
 
-func TestRunThreshold(t *testing.T) {
-	es := NewES(funcs.Sphere, 10, rng.New(10))
-	spent := Run(es, 1_000_000, 1e-2)
-	if spent >= 1_000_000 {
-		t.Fatal("threshold never hit")
-	}
-	if _, f := es.Best(); f > 1e-2 {
-		t.Fatalf("stopped above threshold: %g", f)
-	}
-}
-
 func TestDEPopulationFloor(t *testing.T) {
 	de := NewDE(funcs.Sphere, 10, 1, rng.New(11)) // silently raised to 4
-	Run(de, 100, -1)
+	evalN(de, 100)
 	if _, f := de.Best(); math.IsInf(f, 0) {
 		t.Fatal("tiny DE population never evaluated")
 	}
@@ -164,7 +160,7 @@ func TestDEPopulationFloor(t *testing.T) {
 func TestESSigmaAdapts(t *testing.T) {
 	es := NewES(funcs.Sphere, 10, rng.New(12))
 	initial := es.Sigma()
-	Run(es, 10000, -1)
+	evalN(es, 10000)
 	if es.Sigma() >= initial {
 		t.Fatalf("sigma did not shrink near optimum: %g -> %g", initial, es.Sigma())
 	}
@@ -176,7 +172,7 @@ func TestSolversDeterministic(t *testing.T) {
 		name, mk := name, mk
 		run := func(seed uint64) float64 {
 			s := mk(funcs.Griewank, 10, 0, rng.New(seed))
-			Run(s, 1000, -1)
+			evalN(s, 1000)
 			_, f := s.Best()
 			return f
 		}
@@ -192,7 +188,7 @@ func TestSolversDeterministic(t *testing.T) {
 func TestBestSound(t *testing.T) {
 	for name, mk := range factories() {
 		s := mk(funcs.Ackley, 10, 0, rng.New(13))
-		Run(s, 500, -1)
+		evalN(s, 500)
 		if _, f := s.Best(); f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 			t.Errorf("%s: unsound best %v", name, f)
 		}

@@ -1,7 +1,5 @@
-// Package vec provides small dense-vector helpers used by the optimization
-// services: copying, allocation-free arithmetic on []float64 and clamping.
-// All binary operations require equal lengths and panic otherwise; length
-// mismatches are programming errors, not runtime conditions.
+// Package vec provides the small dense-vector helpers the optimization
+// services share: copying and clamping []float64 in place.
 package vec
 
 // Clone returns a fresh copy of v.
@@ -9,42 +7,6 @@ func Clone(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-func assertSameLen(a, b []float64) {
-	if len(a) != len(b) {
-		panic("vec: dimension mismatch")
-	}
-}
-
-// Add stores a+b into dst and returns dst. dst may alias a or b.
-func Add(dst, a, b []float64) []float64 {
-	assertSameLen(a, b)
-	assertSameLen(dst, a)
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Sub stores a-b into dst and returns dst. dst may alias a or b.
-func Sub(dst, a, b []float64) []float64 {
-	assertSameLen(a, b)
-	assertSameLen(dst, a)
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	assertSameLen(a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // Clamp limits every component of v to [lo, hi] in place and returns v.
@@ -58,7 +20,3 @@ func Clamp(v []float64, lo, hi float64) []float64 {
 	}
 	return v
 }
-
-// ClampAbs limits every component of v to [-m, m] in place and returns v.
-// This is the velocity-clamping rule used by PSO (per-dimension vmax).
-func ClampAbs(v []float64, m float64) []float64 { return Clamp(v, -m, m) }
