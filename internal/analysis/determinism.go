@@ -19,9 +19,10 @@ import (
 //     Order-insensitive bodies pass: integer accumulation (x++, x += n),
 //     constant flag sets, map-index writes, delete, and local declarations.
 //     Appending to an outer slice passes only when a statement after the
-//     loop sorts that slice (the collect-then-sort idiom SessionChurn
-//     uses); anything else — calls, channel sends, float accumulation,
-//     overwriting outer variables, returning — is flagged.
+//     loop sorts that slice (the collect-then-sort idiom: gather the keys,
+//     sort them, then act in that order); anything else — calls, channel
+//     sends, float accumulation, overwriting outer variables, returning —
+//     is flagged.
 //   - calls to time.Now / time.Since / time.Until, to package-level
 //     math/rand (and v2) functions, and to os.Getenv / os.LookupEnv /
 //     os.Environ. Node-scoped draws come from n.RNG; wall-clock reads that

@@ -67,7 +67,7 @@ func collectWants(t *testing.T, pkg *Package) []expectation {
 // compares diagnostics against the want comments.
 func runFixture(t *testing.T, a *Analyzer, importPath string) {
 	t.Helper()
-	pkg, err := LoadFixture(filepath.Join("testdata", "src"), importPath)
+	pkg, err := loadFixture(filepath.Join("testdata", "src"), importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}

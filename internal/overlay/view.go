@@ -54,11 +54,10 @@ func (e entry) descriptor() Descriptor { return Descriptor{ID: e.id, Stamp: int6
 // value is an empty view that stays empty (capacity 0).
 //
 // Invariant: items is strictly sorted under the canonical order (before):
-// freshest stamp first, equal stamps by the mix hash, then by ID. Every
-// merge relies on it — it merges the view with the other sorted run
-// linearly instead of sorting their union — so everything that writes
-// items must keep it: mergeRuns emits in that order, Remove and Clone
-// preserve it.
+// freshest stamp first, equal stamps by the mix hash. Every merge relies on
+// it — it merges the view with the other sorted run linearly instead of
+// sorting their union — so everything that writes items must keep it:
+// mergeRuns emits in that order, Remove and Clone preserve it.
 //
 // items is allocated once, at capacity c, by the first merge that needs
 // it, and every later merge writes into it in place; it is never grown by
@@ -146,17 +145,22 @@ func mix(e entry) uint64 {
 }
 
 // before reports whether a precedes b in the canonical view order: fresher
-// stamp first, ties by mix, then by ID. It is a strict total order on
-// distinct descriptors (neither precedes the other only when a == b),
-// which is what makes a merge result independent of how it is computed.
+// stamp first, equal stamps by mix. It is a strict total order on distinct
+// descriptors (neither precedes the other only when a == b), which is what
+// makes a merge result independent of how it is computed: under one stamp
+// mix is injective in the ID (an odd multiply, an xor with a constant, two
+// xorshifts and another odd multiply, each a bijection of uint64), so
+// distinct entries never tie on it.
 func before(a, b entry) bool {
-	if a.stamp != b.stamp {
-		return a.stamp > b.stamp
-	}
-	if ha, hb := mix(a), mix(b); ha != hb {
-		return ha < hb
-	}
-	return a.id < b.id
+	return a.stamp > b.stamp || a.stamp == b.stamp && mix(a) < mix(b)
+}
+
+// key is e's order key: the stamp, flipped so that fresher sorts lower, above
+// the high half of mix. Keys order entries as before does, except that
+// distinct entries may share one (equal stamps and equal top 32 bits of
+// mix), which the merge settles with before.
+func key(e entry) uint64 {
+	return uint64(uint32(e.stamp)^0x7fffffff)<<32 | mix(e)>>32
 }
 
 // mergeStack sizes the stack-resident buffers of the merges: enough for a
@@ -223,6 +227,11 @@ const dedupBits = 7
 // whose capacity must be at least c. Entries of self are skipped, in either
 // run and as x — passing an x with self's ID means "no extra".
 //
+// The two heads and x are compared as order keys (key), and before runs
+// only for distinct entries with equal keys. A head's key is computed when
+// it becomes the head, so each consumed entry is hashed once, not once per
+// comparison; before is inlined, so the loop makes no call.
+//
 // Among descriptors with one ID the first in canonical order is the
 // freshest, so dropping every ID already emitted is the whole dedup. It is
 // O(1): tab maps a hash of the ID to 1 + the index in out of the last
@@ -240,24 +249,34 @@ func mergeRuns(out, a, b []entry, x entry, self sim.NodeID, c int) []entry {
 	out = out[:c]
 	var tab [1 << dedupBits]uint8
 	hasX := x.id != self
-	n, i, j := 0, 0, 0
+	var ka, kb, kx uint64
+	if len(a) > 0 {
+		ka = key(a[0])
+	}
+	if len(b) > 0 {
+		kb = key(b[0])
+	}
+	if hasX {
+		kx = key(x)
+	}
+	n := 0
 	for n < len(out) {
 		// The next entry in canonical order: the head of a or of b (a
 		// first on a tie, which only equal entries produce), or x if it
-		// precedes that head.
+		// precedes that head. Keys decide unless they are equal.
 		var d entry
 		switch {
-		case j < len(b) && (i == len(a) || before(b[j], a[i])):
-			if d = b[j]; hasX && before(x, d) {
+		case len(b) > 0 && (len(a) == 0 || kb < ka || kb == ka && b[0] != a[0] && before(b[0], a[0])):
+			if d = b[0]; hasX && (kx < kb || kx == kb && x != d && before(x, d)) {
 				d, hasX = x, false
-			} else {
-				j++
+			} else if b = b[1:]; len(b) > 0 {
+				kb = key(b[0])
 			}
-		case i < len(a):
-			if d = a[i]; hasX && before(x, d) {
+		case len(a) > 0:
+			if d = a[0]; hasX && (kx < ka || kx == ka && x != d && before(x, d)) {
 				d, hasX = x, false
-			} else {
-				i++
+			} else if a = a[1:]; len(a) > 0 {
+				ka = key(a[0])
 			}
 		case hasX:
 			d, hasX = x, false

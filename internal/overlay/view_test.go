@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +333,80 @@ func TestViewMergeMatchesReferenceCases(t *testing.T) {
 	}
 }
 
+// keyCollisions returns the first n pairs of IDs, scanning up from 0, whose
+// entries at stamp share an order key: distinct entries that only before
+// can order. A birthday search: about 2·10⁵ IDs give three pairs.
+func keyCollisions(stamp int32, n int) [][2]sim.NodeID {
+	seen := make(map[uint64]sim.NodeID)
+	var out [][2]sim.NodeID
+	for id := sim.NodeID(0); len(out) < n; id++ {
+		k := key(entry{id: id, stamp: stamp})
+		if prev, ok := seen[k]; ok {
+			out = append(out, [2]sim.NodeID{prev, id})
+		} else {
+			seen[k] = id
+		}
+	}
+	return out
+}
+
+// collisionStamps are the stamps the key-collision tests search at: one
+// ordinary stamp and the four where flipping the stamp into a key could go
+// wrong (the int32 limits and the sign boundary).
+var collisionStamps = []int32{7, math.MinInt32, -1, 0, math.MaxInt32}
+
+// collisionDescs holds the three colliding pairs at every collision stamp,
+// pair members adjacent, for the fuzzer to draw from.
+var collisionDescs = sync.OnceValue(func() []Descriptor {
+	var ds []Descriptor
+	for _, s := range collisionStamps {
+		for _, p := range keyCollisions(s, 3) {
+			ds = append(ds, Descriptor{ID: p[0], Stamp: int64(s)}, Descriptor{ID: p[1], Stamp: int64(s)})
+		}
+	}
+	return ds
+})
+
+// TestViewMergeKeyCollisions merges views, runs and extras whose heads are
+// distinct entries with equal order keys, so that every tie mergeRuns meets
+// is one only before settles, and requires the reference's result. Each of
+// three colliding pairs is split between the view and the batch in both
+// directions, the extra collides with a view entry or a batch entry, and
+// the capacities cut between pair members.
+func TestViewMergeKeyCollisions(t *testing.T) {
+	if got, want := keyCollisions(7, 3), [][2]sim.NodeID{{40437, 41451}, {7404, 71577}, {28978, 76062}}; !slices.Equal(got, want) {
+		t.Fatalf("colliding pairs at stamp 7 are %v, want %v", got, want)
+	}
+	const self = -7
+	for _, s := range collisionStamps {
+		pairs := keyCollisions(s, 3)
+		for _, p := range pairs {
+			a, b := entry{id: p[0], stamp: s}, entry{id: p[1], stamp: s}
+			if key(a) != key(b) || before(a, b) == before(b, a) {
+				t.Fatalf("stamp %d: %v and %v do not share a key, or before does not order them", s, a, b)
+			}
+		}
+		d := func(id sim.NodeID) Descriptor { return Descriptor{ID: id, Stamp: int64(s)} }
+		for mask := 0; mask < 8; mask++ {
+			m := [3]int{mask & 1, mask >> 1 & 1, mask >> 2 & 1}
+			view := []Descriptor{d(pairs[0][m[0]]), d(pairs[1][m[1]]), d(1)}
+			run := []Descriptor{d(pairs[0][1-m[0]]), d(pairs[2][m[2]]), d(1)}
+			for _, x := range []Descriptor{d(pairs[1][1-m[1]]), d(pairs[2][1-m[2]]), d(pairs[0][m[0]])} {
+				for _, c := range []int{1, 2, 3, 4, 20} {
+					t.Run(fmt.Sprintf("stamp=%d/mask=%d/x=%d/c=%d", s, mask, x.ID, c), func(t *testing.T) {
+						p := newViewPair(c, self)
+						p.merge(t, view)
+						p.mergeSorted(t, run, x)
+						q := newViewPair(c, self)
+						q.merge(t, view)
+						q.merge(t, append(slices.Clone(run), x))
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestViewOpsMatchReferenceRandom drives random Merge/Insert/Remove/Clone
 // sequences — including Cyclon's Remove-then-Merge — on a View and on the
 // reference and requires equal contents and a sorted view after every
@@ -387,9 +462,12 @@ func TestViewOpsMatchReferenceRandom(t *testing.T) {
 // of Merge/Insert/Remove/Clone/sorted-merge operations over small ID and
 // stamp ranges (so duplicates and ties are the norm), and runs them on a
 // View and on the reference. Batch lengths reach 255, past the stack
-// buffers. The seed corpus in testdata/fuzz/FuzzViewMerge holds one input
-// per named edge case; they spell operations and capacities as the bytes
-// 0..4, so they outlive a longer operation or capacity list.
+// buffers. Operations 5 and 6 are Merge and the sorted merge over the
+// descriptors of collisionDescs, distinct entries with equal order keys,
+// one byte per descriptor. The seed corpus in testdata/fuzz/FuzzViewMerge
+// holds one input per named edge case; they spell operations and
+// capacities as the bytes 0..6, so they outlive a longer operation or
+// capacity list.
 func FuzzViewMerge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() (byte, bool) {
@@ -405,6 +483,23 @@ func FuzzViewMerge(f *testing.F) {
 			stamp, ok := next()
 			return Descriptor{ID: sim.NodeID(id % 64), Stamp: int64(stamp % 8)}, ok
 		}
+		collided := func() (Descriptor, bool) {
+			k, ok := next()
+			ds := collisionDescs()
+			return ds[int(k)%len(ds)], ok
+		}
+		batchOf := func(draw func() (Descriptor, bool)) []Descriptor {
+			n, _ := next()
+			batch := make([]Descriptor, 0, n)
+			for i := 0; i < int(n); i++ {
+				d, ok := draw()
+				if !ok {
+					break
+				}
+				batch = append(batch, d)
+			}
+			return batch
+		}
 		cb, _ := next()
 		self, _ := next()
 		p := newViewPair(viewCaps[int(cb)%len(viewCaps)], sim.NodeID(self%64))
@@ -413,21 +508,9 @@ func FuzzViewMerge(f *testing.F) {
 			if !ok {
 				return
 			}
-			batch := func() []Descriptor {
-				n, _ := next()
-				batch := make([]Descriptor, 0, n)
-				for i := 0; i < int(n); i++ {
-					d, ok := desc()
-					if !ok {
-						break
-					}
-					batch = append(batch, d)
-				}
-				return batch
-			}
-			switch op % 5 {
+			switch op % 7 {
 			case 0:
-				p.merge(t, batch())
+				p.merge(t, batchOf(desc))
 			case 1:
 				if d, ok := desc(); ok {
 					p.insert(t, d)
@@ -439,7 +522,12 @@ func FuzzViewMerge(f *testing.F) {
 				p.clone(t)
 			case 4:
 				x, _ := desc()
-				p.mergeSorted(t, batch(), x)
+				p.mergeSorted(t, batchOf(desc), x)
+			case 5:
+				p.merge(t, batchOf(collided))
+			case 6:
+				x, _ := collided()
+				p.mergeSorted(t, batchOf(collided), x)
 			}
 		}
 	})

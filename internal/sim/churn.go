@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // ChurnModel mutates the node population at the start of each cycle. The
 // paper's scenario is an organization's desktop pool where "nodes may join
 // and leave the system at will"; these models reproduce that behaviour in
@@ -75,63 +73,4 @@ func (c *CatastropheChurn) Apply(e *Engine) {
 	for i := 0; i < kill && i < len(perm); i++ {
 		e.Crash(live[perm[i]].ID)
 	}
-}
-
-// SessionChurn gives every node an exponentially distributed session length
-// (mean MeanSession cycles); when a session expires the node crashes and,
-// after an exponentially distributed downtime (mean MeanDowntime cycles), a
-// fresh node joins in its place. This is the classic availability-trace
-// approximation for desktop grids.
-type SessionChurn struct {
-	MeanSession  float64
-	MeanDowntime float64
-
-	deaths  map[NodeID]int64 // cycle at which the node crashes
-	joins   []int64          // cycles at which replacement nodes join
-	scratch []*Node
-}
-
-// Apply implements ChurnModel.
-func (c *SessionChurn) Apply(e *Engine) {
-	if c.deaths == nil {
-		c.deaths = make(map[NodeID]int64)
-	}
-	now := e.Cycle()
-	// Schedule sessions for nodes we have not seen yet (scratch snapshot:
-	// this scan runs every cycle).
-	c.scratch = e.AppendLiveNodes(c.scratch[:0])
-	for _, n := range c.scratch {
-		if _, ok := c.deaths[n.ID]; !ok {
-			life := int64(e.rng.ExpFloat64()*c.MeanSession) + 1
-			c.deaths[n.ID] = now + life
-		}
-	}
-	// Crash expired sessions and schedule replacements. Expired IDs are
-	// collected and sorted first: ranging the map directly would assign
-	// the downtime draws to nodes in a different order every run.
-	var expired []NodeID
-	for id, at := range c.deaths {
-		if at <= now {
-			expired = append(expired, id)
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, id := range expired {
-		if n := e.Node(id); n != nil && n.Alive {
-			e.Crash(id)
-			down := int64(e.rng.ExpFloat64() * c.MeanDowntime)
-			c.joins = append(c.joins, now+down)
-		}
-		delete(c.deaths, id)
-	}
-	// Execute due joins.
-	rest := c.joins[:0]
-	for _, at := range c.joins {
-		if at <= now {
-			e.AddNode()
-		} else {
-			rest = append(rest, at)
-		}
-	}
-	c.joins = rest
 }

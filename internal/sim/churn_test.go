@@ -107,24 +107,3 @@ func TestCatastropheChurnMissedCycleNeverFires(t *testing.T) {
 		t.Fatalf("live=%d: catastrophe fired after its cycle passed", e.LiveCount())
 	}
 }
-
-func TestSessionChurnDeterministic(t *testing.T) {
-	// Session expiry bookkeeping is map-based; the iteration fix must keep
-	// the whole trajectory seed-reproducible.
-	trace := func() []int {
-		e, _ := newCountingEngine(29, 30)
-		e.SetChurn(&SessionChurn{MeanSession: 4, MeanDowntime: 3})
-		out := make([]int, 0, 50)
-		for i := 0; i < 50; i++ {
-			e.RunCycle()
-			out = append(out, e.LiveCount(), e.Size())
-		}
-		return out
-	}
-	a, b := trace(), trace()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("SessionChurn trace diverged at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -419,6 +420,41 @@ func TestDelayedLegsJudgedOnceDeliveredOnce(t *testing.T) {
 		for _, aw := range []int{1, 2, 8} {
 			if got := run(pw, aw); !reflect.DeepEqual(got, want) {
 				t.Fatalf("receive logs diverged at propose=%d apply=%d", pw, aw)
+			}
+		}
+	}
+}
+
+// TestLossyLinksVerdictsReplayStream judges 10⁵ legs per configuration at
+// small loss rates, with and without a delay range, and requires every
+// verdict to be the one a replay of the same seeded stream gives: a Bool
+// draw at Loss per leg, then, for a surviving leg, one Uint64n draw over
+// the delay range. Dropped legs must also number Loss·10⁵ within five
+// standard deviations, so a model that skips small losses fails twice.
+func TestLossyLinksVerdictsReplayStream(t *testing.T) {
+	const legs = 100_000
+	for _, loss := range []float64{0.001, 0.01, 0.05} {
+		for _, delay := range [][2]int64{{0, 0}, {0, 2}, {1, 3}} {
+			l := LossyLinks{Loss: loss, DelayMin: delay[0], DelayMax: delay[1]}
+			seed := uint64(loss*1e6) + uint64(delay[1])
+			r, replay := rng.New(seed), rng.New(seed)
+			drops := 0
+			for i := 0; i < legs; i++ {
+				want := Verdict{Fate: FateDeliver}
+				if replay.Bool(loss) {
+					want = Verdict{Fate: FateDrop}
+					drops++
+				} else if l.DelayMax > 0 {
+					if d := l.DelayMin + int64(replay.Uint64n(uint64(l.DelayMax-l.DelayMin+1))); d > 0 {
+						want = Verdict{Fate: FateDelay, Delay: d}
+					}
+				}
+				if got := l.Judge(NodeID(i), NodeID(i+1), r); got != want {
+					t.Fatalf("%+v leg %d: verdict %+v, want %+v", l, i, got, want)
+				}
+			}
+			if mean := loss * legs; math.Abs(float64(drops)-mean) > 5*math.Sqrt(mean) {
+				t.Errorf("%+v: %d of %d legs dropped, want %.0f ± %.0f", l, drops, legs, mean, 5*math.Sqrt(mean))
 			}
 		}
 	}

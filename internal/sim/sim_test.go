@@ -199,26 +199,6 @@ func TestCatastropheChurn(t *testing.T) {
 	}
 }
 
-func TestSessionChurnTurnsOver(t *testing.T) {
-	e, _ := newCountingEngine(11, 20)
-	e.SetChurn(&SessionChurn{MeanSession: 5, MeanDowntime: 2})
-	e.Run(100)
-	// With mean session 5 over 100 cycles, the original nodes must be gone
-	// and replacements joined; population should be of the same order.
-	if e.LiveCount() == 0 {
-		t.Fatal("population died out")
-	}
-	alive0 := 0
-	for id := NodeID(0); id < 20; id++ {
-		if n := e.Node(id); n != nil && n.Alive {
-			alive0++
-		}
-	}
-	if alive0 > 2 {
-		t.Fatalf("%d of the original 20 nodes still alive after 100 cycles (mean session 5)", alive0)
-	}
-}
-
 func TestStringSmoke(t *testing.T) {
 	e, _ := newCountingEngine(12, 2)
 	if e.String() == "" {
