@@ -50,9 +50,6 @@ func (c AsyncConfig) withDefaults() AsyncConfig {
 	if c.Particles == 0 {
 		c.Particles = 16
 	}
-	if c.GossipEvery == 0 {
-		c.GossipEvery = c.Particles
-	}
 	if c.ViewSize == 0 {
 		c.ViewSize = 20
 	}
@@ -136,10 +133,12 @@ func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {
 		}
 		a.solver.EvalOne()
 		a.Evals++
-		a.sinceGossip++
-		if a.sinceGossip >= a.net.cfg.GossipEvery {
-			a.sinceGossip = 0
-			a.gossipBest(n, e)
+		if r := a.net.cfg.GossipEvery; r > 0 {
+			a.sinceGossip++
+			if a.sinceGossip >= r {
+				a.sinceGossip = 0
+				a.gossipBest(n, e)
+			}
 		}
 		jitter := 0.8 + 0.4*n.RNG.Float64()
 		e.SendAfter(a.net.cfg.EvalTime*jitter, a.id, evalTick{gen: a.gen})
@@ -148,7 +147,7 @@ func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {
 		if m.gen != a.gen {
 			return
 		}
-		if peer, ok := a.samplePeer(n.RNG); ok {
+		if peer, ok := a.view.SampleID(n.RNG); ok {
 			view := append(a.view.Descriptors(),
 				overlay.Descriptor{ID: a.id, Stamp: stamp(e)})
 			e.Send(a.id, peer, viewPush{From: a.id, View: view})
@@ -181,16 +180,8 @@ func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {
 	}
 }
 
-func (a *asyncNode) samplePeer(r *rng.RNG) (sim.NodeID, bool) {
-	ids := a.view.IDs()
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[r.Intn(len(ids))], true
-}
-
 func (a *asyncNode) gossipBest(n *sim.Node, e *sim.EventEngine) {
-	peer, ok := a.samplePeer(n.RNG)
+	peer, ok := a.view.SampleID(n.RNG)
 	if !ok {
 		return
 	}

@@ -92,7 +92,7 @@ func TestAsyncCrashTolerance(t *testing.T) {
 // rate after the restart stays the single-chain rate.
 func TestAsyncReviveSingleTimerChain(t *testing.T) {
 	net := NewAsyncNetwork(AsyncConfig{
-		Nodes: 1, Particles: 4, GossipEvery: 1 << 30, // no gossip noise
+		Nodes: 1, Particles: 4, GossipEvery: 0, // no gossip noise
 		Function: funcs.Sphere, Seed: 8, EvalTime: 1,
 		NewscastPeriod: 1e9,
 	})
@@ -142,7 +142,7 @@ func TestAsyncMatchesCycleDrivenShape(t *testing.T) {
 		return net.Quality()
 	}
 	with := quality(16)
-	without := quality(1 << 30) // effectively never gossips
+	without := quality(0) // never gossips
 	if with > without {
 		t.Fatalf("async coordination (%g) lost to isolation (%g)", with, without)
 	}
@@ -150,7 +150,7 @@ func TestAsyncMatchesCycleDrivenShape(t *testing.T) {
 
 func TestAsyncDefaults(t *testing.T) {
 	c := AsyncConfig{}.withDefaults()
-	if c.Nodes != 1 || c.Particles != 16 || c.GossipEvery != 16 ||
+	if c.Nodes != 1 || c.Particles != 16 || c.GossipEvery != 0 ||
 		c.ViewSize != 20 || c.EvalTime != 1 || c.NewscastPeriod != 10 {
 		t.Fatalf("defaults = %+v", c)
 	}

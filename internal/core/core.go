@@ -198,8 +198,8 @@ type Config struct {
 	// Particles is k, the per-node swarm size (PSO default solver).
 	Particles int
 	// GossipEvery is r, the coordination cycle length in local
-	// evaluations. The paper's default is r = k. Zero disables
-	// coordination (independent swarms).
+	// evaluations. The paper's default is r = k. Zero or negative
+	// disables coordination (independent swarms).
 	GossipEvery int
 	// ViewSize is Newscast's c (default 20).
 	ViewSize int

@@ -8,11 +8,19 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/rng"
 	"gossipopt/internal/vec"
 )
+
+// evalN performs n evaluations.
+func evalN(s *Swarm, n int) {
+	for range n {
+		s.EvalOne()
+	}
+}
 
 func TestEvalOneCountsEvaluations(t *testing.T) {
 	s := New(funcs.Sphere, 10, 8, Config{}, rng.New(1))
@@ -21,14 +29,6 @@ func TestEvalOneCountsEvaluations(t *testing.T) {
 	}
 	if s.Evals() != 25 {
 		t.Fatalf("Evals = %d, want 25", s.Evals())
-	}
-}
-
-func TestStepEqualsKEvals(t *testing.T) {
-	s := New(funcs.Sphere, 10, 16, Config{}, rng.New(2))
-	s.Step()
-	if s.Evals() != 16 {
-		t.Fatalf("Step performed %d evals, want 16", s.Evals())
 	}
 }
 
@@ -47,7 +47,7 @@ func TestBestImprovesMonotonically(t *testing.T) {
 
 func TestConvergesOnSphere(t *testing.T) {
 	s := New(funcs.Sphere, 10, 20, Config{}, rng.New(4))
-	s.Run(40000, -1)
+	evalN(s, 40000)
 	if _, fg := s.Best(); fg > 1e-10 {
 		t.Fatalf("Sphere best %g after 40k evals, want < 1e-10", fg)
 	}
@@ -55,26 +55,15 @@ func TestConvergesOnSphere(t *testing.T) {
 
 func TestConvergesOnF2(t *testing.T) {
 	s := New(funcs.F2, 0, 20, Config{}, rng.New(5))
-	s.Run(30000, -1)
+	evalN(s, 30000)
 	if _, fg := s.Best(); fg > 1e-8 {
 		t.Fatalf("F2 best %g after 30k evals", fg)
 	}
 }
 
-func TestRunStopsAtThreshold(t *testing.T) {
-	s := New(funcs.Sphere, 10, 20, Config{}, rng.New(6))
-	spent := s.Run(1_000_000, 1e-3)
-	if _, fg := s.Best(); fg > 1e-3 {
-		t.Fatalf("threshold not reached: %g", fg)
-	}
-	if spent >= 1_000_000 {
-		t.Fatal("Run consumed full budget despite threshold")
-	}
-}
-
 func TestInjectAdoptsOnlyBetter(t *testing.T) {
 	s := New(funcs.Sphere, 10, 4, Config{}, rng.New(7))
-	s.Run(100, -1)
+	evalN(s, 100)
 	_, cur := s.Best()
 	if s.Inject(make([]float64, 10), cur+1) {
 		t.Fatal("worse injection adopted")
@@ -110,7 +99,7 @@ func TestInjectRejectsNonFiniteFitness(t *testing.T) {
 	if g, _ := s.Best(); g != nil {
 		t.Fatalf("a refused injection left a best position: %v", g)
 	}
-	s.Run(100, -1)
+	evalN(s, 100)
 	g0, f0 := s.Best()
 	g0 = vec.Clone(g0)
 	for _, fx := range []float64{math.NaN(), math.Inf(-1)} {
@@ -145,7 +134,7 @@ func TestInjectionGuidesSwarm(t *testing.T) {
 			}
 			s.Inject(near, funcs.Rosenbrock.Eval(near))
 		}
-		s.Run(5000, -1)
+		evalN(s, 5000)
 		_, fg := s.Best()
 		return fg
 	}
@@ -161,7 +150,7 @@ func TestVelocityClamped(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.EvalOne()
 	}
-	for i := 0; i < s.K(); i++ {
+	for i := 0; i < s.k; i++ {
 		_, v, _ := s.particle(i)
 		for _, vj := range v {
 			if math.Abs(vj) > vmax+1e-12 {
@@ -178,102 +167,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestVariantsAllConverge(t *testing.T) {
-	for _, v := range []Variant{GBest, LBestRing, VonNeumann, FIPS} {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
-			s := New(funcs.Sphere, 10, 20, Config{Variant: v, Constriction: true}, rng.New(11))
-			s.Run(30000, -1)
-			if _, fg := s.Best(); fg > 1e-3 {
-				t.Fatalf("%s best %g after 30k evals", v, fg)
-			}
-		})
-	}
-}
-
-func TestVariantString(t *testing.T) {
-	names := map[Variant]string{
-		GBest: "gbest", LBestRing: "lbest-ring",
-		VonNeumann: "von-neumann", FIPS: "fips", Variant(99): "unknown",
-	}
-	for v, want := range names {
-		if v.String() != want {
-			t.Fatalf("%d.String() = %s", v, v.String())
-		}
-	}
-}
-
-func TestNeighborhoodsRing(t *testing.T) {
-	nb := neighborhoods(LBestRing, 5)
-	if len(nb) != 5 {
-		t.Fatalf("len = %d", len(nb))
-	}
-	want := []int{4, 0, 1}
-	for i, j := range want {
-		if nb[0][i] != j {
-			t.Fatalf("nb[0] = %v, want %v", nb[0], want)
-		}
-	}
-}
-
-func TestNeighborhoodsVonNeumannValid(t *testing.T) {
-	for _, k := range []int{1, 2, 4, 9, 16, 17} {
-		nb := neighborhoods(VonNeumann, k)
-		for i, ns := range nb {
-			if len(ns) == 0 || ns[0] != i {
-				t.Fatalf("k=%d: particle %d neighborhood %v must start with self", k, i, ns)
-			}
-			for _, j := range ns {
-				if j < 0 || j >= k {
-					t.Fatalf("k=%d: neighbor %d out of range", k, j)
-				}
-			}
-		}
-	}
-}
-
-func TestInertiaDecaySchedule(t *testing.T) {
-	s := New(funcs.Sphere, 10, 4, Config{
-		Inertia: 0.9, InertiaFinal: 0.4, InertiaDecayEvals: 1000,
-	}, rng.New(20))
-	if w := s.inertia(); w != 0.9 {
-		t.Fatalf("initial inertia %v", w)
-	}
-	s.Run(500, -1)
-	if w := s.inertia(); w < 0.6 || w > 0.7 {
-		t.Fatalf("midpoint inertia %v, want ≈ 0.65", w)
-	}
-	s.Run(2000, -1)
-	if w := s.inertia(); w != 0.4 {
-		t.Fatalf("final inertia %v, want clamped at 0.4", w)
-	}
-}
-
-func TestInertiaDecayVariantConverges(t *testing.T) {
-	s := New(funcs.Sphere, 10, 20, Config{
-		Inertia: 0.9, C1: 2, C2: 2, InertiaFinal: 0.4, InertiaDecayEvals: 20000,
-	}, rng.New(21))
-	s.Run(30000, -1)
-	if _, fg := s.Best(); fg > 1e-3 {
-		t.Fatalf("w-decay PSO best %g", fg)
-	}
-}
-
-func TestClampPositionKeepsParticlesInBox(t *testing.T) {
-	s := New(funcs.Rastrigin, 10, 8, Config{ClampPosition: true}, rng.New(22))
-	for i := 0; i < 1000; i++ {
-		s.EvalOne()
-	}
-	for i := 0; i < s.K(); i++ {
-		x, _, _ := s.particle(i)
-		for _, xj := range x {
-			if xj < funcs.Rastrigin.Lo || xj > funcs.Rastrigin.Hi {
-				t.Fatalf("particle escaped box: %v", xj)
-			}
-		}
-	}
-}
-
 func TestNoClampAllowsFlight(t *testing.T) {
 	// With a huge vmax and no clamping, at least one particle should leave
 	// the box at some point on a wide domain.
@@ -281,7 +174,7 @@ func TestNoClampAllowsFlight(t *testing.T) {
 	escaped := false
 	for i := 0; i < 2000 && !escaped; i++ {
 		s.EvalOne()
-		for j := 0; j < s.K(); j++ {
+		for j := 0; j < s.k; j++ {
 			x, _, _ := s.particle(j)
 			for _, xj := range x {
 				if xj < funcs.Sphere.Lo || xj > funcs.Sphere.Hi {
@@ -295,18 +188,6 @@ func TestNoClampAllowsFlight(t *testing.T) {
 	}
 }
 
-func TestConstrictionConvergesFasterOnSphere(t *testing.T) {
-	run := func(constrict bool) float64 {
-		s := New(funcs.Sphere, 10, 20, Config{Constriction: constrict}, rng.New(12))
-		s.Run(10000, -1)
-		_, fg := s.Best()
-		return fg
-	}
-	if c, p := run(true), run(false); c > p {
-		t.Skipf("constriction slower on this seed: %g vs %g", c, p)
-	}
-}
-
 // Property: swarm best always corresponds to a real evaluation — it is
 // finite and nonnegative for our shifted-to-zero benchmarks, and never
 // below the function's true optimum.
@@ -314,7 +195,7 @@ func TestBestIsSound(t *testing.T) {
 	if err := quick.Check(func(seed uint16, kRaw uint8) bool {
 		k := int(kRaw%30) + 1
 		s := New(funcs.Griewank, 10, k, Config{}, rng.New(uint64(seed)))
-		s.Run(500, -1)
+		evalN(s, 500)
 		_, fg := s.Best()
 		return fg >= 0 && !math.IsInf(fg, 0) && !math.IsNaN(fg)
 	}, &quick.Config{MaxCount: 25}); err != nil {
@@ -325,7 +206,7 @@ func TestBestIsSound(t *testing.T) {
 func TestSingleParticleSwarmWorks(t *testing.T) {
 	// k = 1 is a degenerate but legal configuration in the paper's tables.
 	s := New(funcs.Sphere, 10, 1, Config{}, rng.New(13))
-	s.Run(1000, -1)
+	evalN(s, 1000)
 	if _, fg := s.Best(); math.IsInf(fg, 0) {
 		t.Fatal("single-particle swarm never evaluated")
 	}
@@ -334,7 +215,7 @@ func TestSingleParticleSwarmWorks(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() float64 {
 		s := New(funcs.Rastrigin, 10, 16, Config{}, rng.New(99))
-		s.Run(2000, -1)
+		evalN(s, 2000)
 		_, fg := s.Best()
 		return fg
 	}
@@ -343,42 +224,22 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-// TestVariantTrajectoriesPinned pins the bit pattern of every variant's
-// swarm optimum after 2 000 evaluations from fixed seeds, each with and
-// without position clamping: the goldens exercise only GBest, and a wrong
-// slab offset on any other path moves its trajectory.
-func TestVariantTrajectoriesPinned(t *testing.T) {
-	cases := []struct {
-		name     string
-		cfg      Config
-		seed     uint64
-		fg, hash uint64 // Float64bits of the optimum's fitness; FNV-1a of its position's bits
-	}{
-		{"gbest", Config{}, 700, 0x4030c38096980e9c, 0x7c7aa2b3ecce341c},
-		{"gbest-clamp", Config{ClampPosition: true}, 701, 0x4037306cebdf8a1c, 0xec6eb13e27a0c838},
-		{"lbest-ring", Config{Variant: LBestRing}, 702, 0x4030bb710506d970, 0xe51c4d35adf6f8d7},
-		{"lbest-ring-clamp", Config{Variant: LBestRing, ClampPosition: true}, 703, 0x4038b24d473a87ae, 0xa212ecffe95e5724},
-		{"von-neumann", Config{Variant: VonNeumann}, 704, 0x4035ebd729a7bc80, 0x2a9462dbf349c25e},
-		{"von-neumann-clamp", Config{Variant: VonNeumann, ClampPosition: true}, 705, 0x403266a72475437f, 0x3ba74d39f01d03ae},
-		{"fips", Config{Variant: FIPS}, 706, 0x4038e52d6d826016, 0x782b2f56de7fdc97},
-		{"fips-clamp", Config{Variant: FIPS, ClampPosition: true}, 707, 0x4030a6fac69bc07d, 0xca5f9903f1f8aead},
-		{"gbest-inertia-decay", Config{Inertia: 0.9, InertiaFinal: 0.4, InertiaDecayEvals: 1500}, 708, 0x4021e8c577bbae06, 0xfd0c6a076c258f18},
-		{"gbest-constriction", Config{Constriction: true}, 709, 0x4030620cec81e8a4, 0x34ec4704bae06428},
+// TestTrajectoryPinned pins the bit pattern of the swarm optimum after
+// 2 000 evaluations from a fixed seed: a wrong slab offset moves it.
+func TestTrajectoryPinned(t *testing.T) {
+	const wantFg, wantHash = 0x4030c38096980e9c, 0x7c7aa2b3ecce341c // Float64bits of the optimum's fitness; FNV-1a of its position's bits
+	s := New(funcs.Rastrigin, 10, 16, Config{}, rng.New(700))
+	evalN(s, 2000)
+	g, fg := s.Best()
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range g {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
 	}
-	for _, c := range cases {
-		s := New(funcs.Rastrigin, 10, 16, c.cfg, rng.New(c.seed))
-		s.Run(2000, -1)
-		g, fg := s.Best()
-		h := fnv.New64a()
-		var b [8]byte
-		for _, x := range g {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-			h.Write(b[:])
-		}
-		if got := math.Float64bits(fg); got != c.fg || h.Sum64() != c.hash {
-			t.Errorf("%s: best %v (bits %#x, position hash %#x), want bits %#x, hash %#x",
-				c.name, fg, got, h.Sum64(), c.fg, c.hash)
-		}
+	if got := math.Float64bits(fg); got != wantFg || h.Sum64() != wantHash {
+		t.Errorf("best %v (bits %#x, position hash %#x), want bits %#x, hash %#x",
+			fg, got, h.Sum64(), uint64(wantFg), uint64(wantHash))
 	}
 }
 
@@ -403,12 +264,16 @@ func heapBytes(f func()) float64 {
 	return least
 }
 
-// TestSwarmMemory pins what a swarm costs: New makes two allocations, the
-// Swarm and one slab of 3kd + k + d floats, and no more bytes than those
-// two objects take in the runtime's size classes; and EvalOne and Inject
-// never allocate, a fresh swarm's first improvement and first adoption
-// included.
+// TestSwarmMemory pins what a swarm costs: the Swarm struct is at most
+// 160 B, so per-swarm configuration does not grow back into it; New makes
+// two allocations, the Swarm and one slab of 3kd + k + d floats, and no
+// more bytes than those two objects take in the runtime's size classes;
+// and EvalOne and Inject never allocate, a fresh swarm's first
+// improvement and first adoption included.
 func TestSwarmMemory(t *testing.T) {
+	if size := unsafe.Sizeof(Swarm{}); size > 160 {
+		t.Errorf("Swarm is %d B, want at most 160", size)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct{ d, k int }{{10, 16}, {30, 16}, {2, 2}} {
 		r := rng.New(1)
@@ -471,18 +336,9 @@ func BenchmarkEvalOne(b *testing.B) {
 	}
 }
 
-func BenchmarkStepGBest(b *testing.B) {
-	s := New(funcs.Griewank, 10, 16, Config{}, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
 // TestMoveFitnessPinned pins an FNV-1a digest of the fitness bits of
-// 2 000 evaluations for every branch of move — each neighbourhood, the
-// constriction, position-clamp and inertia-decay settings, and a GBest
-// swarm whose first 300 evaluations report +Inf, so its moves run with
+// 2 000 evaluations for both branches of move — a swarm with an optimum,
+// and one whose first 300 evaluations report +Inf, so its moves run with
 // no swarm optimum to attract them — at dimensions 2, 30 and 70. Moves
 // draw their randomness a block of dimensions at a time; 70 spans more
 // than one block, so a block seam that reorders or drops a draw moves
@@ -491,18 +347,11 @@ func TestMoveFitnessPinned(t *testing.T) {
 	dims := [3]int{2, 30, 70}
 	cases := []struct {
 		name   string
-		cfg    Config
 		blind  int       // leading evaluations reported to the swarm as +Inf
 		digest [3]uint64 // per dimension in dims
 	}{
-		{"gbest", Config{}, 0, [3]uint64{0x96a157ab9f2d49bd, 0x3886b133efca43ca, 0xb2bcbff56fdc645d}},
-		{"gbest-no-optimum", Config{}, 300, [3]uint64{0x1dc75c214ce5221a, 0x41cb7ab303fc3898, 0x06bcfccf796466db}},
-		{"lbest-ring", Config{Variant: LBestRing}, 0, [3]uint64{0xbed4cb2ec2384c94, 0x20d79d7b19d2f554, 0x14df056b4fa82a60}},
-		{"von-neumann", Config{Variant: VonNeumann}, 0, [3]uint64{0x54385fe974592490, 0xbac8a4201aa5e8bd, 0xece343a3a2eda769}},
-		{"fips", Config{Variant: FIPS}, 0, [3]uint64{0xd88ab2546b067f88, 0xcc06146ce5c46923, 0x21e9a951aa3b6bdc}},
-		{"constriction", Config{Constriction: true}, 0, [3]uint64{0xa2c7c0486257bb72, 0x0d5d35efcbf48d82, 0xa1d548dfa487d0e7}},
-		{"clamp-position", Config{ClampPosition: true}, 0, [3]uint64{0xe5baf4bc2d468c46, 0x07a554bbae2dff52, 0x2bc7c217055a23c1}},
-		{"inertia-decay", Config{Inertia: 0.9, InertiaFinal: 0.4, InertiaDecayEvals: 1500}, 0, [3]uint64{0x755b8b618edeab72, 0x5ad0f41eeeb6cf20, 0xc2ffe628d7483fce}},
+		{"gbest", 0, [3]uint64{0x96a157ab9f2d49bd, 0x3886b133efca43ca, 0xb2bcbff56fdc645d}},
+		{"gbest-no-optimum", 300, [3]uint64{0x1dc75c214ce5221a, 0x41cb7ab303fc3898, 0x06bcfccf796466db}},
 	}
 	for ci, c := range cases {
 		for di, d := range dims {
@@ -519,7 +368,7 @@ func TestMoveFitnessPinned(t *testing.T) {
 				}
 				return fx
 			}
-			s := New(f, d, 16, c.cfg, rng.New(uint64(800+10*ci+di)))
+			s := New(f, d, 16, Config{}, rng.New(uint64(800+10*ci+di)))
 			for range 2000 {
 				s.EvalOne()
 			}

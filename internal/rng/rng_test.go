@@ -170,22 +170,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.ExpFloat64()
-		if x < 0 {
-			t.Fatalf("negative exponential variate %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	for _, n := range []int{0, 1, 2, 10, 100} {

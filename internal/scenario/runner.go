@@ -308,7 +308,7 @@ func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (Rep
 		net = optNet{core.NewNetwork(core.Config{
 			Nodes:         s.Nodes,
 			Particles:     s.Stack.Particles,
-			GossipEvery:   gossipEvery(s.Stack.GossipEvery),
+			GossipEvery:   s.Stack.GossipEvery,
 			ViewSize:      s.Stack.ViewSize,
 			Function:      fn,
 			Dim:           s.Stack.Dim,
@@ -413,15 +413,6 @@ func recoveryAhead(events []Event) bool {
 		}
 	}
 	return false
-}
-
-// gossipEvery maps the spec convention (negative disables coordination) to
-// the core one (zero disables).
-func gossipEvery(r int) int {
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // netState tracks the cycle engine's per-link network-model stack across
@@ -579,7 +570,7 @@ func runEventRep(s Spec, seed uint64, rep int, sink exp.Sink) (RepSummary, error
 	net := core.NewAsyncNetwork(core.AsyncConfig{
 		Nodes:          s.Nodes,
 		Particles:      s.Stack.Particles,
-		GossipEvery:    gossipEvery(s.Stack.GossipEvery),
+		GossipEvery:    s.Stack.GossipEvery,
 		ViewSize:       s.Stack.ViewSize,
 		Function:       fn,
 		Dim:            s.Stack.Dim,

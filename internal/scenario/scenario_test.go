@@ -418,6 +418,36 @@ func TestEventReviveActsAtScriptedTime(t *testing.T) {
 	}
 }
 
+// TestGossipEveryNegativeDisablesCoordination: a negative gossip_every
+// turns coordination off on both engines, so no sample shows an exchange
+// or an adoption.
+func TestGossipEveryNegativeDisablesCoordination(t *testing.T) {
+	for _, js := range []string{
+		`{"name":"isolated","nodes":16,"stack":{"gossip_every":-1},"stop":{"cycles":50}}`,
+		`{"name":"isolated","engine":"event","nodes":16,"stack":{"gossip_every":-1},"stop":{"time":50}}`,
+	} {
+		spec, err := Parse([]byte(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink captureSink
+		if _, err := Run(spec, Options{}, &sink); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.recs) == 0 {
+			t.Fatalf("%s: no metric records emitted", js)
+		}
+		for _, r := range sink.recs {
+			if r.Exchanges != 0 || r.Adoptions != 0 {
+				t.Fatalf("%s: t=%v: %d exchanges, %d adoptions with coordination disabled", js, r.Time, r.Exchanges, r.Adoptions)
+			}
+		}
+		if last := sink.recs[len(sink.recs)-1]; last.Evals == 0 {
+			t.Fatalf("%s: the nodes never evaluated: %+v", js, last)
+		}
+	}
+}
+
 // TestSetLinkWithoutLinkRestoresBaseline: ending a storm with a link-less
 // set-link must return to the stack's baseline link, not to a perfect
 // zero-latency lossless network.
