@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// Payload ownership (PR 6): ownership of a payload transfers to the
-// receiver on Send — Proposals.Send in the propose phase, ApplyContext.Send
+// Payload ownership: ownership of a payload transfers to the receiver on
+// Send — Proposals.Send in the propose phase, ApplyContext.Send or Forward
 // for reply legs — and the engine recycles every recyclable payload
 // exactly once at cycle end. The three ways to break that silently:
 //
@@ -24,8 +24,9 @@ import (
 //     to another node by the free list one cycle later.
 //
 // The analyzer tracks the sent value's local variable — including plain
-// aliases (`q := p`) — positionally: any use after the Send call in the
-// same function is flagged unless the variable was reassigned in between.
+// aliases (`q := p`) and through a conversion `(*U)(p)` — positionally: any
+// use after the Send or Forward call in the same function is flagged unless
+// the variable was reassigned in between.
 // Scalar payloads (basic types) are exempt: value semantics make reuse
 // harmless. The Recycle rule requires every direct reference-typed field
 // (pointer, slice, map, chan, func, interface) of the receiver struct to
@@ -35,22 +36,25 @@ import (
 // and the receiver (or the receiver converted to a type of its shape),
 // without which the payload never returns to its list.
 //
-// The retention rule knows two kinds of received payload: a variable bound
-// by asserting the type of a sim.Message parameter's Data, and a parameter
-// whose type is a pointer to a payload type (one with a Recycle method), as
-// in a request-leg helper like Newscast.exchange. Assigning a received
-// payload, or a pointer, slice or map reached through it, to anything
-// reached through the function's receiver or other parameters, or to a
-// package variable, is flagged as retained. Storing it into a field or
-// element of a local, or into a composite literal, is flagged as forwarded
-// — the local is a payload on its way out, and a net model may delay it
-// past the cycle end that recycles the one received — unless it is a move:
-// the received field is set to nil later in the same function, so the
-// received payload no longer references the memory. Plain local variables
-// are not followed. What a store takes is looked for through reslices,
-// append's first argument, and the first argument of a function of the
-// same package whose result has its first parameter's slice type (sized,
-// mergeRuns), which may return it; the elements append copies are not.
+// The retention rule knows three kinds of received payload: a variable
+// bound by asserting the type of a sim.Message parameter's Data, a
+// parameter whose type is a pointer to a payload type (one with a Recycle
+// method), as in a request-leg helper like Newscast.exchange, and a local
+// bound to either or to a conversion `(*U)(p)` of either. Assigning a
+// received payload, or a pointer, slice or map reached through it, to
+// anything reached through the function's receiver or other parameters,
+// or to a package variable, is flagged as retained. Storing it into a
+// field or element of a local, or into a composite literal, is flagged as
+// forwarded: the local is a payload on its way out, and a net model may
+// delay it past the cycle end that recycles the one received. What a store
+// takes is looked for through reslices, append's first argument, and the
+// first argument of a function of the same package whose result has its
+// first parameter's slice type (sized, mergeRuns), which may return it;
+// the elements append copies are not. The forward rule: the one way to
+// send a received payload again is ApplyContext.Forward of it, or of a
+// conversion of it, after which the engine drops the reference of the
+// message that brought it. Forward of anything else, and Send of a
+// received payload or of what is reached through it, are flagged.
 //
 // A wholesale reset `*r = T{...}` does not reset a field its literal
 // carries back from the receiver, directly (`T{Peer: r.Peer}`) or through
@@ -85,21 +89,21 @@ func runOwnership(pass *Pass) {
 	}
 }
 
-// isPayloadSend matches ax.Send / px.Send calls (ApplyContext or Proposals
-// receiver, by name) and returns the payload argument.
-func isPayloadSend(pass *Pass, call *ast.CallExpr) (ast.Expr, bool) {
+// isPayloadSend matches ax.Send, ax.Forward and px.Send calls, returning
+// the payload argument and the method's name.
+func isPayloadSend(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Send" || len(call.Args) == 0 {
-		return nil, false
+	if !ok || sel.Sel.Name != "Send" && sel.Sel.Name != "Forward" || len(call.Args) == 0 {
+		return nil, ""
 	}
 	tv, ok := pass.Info.Types[sel.X]
 	if !ok {
-		return nil, false
+		return nil, ""
 	}
 	if !namedTypeIn(tv.Type, simPackageName, "ApplyContext") && !namedTypeIn(tv.Type, simPackageName, "Proposals") {
-		return nil, false
+		return nil, ""
 	}
-	return call.Args[len(call.Args)-1], true
+	return call.Args[len(call.Args)-1], sel.Sel.Name
 }
 
 // checkUseAfterSend flags reads or writes of a sent payload variable (or
@@ -126,8 +130,8 @@ func checkUseAfterSend(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if payload, ok := isPayloadSend(pass, n); ok {
-				if id := rootIdent(ast.Unparen(payload)); id != nil {
+			if payload, _ := isPayloadSend(pass, n); payload != nil {
+				if id := rootIdent(ast.Unparen(unconvert(pass, payload))); id != nil {
 					if obj := pass.Info.Uses[id]; obj != nil && trackedPayload(obj.Type()) {
 						sends = append(sends, send{end: n.End(), obj: obj})
 					}
@@ -196,7 +200,7 @@ func checkUseAfterSend(pass *Pass, fd *ast.FuncDecl) {
 			if renewed {
 				continue
 			}
-			pass.Reportf(id.Pos(), "payload %s used after Send: ownership transferred to the receiver (sent-exactly-once; a reused pointer double-recycles)", id.Name)
+			pass.Reportf(id.Pos(), "payload %s used after Send or Forward: ownership transferred to the receiver (sent-exactly-once; a reused pointer double-recycles)", id.Name)
 			return true
 		}
 		return true
@@ -360,8 +364,9 @@ func referenceType(t types.Type) bool {
 }
 
 // checkRetained flags a handler that stores a received payload, or
-// reference-typed data reached through it, where it outlives the call, or
-// forwards it into another payload without moving it out.
+// reference-typed data reached through it, where it outlives the call or
+// into another payload, and one that sends it again other than by the
+// forward rule.
 func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 	// Objects that outlive the call when stored through: the receiver and
 	// the parameters. Message parameters are where payloads arrive, and
@@ -414,13 +419,15 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.AssignStmt:
-			// p := msg.Data.(*T) and p, ok := msg.Data.(*T).
-			if len(n.Rhs) == 1 && isData(n.Rhs[0]) {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok {
-					if obj := pass.Info.ObjectOf(id); obj != nil {
-						received[obj] = true
-					}
+			// p := msg.Data.(*T), p, ok := msg.Data.(*T) and q := (*U)(p).
+			if id, ok := n.Lhs[0].(*ast.Ident); ok && len(n.Rhs) == 1 {
+				if obj := pass.Info.ObjectOf(id); obj != nil && (isData(n.Rhs[0]) || isReceived(pass, received, n.Rhs[0])) {
+					received[obj] = true
 				}
+			}
+		case *ast.CallExpr:
+			if payload, verb := isPayloadSend(pass, n); verb == "Forward" && !isReceived(pass, received, payload) {
+				pass.Reportf(payload.Pos(), "Forward sends a payload the handler did not receive: forward only the received payload, or a conversion of it (Send anything else)")
 			}
 		}
 		return true
@@ -438,31 +445,9 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return e, id
 	}
-	// moved reports whether e, a field reached through a received payload,
-	// is set to nil after pos.
-	moved := func(e ast.Expr, pos token.Pos) bool {
-		if _, field := e.(*ast.SelectorExpr); !field {
-			return false
-		}
-		found := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if as, ok := n.(*ast.AssignStmt); ok && as.Pos() > pos && len(as.Lhs) == len(as.Rhs) {
-				for i, lhs := range as.Lhs {
-					found = found || pass.Info.Types[as.Rhs[i]].IsNil() &&
-						types.ExprString(lhs) == types.ExprString(e) &&
-						pass.Info.Uses[rootIdent(lhs)] == pass.Info.Uses[rootIdent(e)]
-				}
-			}
-			return !found
-		})
-		return found
-	}
-	// forwarded reports a store at pos, in a statement ending at end, of
-	// e, reached through the received payload id, unless it is a move.
-	forwarded := func(pos, end token.Pos, e ast.Expr, id *ast.Ident) {
-		if !moved(e, end) {
-			pass.Reportf(pos, "handler forwards received payload %s into another payload: a net model may delay that one past the cycle end that recycles %s (copy, or move the field out and set it to nil)", id.Name, id.Name)
-		}
+	// forwarded reports a store at pos of id's memory into another payload.
+	forwarded := func(pos token.Pos, id *ast.Ident) {
+		pass.Reportf(pos, "handler forwards received payload %s into another payload: a net model may delay that one past the cycle end that recycles %s (copy, or Forward %s itself)", id.Name, id.Name, id.Name)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if cl, ok := n.(*ast.CompositeLit); ok {
@@ -471,7 +456,15 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 					elt = kv.Value
 				}
 				if e, id := src(elt); e != nil {
-					forwarded(elt.Pos(), elt.End(), e, id)
+					forwarded(elt.Pos(), id)
+				}
+			}
+			return true
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if payload, verb := isPayloadSend(pass, call); verb == "Send" {
+				if e, id := src(unconvert(pass, payload)); e != nil {
+					pass.Reportf(payload.Pos(), "handler re-sends received payload %s with Send: the engine recycles it with the message that brought it, and again with this one (Forward the payload itself, copy anything else)", id.Name)
 				}
 			}
 			return true
@@ -498,11 +491,17 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 			case isPackageLevel(dObj, pass.Pkg) || outer[dObj] && !plain:
 				pass.Reportf(as.Lhs[i].Pos(), "handler retains received payload %s beyond the call: the engine recycles it at cycle end (copy what must stay)", id.Name)
 			case !plain:
-				forwarded(as.Lhs[i].Pos(), as.End(), e, id)
+				forwarded(as.Lhs[i].Pos(), id)
 			}
 		}
 		return true
 	})
+}
+
+// isReceived reports whether e is a received payload or a conversion of one.
+func isReceived(pass *Pass, received map[types.Object]bool, e ast.Expr) bool {
+	id, ok := ast.Unparen(unconvert(pass, e)).(*ast.Ident)
+	return ok && received[pass.Info.Uses[id]]
 }
 
 // aliasSource strips from e what hands back its operand's memory —

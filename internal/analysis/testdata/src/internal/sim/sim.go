@@ -35,6 +35,9 @@ type ApplyContext struct {
 // Send hands a payload to the engine for delivery; ownership transfers.
 func (ax *ApplyContext) Send(to NodeID, slot int, data any) {}
 
+// Forward sends the payload being handled as its follow-up.
+func (ax *ApplyContext) Forward(to NodeID, slot int, data any) {}
+
 // Cycle returns the current cycle.
 func (ax *ApplyContext) Cycle() int64 { return 0 }
 

@@ -2,7 +2,8 @@
 // direct, aliased and double-send forms, the renewal and scalar escapes,
 // Recycle methods leaky, clean and forgetful of Put, wholesale resets that
 // carry a field back and generic legs that keep their value, and handlers
-// and helpers that retain, forward, copy or move what they received.
+// and helpers that retain, copy, store into another payload, re-send or
+// Forward what they received.
 package ownfix
 
 import "internal/sim"
@@ -256,7 +257,8 @@ func (f *Forwarder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) 
 }
 
 // Mover answers in the buffer the request brought and sets the request's
-// field to nil: a move, so the reply is the buffer's one owner — clean.
+// field to nil. No store into another payload is excused: the reply that
+// needs the request's memory is the request, forwarded (see Replier).
 type Mover struct{ state []byte }
 
 // Receive moves the received buffer into its reply.
@@ -266,9 +268,43 @@ func (m *Mover) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 		return
 	}
 	rep := pool.Get(ax.Payloads())
-	rep.Buf = append(sized(p.Buf, len(m.state)), m.state...)
+	rep.Buf = append(sized(p.Buf, len(m.state)), m.state...) // want "forwards received payload p"
 	p.Buf = nil
 	ax.Send(msg.From, 0, rep)
+}
+
+// Replier answers in the request itself, as Newscast does: it overwrites
+// the request's buffer and forwards the request, converted to the reply
+// type, directly or through a local — the forward rule: clean, but for a
+// use after the Forward.
+type Replier struct{ state []byte }
+
+// Receive forwards the received payload as its reply.
+func (r *Replier) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	switch p := msg.Data.(type) {
+	case *Payload:
+		p.Buf = append(sized(p.Buf, len(r.state)), r.state...)
+		ax.Forward(msg.From, 0, (*Twin)(p))
+	case *Twin:
+		rep := (*Payload)(p)
+		rep.N = 1
+		ax.Forward(msg.From, 0, rep)
+		rep.N = 2 // want "used after Send or Forward"
+	}
+}
+
+// Undelivered re-sends what it received with Send — the payload, a
+// conversion of it, a payload reached through it — and forwards a payload
+// it did not receive: each is flagged.
+func (r *Replier) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	p, ok := msg.Data.(*Payload)
+	if !ok {
+		return
+	}
+	ax.Send(msg.From, 0, p)                          // want "re-sends received payload p"
+	ax.Send(msg.From, 1, (*Twin)(p))                 // want "re-sends received payload p" "used after Send or Forward"
+	ax.Send(msg.From, 2, p.Next)                     // want "re-sends received payload p" "used after Send or Forward"
+	ax.Forward(msg.From, 3, pool.Get(ax.Payloads())) // want "did not receive"
 }
 
 // answer is a request-leg helper that takes the received payload as a

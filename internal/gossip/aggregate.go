@@ -59,17 +59,14 @@ func (r *avgReq) Recycle(c *sim.PayloadCache) {
 
 // avgDelta is the settle leg: the delta the initiator must apply to its
 // own value (the opposite of the receiver's move), keeping the pair's sum
-// exactly unchanged. Pooled like avgReq.
-type avgDelta struct {
-	D float64
-}
-
-var avgDeltaPool sim.FreeList[avgDelta]
+// exactly unchanged. It travels in the request it answers, converted, and
+// returns to avgReqPool: an exchange costs one payload. V is the delta.
+type avgDelta avgReq
 
 // Recycle implements sim.Recyclable.
 func (d *avgDelta) Recycle(c *sim.PayloadCache) {
 	*d = avgDelta{}
-	avgDeltaPool.Put(c, d)
+	avgReqPool.Put(c, (*avgReq)(d))
 }
 
 var (
@@ -103,19 +100,19 @@ func (a *Average) Propose(n *sim.Node, px *sim.Proposals) {
 
 // Receive implements sim.Receiver, node-locally. On the initiating leg the
 // contacted peer moves halfway toward the initiator's snapshot and mails
-// the opposite delta back; on the settle leg the initiator applies it. The
-// two moves cancel exactly, so the global sum is conserved bit-for-bit
-// under any interleaving.
+// the opposite delta back in the request; on the settle leg the initiator
+// applies it. The two moves cancel exactly, so the global sum is conserved
+// bit-for-bit under any interleaving.
 func (a *Average) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch req := msg.Data.(type) {
 	case *avgReq:
 		d := (req.V - a.value) / 2
 		a.value += d
-		rep := avgDeltaPool.Get(ax.Payloads())
-		rep.D = -d
-		ax.Send(msg.From, int(msg.Slot), rep)
+		rep := (*avgDelta)(req)
+		rep.V = -d
+		ax.Forward(msg.From, int(msg.Slot), rep)
 	case *avgDelta:
-		a.value += req.D
+		a.value += req.V
 	}
 }
 
@@ -129,6 +126,6 @@ func (a *Average) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message
 	case *avgReq:
 		a.Lost++
 	case *avgDelta:
-		a.value += req.D
+		a.value += req.V
 	}
 }

@@ -80,9 +80,11 @@ func legPool[L any]() *sim.FreeList[L] {
 	return v.(*sim.FreeList[L])
 }
 
-// aeReq is the initiating leg, aeVal the reply leg. Recycle keeps V, which
-// the sender's Load overwrites in full, so its buffers stay warm; the pool
-// is looked up, not carried, so a leg is as small as its value.
+// aeReq is the initiating leg, aeVal the reply leg. Both share aeReq's
+// pool: a partner whose value wins answers in the request it received,
+// converted, so that exchange costs one leg. Recycle keeps V, which the
+// sender's Load overwrites in full, so its buffers stay warm; the pool is
+// looked up, not carried, so a leg is as small as its value.
 type aeReq[T any] struct{ V T }
 
 // aeVal is the reply leg (see aeReq).
@@ -95,7 +97,7 @@ type aeAsk struct{}
 func (r *aeReq[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, r) }
 
 // Recycle implements sim.Recyclable.
-func (v *aeVal[T]) Recycle(c *sim.PayloadCache) { legPool[aeVal[T]]().Put(c, v) }
+func (v *aeVal[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, (*aeReq[T])(v)) }
 
 // Propose initiates one exchange for h, drawing from n.RNG only to sample
 // the partner and, when DropProb > 0, to lose the exchange.
@@ -130,26 +132,21 @@ func (x *Exchange[T]) Receive(h Holder[T], c *Counters, ax *sim.ApplyContext, ms
 		switch r := h.Compare(m.V); {
 		case r < 0 && h.Offer(m.V):
 			c.Adoptions++
-		case r > 0:
-			x.reply(h, ax, msg.From)
+		case r > 0 && h.Load(&m.V):
+			ax.Forward(msg.From, x.SelfSlot, (*aeVal[T])(m))
 		}
 	case aeAsk:
-		x.reply(h, ax, msg.From)
+		rep := legPool[aeReq[T]]().Get(ax.Payloads())
+		if !h.Load(&rep.V) {
+			rep.Recycle(ax.Payloads())
+			return
+		}
+		ax.Send(msg.From, x.SelfSlot, (*aeVal[T])(rep))
 	case *aeVal[T]:
 		if h.Offer(m.V) {
 			c.Adoptions++
 		}
 	}
-}
-
-// reply mails h's value back to the initiator, if h holds one.
-func (x *Exchange[T]) reply(h Holder[T], ax *sim.ApplyContext, to sim.NodeID) {
-	rep := legPool[aeVal[T]]().Get(ax.Payloads())
-	if !h.Load(&rep.V) {
-		rep.Recycle(ax.Payloads())
-		return
-	}
-	ax.Send(to, x.SelfSlot, rep)
 }
 
 // Undelivered counts an initiating leg the engine could not deliver (dead

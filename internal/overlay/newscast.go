@@ -91,9 +91,9 @@ func bootstrapView(v *View, self sim.NodeID, peers []sim.NodeID) {
 // view plus the logical time of the cycle, delivered to the chosen partner.
 // Payloads are pooled (sim.Recyclable): a cycle at large n creates one
 // snapshot per live node, so recycling the descriptor buffers removes the
-// dominant per-cycle allocation. The snapshot's buffer also carries the
-// reply home (see Newscast.exchange): an exchange needs one buffer besides
-// the views.
+// dominant per-cycle allocation. The request also carries the reply home
+// (see Newscast.exchange): an exchange needs one header and one buffer
+// besides the views.
 //
 // Descs is a view verbatim, so it is strictly sorted under the canonical
 // order and the receiver merges it without sorting. The two fresh
@@ -105,37 +105,26 @@ type viewSwap struct {
 }
 
 // viewSwapReply is the pull half of the exchange: the partner's pre-merge
-// view, mailed back to the initiator in the next apply round, in the buffer
-// its request brought (see Newscast.exchange). Descs is sorted like
-// viewSwap's. Stamp repeats the request's, not the time the reply was
+// view, mailed back to the initiator in the next apply round in the
+// request it answers, converted (see Newscast.exchange). Descs is sorted
+// like viewSwap's. Stamp repeats the request's, not the time the reply was
 // posted or arrives: a leg the network delays still announces its sender as
 // of the cycle the exchange began in.
 type viewSwapReply viewSwap
 
-// One buffer serves both legs of an exchange, so the two pools hold the
-// same headers sorted by what they carry: viewSwapPool those with a
-// buffer, which requests draw, and viewSwapReplyPool bare ones, which
-// replies draw. Recycle files a header by its buffer, whatever its type.
-// The pools are process-global, so engines with different view sizes draw
-// each other's buffers; whoever fills one replaces it if it is too small
-// (sized).
-var (
-	viewSwapPool      sim.FreeList[viewSwap]
-	viewSwapReplyPool sim.FreeList[viewSwapReply]
-)
+// viewSwapPool holds the headers of both legs, each with its buffer. It is
+// process-global, so engines with different view sizes draw each other's
+// buffers; whoever fills one replaces it if it is too small (sized).
+var viewSwapPool sim.FreeList[viewSwap]
 
-// Recycle implements sim.Recyclable. A request its partner answered gave
-// its buffer to the reply and leaves bare; one that never arrived keeps it.
+// Recycle implements sim.Recyclable.
 func (s *viewSwap) Recycle(c *sim.PayloadCache) {
-	if s.Descs == nil {
-		viewSwapReplyPool.Put(c, (*viewSwapReply)(s))
-		return
-	}
 	s.Descs = s.Descs[:0]
 	viewSwapPool.Put(c, s)
 }
 
-// Recycle implements sim.Recyclable: a reply always carries a buffer.
+// Recycle implements sim.Recyclable: the header returns to the request
+// pool it came from.
 func (s *viewSwapReply) Recycle(c *sim.PayloadCache) {
 	s.Descs = s.Descs[:0]
 	viewSwapPool.Put(c, (*viewSwap)(s))
@@ -165,29 +154,24 @@ func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 func (nc *Newscast) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch sw := msg.Data.(type) {
 	case *viewSwap:
-		ax.Send(msg.From, nc.Slot, nc.exchange(msg.From, sw, ax.Payloads()))
+		nc.exchange(msg.From, sw)
+		ax.Forward(msg.From, nc.Slot, (*viewSwapReply)(sw))
 	case *viewSwapReply:
 		nc.view.mergeInPlace(nc.self, sw.Descs, entryOf(Descriptor{ID: msg.From, Stamp: sw.Stamp}))
 	}
 }
 
 // exchange is the request leg: it merges the initiator's snapshot into the
-// view in place and returns the reply, which carries the pre-merge view in
-// the request's buffer. As on the reply leg, the view moves to the stack
-// first, so its items buffer never changes. Once merged the snapshot is
-// dead, so its buffer is overwritten with the pre-merge view and moves into
-// a bare reply header; sw.Descs is set to nil, and the request returns to
-// its pool holding nothing a reply the network delays past cycle end
-// still reads.
-func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap, c *sim.PayloadCache) *viewSwapReply {
+// view in place and overwrites the snapshot, which is dead once merged,
+// with the pre-merge view: the request becomes its own reply. As on the
+// reply leg, the view moves to the stack first, so its items buffer never
+// changes.
+func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap) {
 	v := nc.view
 	var bufA [mergeStack]entry
 	a := append(bufA[:0], v.items...)
 	v.items = mergeRuns(sized(v.items, v.c), a, sw.Descs, entryOf(Descriptor{ID: from, Stamp: sw.Stamp}), nc.self, v.c)
-	rep := viewSwapReplyPool.Get(c)
-	rep.Descs, rep.Stamp = append(sized(sw.Descs, v.c), a...), sw.Stamp
-	sw.Descs = nil
-	return rep
+	sw.Descs = append(sized(sw.Descs, v.c), a...)
 }
 
 // Undelivered implements sim.Undeliverable: the partner is dead or

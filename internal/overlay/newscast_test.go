@@ -176,12 +176,13 @@ func TestNewscastUnderContinuousChurn(t *testing.T) {
 // (their stamp older than what the views hold by then) or never.
 //
 // Payloads cycle through a real sim.PayloadCache the way an engine cycles
-// them: every request is drawn from viewSwapPool and recycled as soon as
-// its reply is built, and every delivered reply is recycled. A late reply
-// thus arrives after its request went back to the pool and later requests
-// were drawn and filled — the last-in-first-out magazine hands the very
-// same header out next — and must still carry the pre-merge view: a reply
-// that aliased its request's buffer would read another view by then.
+// them: every request is drawn from viewSwapPool and answered in place,
+// becoming its own reply, and every reply is recycled once delivered, or
+// at once when it is lost. A late reply thus arrives after later requests
+// were drawn, filled and recycled — the last-in-first-out magazine hands
+// the same few headers out again and again — and must still carry the
+// pre-merge view: a reply that shared a buffer with any other payload
+// would read another view by then.
 func TestNewscastExchangeMatchesReference(t *testing.T) {
 	type peer struct {
 		node *sim.Node
@@ -257,8 +258,8 @@ func TestNewscastExchangeMatchesReference(t *testing.T) {
 					sw.Recycle(&pc)
 					continue
 				}
-				rep := rcv.nc.exchange(ini.node.ID, sw, &pc)
-				sw.Recycle(&pc)
+				rcv.nc.exchange(ini.node.ID, sw)
+				rep := (*viewSwapReply)(sw)
 				check("request", rcv)
 				if !slices.Equal(descriptors(rep.Descs), preMerge) || rep.Stamp != cycle {
 					t.Fatalf("c=%d seq=%d: reply of node %d carries %v stamped %d, want the pre-merge view %v stamped %d",

@@ -703,8 +703,8 @@ func (d *exchangeDriver) Propose(n *sim.Node, px *sim.Proposals) {
 
 // BenchmarkNewscastExchange is the whole exchange on an engine of two
 // nodes with full c=20 views: per cycle two snapshots, two request legs
-// (merge in place, the pre-merge view into the request's buffer, which
-// moves into a bare reply header), two reply legs and four payloads
+// (merge in place, the pre-merge view into the request's buffer, the
+// request forwarded as the reply), two reply legs and two payloads
 // recycled. ns/op is per exchange.
 func BenchmarkNewscastExchange(b *testing.B) {
 	x := newExchangeBench(b)

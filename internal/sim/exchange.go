@@ -54,7 +54,8 @@ package sim
 // A reply that cannot be delivered (a one-way partition) fires the
 // replier's Undelivered hook, which is where a protocol compensates
 // (gossip.Average rolls its half of the exchange back there, keeping the
-// global sum conserved under asymmetric cuts).
+// global sum conserved under asymmetric cuts). A reply that fits in the
+// request goes out in it (ax.Forward): one payload per exchange.
 
 // Message is one proposed exchange: a payload traveling from the proposing
 // node to a peer's protocol slot, delivered during the apply phase.
@@ -96,8 +97,9 @@ type Proposer interface {
 // the round, concurrently with other nodes' handlers, and therefore must
 // be node-local: it may touch only n's own state (its protocols, its RNG)
 // and ax. To complete a symmetric exchange it posts a reply through
-// ax.Send — delivered in the next apply round of the same cycle — instead
-// of mutating the initiator directly.
+// ax.Send, or ax.Forward in the payload it received — delivered in the
+// next apply round of the same cycle — instead of mutating the initiator
+// directly.
 type Receiver interface {
 	Receive(n *Node, ax *ApplyContext, msg Message)
 }
@@ -167,6 +169,8 @@ type ApplyContext struct {
 	// follow-up carries it so the coordinator can place it where a
 	// sequential apply would have appended it.
 	trigger int32
+	// handled is the round slot of the message being handled (Forward).
+	handled *Message
 	outbox  []Message
 	evals   int64
 	cache   *PayloadCache
@@ -194,6 +198,19 @@ func (ax *ApplyContext) Cycle() int64 { return ax.cycle }
 // independent of the apply worker count.
 func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
 	ax.outbox = append(ax.outbox, Message{From: ax.self, To: to, Slot: int32(slot), trigger: ax.trigger, Data: data})
+}
+
+// Forward is Send for the payload the handler received, or a pointer
+// conversion of it to a type of its shape: the reply travels in the
+// request. The engine drops the handled message's reference, so the
+// payload is still recycled exactly once, with the follow-up (from the
+// delay queue, if the net model holds it back). Call it at most once per
+// handler call; on an ApplyContext no engine handed out it is Send.
+func (ax *ApplyContext) Forward(to NodeID, slot int, data any) {
+	if ax.handled != nil {
+		ax.handled.Data = nil
+	}
+	ax.Send(to, slot, data)
 }
 
 // Alive reports whether the node with the given ID currently exists and is

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -48,16 +50,18 @@ import (
 //     handler call, not even inside a *different* payload it sends: a net
 //     model may delay that payload past the cycle end that recycles this
 //     one. It copies instead (Cyclon's reply copies the request subset it
-//     echoes), or moves the slice out (next rule).
-//   - A handler may move a slice out of a received payload into a payload
-//     it sends, provided it sets the received field to nil in the same
-//     handler (Newscast's request leg mails the pre-merge view home in the
-//     buffer the request brought). The received payload then references
-//     nothing the free list can hand out again: a reply the net model
-//     delays past cycle end is the buffer's one owner, and the request's
-//     Recycle finds a nil field. A buffer that arrives this way may have
-//     any capacity — the free lists are shared by every engine in the
-//     process — so whoever fills it checks the capacity it needs.
+//     echoes), or forwards the payload itself (next rule).
+//   - A handler may send the payload it received, or a pointer conversion
+//     of it to a type of its shape, as its follow-up — through
+//     ApplyContext.Forward, never Send. Forward drops the handled message's
+//     reference, so the payload, slices and all, has one owner again: the
+//     follow-up, which recycles it once, at cycle end or from the delay
+//     queue (Newscast's request leg overwrites its snapshot with the
+//     pre-merge view and forwards itself as the reply). Sent again with
+//     Send, it would be recycled twice. A buffer a forwarded payload
+//     carries may have any capacity — the free lists are shared by every
+//     engine in the process — so whoever fills it checks the capacity it
+//     needs.
 //   - Recycle must reset slice fields to length zero (keeping capacity —
 //     that reuse is the whole point) and nil out aliases it does not own.
 //     Two kinds of field may survive the reset: a home-pool back-pointer
@@ -185,15 +189,24 @@ var flStatsOn atomic.Bool
 // values across toggles.
 func EnableFreeListStats(on bool) { flStatsOn.Store(on) }
 
-// Double-release detection. The ownership rules make "send exactly once"
-// the caller's obligation; a violation corrupts state at a distance (two
-// nodes handing out the same payload). The detector is opt-in like the
-// stats: off (the default), Get and Put pay one atomic load each; on, every
-// outstanding payload pointer is tracked in a process-global set and a
-// second release of the same pointer panics at the Put, naming the type —
-// at the misuse site, not at the eventual corruption. The set is keyed by
-// address, not by typed pointer: a header that changes type between two
-// lists of one shape (Newscast's two legs) is still one payload.
+// Double-release detection and poisoning. The ownership rules make "send
+// exactly once" and "do not keep what you received" the caller's
+// obligations; a violation corrupts state at a distance (two nodes handing
+// out the same payload, a delayed leg reading a buffer reused by another).
+// The detector is opt-in like the stats: off (the default), Get and Put pay
+// one atomic load each. On, every released payload pointer is tracked in a
+// process-global set, and a second release of the same pointer panics at
+// the Put, naming the type — at the misuse site, not at the eventual
+// corruption. The set is keyed by address, not by typed pointer: a header
+// that changes type (a request forwarded as its reply) is still one
+// payload. Put also poisons the payload: every byte of every number in it
+// becomes 0x5a — a float64 reads 1.4e127 — in its fields and in the
+// elements of its slices of pointer-free types over their full capacity,
+// so a reader that still holds the payload or one of its buffers reads
+// poison, and the run's output changes. Get checks that
+// the poison of a payload released under the detector is intact, so a
+// write after release panics there, naming the type, and hands the
+// payload out poisoned: a sender sets every field it sends.
 var (
 	flDebugOn  atomic.Bool
 	flDebugMu  sync.Mutex
@@ -214,8 +227,8 @@ func EnableFreeListDebug(on bool) {
 	flDebugOn.Store(on)
 }
 
-// flDebugTrack records p as released, panicking, with p's type, if it
-// already was.
+// flDebugTrack records p as released and poisons it, panicking, with p's
+// type, if it already was released.
 func flDebugTrack[T any](p *T) {
 	flDebugMu.Lock()
 	defer flDebugMu.Unlock()
@@ -226,20 +239,84 @@ func flDebugTrack[T any](p *T) {
 		panic(fmt.Sprintf("sim: free-list double release of %T payload", p))
 	}
 	flDebugSet[unsafe.Pointer(p)] = struct{}{}
+	poison(reflect.ValueOf(p).Elem(), true)
 }
 
-// flDebugUntrack forgets p when it leaves the list through Get.
-func flDebugUntrack(p unsafe.Pointer) {
+// flDebugUntrack forgets p when it leaves the list through Get, panicking
+// if p was released under the detector and its poison is no longer intact.
+func flDebugUntrack[T any](p *T) {
 	flDebugMu.Lock()
 	defer flDebugMu.Unlock()
-	delete(flDebugSet, p)
+	if _, ok := flDebugSet[unsafe.Pointer(p)]; !ok {
+		return
+	}
+	delete(flDebugSet, unsafe.Pointer(p))
+	if !poison(reflect.ValueOf(p).Elem(), false) {
+		panic(fmt.Sprintf("sim: free-list write after release of %T payload", p))
+	}
+}
+
+// poisonBytes is the poison pattern, copied in chunks of its length.
+var poisonBytes = bytes.Repeat([]byte{0x5a}, 256)
+
+// poison fills (fill) or checks the poison of v, an addressable value:
+// every byte of it that no pointer, slice header or string occupies —
+// numbers, bools and padding — through structs and, over their full
+// capacity, slices of pointer-free elements, but not through pointers. It
+// reports whether every checked byte held the poison.
+func poison(v reflect.Value, fill bool) bool {
+	switch t := v.Type(); {
+	case !hasPointers(t):
+		return poisonRange(unsafe.Pointer(v.UnsafeAddr()), t.Size(), fill)
+	case t.Kind() == reflect.Struct:
+		ok := true
+		for i := range v.NumField() {
+			ok = poison(v.Field(i), fill) && ok
+		}
+		return ok
+	case t.Kind() == reflect.Slice && !hasPointers(t.Elem()):
+		return poisonRange(v.UnsafePointer(), uintptr(v.Cap())*t.Elem().Size(), fill)
+	}
+	return true
+}
+
+// poisonRange fills or checks n bytes at p.
+func poisonRange(p unsafe.Pointer, n uintptr, fill bool) bool {
+	for b := unsafe.Slice((*byte)(p), n); len(b) > 0; {
+		k := min(len(b), len(poisonBytes))
+		if fill {
+			copy(b, poisonBytes)
+		} else if !bytes.Equal(b[:k], poisonBytes[:k]) {
+			return false
+		}
+		b = b[k:]
+	}
+	return true
+}
+
+// hasPointers reports whether values of t hold pointers (slice headers and
+// strings among them), which poison must not overwrite.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	}
+	return t.Kind() > reflect.Complex128
 }
 
 // Get returns a recycled *T from c's magazine, refilled from the depot
 // when empty, or a freshly allocated zero value when the depot is empty
 // too (or c is nil). Recycled values keep whatever the type's Recycle
 // method left in them (by convention: zero-length slices with warm
-// capacity).
+// capacity) — poisoned, if the debug detector was on when they were
+// released.
 func (f *FreeList[T]) Get(c *PayloadCache) *T {
 	if c == nil {
 		return new(T)
@@ -259,7 +336,7 @@ func (f *FreeList[T]) Get(c *PayloadCache) *T {
 		c.hits++
 	}
 	if flDebugOn.Load() {
-		flDebugUntrack(unsafe.Pointer(p))
+		flDebugUntrack(p)
 	}
 	return p
 }
@@ -268,7 +345,7 @@ func (f *FreeList[T]) Get(c *PayloadCache) *T {
 // the depot when the magazine holds two. Callers normally do not call Put
 // directly: the payload's Recycle method does, and the engine calls
 // Recycle at cycle end. With the debug detector enabled, a second Put of
-// the same pointer without an intervening Get panics.
+// the same pointer without an intervening Get panics, and p is poisoned.
 func (f *FreeList[T]) Put(c *PayloadCache, p *T) {
 	if p == nil || c == nil {
 		return

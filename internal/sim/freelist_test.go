@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -141,7 +142,7 @@ func TestFreeListDoubleReleaseDetected(t *testing.T) {
 }
 
 // flTestTwin has flTestPayload's shape, so a header can move between their
-// lists by pointer conversion, as Newscast's two legs do.
+// lists by pointer conversion.
 type flTestTwin flTestPayload
 
 // TestFreeListDoubleReleaseAcrossTypes releases one header through two
@@ -182,6 +183,70 @@ func TestFreeListReleaseAfterReuseAllowed(t *testing.T) {
 		t.Fatal("payload never came back from the list")
 	}
 	fl.Put(&c2, p) // second release, but after a Get: legal
+}
+
+// flPoisonProbe has a float, an integer and a slice of structs of both, to
+// show what poisoning reaches.
+type (
+	flPoisonProbe struct {
+		f    float64
+		n    int32
+		legs []flPoisonLeg
+	}
+	flPoisonLeg struct {
+		x float64
+		u uint16
+	}
+)
+
+// TestFreeListPoisonsReleasedPayloads pins what the debug mode's Put
+// overwrites: every byte of every float and integer, in the fields and in
+// the slice's elements over its full capacity, so a holder that still
+// reads the payload or its buffer reads 0x5a bytes. Off, Put writes
+// nothing.
+func TestFreeListPoisonsReleasedPayloads(t *testing.T) {
+	var fl FreeList[flPoisonProbe]
+	var c PayloadCache
+	for _, debug := range []bool{false, true} {
+		EnableFreeListDebug(debug)
+		p := fl.Get(&c)
+		p.f, p.n = 1.5, 7
+		p.legs = append(p.legs[:0], flPoisonLeg{2.5, 3})[:0]
+		fl.Put(&c, p)
+		leg := p.legs[:1][0]
+		poisoned := math.Float64bits(p.f) == 0x5a5a5a5a5a5a5a5a && p.n == 0x5a5a5a5a &&
+			math.Float64bits(leg.x) == 0x5a5a5a5a5a5a5a5a && leg.u == 0x5a5a
+		if untouched := p.f == 1.5 && p.n == 7 && leg.x == 2.5 && leg.u == 3; debug && !poisoned || !debug && !untouched {
+			t.Errorf("debug=%v: released payload holds %v %v %+v", debug, p.f, p.n, leg)
+		}
+		if q := fl.Get(&c); q != p {
+			t.Fatal("payload never came back from the list")
+		}
+	}
+	EnableFreeListDebug(false)
+}
+
+// TestFreeListWriteAfterReleasePanics plants a write into a released
+// payload's buffer, the way a holder of a stale alias would: the debug
+// mode's Get finds the poison broken and panics, naming the type.
+func TestFreeListWriteAfterReleasePanics(t *testing.T) {
+	EnableFreeListDebug(true)
+	defer EnableFreeListDebug(false)
+
+	var fl FreeList[flTestPayload]
+	var c PayloadCache
+	p := fl.Get(&c)
+	p.buf = append(p.buf, 1, 2, 3)
+	stale := p.buf
+	fl.Put(&c, p)
+	stale[1] = 9 // planted write after release
+
+	defer func() {
+		if msg, ok := recover().(string); !ok || !strings.Contains(msg, "write after release of *sim.flTestPayload") {
+			t.Fatalf("panic = %q, want a write after release of *sim.flTestPayload", msg)
+		}
+	}()
+	fl.Get(&c)
 }
 
 // flReq and flRep are the two pooled legs of flAvgProto, an averaging

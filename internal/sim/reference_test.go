@@ -17,6 +17,7 @@ import (
 // refPayload is the test's only payload type. Its id is a path — the
 // proposal's name plus one "/k" per follow-up generation — so the same
 // payload has the same identity in the engine's world and the reference's.
+// A payload forwarded as a follow-up takes the follow-up's id.
 // Recycle logs the id in the owning world before returning the struct to a
 // free list, which makes the order of end-of-cycle recycling (the
 // canonical list, then every follow-up list, in list order) observable.
@@ -52,11 +53,14 @@ type refCall struct {
 
 // refProto logs every handler call and posts 0, 1 or 3 follow-ups from
 // Receive and 0 or 1 from Undelivered, all derived from the payload id so
-// both worlds make the same choices without sharing a random stream.
+// both worlds make the same choices without sharing a random stream. Half
+// the time the first follow-up is the received payload itself, forwarded
+// (ApplyContext.Forward); its old id is then never recycled.
 type refProto struct {
-	world   *refWorld
-	calls   []refCall
-	created []string
+	world     *refWorld
+	calls     []refCall
+	created   []string
+	forwarded []string
 }
 
 func refHash(id string, salt byte) uint64 {
@@ -110,10 +114,18 @@ func (p *refProto) handle(ax *ApplyContext, msg Message, deliver bool) {
 			if !deliver {
 				call.posted = int(refHash(pl.id, 4) % 2)
 			}
+			base, hops := pl.id, pl.hops-1
 			for k := 0; k < call.posted; k++ {
-				id := fmt.Sprintf("%s/%d", pl.id, k)
+				id := fmt.Sprintf("%s/%d", base, k)
 				to, slot := p.address(id)
-				ax.Send(to, slot, p.payload(ax.Payloads(), id, pl.hops-1))
+				if k == 0 && refHash(base, 5)%2 == 0 {
+					p.forwarded = append(p.forwarded, base)
+					p.created = append(p.created, id)
+					pl.id, pl.hops = id, hops
+					ax.Forward(to, slot, pl)
+					continue
+				}
+				ax.Send(to, slot, p.payload(ax.Payloads(), id, hops))
 			}
 		}
 	}
@@ -220,7 +232,7 @@ func (r *refEngine) runCycle() {
 			if m.Slot < 0 || int(m.Slot) >= len(n.Protocols) {
 				continue
 			}
-			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: int32(i)}
+			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: int32(i), handled: &round[i]}
 			n.Protocols[m.Slot].(*refProto).handle(ax, m, deliver)
 			next = append(next, ax.outbox...)
 		}
@@ -314,7 +326,9 @@ func runEngine(workers, applyWorkers int) (*Engine, *refWorld) {
 // position of the net-model stream. The engine runs under the free-list
 // double-release detector, and the recycle log is checked to hold every
 // created payload not still in the delay queue exactly once — the
-// original of a corrupted leg and the payload of a delayed one included.
+// original of a corrupted leg, the payload of a delayed one and a payload
+// forwarded under its new id included — and a forwarded payload's old id
+// never.
 func TestApplyMatchesSequentialReference(t *testing.T) {
 	EnableFreeListDebug(true)
 	defer EnableFreeListDebug(false)
@@ -327,14 +341,16 @@ func TestApplyMatchesSequentialReference(t *testing.T) {
 		t.Fatalf("scenario lost its teeth: delivered=%d dropped=%d delayed=%d corrupted=%d jobs=%d",
 			ref.delivered, ref.dropped, ref.delayed, ref.corrupted, ref.jobs)
 	}
-	posted := map[int]bool{}
+	posted, forwards := map[int]bool{}, 0
 	for _, p := range ref.world.protos {
 		for _, c := range p.calls {
 			posted[c.posted] = true
 		}
+		forwards += len(p.forwarded)
 	}
-	if !posted[0] || !posted[1] || !posted[3] {
-		t.Fatalf("handlers posted follow-up counts %v, want 0, 1 and 3 all present", posted)
+	if !posted[0] || !posted[1] || !posted[3] || forwards == 0 {
+		t.Fatalf("handlers posted follow-up counts %v and forwarded %d payloads, want 0, 1 and 3 all present and some forwarded",
+			posted, forwards)
 	}
 	refDraw := ref.netRNG.Uint64()
 
@@ -371,12 +387,21 @@ func TestApplyMatchesSequentialReference(t *testing.T) {
 			for _, d := range e.delayQ {
 				count[d.msg.Data.(*refPayload).id]++
 			}
-			created := 0
+			created, gone := 0, map[string]bool{}
 			for _, p := range world.protos {
-				created += len(p.created)
+				created += len(p.created) - len(p.forwarded)
+				for _, id := range p.forwarded {
+					gone[id] = true
+				}
+			}
+			for _, p := range world.protos {
 				for _, id := range p.created {
-					if count[id] != 1 {
-						t.Fatalf("%s: payload %s recycled %d times, want exactly once", name, id, count[id])
+					want := 1
+					if gone[id] {
+						want = 0
+					}
+					if count[id] != want {
+						t.Fatalf("%s: payload %s recycled %d times, want %d", name, id, count[id], want)
 					}
 				}
 			}

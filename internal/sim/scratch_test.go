@@ -27,9 +27,11 @@ import (
 // into a separate round buffer) 598-628 B with those links. A first
 // network is run and dropped before the measured one so that the
 // process-wide payload free lists are full either way, whatever ran
-// earlier in the test binary.
+// earlier in the test binary: the payloads — one 8-B header per exchange,
+// the request forwarded as its settle leg, where there were two — are
+// the first network's, and not in the figure.
 func TestEngineScratchBytesPerNode(t *testing.T) {
-	const n, budget = 5000, 390
+	const n, budget = 5000, 370
 	build := func() *sim.Engine {
 		e := sim.NewEngine(21)
 		nodes := e.AddNodes(n)

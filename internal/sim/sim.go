@@ -831,8 +831,7 @@ func (e *Engine) applySpan(w int) {
 		if uint(m.Slot) >= uint(len(n.Protocols)) {
 			continue
 		}
-		ax.self = n.ID
-		ax.trigger = i
+		ax.self, ax.trigger, ax.handled = n.ID, i, &round[i]
 		if k&keyDeliver != 0 {
 			if r, ok := n.Protocols[m.Slot].(Receiver); ok {
 				r.Receive(n, ax, m)

@@ -60,7 +60,8 @@ type EngineStats struct {
 	// node handles back to back.
 	ApplyBatches int64 `json:"apply_batches"`
 	// PayloadsRecycled is the total number of message payloads returned to
-	// their free lists at cycle end (payloads implementing Recyclable).
+	// their free lists at cycle end (payloads implementing Recyclable): one
+	// per payload object, so a request forwarded as its reply counts once.
 	// Unlike FreeListHits/FreeListMisses it moves unconditionally and
 	// counts recycles, not Gets.
 	PayloadsRecycled int64 `json:"payloads_recycled"`
