@@ -29,7 +29,7 @@
 //	scenario -list                          # built-in scenarios and sweeps
 //	scenario -run netsplit-heal             # run one built-in, CSV on stdout
 //	scenario -run baseline -reps 5 -o m.csv # seeded campaign of 5 reps
-//	scenario -run rumor-netsplit -reps 8 -repworkers 4   # parallel campaign
+//	scenario -run antientropy-netsplit -reps 8 -repworkers 4   # parallel campaign
 //	scenario -show lossy-wan                # print a built-in as JSON
 //	scenario -spec my.json -format jsonl    # run a spec file
 //	scenario -sweep overlay-vs-churn -repworkers 8 -o rows.csv -summary cells.csv

@@ -118,7 +118,7 @@ func TestBadFlagsError(t *testing.T) {
 }
 
 func TestShowEmitsRunnableSpec(t *testing.T) {
-	for _, name := range []string{"netsplit-heal", "rumor-netsplit", "tman-ring-churn"} {
+	for _, name := range []string{"netsplit-heal", "antientropy-netsplit", "antientropy-churn"} {
 		out, _, err := runCmd(t, "-show", name)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // protocol emits bytes identical to the sequential -repworkers 1 run.
 func TestRepWorkersInvariance(t *testing.T) {
 	render := func(repWorkers string) string {
-		out, _, err := runCmd(t, "-run", "rumor-netsplit", "-reps", "8", "-repworkers", repWorkers)
+		out, _, err := runCmd(t, "-run", "antientropy-netsplit", "-reps", "8", "-repworkers", repWorkers)
 		if err != nil {
 			t.Fatalf("repworkers=%s: %v", repWorkers, err)
 		}

@@ -1,9 +1,7 @@
-// Epidemic: the Demers-style protocols behind the paper's coordination
-// service, run through the engine's mailbox pipeline so a network
-// partition actually bites. One rumor is seeded on a fixed random graph;
-// a netsplit isolates the seed's island, the rumor saturates it and is
-// visibly unable to cross (every attempt counts as a dropped message),
-// then the cut heals and the epidemic finishes the job.
+// Epidemic: push-pull anti-entropy, the paper's diffusion service, run
+// alone so a netsplit bites. Each node of a random graph starts with its
+// ID; the maximum starts on the odd island and saturates it, every attempt
+// to cross is a dropped message, and after the heal it reaches every node.
 //
 // Run with: go run ./examples/epidemic
 package main
@@ -19,44 +17,45 @@ import (
 )
 
 func main() {
-	run(os.Stdout, 64, 0, 30, 60)
+	run(os.Stdout, 64, 30, 60)
 }
 
-// run executes the example: n nodes, a partition installed before cycle
-// splitAt and removed before cycle healAt, horizon cycles total (separated
-// from main for testability).
-func run(out io.Writer, n int, splitAt, healAt, horizon int64) {
+// run executes the example: n nodes (n even, so the maximum n-1 is odd),
+// split from the start until before cycle healAt, horizon cycles in all.
+func run(out io.Writer, n int, healAt, horizon int64) {
 	e := sim.NewEngine(11)
 	nodes := e.AddNodes(n)
 	overlay.InitStatic(e, 0, overlay.KRegularRandom(8))
+	x := &gossip.Exchange[int]{Slot: 0, SelfSlot: 1}
 	for _, nd := range nodes {
-		nd.Protocols = append(nd.Protocols, &gossip.Rumor{
-			Slot: 0, SelfSlot: 1, Fanout: 2, StopProb: 0.05,
-		})
+		ae := &gossip.AntiEntropy[int]{Exchange: x, Better: func(a, b int) bool { return a > b }}
+		ae.SetLocal(int(nd.ID))
+		nd.Protocols = append(nd.Protocols, ae)
 	}
-	e.Node(0).Protocol(1).(*gossip.Rumor).Seed()
-
-	fmt.Fprintln(out, "cycle  informed  delivered  dropped")
+	holders := func() (k int) {
+		e.ForEachLive(func(nd *sim.Node) {
+			if v, _ := nd.Protocol(1).(*gossip.AntiEntropy[int]).Local(); v == n-1 {
+				k++
+			}
+		})
+		return k
+	}
+	e.SetDeliveryFilter(sim.SplitGroups(2))
+	fmt.Fprintln(out, "netsplit: two islands, the maximum cut off from half the network\ncycle  holders  delivered  dropped")
+	atHeal := 0
 	for cycle := int64(0); cycle < horizon; cycle++ {
-		switch cycle {
-		case splitAt:
-			e.SetDeliveryFilter(sim.SplitGroups(2))
-			fmt.Fprintf(out, "  -- cycle %d: netsplit: two islands, the seed cut off from half the network\n", cycle)
-		case healAt:
+		if cycle == healAt {
 			e.SetDeliveryFilter(nil)
+			atHeal = holders()
 			fmt.Fprintf(out, "  -- cycle %d: heal\n", cycle)
 		}
 		e.RunCycle()
 		if cycle%10 == 9 {
-			fmt.Fprintf(out, "%5d  %8d  %9d  %7d\n",
-				cycle+1, gossip.CountInformed(e, 1), e.Delivered(), e.Dropped())
+			fmt.Fprintf(out, "%5d  %7d  %9d  %7d\n", cycle+1, holders(), e.Delivered(), e.Dropped())
 		}
 	}
-
-	informed := gossip.CountInformed(e, 1)
-	fmt.Fprintf(out, "\nfinal: %d/%d informed, %d messages dropped at the cut\n",
-		informed, n, e.Dropped())
-	if informed == n {
-		fmt.Fprintln(out, "the rumor crossed only after the partition healed")
-	}
+	final := holders()
+	fmt.Fprintf(out, "\nfinal: %d/%d hold the maximum (%d at the heal), %d messages dropped at the cut\n",
+		final, n, atHeal, e.Dropped())
+	fmt.Fprintf(out, "the maximum crossed only after the partition healed: %v\n", final == n && atHeal <= n/2)
 }

@@ -75,7 +75,6 @@ const (
 	TopoRing     = core.TopoRing
 	TopoStar     = core.TopoStar
 	TopoFull     = core.TopoFull
-	TopoCyclon   = core.TopoCyclon
 )
 
 // The paper's benchmark suite (all minimization, optimum value 0).

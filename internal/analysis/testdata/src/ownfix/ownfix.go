@@ -200,8 +200,8 @@ type Holder struct {
 }
 
 // Receive echoes what it received in a reply of its own, copied into the
-// reply's buffer the way Cyclon echoes a shuffle request: clean. Only the
-// appended elements come from the received payload.
+// reply's buffer: clean. Only the appended elements come from the received
+// payload.
 func (h *Holder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch p := msg.Data.(type) {
 	case *Payload:

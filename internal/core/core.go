@@ -165,9 +165,6 @@ const (
 	TopoStar
 	// TopoFull gives every node a full membership view.
 	TopoFull
-	// TopoCyclon uses the Cyclon shuffle-based peer sampling protocol
-	// instead of Newscast.
-	TopoCyclon
 )
 
 // String names the topology kind.
@@ -183,8 +180,6 @@ func (t TopologyKind) String() string {
 		return "star"
 	case TopoFull:
 		return "full"
-	case TopoCyclon:
-		return "cyclon"
 	}
 	return "unknown"
 }
@@ -243,7 +238,7 @@ func (c Config) withDefaults() Config {
 
 // InitTopology wires the selected topology service into protocol slot
 // `slot` of every live node. Exposed so stacks other than the optimizer
-// (e.g. the scenario layer's epidemic-protocol networks) wire the same
+// (e.g. the scenario layer's anti-entropy network) wire the same
 // substrate the same way.
 func InitTopology(eng *sim.Engine, slot int, kind TopologyKind, viewSize int) {
 	switch kind {
@@ -257,8 +252,6 @@ func InitTopology(eng *sim.Engine, slot int, kind TopologyKind, viewSize int) {
 		overlay.InitStatic(eng, slot, overlay.Star)
 	case TopoFull:
 		overlay.InitStatic(eng, slot, overlay.FullMesh)
-	case TopoCyclon:
-		overlay.InitCyclon(eng, slot, viewSize, viewSize/2)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestMessageLossOnlySlowsDown(t *testing.T) {
 }
 
 func TestStaticTopologies(t *testing.T) {
-	for _, topo := range []TopologyKind{TopoRandom, TopoRing, TopoStar, TopoFull, TopoCyclon} {
+	for _, topo := range []TopologyKind{TopoRandom, TopoRing, TopoStar, TopoFull} {
 		topo := topo
 		t.Run(topo.String(), func(t *testing.T) {
 			net := NewNetwork(Config{Nodes: 16, Particles: 8, GossipEvery: 8,
@@ -205,7 +205,7 @@ func TestStaticTopologies(t *testing.T) {
 func TestTopologyKindString(t *testing.T) {
 	want := map[TopologyKind]string{
 		TopoNewscast: "newscast", TopoRandom: "random", TopoRing: "ring",
-		TopoStar: "star", TopoFull: "full", TopoCyclon: "cyclon",
+		TopoStar: "star", TopoFull: "full",
 		TopologyKind(9): "unknown",
 	}
 	for k, s := range want {

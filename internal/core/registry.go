@@ -24,11 +24,10 @@ var topologyByName = map[string]TopologyKind{
 	"ring":     TopoRing,
 	"star":     TopoStar,
 	"full":     TopoFull,
-	"cyclon":   TopoCyclon,
 }
 
-// TopologyByName resolves a topology service name ("newscast", "cyclon",
-// "random", "ring", "star", "full").
+// TopologyByName resolves a topology service name ("newscast", "random",
+// "ring", "star", "full").
 func TopologyByName(name string) (TopologyKind, error) {
 	if k, ok := topologyByName[strings.ToLower(name)]; ok {
 		return k, nil

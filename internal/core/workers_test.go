@@ -40,7 +40,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"newscast", func(*Config) {}},
-		{"cyclon", func(c *Config) { c.Topology = TopoCyclon }},
+		{"static-random", func(c *Config) { c.Topology = TopoRandom }},
 		{"static-ring", func(c *Config) { c.Topology = TopoRing }},
 		{"churn", func(c *Config) {
 			// Churn models are stateful; mut runs once per network build,

@@ -1,9 +1,8 @@
-// Package gossip implements the epidemic protocols from Demers et al. that
-// the paper builds its coordination service on: push-pull anti-entropy,
-// rumor mongering with a stop probability, and gossip-based averaging
-// aggregation (Jelasity et al.). All protocols run on the cycle-driven
-// simulator and obtain partners from a PeerSampler (Newscast or a static
-// topology) in a configurable protocol slot.
+// Package gossip implements the epidemic protocols the paper builds its
+// coordination service on: push-pull anti-entropy (Demers et al.) and
+// gossip-based averaging aggregation (Jelasity et al.). Both run on the
+// cycle-driven simulator and obtain partners from a PeerSampler (Newscast
+// or a static topology) in a configurable protocol slot.
 // Exchange is the one anti-entropy implementation: AntiEntropy runs it on
 // a value held in a field, core.OptNode on its solver's best point.
 //

@@ -30,21 +30,6 @@ func TestNewscastSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCyclonSteadyStateAllocs holds a warm Cyclon cycle to the engine's
-// own one allocation: both shuffle legs sample their subsets into the
-// instance's scratch and their payloads are pooled, so n = 1 000 nodes
-// shuffling L = 10 of c = 20 allocate nothing per node.
-func TestCyclonSteadyStateAllocs(t *testing.T) {
-	const n, c, l = 1000, 20, 10
-	e := buildCyclonNet(9, n, c, l)
-	defer e.Close()
-	e.Run(30)
-
-	if avg := testing.AllocsPerRun(20, func() { e.RunCycle() }); avg > 1 {
-		t.Fatalf("a steady-state Cyclon cycle at n = %d allocates %.1f times, budget 1", n, avg)
-	}
-}
-
 // BenchmarkNewscastCycle is overlay-heavy's shape inside the package:
 // Newscast alone on n = 10 000 nodes with c = 20 views, one worker, ten
 // warm-up cycles, then one whole-network cycle per op. At this size the

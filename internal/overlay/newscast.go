@@ -72,19 +72,15 @@ func (nc *Newscast) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 // Neighbors implements PeerSampler.
 func (nc *Newscast) Neighbors() []sim.NodeID { return nc.view.IDs() }
 
-// Bootstrap seeds the view with the given peers at logical time 0.
-func (nc *Newscast) Bootstrap(peers []sim.NodeID) { bootstrapView(nc.view, nc.self, peers) }
-
-// bootstrapView merges descriptors of the given peers, stamped with
-// logical time 0, into a view. Up to mergeStack peers the batch stays on
-// the stack.
-func bootstrapView(v *View, self sim.NodeID, peers []sim.NodeID) {
+// Bootstrap seeds the view with the given peers at logical time 0. Up to
+// mergeStack peers the batch stays on the stack.
+func (nc *Newscast) Bootstrap(peers []sim.NodeID) {
 	var buf [mergeStack]Descriptor
 	batch := buf[:0]
 	for _, id := range peers {
 		batch = append(batch, Descriptor{ID: id})
 	}
-	v.Merge(self, batch)
+	nc.view.Merge(nc.self, batch)
 }
 
 // viewSwap is Newscast's proposed exchange: a snapshot of the initiator's
@@ -190,28 +186,15 @@ func (nc *Newscast) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Messa
 // engine RNG. Call after all initial nodes are added; newly joining nodes
 // (churn) get their instance from the node factory and bootstrap lazily via
 // exchanges initiated by others... but since a joiner with an empty view can
-// never initiate, factories should call BootstrapFrom with at least one
+// never initiate, factories should call Bootstrap with at least one
 // known node, mirroring a real deployment's bootstrap server.
 func InitNewscast(e *sim.Engine, slot, c int) {
-	initSamplers(e, slot, c, func(self sim.NodeID) bootstrapper { return NewNewscast(self, c, slot) })
-}
-
-// bootstrapper is what initSamplers installs: a protocol instance that can
-// seed its view from a list of peers.
-type bootstrapper interface {
-	Bootstrap(peers []sim.NodeID)
-}
-
-// initSamplers installs mk(id) in protocol slot `slot` of every live node
-// of e, bootstrapped with up to c random other nodes chosen by the engine
-// RNG: one AppendSample(_, n, k+1) per node, in live order, whatever the
-// protocol.
-func initSamplers(e *sim.Engine, slot, c int, mk func(self sim.NodeID) bootstrapper) {
 	nodes := e.LiveNodes()
 	ids := make([]sim.NodeID, len(nodes))
 	for i, n := range nodes {
 		ids[i] = n.ID
 	}
+	// One AppendSample(_, n, k+1) of the engine RNG per node, in live order.
 	k := min(c, len(ids)-1)
 	peers := make([]sim.NodeID, 0, max(k, 0))
 	sample := make([]int, 0, k+1)
@@ -223,11 +206,11 @@ func initSamplers(e *sim.Engine, slot, c int, mk func(self sim.NodeID) bootstrap
 				peers = append(peers, ids[idx])
 			}
 		}
-		p := mk(n.ID)
-		p.Bootstrap(peers)
+		nc := NewNewscast(n.ID, c, slot)
+		nc.Bootstrap(peers)
 		for len(n.Protocols) <= slot {
 			n.Protocols = append(n.Protocols, nil)
 		}
-		n.Protocols[slot] = p
+		n.Protocols[slot] = nc
 	}
 }

@@ -1,7 +1,7 @@
 // Package overlay implements the paper's topology service: the NEWSCAST
-// gossip-based peer-sampling protocol (Jelasity et al.), the Cyclon and
-// T-Man alternatives, and a set of static reference topologies (full mesh,
-// ring, star/master-slave, k-regular random).
+// gossip-based peer-sampling protocol (Jelasity et al.) and a set of static
+// reference topologies (full mesh, ring, star/master-slave, k-regular
+// random).
 package overlay
 
 import (
@@ -175,29 +175,18 @@ const mergeStack = 48
 // outside the int32 range panics (see entryOf).
 //
 // The result is the first Cap distinct IDs of (view ∪ batch) in canonical
-// order. Merge is the front-end for batches in any order (Bootstrap, Insert,
-// the event engine): it narrows the batch to entries on the stack and hands
-// it to mergeBatch.
+// order. Merge takes batches in any order (Bootstrap, Insert, the event
+// engine): it insertion-sorts the batch into a stack buffer — an unordered
+// batch is merely slower, never wrong — and hands the two sorted runs to
+// mergeRuns, the one merge and the one dedup of this package. Newscast's
+// payloads are sorted already and skip the sort (see Newscast.Receive).
+// All scratch lives on the caller's stack, so merging allocates nothing
+// once items exists, and a View carries no buffers.
 func (v *View) Merge(self sim.NodeID, batch []Descriptor) {
 	var buf [mergeStack]entry
 	b := buf[:0]
 	for _, d := range batch {
-		b = append(b, entryOf(d))
-	}
-	v.mergeBatch(self, b)
-}
-
-// mergeBatch merges a batch of entries in any order (Merge's, and Cyclon's
-// shuffle subsets): it insertion-sorts the batch into a stack buffer — an
-// unordered batch is merely slower, never wrong — and hands the two sorted
-// runs to mergeRuns, the one merge and the one dedup of this package.
-// Newscast's payloads are sorted already and skip the sort (see
-// Newscast.Receive). All scratch lives on the caller's stack, so merging
-// allocates nothing once items exists, and a View carries no buffers.
-func (v *View) mergeBatch(self sim.NodeID, batch []entry) {
-	var buf [mergeStack]entry
-	b := buf[:0]
-	for _, e := range batch {
+		e := entryOf(d)
 		b = append(b, e)
 		i := len(b) - 1
 		for ; i > 0 && before(e, b[i-1]); i-- {

@@ -408,7 +408,7 @@ func TestViewMergeKeyCollisions(t *testing.T) {
 }
 
 // TestViewOpsMatchReferenceRandom drives random Merge/Insert/Remove/Clone
-// sequences — including Cyclon's Remove-then-Merge — on a View and on the
+// sequences — including Newscast's Remove-then-Merge — on a View and on the
 // reference and requires equal contents and a sorted view after every
 // step. ID and stamp ranges are drawn per sequence, so some sequences are
 // all ties and duplicates and others nearly collision-free.

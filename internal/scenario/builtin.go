@@ -93,24 +93,26 @@ func builtins() map[string]Spec {
 			MetricsEvery: 20,
 			Stop:         Stop{Cycles: 240},
 		},
-		"rumor-netsplit": {
-			Name:        "rumor-netsplit",
-			Description: "Rumor mongering behind a netsplit: the rumor saturates the seed's island while the cut holds, then crosses after the heal.",
-			Nodes:       64,
-			Seed:        7,
+		"antientropy-netsplit": {
+			Name: "antientropy-netsplit",
+			Description: "Push-pull anti-entropy behind a netsplit: the maximum saturates its own island while the cut holds, " +
+				"then crosses to the other within a few cycles of the heal.",
+			Nodes: 64,
+			Seed:  7,
 			// Static substrate: a Newscast overlay would segregate into the
 			// two islands during the cut (cross descriptors age out and
 			// nothing re-bridges the views after the heal), whereas a fixed
-			// random graph keeps its cross-links, so the rumor can jump once
-			// delivery resumes. The low stop probability keeps spreaders hot
-			// through the window — a cold rumor cannot cross any heal.
-			Stack: Stack{Topology: "random", ViewSize: 8, Protocol: ProtocolRumor, Fanout: 2, StopProb: fptr(0.05)},
+			// random graph keeps its cross-links, so the maximum can cross
+			// once delivery resumes. Initial values are the node IDs, so the
+			// global best (63) starts on the odd island: quality reads 0.5
+			// for as long as the cut holds.
+			Stack: Stack{Topology: "random", ViewSize: 8, Protocol: ProtocolAntiEntropy},
 			Timeline: []Event{
 				{At: 0, Action: "partition", Groups: 2},
 				{At: 20, Action: "heal"},
 			},
-			MetricsEvery: 10,
-			Stop:         Stop{Cycles: 80},
+			MetricsEvery: 2,
+			Stop:         Stop{Cycles: 40},
 		},
 		"antientropy-oneway": {
 			Name: "antientropy-oneway",
@@ -118,7 +120,7 @@ func builtins() map[string]Spec {
 				"but nothing returns, so the odd-held maximum is stuck until the heal.",
 			Nodes: 64,
 			Seed:  10,
-			// Static substrate for the same reason as rumor-netsplit: a
+			// Static substrate for the same reason as antientropy-netsplit: a
 			// gossiped overlay would segregate during the cut. Initial
 			// values are the node IDs, so the global best (63) starts on
 			// the odd island — exactly the side the cut silences.
@@ -158,17 +160,17 @@ func builtins() map[string]Spec {
 		},
 		"regional-outage": {
 			Name: "regional-outage",
-			Description: "Rumor mongering under correlated failures: four regions flap as Markov chains " +
-				"(10% fail, 30% recover per cycle), cutting every leg that touches a down region.",
+			Description: "Push-pull anti-entropy under correlated failures: four regions flap as Markov chains " +
+				"(10% fail, 30% recover per cycle), cutting every leg that touches a down region; diffusion slows but completes.",
 			Nodes: 64,
 			Seed:  12,
 			Stack: Stack{
 				Topology: "random", ViewSize: 8,
-				Protocol: ProtocolRumor, Fanout: 2, StopProb: fptr(0.05),
-				Net: &NetSpec{Regions: 4, RegionFail: 0.1, RegionRecover: 0.3},
+				Protocol: ProtocolAntiEntropy,
+				Net:      &NetSpec{Regions: 4, RegionFail: 0.1, RegionRecover: 0.3},
 			},
-			MetricsEvery: 10,
-			Stop:         Stop{Cycles: 100},
+			MetricsEvery: 1,
+			Stop:         Stop{Cycles: 30},
 		},
 		"byzantine-corrupt": {
 			Name: "byzantine-corrupt",
@@ -185,29 +187,29 @@ func builtins() map[string]Spec {
 		},
 		"byzantine-delay": {
 			Name: "byzantine-delay",
-			Description: "T-Man builds a ring while a quarter of the nodes lag every message they send by " +
-				"1-3 cycles, serving stale descriptors; construction slows but completes.",
+			Description: "The optimizer on Sphere while a quarter of the nodes lag every message they send by " +
+				"1-3 cycles, serving stale best points and views; convergence does not suffer.",
 			Nodes: 64,
 			Seed:  14,
-			Stack: Stack{Protocol: ProtocolTMan, TManC: 4},
 			Timeline: []Event{
 				{At: 0, Action: "byzantine", Behavior: "delay", Fraction: 0.25},
 			},
 			MetricsEvery: 10,
 			Stop:         Stop{Cycles: 100},
 		},
-		"tman-ring-churn": {
-			Name:        "tman-ring-churn",
-			Description: "T-Man builds a ring while a quarter of the nodes crash mid-construction and later restart.",
-			Nodes:       64,
-			Seed:        9,
-			Stack:       Stack{Protocol: ProtocolTMan, TManC: 4},
+		"antientropy-churn": {
+			Name: "antientropy-churn",
+			Description: "Push-pull anti-entropy while a quarter of the nodes crash mid-diffusion and later restart " +
+				"holding the values they had; the restarted nodes catch up within a few cycles.",
+			Nodes: 64,
+			Seed:  9,
+			Stack: Stack{Protocol: ProtocolAntiEntropy},
 			Timeline: []Event{
-				{At: 30, Action: "crash", Fraction: 0.25},
-				{At: 60, Action: "revive", Count: 16},
+				{At: 2, Action: "crash", Fraction: 0.25},
+				{At: 20, Action: "revive", Count: 16},
 			},
-			MetricsEvery: 10,
-			Stop:         Stop{Cycles: 120},
+			MetricsEvery: 1,
+			Stop:         Stop{Cycles: 30},
 		},
 	}
 }
@@ -226,7 +228,7 @@ func builtinSweeps() map[string]SweepSpec {
 	return map[string]SweepSpec{
 		"overlay-vs-churn": {
 			Name:        "overlay-vs-churn",
-			Description: "Does the overlay choice matter under churn? Newscast vs Cyclon, calm vs a 25% crash burst, on Sphere.",
+			Description: "Does the overlay choice matter under churn? Newscast vs a static random graph, calm vs a 25% crash burst, on Sphere.",
 			Base: Spec{
 				Nodes:        32,
 				Seed:         17,
@@ -237,7 +239,7 @@ func builtinSweeps() map[string]SweepSpec {
 			Axes: []Axis{
 				{Name: "overlay", Path: "stack.topology", Values: []AxisValue{
 					{Value: raw(`"newscast"`)},
-					{Value: raw(`"cyclon"`)},
+					{Value: raw(`"random"`)},
 				}},
 				{Name: "churn", Values: []AxisValue{
 					{Label: "calm", Value: raw(`{}`)},
@@ -271,21 +273,21 @@ func builtinSweeps() map[string]SweepSpec {
 			Reps:      3,
 			Threshold: fptr(0.1),
 		},
-		"protocol-vs-linkloss": {
-			Name: "protocol-vs-linkloss",
-			Description: "How does per-link loss degrade epidemic spread? Rumor mongering vs push-pull " +
-				"anti-entropy at 0%, 15% and 35% per-leg loss; time-to-90%-coverage grows with loss.",
+		"overlay-vs-linkloss": {
+			Name: "overlay-vs-linkloss",
+			Description: "How does per-link loss slow diffusion, and does the overlay matter? Push-pull anti-entropy " +
+				"over Newscast vs a static random graph at 0%, 15% and 35% per-leg loss; time-to-90%-coverage grows with loss.",
 			Base: Spec{
 				Nodes:        48,
 				Seed:         31,
-				Stack:        Stack{Topology: "random", ViewSize: 8},
+				Stack:        Stack{ViewSize: 8, Protocol: ProtocolAntiEntropy},
 				MetricsEvery: 2,
 				Stop:         Stop{Cycles: 120},
 			},
 			Axes: []Axis{
-				{Name: "protocol", Values: []AxisValue{
-					{Label: "rumor", Value: raw(`{"stack":{"protocol":"rumor","fanout":2,"stop_prob":0.05}}`)},
-					{Label: "antientropy", Value: raw(`{"stack":{"protocol":"antientropy"}}`)},
+				{Name: "overlay", Path: "stack.topology", Values: []AxisValue{
+					{Value: raw(`"newscast"`)},
+					{Value: raw(`"random"`)},
 				}},
 				{Name: "loss", Path: "stack.net.loss", Values: []AxisValue{
 					{Value: raw(`0`)},

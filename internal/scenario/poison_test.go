@@ -12,43 +12,45 @@ import (
 )
 
 // TestPoisonInvariance is the payload free lists' use-after-release
-// oracle. Every cycle-engine built-in, every built-in sweep, every paper
-// file shrunk as TestPaperSweeps shrinks it, and one optimizer stack on
-// Cyclon over lossy links that delay legs up to two cycles are run twice:
-// plainly, and under the free-list debug mode, which panics on a double
-// release or a write after release and poisons every released payload
-// (0x5a in every byte of every number, through its slices). Correct code
-// never reads a payload after the cycle that recycles it, so the two runs
-// must emit the same bytes. The delayed links matter: a reply that
-// travels in its request (ApplyContext.Forward), or a buffer a reply
-// shares with its request, outlives the cycle of that request only when
-// the net model holds the reply back.
+// oracle. Every cycle-engine built-in, every cell of every built-in sweep
+// and of every paper file shrunk as TestPaperSweeps shrinks it, and one
+// optimizer stack on Newscast over lossy links that delay legs up to two
+// cycles are run twice: plainly on two workers, and on one worker under
+// the free-list debug mode, which panics on a double release or a write
+// after release and poisons every released payload (0x5a in every byte of
+// every number, through its slices). Correct code never reads a payload
+// after the cycle that recycles it, and the output does not depend on the
+// worker count, so the two runs must emit the same bytes. On one worker
+// every handler and every release runs on the test goroutine, so a debug
+// panic fails the job it names instead of the test binary. The delayed
+// links matter: a reply that travels in its request (ApplyContext.Forward)
+// outlives the cycle of that request only when the net model holds the
+// reply back.
 func TestPoisonInvariance(t *testing.T) {
 	type job struct {
 		name string
-		run  func(sink exp.Sink) error
+		spec Spec
 	}
 	var jobs []job
-	campaign := func(name string, spec Spec) {
-		jobs = append(jobs, job{name, func(sink exp.Sink) error {
-			_, err := Run(spec, Options{Workers: 2}, sink)
-			return err
-		}})
-	}
-	sweep := func(name string, sw SweepSpec) {
-		jobs = append(jobs, job{name, func(sink exp.Sink) error {
-			_, err := RunSweep(sw, Options{Reps: 1}, sink)
-			return err
-		}})
+	// A sweep's repetitions run on runRepPool's goroutines, so each cell
+	// is run as a campaign of its own, on the test goroutine.
+	sweep := func(kind string, sw SweepSpec) {
+		cells, err := sw.Cells()
+		if err != nil {
+			t.Fatalf("%s %s: %v", kind, sw.Name, err)
+		}
+		for _, c := range cells {
+			jobs = append(jobs, job{kind + " " + c.Name, c.Spec})
+		}
 	}
 	for _, name := range BuiltinNames() {
 		if spec, _ := Builtin(name); spec.Engine != EngineEvent {
-			campaign(name, spec)
+			jobs = append(jobs, job{name, spec})
 		}
 	}
 	for _, name := range BuiltinSweepNames() {
 		sw, _ := BuiltinSweep(name)
-		sweep("sweep "+name, sw)
+		sweep("sweep", sw)
 	}
 	paths, err := filepath.Glob(filepath.Join(paperDir, "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -63,16 +65,16 @@ func TestPoisonInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		sweep("paper "+sw.Name, shrinkSweep(t, sw))
+		sweep("paper", shrinkSweep(t, sw))
 	}
-	campaign("cyclon-delayed-links", Spec{
-		Name: "cyclon-delayed-links", Nodes: 48, Seed: 46,
-		Stack:        Stack{Topology: "cyclon", ViewSize: 8, Particles: 4, Net: &NetSpec{Loss: 0.1, DelayMax: 2}},
+	jobs = append(jobs, job{"newscast-delayed-links", Spec{
+		Name: "newscast-delayed-links", Nodes: 48, Seed: 46,
+		Stack:        Stack{ViewSize: 8, Particles: 4, Net: &NetSpec{Loss: 0.1, DelayMax: 2}},
 		MetricsEvery: 5,
 		Stop:         Stop{Cycles: 60},
-	})
+	}})
 
-	render := func(j job, debug bool) (out string, err error) {
+	render := func(j job, workers int, debug bool) (out string, err error) {
 		sim.EnableFreeListDebug(debug)
 		defer sim.EnableFreeListDebug(false)
 		defer func() {
@@ -81,15 +83,15 @@ func TestPoisonInvariance(t *testing.T) {
 			}
 		}()
 		var buf bytes.Buffer
-		err = j.run(exp.NewCSVSink(&buf))
+		_, err = Run(j.spec, Options{Workers: workers}, exp.NewCSVSink(&buf))
 		return buf.String(), err
 	}
 	for _, j := range jobs {
-		plain, err := render(j, false)
+		plain, err := render(j, 2, false)
 		if err != nil {
 			t.Fatalf("%s: %v", j.name, err)
 		}
-		poisoned, err := render(j, true)
+		poisoned, err := render(j, 1, true)
 		if err != nil {
 			t.Errorf("%s under the free-list debug mode: %v", j.name, err)
 			continue

@@ -294,13 +294,13 @@ func runParallel(spec Spec, base uint64, reps int, opts Options, sink exp.Sink) 
 }
 
 // runCycleRep compiles the spec onto the cycle engine — the optimizer
-// network, or one of the epidemic-protocol networks when stack.protocol
-// says so — and runs one repetition. Spec names are pre-validated, so
-// registry lookups cannot fail here.
+// network, or the anti-entropy network when stack.protocol says so — and
+// runs one repetition. Spec names are pre-validated, so registry lookups
+// cannot fail here.
 func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (RepSummary, error) {
 	var net cycleNet
-	if mkNet, ok := protocolBuilders[s.Stack.Protocol]; ok {
-		net = mkNet(s, seed, opts)
+	if s.Stack.Protocol == ProtocolAntiEntropy {
+		net = newAENet(s, seed, opts)
 	} else {
 		fn, _ := funcs.ByName(s.Stack.Function)
 		topo, _ := core.TopologyByName(s.Stack.Topology)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -486,9 +487,9 @@ func TestSetLinkWithoutLinkRestoresBaseline(t *testing.T) {
 
 // TestRepParallelByteIdentical is the campaign-parallelism acceptance
 // criterion: Reps=8 on a 4-worker pool must emit bytes identical to the
-// sequential runner, for the optimizer stack and for a ported protocol.
+// sequential runner, for the optimizer stack and for anti-entropy.
 func TestRepParallelByteIdentical(t *testing.T) {
-	for _, name := range []string{"baseline", "rumor-netsplit"} {
+	for _, name := range []string{"baseline", "antientropy-netsplit"} {
 		spec, _ := Builtin(name)
 		spec.Stop.Cycles = 60
 		render := func(repWorkers int) (string, []RepSummary) {
@@ -531,11 +532,11 @@ func TestRepParallelOversizedPool(t *testing.T) {
 }
 
 // TestProtocolScenarioWorkerInvariance extends the worker-invariance
-// guarantee to the ported protocols: byte-identical metric output for 1, 2
-// and 8 propose workers (run under -race in CI, which also keeps the
-// parallel propose phase honest for the new Propose implementations).
+// guarantee to anti-entropy: byte-identical metric output for 1, 2 and 8
+// propose workers (run under -race in CI, which also keeps the parallel
+// propose phase honest).
 func TestProtocolScenarioWorkerInvariance(t *testing.T) {
-	for _, name := range []string{"rumor-netsplit", "antientropy-lossy", "tman-ring-churn"} {
+	for _, name := range []string{"antientropy-netsplit", "antientropy-lossy", "antientropy-churn"} {
 		render := func(workers int) string {
 			spec, _ := Builtin(name)
 			var buf bytes.Buffer
@@ -554,31 +555,29 @@ func TestProtocolScenarioWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestRumorNetsplitScenario: while the cut holds the rumor must saturate
-// only the seed's island (quality ~0.5), with cross-partition pushes
-// counted as drops; after the heal it crosses.
-func TestRumorNetsplitScenario(t *testing.T) {
-	spec, _ := Builtin("rumor-netsplit")
+// TestAntiEntropyNetsplitScenario: while the cut holds the maximum (node
+// 63) saturates its own island and no more, so quality reads exactly 0.5,
+// with cross-partition exchanges counted as drops; within a few cycles of
+// the heal every node holds it.
+func TestAntiEntropyNetsplitScenario(t *testing.T) {
+	spec, _ := Builtin("antientropy-netsplit")
 	var sink captureSink
 	if _, err := Run(spec, Options{}, &sink); err != nil {
 		t.Fatal(err)
 	}
-	byCycle := map[int64]exp.Record{}
+	heal := int64(spec.Timeline[1].At)
 	for _, r := range sink.recs {
-		byCycle[r.Cycle] = r
+		// The heal fires before the cycle it names, so the sample at the
+		// heal's cycle is still inside the cut.
+		if r.Cycle >= heal/2 && r.Cycle <= heal && r.Quality != 0.5 {
+			t.Fatalf("cycle %d, inside the cut: quality %v, want 0.5", r.Cycle, r.Quality)
+		}
+		if r.Cycle >= heal+10 && r.Quality != 0 {
+			t.Fatalf("cycle %d, 10 cycles after the heal: quality %v, want 0", r.Cycle, r.Quality)
+		}
 	}
-	// The heal fires before the cycle it names, so the last sample fully
-	// inside the partition window is the previous one.
-	during := byCycle[int64(spec.Timeline[1].At-spec.MetricsEvery)]
-	if during.Quality < 0.5 {
-		t.Fatalf("rumor crossed the partition: quality %v before heal", during.Quality)
-	}
-	if during.Dropped == 0 {
+	if during := sink.recs[heal/int64(spec.MetricsEvery)-1]; during.Dropped == 0 {
 		t.Fatalf("no drops while partitioned: %+v", during)
-	}
-	final := sink.recs[len(sink.recs)-1]
-	if final.Quality > 0.2 {
-		t.Fatalf("rumor did not cross after heal: final quality %v", final.Quality)
 	}
 }
 
@@ -628,32 +627,37 @@ func TestAntiEntropyOnewayScenario(t *testing.T) {
 	}
 }
 
-// TestTManRingChurnScenario: the ring survives a 25% crash wave; after the
-// revival nearly every node regains a live ring neighbor.
-func TestTManRingChurnScenario(t *testing.T) {
-	spec, _ := Builtin("tman-ring-churn")
+// TestAntiEntropyChurnScenario: nodes that crash mid-diffusion restart
+// holding their stale values, so quality rises at the revival, and every
+// node holds the best live value again within a few cycles.
+func TestAntiEntropyChurnScenario(t *testing.T) {
+	spec, _ := Builtin("antientropy-churn")
 	var sink captureSink
 	sums, err := Run(spec, Options{}, &sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums[0].Quality != 0 {
-		t.Fatalf("ring did not fully recover after churn (revived peers must clear tombstones on contact): final quality %v", sums[0].Quality)
+	revive := int64(spec.Timeline[1].At)
+	before, after := sink.recs[revive-1], sink.recs[revive]
+	if before.Quality != 0 || after.Quality <= 0 {
+		t.Fatalf("quality %v before the revival and %v after it, want 0 and > 0", before.Quality, after.Quality)
 	}
-	final := sink.recs[len(sink.recs)-1]
-	if final.Dropped == 0 || final.Lost == 0 {
+	if sums[0].Quality != 0 {
+		t.Fatalf("revived nodes did not catch up: final quality %v", sums[0].Quality)
+	}
+	if final := sink.recs[len(sink.recs)-1]; final.Dropped == 0 || final.Lost == 0 {
 		t.Fatalf("crash wave produced no failed contacts: %+v", final)
 	}
 }
 
 // TestNetsplitAcrossProtocols is the acceptance-criteria check that a
-// netsplit scenario over each ported protocol reports Dropped > 0 — the
+// netsplit scenario over each protocol reports Dropped > 0 — the
 // traffic that used to bypass the delivery filter under the legacy
 // NextCycle contract is now visibly blocked at the cut. (Zero state
 // leakage is asserted where protocol state is inspectable: the partition-
 // isolation tests in internal/gossip and internal/overlay.)
 func TestNetsplitAcrossProtocols(t *testing.T) {
-	for _, proto := range []string{ProtocolRumor, ProtocolAntiEntropy, ProtocolTMan} {
+	for _, proto := range []string{ProtocolOpt, ProtocolAntiEntropy} {
 		spec := Spec{
 			Name:         "split-" + proto,
 			Nodes:        32,
@@ -680,46 +684,62 @@ func TestNetsplitAcrossProtocols(t *testing.T) {
 func TestProtocolSpecValidation(t *testing.T) {
 	cases := map[string]string{
 		"unknown protocol":     `{"name":"x","stack":{"protocol":"plague"}}`,
-		"protocol on event":    `{"name":"x","engine":"event","stack":{"protocol":"rumor"}}`,
-		"solvers with rumor":   `{"name":"x","stack":{"protocol":"rumor","solvers":["pso"]}}`,
-		"function with tman":   `{"name":"x","stack":{"protocol":"tman","function":"Sphere"}}`,
+		"protocol on event":    `{"name":"x","engine":"event","stack":{"protocol":"antientropy"}}`,
+		"solvers with ae":      `{"name":"x","stack":{"protocol":"antientropy","solvers":["pso"]}}`,
+		"function with ae":     `{"name":"x","stack":{"protocol":"antientropy","function":"Sphere"}}`,
 		"particles with ae":    `{"name":"x","stack":{"protocol":"antientropy","particles":8}}`,
-		"fanout with opt":      `{"name":"x","stack":{"fanout":3}}`,
-		"stop_prob with tman":  `{"name":"x","stack":{"protocol":"tman","stop_prob":0.5}}`,
-		"tman_c with rumor":    `{"name":"x","stack":{"protocol":"rumor","tman_c":4}}`,
-		"drop_prob with rumor": `{"name":"x","stack":{"protocol":"rumor","drop_prob":0.1}}`,
-		"stop_prob over 1":     `{"name":"x","stack":{"protocol":"rumor","stop_prob":1.5}}`,
 		"drop_prob over 1":     `{"name":"x","stack":{"protocol":"antientropy","drop_prob":3}}`,
 		"drop_prob negative":   `{"name":"x","stack":{"drop_prob":-0.1}}`,
-		"max_evals with tman":  `{"name":"x","stack":{"protocol":"tman"},"stop":{"max_evals":10}}`,
-		"join with tman":       `{"name":"x","stack":{"protocol":"tman"},"timeline":[{"at":1,"action":"join","count":2}]}`,
+		"max_evals with ae":    `{"name":"x","stack":{"protocol":"antientropy"},"stop":{"max_evals":10}}`,
+		"gossip_every with ae": `{"name":"x","stack":{"protocol":"antientropy","gossip_every":4}}`,
+		"dim with antientropy": `{"name":"x","stack":{"protocol":"antientropy","dim":3}}`,
 	}
 	for label, raw := range cases {
 		if _, err := Parse([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted %s", label, raw)
 		}
 	}
-	s, err := Parse([]byte(`{"name":"ok","stack":{"protocol":"rumor"}}`))
+	s, err := Parse([]byte(`{"name":"ok","stack":{"protocol":"antientropy","drop_prob":0.1}}`))
 	if err != nil {
 		t.Fatalf("valid protocol spec rejected: %v", err)
 	}
-	if s.Stack.Fanout != 2 || s.Stack.StopProb == nil || *s.Stack.StopProb != 0.2 {
-		t.Fatalf("rumor defaults not applied: %+v", s.Stack)
-	}
-	// An explicit stop_prob of 0 (spreaders never lose interest) is a
-	// meaningful extreme and must survive normalization, not be replaced
-	// by the default.
-	z, err := Parse([]byte(`{"name":"flood","stack":{"protocol":"rumor","stop_prob":0}}`))
-	if err != nil {
-		t.Fatalf("stop_prob=0 rejected: %v", err)
-	}
-	if z.Stack.StopProb == nil || *z.Stack.StopProb != 0 {
-		t.Fatalf("explicit stop_prob=0 overwritten: %+v", z.Stack)
-	}
 	// Re-normalizing a normalized protocol spec must be a no-op (Run
 	// normalizes what Parse already returned).
-	if _, err := s.normalized(); err != nil {
-		t.Fatalf("re-normalization rejected a normalized spec: %v", err)
+	if again, err := s.normalized(); err != nil || !reflect.DeepEqual(again, s) {
+		t.Fatalf("re-normalization changed or rejected a normalized spec: %v", err)
+	}
+	if got := ProtocolNames(); !reflect.DeepEqual(got, []string{ProtocolAntiEntropy, ProtocolOpt}) {
+		t.Fatalf("ProtocolNames() = %v", got)
+	}
+}
+
+// TestRetiredInputsRejected: the protocols, topology and tuning fields of
+// the retired T-Man, rumor-mongering and Cyclon services fail loudly in a
+// scenario file and in a sweep file (base or axis), with an error that
+// names the valid values or the unknown field.
+func TestRetiredInputsRejected(t *testing.T) {
+	for _, c := range []struct{ stack, want string }{
+		{`{"protocol":"rumor"}`, "available: antientropy, opt"},
+		{`{"protocol":"tman"}`, "available: antientropy, opt"},
+		{`{"topology":"cyclon"}`, "available: full, newscast, random, ring, star"},
+		{`{"fanout":2}`, `unknown field "fanout"`},
+		{`{"stop_prob":0.05}`, `unknown field "stop_prob"`},
+		{`{"tman_c":4}`, `unknown field "tman_c"`},
+	} {
+		spec := `{"name":"x","stack":` + c.stack + `}`
+		_, err := Parse([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%s) = %v, want an error naming %q", spec, err, c.want)
+		}
+		for _, sw := range []string{
+			`{"name":"x","base":{"stack":` + c.stack + `},"axes":[{"name":"n","path":"nodes","values":[{"value":8}]}]}`,
+			`{"name":"x","axes":[{"name":"s","path":"stack","values":[{"value":` + c.stack + `}]}]}`,
+		} {
+			_, err := ParseSweep([]byte(sw))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("ParseSweep(%s) = %v, want an error naming %q", sw, err, c.want)
+			}
+		}
 	}
 }
 

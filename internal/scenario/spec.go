@@ -58,18 +58,10 @@ type Stack struct {
 	Topology string `json:"topology,omitempty"`
 	ViewSize int    `json:"view_size,omitempty"`
 	// Protocol selects the payload protocol (ProtocolNames): "opt" (the
-	// optimizer stack, default), or one of the epidemic/topology
-	// protocols — "rumor", "antientropy", "tman" — which run on the cycle
-	// engine only. The solver knobs below apply to "opt" exclusively.
+	// optimizer stack, default), or "antientropy", the diffusion service
+	// alone, which runs on the cycle engine only. The solver knobs below
+	// apply to "opt" exclusively.
 	Protocol string `json:"protocol,omitempty"`
-	// Fanout and StopProb tune the "rumor" protocol: peers contacted per
-	// cycle while hot (default 2) and the probability of losing interest
-	// after contacting an informed peer (default 0.2; a pointer so an
-	// explicit 0 — spreaders never lose interest — stays expressible).
-	Fanout   int      `json:"fanout,omitempty"`
-	StopProb *float64 `json:"stop_prob,omitempty"`
-	// TManC is the "tman" protocol's view size (default 4).
-	TManC int `json:"tman_c,omitempty"`
 	// Solvers are solver service names (core.SolverNames; default
 	// ["pso"]); more than one assigns solver types to nodes round-robin
 	// by ID — the paper's module diversification.
@@ -321,16 +313,16 @@ func (s Spec) normalized() (Spec, error) {
 		s.Stack.ViewSize = 20
 	}
 
-	// Payload protocol. The optimizer knobs stay empty for the epidemic
-	// protocols (and are rejected when set), so re-normalizing an already-
-	// normalized spec remains a no-op.
+	// Payload protocol. The optimizer knobs stay empty for anti-entropy
+	// (and are rejected when set), so re-normalizing an already-normalized
+	// spec remains a no-op.
 	if s.Stack.Protocol == "" {
 		s.Stack.Protocol = ProtocolOpt
 	}
 	s.Stack.Protocol = strings.ToLower(s.Stack.Protocol)
-	epidemic := s.Stack.Protocol != ProtocolOpt
-	if epidemic {
-		if _, ok := protocolBuilders[s.Stack.Protocol]; !ok {
+	opt := s.Stack.Protocol == ProtocolOpt
+	if !opt {
+		if s.Stack.Protocol != ProtocolAntiEntropy {
 			return s, fmt.Errorf("scenario %q: unknown protocol %q (available: %s)",
 				s.Name, s.Stack.Protocol, strings.Join(ProtocolNames(), ", "))
 		}
@@ -345,39 +337,10 @@ func (s Spec) normalized() (Spec, error) {
 			return s, fmt.Errorf("scenario %q: stop.max_evals bounds objective evaluations; protocol %q performs none", s.Name, s.Stack.Protocol)
 		}
 	}
-	if s.Stack.Protocol != ProtocolRumor && (s.Stack.Fanout != 0 || s.Stack.StopProb != nil) {
-		return s, fmt.Errorf("scenario %q: stack.fanout/stop_prob tune the rumor protocol; protocol is %q", s.Name, s.Stack.Protocol)
-	}
-	if s.Stack.Protocol != ProtocolTMan && s.Stack.TManC != 0 {
-		return s, fmt.Errorf("scenario %q: stack.tman_c tunes the tman protocol; protocol is %q", s.Name, s.Stack.Protocol)
-	}
-	if s.Stack.Protocol == ProtocolRumor || s.Stack.Protocol == ProtocolTMan {
-		if s.Stack.DropProb != 0 {
-			return s, fmt.Errorf("scenario %q: stack.drop_prob applies to the opt and antientropy protocols; model loss for %q with a partition instead", s.Name, s.Stack.Protocol)
-		}
-	}
 	if s.Stack.DropProb < 0 || s.Stack.DropProb > 1 || math.IsNaN(s.Stack.DropProb) {
 		return s, fmt.Errorf("scenario %q: stack.drop_prob=%v outside [0, 1]", s.Name, s.Stack.DropProb)
 	}
-	switch s.Stack.Protocol {
-	case ProtocolRumor:
-		if p := s.Stack.StopProb; p != nil && (*p < 0 || *p > 1 || math.IsNaN(*p)) {
-			return s, fmt.Errorf("scenario %q: stack.stop_prob=%v outside [0, 1]", s.Name, *p)
-		}
-		if s.Stack.Fanout <= 0 {
-			s.Stack.Fanout = 2
-		}
-		if s.Stack.StopProb == nil {
-			p := 0.2
-			s.Stack.StopProb = &p
-		}
-	case ProtocolTMan:
-		if s.Stack.TManC <= 0 {
-			s.Stack.TManC = 4
-		}
-	}
-
-	if !epidemic {
+	if opt {
 		if len(s.Stack.Solvers) == 0 {
 			s.Stack.Solvers = []string{"pso"}
 		}
@@ -390,13 +353,7 @@ func (s Spec) normalized() (Spec, error) {
 		if s.Stack.Function == "" {
 			s.Stack.Function = "Sphere"
 		}
-	}
-	if s.MetricsEvery <= 0 {
-		s.MetricsEvery = 10
-	}
-
-	// Resolve every name now so a bad spec fails before any run starts.
-	if !epidemic {
+		// Resolve every name now so a bad spec fails before any run starts.
 		if _, err := funcs.ByName(s.Stack.Function); err != nil {
 			return s, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
@@ -406,6 +363,9 @@ func (s Spec) normalized() (Spec, error) {
 	}
 	if _, err := core.TopologyByName(s.Stack.Topology); err != nil {
 		return s, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	if s.MetricsEvery <= 0 {
+		s.MetricsEvery = 10
 	}
 
 	// Sort a copy: normalized() must not reorder the caller's Timeline
@@ -453,9 +413,6 @@ var actionRules = map[string]func(s *Spec, ev Event) error{
 	"join": func(s *Spec, ev Event) error {
 		if s.Engine == EngineEvent {
 			return fmt.Errorf("join is not supported on the event engine")
-		}
-		if s.Stack.Protocol == ProtocolTMan {
-			return fmt.Errorf("join is not supported with the tman protocol (the target ring is defined over the initial population)")
 		}
 		if ev.Count <= 0 {
 			return fmt.Errorf("join needs count > 0")

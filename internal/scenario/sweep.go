@@ -52,7 +52,7 @@ type SweepSpec struct {
 // Axis is one sweep dimension: a name (used in cell names), an optional
 // dotted field path, and the values the grid takes on it.
 type Axis struct {
-	// Name labels the axis in cell names ("overlay=cyclon").
+	// Name labels the axis in cell names ("overlay=random").
 	Name string `json:"name"`
 	// Path, when set, is a dotted JSON field path into the spec
 	// ("nodes", "stack.topology") and each value lands at that path.

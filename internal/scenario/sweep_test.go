@@ -141,7 +141,7 @@ func TestSweepPathOverrides(t *testing.T) {
 		Name: "paths",
 		Base: Spec{Nodes: 8, Stop: Stop{Cycles: 5}},
 		Axes: []Axis{
-			{Name: "topo", Path: "stack.topology", Values: []AxisValue{{Value: raw(`"cyclon"`)}}},
+			{Name: "topo", Path: "stack.topology", Values: []AxisValue{{Value: raw(`"random"`)}}},
 			{Name: "tl", Path: "timeline", Values: []AxisValue{
 				{Label: "split", Value: raw(`[{"at":1,"action":"partition","groups":2}]`)},
 			}},
@@ -152,13 +152,13 @@ func TestSweepPathOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := cells[0].Spec
-	if s.Stack.Topology != "cyclon" {
+	if s.Stack.Topology != "random" {
 		t.Fatalf("dotted path not applied: %+v", s.Stack)
 	}
 	if len(s.Timeline) != 1 || s.Timeline[0].Action != "partition" {
 		t.Fatalf("top-level path not applied: %+v", s.Timeline)
 	}
-	if cells[0].Name != "paths/topo=cyclon,tl=split" {
+	if cells[0].Name != "paths/topo=random,tl=split" {
 		t.Fatalf("cell name wrong: %q", cells[0].Name)
 	}
 }
@@ -172,9 +172,9 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 		"axis no values":    `{"name":"x","axes":[{"name":"a","path":"nodes"}]}`,
 		"empty value":       `{"name":"x","axes":[{"name":"a","path":"nodes","values":[{"label":"v"}]}]}`,
 		"unknown field":     `{"name":"x","axez":[]}`,
-		"unknown leaf":      `{"name":"x","axes":[{"name":"a","path":"stack.topologyy","values":[{"value":"cyclon"}]}]}`,
+		"unknown leaf":      `{"name":"x","axes":[{"name":"a","path":"stack.topologyy","values":[{"value":"random"}]}]}`,
 		"path through leaf": `{"name":"x","axes":[{"name":"a","path":"nodes.deep","values":[{"value":1}]}]}`,
-		"empty path seg":    `{"name":"x","axes":[{"name":"a","path":"stack..topology","values":[{"value":"cyclon"}]}]}`,
+		"empty path seg":    `{"name":"x","axes":[{"name":"a","path":"stack..topology","values":[{"value":"random"}]}]}`,
 		"merge non-object":  `{"name":"x","axes":[{"name":"a","values":[{"value":7}]}]}`,
 		"invalid cell spec": `{"name":"x","axes":[{"name":"a","path":"stack.topology","values":[{"value":"hypercube"}]}]}`,
 		"NaN-free":          `{"name":"x","threshold":"nan","axes":[{"name":"a","path":"nodes","values":[{"value":8}]}]}`,

@@ -109,9 +109,8 @@ type Receiver interface {
 // destination node is dead or unreachable at delivery time (n is the
 // sender) — the failure a real initiator would observe as a timed-out
 // connection. Like Receive it runs on an apply worker and must stay
-// node-local; ax.Alive distinguishes a confirmed crash from a peer that
-// is merely unreachable (delivery filter / partition), and ax.Send lets a
-// protocol compensate for a half-completed exchange whose reply leg died.
+// node-local, and ax.Send lets a protocol compensate for a half-completed
+// exchange whose reply leg died.
 type Undeliverable interface {
 	Undelivered(n *Node, ax *ApplyContext, msg Message)
 }
@@ -211,17 +210,6 @@ func (ax *ApplyContext) Forward(to NodeID, slot int, data any) {
 		ax.handled.Data = nil
 	}
 	ax.Send(to, slot, data)
-}
-
-// Alive reports whether the node with the given ID currently exists and is
-// live. Node liveness is frozen while the apply phase runs (churn happens
-// at the start of a cycle and handlers cannot crash nodes), so the query
-// is safe from concurrent apply workers. T-Man uses it in Undelivered to
-// distinguish a confirmed crash (tombstone) from an unreachable,
-// partitioned peer (re-adopted after the heal).
-func (ax *ApplyContext) Alive(id NodeID) bool {
-	n := ax.engine.arena.at(id)
-	return n != nil && n.Alive
 }
 
 // CountEvals adds k objective evaluations to the engine's global counter

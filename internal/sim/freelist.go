@@ -49,8 +49,7 @@ import (
 //     must not retain the pointer — or any slice inside it — beyond the
 //     handler call, not even inside a *different* payload it sends: a net
 //     model may delay that payload past the cycle end that recycles this
-//     one. It copies instead (Cyclon's reply copies the request subset it
-//     echoes), or forwards the payload itself (next rule).
+//     one. It copies instead, or forwards the payload itself (next rule).
 //   - A handler may send the payload it received, or a pointer conversion
 //     of it to a type of its shape, as its follow-up — through
 //     ApplyContext.Forward, never Send. Forward drops the handled message's
