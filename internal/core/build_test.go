@@ -62,10 +62,33 @@ func TestNewNetworkAllocBudget(t *testing.T) {
 }
 
 // BenchmarkNewNetwork builds the paper's stack at n = 10 000 per op: what
-// every repetition of a paper-size cell pays before its first cycle.
+// every repetition of a paper-size cell pays before its first cycle. The
+// initial swarms are one population, so their structs and state are two
+// allocations in all, not two per node (scripts/alloc_budget.txt).
 func BenchmarkNewNetwork(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewNetwork(paperStack(10_000)).Engine().Close()
 	}
+}
+
+// BenchmarkSolverCycle times one whole-network cycle of the repository
+// benchmark's solver-heavy shape: n = 2000 PSO swarms of k = 16 on
+// Rastrigin at d = 30, gossiping every r = 16 evaluations over a static
+// random overlay, on one worker. Every swarm moves the same particle in
+// a cycle, so this is where the population's memory layout shows. The
+// network is warmed past the swarms' seeding evaluations first.
+func BenchmarkSolverCycle(b *testing.B) {
+	const n = 2000
+	net := NewNetwork(Config{Nodes: n, Particles: 16, GossipEvery: 16, ViewSize: 20,
+		Function: funcs.Rastrigin, Dim: 30, Seed: 1, Topology: TopoRandom, Workers: 1})
+	defer net.Engine().Close()
+	net.Engine().Run(32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "node-cycles/s")
 }

@@ -266,6 +266,11 @@ type Network struct {
 // through churn are wired identically and bootstrap their view from a
 // random live node (the "bootstrap service" of a real deployment).
 //
+// With no SolverFactory, the initial population's swarms are built as one
+// pso.NewSwarms batch, so a cycle's moves walk one particle-major slab;
+// joiners and factory-built solvers are built one per node. Either way a
+// node's solver draws from the stream it splits off the node's RNG.
+//
 // Each initial node's stack is built once; the churn factory is installed
 // only after the initial population is wired. Each initial node still
 // makes the two draws the factory makes for a join — one engine-RNG draw
@@ -288,12 +293,8 @@ func NewNetwork(cfg Config) *Network {
 	bestPoints := &gossip.Exchange[BestPoint]{
 		Slot: SlotTopology, SelfSlot: SlotOpt, DropProb: cfg.DropProb,
 	}
-	newOptNode := func(id sim.NodeID, r *rng.RNG) *OptNode {
-		return &OptNode{
-			Solver: mkSolver(cfg.Function, cfg.Dim, int64(id), r.Split()),
-			R:      cfg.GossipEvery,
-			Gossip: bestPoints,
-		}
+	newOptNode := func(s solver.Solver) *OptNode {
+		return &OptNode{Solver: s, R: cfg.GossipEvery, Gossip: bestPoints}
 	}
 
 	nodes := make([]*sim.Node, cfg.Nodes)
@@ -307,8 +308,19 @@ func NewNetwork(cfg Config) *Network {
 
 	// Topology service, then the optimizer + coordination service.
 	InitTopology(eng, SlotTopology, cfg.Topology, cfg.ViewSize)
-	for _, n := range nodes {
-		n.Protocols[SlotOpt] = newOptNode(n.ID, n.RNG)
+	if cfg.SolverFactory == nil {
+		rs := make([]*rng.RNG, len(nodes))
+		for i, n := range nodes {
+			rs[i] = n.RNG.Split()
+		}
+		swarms := pso.NewSwarms(cfg.Function, cfg.Dim, cfg.Particles, cfg.PSO, rs)
+		for i, n := range nodes {
+			n.Protocols[SlotOpt] = newOptNode(&swarms[i])
+		}
+	} else {
+		for _, n := range nodes {
+			n.Protocols[SlotOpt] = newOptNode(mkSolver(cfg.Function, cfg.Dim, int64(n.ID), n.RNG.Split()))
+		}
 	}
 
 	// The factory serves churn joins only.
@@ -317,7 +329,7 @@ func NewNetwork(cfg Config) *Network {
 		if b := eng.RandomLiveNode(n.ID); b != nil {
 			nc.Bootstrap([]sim.NodeID{b.ID})
 		}
-		n.Protocols = []sim.Protocol{nc, newOptNode(n.ID, n.RNG)}
+		n.Protocols = []sim.Protocol{nc, newOptNode(mkSolver(cfg.Function, cfg.Dim, int64(n.ID), n.RNG.Split()))}
 	})
 
 	if cfg.Churn != nil {

@@ -97,10 +97,15 @@ func SolverByName(name string, particles int) (solver.Factory, error) {
 // SolversByName resolves a list of solver names to one factory: a single
 // name yields its factory, several yield a MixedFactory assigning solver
 // types to nodes round-robin by node ID (the paper's "module
-// diversification among peers").
+// diversification among peers"). "pso" alone yields a nil factory, which
+// selects the networks' default swarm of that many particles: the same
+// swarm, but NewNetwork builds the initial population's in one slab.
 func SolversByName(names []string, particles int) (solver.Factory, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no solver names given")
+	}
+	if len(names) == 1 && strings.EqualFold(names[0], "pso") {
+		return nil, nil
 	}
 	factories := make([]solver.Factory, len(names))
 	for i, name := range names {

@@ -9,6 +9,7 @@ import (
 
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/rng"
+	"gossipopt/internal/sim"
 	"gossipopt/internal/solver"
 )
 
@@ -69,6 +70,33 @@ func TestSolversByNameMixed(t *testing.T) {
 	}
 	if _, err := SolversByName([]string{"pso", "nope"}, 4); err == nil {
 		t.Fatal("bad name inside list accepted")
+	}
+}
+
+// TestSolversByNamePSOIsDefault checks that "pso" alone resolves to the
+// nil factory, NewNetwork's default swarm, and that the default's
+// population slab runs bit for bit as the "pso" factory's swarm per node.
+func TestSolversByNamePSOIsDefault(t *testing.T) {
+	mk, err := SolversByName([]string{"PSO"}, 8)
+	if err != nil || mk != nil {
+		t.Fatalf(`SolversByName("PSO") = %p, %v; want the nil factory`, mk, err)
+	}
+	perNode, err := SolverByName("pso", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(factory solver.Factory) (BestPoint, Metrics) {
+		net := NewNetwork(Config{Nodes: 40, Particles: 8, GossipEvery: 8, Function: funcs.Rastrigin,
+			Seed: 3, SolverFactory: factory, Churn: &sim.RateChurn{CrashProb: 0.02, JoinPerCycle: 1}})
+		defer net.Engine().Close()
+		net.RunEvals(4000)
+		b, _ := net.GlobalBest()
+		return BestPoint{X: slices.Clone(b.X), F: b.F}, net.Metrics()
+	}
+	b0, m0 := run(nil)
+	b1, m1 := run(perNode)
+	if b0.F != b1.F || !slices.Equal(b0.X, b1.X) || m0 != m1 {
+		t.Fatalf("default swarms: best %v, %+v; per-node factory: best %v, %+v", b0.F, m0, b1.F, m1)
 	}
 }
 

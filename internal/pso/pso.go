@@ -65,87 +65,115 @@ func (c Config) withDefaults() Config {
 // Swarm is a particle swarm minimizing one objective. It satisfies the
 // framework's Solver contract (EvalOne / Best / Inject / Evals).
 //
-// The whole swarm lives in one slab of floats: particle i's position,
-// velocity and personal best are the runs x, v, p of dim floats starting
-// at i·3·dim, the k personal-best fitnesses follow, and the swarm optimum
-// g is the last run.
+// A swarm's state lives in the float slab of its population (NewSwarms):
+// particle i's position, velocity and personal best are the runs x, v, p
+// of dim floats starting at slab[i·stride], and tail holds the k
+// personal-best fitnesses followed by the swarm optimum g.
 type Swarm struct {
 	eval funcs.Objective
-	dim  int
-	cfg  Config
 	rng  *rng.RNG
-	vmax float64
 
-	slab []float64
-	k    int // particles
+	w, c1, c2, vmax float64
 
-	g  []float64 // swarm optimum position (paper's g_p); nil until the first improvement or Inject
-	fg float64
+	slab   []float64 // from particle 0; particle i at i·stride
+	stride int       // 3·dim·(swarms in the population)
+	dim    int
+	tail   []float64 // k fitnesses, then g
 
+	fg    float64
 	next  int
 	evals int64
+	hasG  bool // g is set: the first improvement or Inject has happened
 }
 
 // New creates a swarm of k particles over f in dimension dim (0 uses the
 // function's paper dimension), drawing randomness from r. Positions are
-// uniform in the domain; velocities are uniform in [−vmax, vmax].
+// uniform in the domain; velocities are uniform in [−vmax, vmax]. It is
+// the population of one: NewSwarms with the single stream r.
 func New(f funcs.Function, dim, k int, cfg Config, r *rng.RNG) *Swarm {
+	return &NewSwarms(f, dim, k, cfg, []*rng.RNG{r})[0]
+}
+
+// NewSwarms creates a population of n = len(rs) swarms, swarm j built as
+// New builds it from rs[j] (the same draws in the same order), in two
+// allocations: the swarms and one float slab. The slab is particle-major:
+// particle i of swarm j starts at (i·n + j)·3·dim, so when every swarm
+// moves the same particle — the network's swarms all evaluate once per
+// cycle — the moves read and write the slab in order. The k fitnesses and
+// the optimum of each swarm follow, swarm by swarm, after the n·k
+// particles. Every run a swarm hands out is capped at its end, so a
+// caller appending to it cannot write into its neighbour.
+func NewSwarms(f funcs.Function, dim, k int, cfg Config, rs []*rng.RNG) []Swarm {
 	cfg = cfg.withDefaults()
-	d := f.Dim(dim)
-	s := &Swarm{
-		eval: f.Eval,
-		dim:  d,
-		cfg:  cfg,
-		rng:  r,
-		vmax: cfg.VMaxFrac * (f.Hi - f.Lo),
-		slab: make([]float64, 3*k*d+k+d),
-		k:    k,
-		fg:   math.Inf(1),
-	}
-	fp := s.fitness()
-	for i := range fp {
-		x, v, p := s.particle(i)
-		for j := 0; j < d; j++ {
-			x[j] = r.UniformIn(f.Lo, f.Hi)
-			v[j] = r.UniformIn(-s.vmax, s.vmax)
+	d, n := f.Dim(dim), len(rs)
+	run, body := 3*d, 3*d*k*n
+	slab := make([]float64, body+n*(k+d))
+	swarms := make([]Swarm, n)
+	vmax := float64(cfg.VMaxFrac * (f.Hi - f.Lo))
+	for j, r := range rs {
+		t := body + j*(k+d)
+		s := &swarms[j]
+		*s = Swarm{
+			eval: f.Eval,
+			rng:  r,
+			w:    cfg.Inertia, c1: cfg.C1, c2: cfg.C2, vmax: vmax,
+			slab:   slab[j*run : body : body],
+			stride: n * run,
+			dim:    d,
+			tail:   slab[t : t+k+d : t+k+d],
+			fg:     math.Inf(1),
 		}
-		copy(p, x)
-		fp[i] = math.Inf(1)
+		fp := s.fitness()
+		for i := range fp {
+			x, v, p := s.particle(i)
+			for c := range x {
+				x[c] = r.UniformIn(f.Lo, f.Hi)
+				v[c] = r.UniformIn(-vmax, vmax)
+			}
+			copy(p, x)
+			fp[i] = math.Inf(1)
+		}
 	}
-	return s
+	return swarms
 }
 
 // particle returns particle i's position, velocity and personal best.
+// The position is what the objective receives, so it is capped.
 func (s *Swarm) particle(i int) (x, v, p []float64) {
-	d, o := s.dim, 3*s.dim*i
-	return s.slab[o : o+d], s.slab[o+d : o+2*d], s.slab[o+2*d : o+3*d]
+	d, o := s.dim, i*s.stride
+	return s.slab[o : o+d : o+d], s.slab[o+d : o+2*d], s.slab[o+2*d : o+3*d]
 }
 
 // fitness returns the k personal-best fitnesses.
-func (s *Swarm) fitness() []float64 { return s.slab[3*s.k*s.dim : 3*s.k*s.dim+s.k] }
+func (s *Swarm) fitness() []float64 { return s.tail[:len(s.tail)-s.dim] }
+
+// g returns the swarm optimum's run, the end of tail.
+func (s *Swarm) g() []float64 { return s.tail[len(s.tail)-s.dim:] }
 
 // seeded reports whether particle i has had its initial evaluation.
 // Particles are first evaluated in index order, one per EvalOne, so that
 // is exactly the first evals particles.
 func (s *Swarm) seeded(i int) bool { return int64(i) < s.evals }
 
-// setBest makes x, with fitness fx, the swarm optimum. g is the slab's
-// last run, so no improvement or adoption allocates, and a caller
-// appending to the slice Best returns cannot write into particle state.
+// setBest makes x, with fitness fx, the swarm optimum. g is a run of the
+// slab, so no improvement or adoption allocates.
 func (s *Swarm) setBest(x []float64, fx float64) {
-	if s.g == nil {
-		s.g = s.slab[len(s.slab)-s.dim:]
-	}
-	copy(s.g, x)
-	s.fg = fx
+	copy(s.g(), x)
+	s.fg, s.hasG = fx, true
 }
 
 // Evals returns the number of function evaluations performed.
 func (s *Swarm) Evals() int64 { return s.evals }
 
-// Best returns the swarm optimum and its fitness. The slice is owned by the
-// swarm; callers must not modify it.
-func (s *Swarm) Best() ([]float64, float64) { return s.g, s.fg }
+// Best returns the swarm optimum and its fitness; the position is nil
+// until the first improvement or Inject. The slice is owned by the swarm;
+// callers must not modify it.
+func (s *Swarm) Best() ([]float64, float64) {
+	if !s.hasG {
+		return nil, s.fg
+	}
+	return s.g(), s.fg
+}
 
 // Inject offers a remote best (the coordination service's gossip payload).
 // It is adopted as the swarm optimum when strictly better; it reports
@@ -159,7 +187,7 @@ func (s *Swarm) Inject(x []float64, fx float64) bool {
 	if math.IsNaN(fx) || math.IsInf(fx, -1) {
 		return false
 	}
-	if s.g != nil && fx >= s.fg {
+	if s.hasG && fx >= s.fg {
 		return false
 	}
 	if len(x) != s.dim {
@@ -175,7 +203,9 @@ func (s *Swarm) Inject(x []float64, fx float64) bool {
 // fitness just computed.
 func (s *Swarm) EvalOne() float64 {
 	i := s.next
-	s.next = (s.next + 1) % s.k
+	if s.next++; s.next == len(s.tail)-s.dim {
+		s.next = 0
+	}
 	if s.seeded(i) {
 		s.move(i)
 	}
@@ -201,13 +231,16 @@ const moveBlock = 32
 // dimension's new velocity is clamped to ±vmax and added to x in the
 // pass that computes it. Uniforms are drawn a block at a time in the
 // order the update consumes them: c1's, then c2's once the swarm has an
-// optimum to attract it (until then the social term is absent).
+// optimum to attract it (until then the social term is absent). The
+// float64 conversions force each product's rounding, so no architecture
+// fuses it into the sum and every GOARCH computes the same bits.
 func (s *Swarm) move(i int) {
 	x, v, p := s.particle(i)
-	w, c1, c2, g := s.cfg.Inertia, s.cfg.C1, s.cfg.C2, s.g
+	w, c1, c2 := s.w, s.c1, s.c2
+	var g []float64
 	per := 1
-	if g != nil {
-		per = 2
+	if s.hasG {
+		g, per = s.g(), 2
 	}
 	var u [2 * moveBlock]float64
 	for lo := 0; lo < s.dim; lo += moveBlock {
@@ -215,9 +248,9 @@ func (s *Swarm) move(i int) {
 		s.rng.Float64s(u[:per*n])
 		for k := 0; k < n; k++ {
 			j := lo + k
-			nv := w*v[j] + c1*u[per*k]*(p[j]-x[j])
+			nv := float64(w*v[j]) + float64(c1*u[per*k]*(p[j]-x[j]))
 			if g != nil {
-				nv += c2 * u[per*k+1] * (g[j] - x[j])
+				nv += float64(c2 * u[per*k+1] * (g[j] - x[j]))
 			}
 			if nv < -s.vmax {
 				nv = -s.vmax

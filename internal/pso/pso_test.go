@@ -2,6 +2,7 @@ package pso
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -150,7 +151,7 @@ func TestVelocityClamped(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.EvalOne()
 	}
-	for i := 0; i < s.k; i++ {
+	for i := 0; i < len(s.fitness()); i++ {
 		_, v, _ := s.particle(i)
 		for _, vj := range v {
 			if math.Abs(vj) > vmax+1e-12 {
@@ -174,7 +175,7 @@ func TestNoClampAllowsFlight(t *testing.T) {
 	escaped := false
 	for i := 0; i < 2000 && !escaped; i++ {
 		s.EvalOne()
-		for j := 0; j < s.k; j++ {
+		for j := 0; j < len(s.fitness()); j++ {
 			x, _, _ := s.particle(j)
 			for _, xj := range x {
 				if xj < funcs.Sphere.Lo || xj > funcs.Sphere.Hi {
@@ -244,9 +245,19 @@ func TestTrajectoryPinned(t *testing.T) {
 }
 
 var (
-	swarmSink *Swarm
-	slabSink  []float64
+	swarmSink  *Swarm
+	swarmsSink []Swarm
+	slabSink   []float64
 )
+
+// streams returns n generators seeded seed, seed+1, ….
+func streams(n int, seed uint64) []*rng.RNG {
+	rs := make([]*rng.RNG, n)
+	for j := range rs {
+		rs[j] = rng.New(seed + uint64(j))
+	}
+	return rs
+}
 
 // heapBytes returns the heap bytes the runtime accounts to one call of f:
 // the least of three averages over 100 calls each.
@@ -265,14 +276,15 @@ func heapBytes(f func()) float64 {
 }
 
 // TestSwarmMemory pins what a swarm costs: the Swarm struct is at most
-// 160 B, so per-swarm configuration does not grow back into it; New makes
+// 144 B, so per-swarm configuration does not grow back into it; New makes
 // two allocations, the Swarm and one slab of 3kd + k + d floats, and no
-// more bytes than those two objects take in the runtime's size classes;
-// and EvalOne and Inject never allocate, a fresh swarm's first
-// improvement and first adoption included.
+// more bytes than those two objects take in the runtime's size classes; a
+// population of any size is two allocations as well; and EvalOne and
+// Inject never allocate, a fresh swarm's first improvement and first
+// adoption included.
 func TestSwarmMemory(t *testing.T) {
-	if size := unsafe.Sizeof(Swarm{}); size > 160 {
-		t.Errorf("Swarm is %d B, want at most 160", size)
+	if size := unsafe.Sizeof(Swarm{}); size > 144 {
+		t.Errorf("Swarm is %d B, want at most 144", size)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range []struct{ d, k int }{{10, 16}, {30, 16}, {2, 2}} {
@@ -286,6 +298,12 @@ func TestSwarmMemory(t *testing.T) {
 			heapBytes(func() { slabSink = make([]float64, floats) })
 		if got := heapBytes(mk); got > limit {
 			t.Errorf("d=%d k=%d: New allocates %v B, want at most %v B", c.d, c.k, got, limit)
+		}
+		for _, n := range []int{1, 3, 64} {
+			rs := streams(n, 1)
+			if a := testing.AllocsPerRun(20, func() { swarmsSink = NewSwarms(funcs.Sphere, c.d, c.k, Config{}, rs) }); a != 2 {
+				t.Errorf("d=%d k=%d: a population of %d makes %v allocations, want 2", c.d, c.k, n, a)
+			}
 		}
 
 		// A stray allocation elsewhere in the process can land in one
@@ -342,7 +360,11 @@ func BenchmarkEvalOne(b *testing.B) {
 // no swarm optimum to attract them — at dimensions 2, 30 and 70. Moves
 // draw their randomness a block of dimensions at a time; 70 spans more
 // than one block, so a block seam that reorders or drops a draw moves
-// a digest.
+// a digest. The swarms are built in populations of 1, 3 and 64 and
+// stepped in turn, as a network steps them: swarm 0 must give the pinned
+// digest, and every other swarm the digest of a swarm New builds from the
+// same seed, so a population slab that mixes up two swarms' particles
+// moves one.
 func TestMoveFitnessPinned(t *testing.T) {
 	dims := [3]int{2, 30, 70}
 	cases := []struct {
@@ -353,28 +375,190 @@ func TestMoveFitnessPinned(t *testing.T) {
 		{"gbest", 0, [3]uint64{0x96a157ab9f2d49bd, 0x3886b133efca43ca, 0xb2bcbff56fdc645d}},
 		{"gbest-no-optimum", 300, [3]uint64{0x1dc75c214ce5221a, 0x41cb7ab303fc3898, 0x06bcfccf796466db}},
 	}
-	for ci, c := range cases {
-		for di, d := range dims {
-			h := fnv.New64a()
-			var b [8]byte
-			calls := 0
-			f := funcs.Rastrigin
-			f.Eval = func(x []float64) float64 {
-				fx := funcs.Rastrigin.Eval(x)
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(fx))
-				h.Write(b[:])
-				if calls++; calls <= c.blind {
-					return math.Inf(1)
-				}
-				return fx
+	// digests steps the population built from seeds, swarm by swarm, and
+	// returns each swarm's fitness digest.
+	digests := func(blind, d int, seeds []uint64, build func(funcs.Function, []*rng.RNG) []*Swarm) []uint64 {
+		hs := make([]hash.Hash64, len(seeds))
+		calls := make([]int, len(seeds))
+		cur := 0
+		var b [8]byte
+		f := funcs.Rastrigin
+		f.Eval = func(x []float64) float64 {
+			fx := funcs.Rastrigin.Eval(x)
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(fx))
+			hs[cur].Write(b[:])
+			if calls[cur]++; calls[cur] <= blind {
+				return math.Inf(1)
 			}
-			s := New(f, d, 16, Config{}, rng.New(uint64(800+10*ci+di)))
-			for range 2000 {
-				s.EvalOne()
-			}
-			if got := h.Sum64(); got != c.digest[di] {
-				t.Errorf("%s d=%d: fitness digest %#016x, pinned %#016x", c.name, d, got, c.digest[di])
+			return fx
+		}
+		rs := make([]*rng.RNG, len(seeds))
+		for j, seed := range seeds {
+			hs[j], rs[j] = fnv.New64a(), rng.New(seed)
+		}
+		swarms := build(f, rs)
+		for range 2000 {
+			for cur = range swarms {
+				swarms[cur].EvalOne()
 			}
 		}
+		out := make([]uint64, len(seeds))
+		for j, h := range hs {
+			out[j] = h.Sum64()
+		}
+		return out
+	}
+	one := func(d int) func(funcs.Function, []*rng.RNG) []*Swarm {
+		return func(f funcs.Function, rs []*rng.RNG) []*Swarm {
+			return []*Swarm{New(f, d, 16, Config{}, rs[0])}
+		}
+	}
+	batch := func(d int) func(funcs.Function, []*rng.RNG) []*Swarm {
+		return func(f funcs.Function, rs []*rng.RNG) []*Swarm {
+			swarms := NewSwarms(f, d, 16, Config{}, rs)
+			out := make([]*Swarm, len(swarms))
+			for j := range swarms {
+				out[j] = &swarms[j]
+			}
+			return out
+		}
+	}
+	for ci, c := range cases {
+		for di, d := range dims {
+			seed := uint64(800 + 10*ci + di)
+			for _, n := range []int{1, 3, 64} {
+				seeds := make([]uint64, n)
+				for j := range seeds {
+					seeds[j] = seed + 1000*uint64(j)
+				}
+				got := digests(c.blind, d, seeds, batch(d))
+				for j, g := range got {
+					want := c.digest[di]
+					if j > 0 {
+						want = digests(c.blind, d, seeds[j:j+1], one(d))[0]
+					}
+					if g != want {
+						t.Errorf("%s d=%d n=%d: swarm %d's fitness digest %#016x, want %#016x", c.name, d, n, j, g, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSwarmsLayout checks the population slab's interleave: particle i of
+// swarm j+1 starts where swarm j's particle i ends, and particle i+1 of
+// swarm 0 where swarm n−1's particle i ends; then come the swarms' tails,
+// swarm by swarm.
+func TestSwarmsLayout(t *testing.T) {
+	const n, d, k = 5, 7, 4
+	swarms := NewSwarms(funcs.Sphere, d, k, Config{}, streams(n, 1))
+	end := func(run []float64) unsafe.Pointer {
+		return unsafe.Add(unsafe.Pointer(unsafe.SliceData(run)), 8*len(run))
+	}
+	for i := 0; i < k; i++ {
+		for j := range swarms {
+			x, v, p := swarms[j].particle(i)
+			if end(x) != unsafe.Pointer(&v[0]) || end(v) != unsafe.Pointer(&p[0]) {
+				t.Fatalf("swarm %d particle %d: x, v and p are not adjacent", j, i)
+			}
+			var next []float64
+			switch {
+			case j+1 < n:
+				next, _, _ = swarms[j+1].particle(i)
+			case i+1 < k:
+				next, _, _ = swarms[0].particle(i + 1)
+			default:
+				next = swarms[0].tail
+			}
+			if end(p) != unsafe.Pointer(&next[0]) {
+				t.Errorf("swarm %d particle %d: what follows it does not start where it ends", j, i)
+			}
+		}
+	}
+	for j := 0; j+1 < n; j++ {
+		if end(swarms[j].tail) != unsafe.Pointer(&swarms[j+1].tail[0]) {
+			t.Errorf("swarm %d's tail does not end where swarm %d's starts", j, j+1)
+		}
+	}
+}
+
+// state returns a copy of everything swarm s keeps in its population's
+// slab: its particles' runs, then its fitnesses and optimum.
+func state(s *Swarm) []float64 {
+	var out []float64
+	for i := range s.fitness() {
+		x, v, p := s.particle(i)
+		out = append(append(append(out, x...), v...), p...)
+	}
+	return append(out, s.tail...)
+}
+
+// TestSwarmsRunsCapped appends to everything a swarm hands out — the
+// position its objective receives, the optimum Best returns — in one of
+// two identical populations, and checks that both evolve bit for bit
+// alike: every run is capped at its end, so an append never writes into
+// the slab, not into the swarm's own state and not into its neighbour's.
+func TestSwarmsRunsCapped(t *testing.T) {
+	const n, d, k = 3, 5, 4
+	build := func(grow bool) []Swarm {
+		f := funcs.Rastrigin
+		f.Eval = func(x []float64) float64 {
+			if grow {
+				_ = append(x, math.Pi)
+			}
+			return funcs.Rastrigin.Eval(x)
+		}
+		return NewSwarms(f, d, k, Config{}, streams(n, 40))
+	}
+	a, b := build(true), build(false)
+	for step := 0; step < 200; step++ {
+		for j := range a {
+			a[j].EvalOne()
+			b[j].EvalOne()
+			if g, _ := a[j].Best(); g != nil {
+				if cap(g) != len(g) {
+					t.Fatalf("swarm %d: Best has capacity %d beyond its %d floats", j, cap(g), len(g))
+				}
+				_ = append(g, math.Pi)
+			}
+		}
+	}
+	for j := range a {
+		if x, y := state(&a[j]), state(&b[j]); !slices.Equal(x, y) {
+			t.Errorf("swarm %d's state differs after its neighbours' appends", j)
+		}
+	}
+}
+
+// TestSwarmsBestNilUntilSet checks each swarm of a population on its own:
+// Best stays nil until that swarm's first improvement or Inject, which is
+// how OptNode.Load tells "no best yet".
+func TestSwarmsBestNilUntilSet(t *testing.T) {
+	blind := true
+	f := funcs.Sphere
+	f.Eval = func(x []float64) float64 {
+		if blind {
+			return math.Inf(1)
+		}
+		return funcs.Sphere.Eval(x)
+	}
+	swarms := NewSwarms(f, 4, 3, Config{}, streams(3, 60))
+	for j := range swarms {
+		swarms[j].EvalOne() // +Inf improves on nothing
+	}
+	swarms[1].Inject(make([]float64, 4), 0)
+	for j := range swarms {
+		if g, _ := swarms[j].Best(); (g != nil) != (j == 1) {
+			t.Fatalf("after an +Inf evaluation each and an Inject into swarm 1, swarm %d's Best is %v", j, g)
+		}
+	}
+	blind = false
+	swarms[2].EvalOne()
+	if g, _ := swarms[0].Best(); g != nil {
+		t.Fatalf("swarm 0 has a best %v after its neighbour's improvement", g)
+	}
+	if g, fg := swarms[2].Best(); g == nil || math.IsInf(fg, 0) {
+		t.Fatalf("swarm 2's first finite evaluation left Best = %v, %v", g, fg)
 	}
 }

@@ -82,8 +82,12 @@ func (r *RNG) Split() *RNG {
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
+// Here and below, float64(...) around a product forces its rounding, so
+// that arm64, ppc64le and s390x, where gc fuses x*y + z into one
+// instruction, give amd64's bits; the scaling is converted because gc
+// turns it into a product that inlined callers would fuse.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64s fills dst with the next len(dst) Float64 values and leaves r
@@ -127,16 +131,16 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 
 // UniformIn returns a uniform float64 in [lo, hi).
 func (r *RNG) UniformIn(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard normal variate using the polar
 // (Marsaglia) method.
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}

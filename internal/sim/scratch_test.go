@@ -24,15 +24,21 @@ import (
 // a 48-B node) measured 399 B; links held as a separate 160-B slice of
 // 8-byte IDs and a Static apiece 479 B; a second copy of each message (a
 // canonical list apart from the outboxes, or follow-up outboxes scattered
-// into a separate round buffer) 598-628 B with those links. A first
-// network is run and dropped before the measured one so that the
+// into a separate round buffer) 598-628 B with those links.
+//
+// A first network is run and dropped before the measured one so that the
 // process-wide payload free lists are full either way, whatever ran
 // earlier in the test binary: the payloads — one 8-B header per exchange,
 // the request forwarded as its settle leg, where there were two — are
-// the first network's, and not in the figure.
+// the first network's, and not in the figure. Bytes could not tell one
+// header per exchange from two in any case (352 B/node either way), so
+// the payloads are gated by count, with the free-list statistics on: the
+// measured network draws at most 1.05 payloads per exchange from the
+// lists, and allocates at most 1.05 per node over its 50 cycles. Both
+// counts are the engine's own, so neither depends on what the lists held.
 func TestEngineScratchBytesPerNode(t *testing.T) {
 	const n, budget = 5000, 370
-	build := func() *sim.Engine {
+	build := func(n int) *sim.Engine {
 		e := sim.NewEngine(21)
 		nodes := e.AddNodes(n)
 		overlay.InitStatic(e, 0, overlay.KRegularRandom(20))
@@ -51,14 +57,30 @@ func TestEngineScratchBytesPerNode(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	build().Close()
+	build(n).Close()
+	sim.EnableFreeListStats(true)
+	t.Cleanup(func() { sim.EnableFreeListStats(false) })
 	before := heap()
-	e := build()
+	e := build(n)
 	defer e.Close()
 	perNode := float64(heap()-before) / n
 	runtime.KeepAlive(e)
 	t.Logf("%.0f B of live heap per node", perNode)
 	if perNode > budget {
 		t.Fatalf("a warmed averaging network holds %.0f B of live heap per node, budget %d", perNode, budget)
+	}
+
+	var exchanges int64
+	for _, nd := range e.AllNodes() {
+		exchanges += nd.Protocol(1).(*gossip.Average).Exchanges
+	}
+	st := e.Stats()
+	gets := st.FreeListHits + st.FreeListMisses
+	t.Logf("%d exchanges drew %d payloads (%d allocated)", exchanges, gets, st.FreeListMisses)
+	if exchanges == 0 || float64(gets) > 1.05*float64(exchanges) {
+		t.Errorf("%d exchanges drew %d payloads from the free lists, want at most 1.05 per exchange", exchanges, gets)
+	}
+	if float64(st.FreeListMisses) > 1.05*n {
+		t.Errorf("%d nodes allocated %d payloads over 50 cycles, want at most 1.05 per node", n, st.FreeListMisses)
 	}
 }

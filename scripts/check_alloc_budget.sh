@@ -29,6 +29,8 @@ go test ./internal/overlay/ -run '^$' -bench 'BenchmarkNewscastCycle' \
     -benchtime 20x -benchmem | tee -a "$tmp"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkNewNetwork' \
     -benchtime 3x -benchmem | tee -a "$tmp"
+go test ./internal/core/ -run '^$' -bench 'BenchmarkSolverCycle' \
+    -benchtime 100x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
     NR == FNR {
