@@ -63,8 +63,9 @@ func TestNewNetworkAllocBudget(t *testing.T) {
 
 // BenchmarkNewNetwork builds the paper's stack at n = 10 000 per op: what
 // every repetition of a paper-size cell pays before its first cycle. The
-// initial swarms are one population, so their structs and state are two
-// allocations in all, not two per node (scripts/alloc_budget.txt).
+// initial swarms are one population, so their structs, state and RNG
+// streams are three allocations in all, not three per node
+// (scripts/alloc_budget.txt).
 func BenchmarkNewNetwork(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -267,9 +267,10 @@ type Network struct {
 // random live node (the "bootstrap service" of a real deployment).
 //
 // With no SolverFactory, the initial population's swarms are built as one
-// pso.NewSwarms batch, so a cycle's moves walk one particle-major slab;
-// joiners and factory-built solvers are built one per node. Either way a
-// node's solver draws from the stream it splits off the node's RNG.
+// pso.NewSwarms batch, so a cycle's moves walk one particle-major slab,
+// and their streams are one []rng.RNG; joiners and factory-built solvers
+// are built one per node. Either way a node's solver draws from the
+// stream it splits off the node's RNG.
 //
 // Each initial node's stack is built once; the churn factory is installed
 // only after the initial population is wired. Each initial node still
@@ -309,9 +310,10 @@ func NewNetwork(cfg Config) *Network {
 	// Topology service, then the optimizer + coordination service.
 	InitTopology(eng, SlotTopology, cfg.Topology, cfg.ViewSize)
 	if cfg.SolverFactory == nil {
-		rs := make([]*rng.RNG, len(nodes))
+		streams, rs := make([]rng.RNG, len(nodes)), make([]*rng.RNG, len(nodes))
 		for i, n := range nodes {
-			rs[i] = n.RNG.Split()
+			n.RNG.SplitInto(&streams[i])
+			rs[i] = &streams[i]
 		}
 		swarms := pso.NewSwarms(cfg.Function, cfg.Dim, cfg.Particles, cfg.PSO, rs)
 		for i, n := range nodes {

@@ -55,18 +55,21 @@ func BenchmarkNewscastCycle(b *testing.B) {
 
 // TestNewscastBytesPerNode gates resident memory (ROADMAP item 1): the live
 // heap a warmed n=5000, c=20 Newscast network adds, engine included, stays
-// under 650 B per node. What a node needs is two descriptor buffers of
+// under 600 B per node. What a node needs is two descriptor buffers of
 // exactly c — its view, and the one pooled buffer its exchange's request
 // carries out and, forwarded as the reply, carries home, 2 x 160 B of
 // 8-byte entries — plus its structs, the one 32-B payload header of its
-// exchange and its share of the engine's arena (a 40-B node) and scratch
-// (a 32-B slot per leg): 617 B measured. A second header per exchange, a
-// bare reply the buffer moved into, measured 659 B; 64-bit node IDs
-// (48-B nodes and slots) on top 707 B; a third buffer, one per leg,
-// 929-978 B; 16-byte descriptors 1536 B; and buffers that append grew by
-// doubling (items at capacity 32, payloads at 40) 2350 B.
+// exchange and its share of the engine's arena (a 40-B node and a
+// liveness bit) and scratch (one 32-B slot per exchange: the reply takes
+// its request's slot, so the reply round is built in place): 583 B
+// measured. The reply round in a buffer of its own, a 32-B slot per leg,
+// measured 617 B; a second header per exchange, a bare reply the buffer
+// moved into, on top 659 B; 64-bit node IDs (48-B nodes and slots) on top
+// 707 B; a third buffer, one per leg, 929-978 B; 16-byte descriptors
+// 1536 B; and buffers that append grew by doubling (items at capacity 32,
+// payloads at 40) 2350 B.
 func TestNewscastBytesPerNode(t *testing.T) {
-	const n, c, budget = 5000, 20, 650
+	const n, c, budget = 5000, 20, 600
 	if size := unsafe.Sizeof(entry{}); size != 8 {
 		t.Fatalf("a view entry is %d bytes, want 8", size)
 	}

@@ -36,6 +36,12 @@ func splitmix64(x *uint64) uint64 {
 // statistically independent streams.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from seed, as New does.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&sm)
@@ -45,7 +51,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -77,9 +82,16 @@ func (r *RNG) Uint64() uint64 {
 // with a distinguishing constant so parent and child sequences do not overlap
 // in practice.
 func (r *RNG) Split() *RNG {
-	seed := r.Uint64() ^ 0xd1b54a32d192ed03
-	return New(seed)
+	c := &RNG{}
+	r.SplitInto(c)
+	return c
 }
+
+// SplitInto is Split into a value the caller owns: r advances by the same
+// one output and dst becomes the stream Split would have returned, so a
+// population can hold its streams in one []RNG instead of one allocation
+// each.
+func (r *RNG) SplitInto(dst *RNG) { dst.seed(r.Uint64() ^ 0xd1b54a32d192ed03) }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 // Here and below, float64(...) around a product forces its rounding, so

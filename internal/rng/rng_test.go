@@ -71,6 +71,25 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit: SplitInto leaves the parent where Split
+// does and fills the value with the stream Split returns.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	pa, pb := New(12), New(12)
+	var streams [3]RNG
+	for i := range streams {
+		a := pa.Split()
+		pb.SplitInto(&streams[i])
+		for k := 0; k < 50; k++ {
+			if a.Uint64() != streams[i].Uint64() {
+				t.Fatalf("split %d: streams differ at draw %d", i, k)
+			}
+		}
+	}
+	if pa.Uint64() != pb.Uint64() {
+		t.Fatal("the parents are at different positions after the splits")
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -18,6 +18,10 @@ import "fmt"
 // which carries an 8-byte malloc header that pushes it up a size class
 // (256 or 512 nodes cost a large engine more heap per node, not less).
 // TestArenaChunkIsWholePages pins this.
+//
+// Beside the nodes the arena keeps one liveness bit per ID, written with
+// Node.Alive, so routing a message tests a bit instead of loading a node
+// from a random chunk.
 
 const (
 	arenaChunkShift = 10
@@ -30,7 +34,8 @@ const (
 // to, so a *Node stays valid for the arena's lifetime.
 type nodeArena struct {
 	chunks [][]Node
-	n      NodeID // next ID == number of nodes ever allocated
+	n      NodeID   // next ID == number of nodes ever allocated
+	live   []uint64 // bit id%64 of word id/64: node id is alive
 }
 
 // len returns the number of nodes ever allocated.
@@ -49,9 +54,28 @@ func (a *nodeArena) alloc() *Node {
 	if ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]Node, 0, arenaChunkSize))
 	}
+	if id%64 == 0 {
+		a.live = append(a.live, 0)
+	}
 	c := &a.chunks[ci]
 	*c = append(*c, Node{ID: id})
 	return &(*c)[len(*c)-1]
+}
+
+// setAlive sets n's liveness, in the node and in its bit.
+func (a *nodeArena) setAlive(n *Node, alive bool) {
+	n.Alive = alive
+	a.live[n.ID>>6] &^= 1 << (n.ID & 63)
+	if alive {
+		a.live[n.ID>>6] |= 1 << (n.ID & 63)
+	}
+}
+
+// alive reports whether the node with the given ID exists and is alive:
+// one bit test, false for IDs never issued and negative ones.
+func (a *nodeArena) alive(id NodeID) bool {
+	w := uint(id) >> 6
+	return w < uint(len(a.live)) && a.live[w]&(1<<(uint(id)&63)) != 0
 }
 
 // at returns the node with the given ID, or nil when no such node exists.

@@ -140,7 +140,7 @@ func (e *EventEngine) Dropped() int64 { return e.dropped }
 // AddNode creates a live node whose messages are processed by h.
 func (e *EventEngine) AddNode(h Handler) *Node {
 	n := e.arena.alloc()
-	n.Alive = true
+	e.arena.setAlive(n, true)
 	n.RNG = e.rng.Split()
 	e.handlers = append(e.handlers, h)
 	return n
@@ -154,7 +154,7 @@ func (e *EventEngine) Node(id NodeID) *Node { return e.arena.at(id) }
 // pending timers, so a later Revive must re-arm any periodic behaviour.
 func (e *EventEngine) Crash(id NodeID) {
 	if n := e.arena.at(id); n != nil {
-		n.Alive = false
+		e.arena.setAlive(n, false)
 	}
 }
 
@@ -163,7 +163,7 @@ func (e *EventEngine) Crash(id NodeID) {
 // ones with SendAfter.
 func (e *EventEngine) Revive(id NodeID) {
 	if n := e.arena.at(id); n != nil {
-		n.Alive = true
+		e.arena.setAlive(n, true)
 	}
 }
 

@@ -29,10 +29,11 @@ package sim
 //     contiguous spans of that order cut at node boundaries. A handler is
 //     node-local: Receive/Undelivered may touch only the handled node's
 //     state and post follow-up messages (replies) through the
-//     ApplyContext. Finally the follow-ups are ordered in place, in the
-//     buffer that becomes the next round, by the canonical index of the
-//     message that triggered them. Rounds repeat until no protocol posts a
-//     follow-up.
+//     ApplyContext. Finally the follow-ups become the next round, ordered
+//     by the canonical index of the message that triggered them — in the
+//     round's own buffer when each is a reply forwarded in its request
+//     (ax.Forward), which takes the request's slot. Rounds repeat until no
+//     protocol posts a follow-up.
 //
 // Determinism: because handlers are node-local, the only order a handler
 // can observe is the order of its own node's messages, which is the
@@ -71,8 +72,10 @@ type Message struct {
 	// posted it, then its final index in the next round (see applyRound);
 	// a leg a net-model delay held back carries redelivered instead, so its
 	// release is checked against liveness and the filter but never judged
-	// twice. Released legs join the canonical list, which ignores trigger.
-	// The four 32-bit fields pack ahead of Data: a Message is 32 bytes.
+	// twice, and a reply Forward wrote into its request's slot carries
+	// forwarded until the round ends. Released legs join the canonical
+	// list, which ignores trigger. The four 32-bit fields pack ahead of
+	// Data: a Message is 32 bytes.
 	trigger int32
 	// Data is the protocol-specific payload. Ownership transfers to the
 	// receiver: proposers must not retain or mutate it after Send. A
@@ -82,7 +85,11 @@ type Message struct {
 	Data any
 }
 
-const redelivered int32 = -1 // the trigger of a delayed leg (see Message)
+// The triggers that are not indices (see Message).
+const (
+	redelivered int32 = -1 // a delayed leg
+	forwarded   int32 = -2 // a reply in its request's slot, this round
+)
 
 // Proposer is the phase-1 contract of the two-phase exchange model.
 // Propose performs the node's local work for the cycle and posts exchange
@@ -168,11 +175,14 @@ type ApplyContext struct {
 	// follow-up carries it so the coordinator can place it where a
 	// sequential apply would have appended it.
 	trigger int32
-	// handled is the round slot of the message being handled (Forward).
-	handled *Message
-	outbox  []Message
-	evals   int64
-	cache   *PayloadCache
+	// handled is the round slot of the message being handled and first
+	// the outbox length when its handler began (Forward); forwards counts
+	// the replies written into handled slots this round.
+	handled         *Message
+	outbox          []Message
+	first, forwards int
+	evals           int64
+	cache           *PayloadCache
 }
 
 // reset readies the context for a new apply round of e, drawing payloads
@@ -182,7 +192,7 @@ func (ax *ApplyContext) reset(e *Engine, c *PayloadCache) {
 	ax.cycle = e.cycle
 	ax.cache = c
 	ax.outbox = ax.outbox[:0]
-	ax.evals = 0
+	ax.forwards, ax.evals = 0, 0
 }
 
 // Cycle returns the number of completed cycles, i.e. the logical timestamp
@@ -201,15 +211,50 @@ func (ax *ApplyContext) Send(to NodeID, slot int, data any) {
 
 // Forward is Send for the payload the handler received, or a pointer
 // conversion of it to a type of its shape: the reply travels in the
-// request. The engine drops the handled message's reference, so the
-// payload is still recycled exactly once, with the follow-up (from the
-// delay queue, if the net model holds it back). Call it at most once per
-// handler call; on an ApplyContext no engine handed out it is Send.
+// request, and takes the request's round slot unless the handler already
+// posted a follow-up (then the slot drops its reference and the reply
+// joins the outbox). Either way the payload is still recycled exactly
+// once, with the follow-up (from the delay queue, if the net model holds
+// it back). Call it at most once per handler call; on an ApplyContext no
+// engine handed out it is Send.
 func (ax *ApplyContext) Forward(to NodeID, slot int, data any) {
-	if ax.handled != nil {
-		ax.handled.Data = nil
+	if h := ax.handled; h != nil {
+		if len(ax.outbox) == ax.first {
+			*h = Message{From: ax.self, To: to, Slot: int32(slot), trigger: forwarded, Data: data}
+			ax.forwards++
+			return
+		}
+		h.Data = nil
 	}
 	ax.Send(to, slot, data)
+}
+
+// takeForwards moves the n replies Forward marked in round into the next
+// round. With no other follow-up posted (next is empty) the round is built
+// in place: the marked slots move to the front of round, in order, and
+// the finished legs they displace stay behind for releaseApplyScratch.
+// Otherwise they are appended to next, tagged with their slot index as
+// trigger, and their slots emptied.
+func takeForwards(round, next []Message, n int) []Message {
+	inPlace := len(next) == 0
+	for i, j := 0, 0; j < n && i < len(round); i++ {
+		if round[i].trigger != forwarded {
+			continue
+		}
+		if inPlace {
+			round[i].trigger = int32(j)
+			if i != j {
+				round[i], round[j] = round[j], round[i]
+			}
+			next = round[:j+1]
+		} else {
+			round[i].trigger = int32(i)
+			next = append(next, round[i])
+			round[i] = Message{}
+		}
+		j++
+	}
+	return next
 }
 
 // CountEvals adds k objective evaluations to the engine's global counter

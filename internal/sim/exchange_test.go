@@ -305,7 +305,7 @@ func TestFollowUpPlacement(t *testing.T) {
 		e.SetNodeFactory(func(nd *Node) { nd.Protocols = []Protocol{fanoutProto{nodes}} })
 		e.AddNodes(nodes)
 		e.Crash(dead)
-		next := e.applyRound(slices.Clone(round), make([]Message, 0, 4))
+		next, _ := e.applyRound(slices.Clone(round), make([]Message, 0, 4))
 		e.Close()
 		if len(next) != len(want) {
 			t.Fatalf("workers=%d: %d follow-ups, want %d", w, len(next), len(want))

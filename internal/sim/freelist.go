@@ -52,8 +52,10 @@ import (
 //     one. It copies instead, or forwards the payload itself (next rule).
 //   - A handler may send the payload it received, or a pointer conversion
 //     of it to a type of its shape, as its follow-up — through
-//     ApplyContext.Forward, never Send. Forward drops the handled message's
-//     reference, so the payload, slices and all, has one owner again: the
+//     ApplyContext.Forward, never Send. Forward writes the follow-up over
+//     the handled message's round slot (or, when the handler already
+//     posted a follow-up, drops that slot's reference and posts it to the
+//     outbox), so the payload, slices and all, has one owner again: the
 //     follow-up, which recycles it once, at cycle end or from the delay
 //     queue (Newscast's request leg overwrites its snapshot with the
 //     pre-merge view and forwards itself as the reply). Sent again with

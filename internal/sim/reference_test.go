@@ -20,7 +20,8 @@ import (
 // A payload forwarded as a follow-up takes the follow-up's id.
 // Recycle logs the id in the owning world before returning the struct to a
 // free list, which makes the order of end-of-cycle recycling (the
-// canonical list, then every follow-up list, in list order) observable.
+// canonical list, then every follow-up list built apart, each in slot
+// order) observable.
 type refPayload struct {
 	id    string
 	hops  int
@@ -53,14 +54,18 @@ type refCall struct {
 
 // refProto logs every handler call and posts 0, 1 or 3 follow-ups from
 // Receive and 0 or 1 from Undelivered, all derived from the payload id so
-// both worlds make the same choices without sharing a random stream. Half
-// the time the first follow-up is the received payload itself, forwarded
-// (ApplyContext.Forward); its old id is then never recycled.
+// both worlds make the same choices without sharing a random stream. In
+// two cycles of three, a third of the handlers forward the received
+// payload (ApplyContext.Forward) as their first follow-up and a third as
+// their last, after Sends; its old id is then never recycled. In every
+// third cycle a handler posts nothing or forwards, so each round of it is
+// forward-only and built in place.
 type refProto struct {
 	world     *refWorld
 	calls     []refCall
 	created   []string
 	forwarded []string
+	lateFwds  int // Forwards after a Send of the same handler call
 }
 
 func refHash(id string, salt byte) uint64 {
@@ -114,11 +119,24 @@ func (p *refProto) handle(ax *ApplyContext, msg Message, deliver bool) {
 			if !deliver {
 				call.posted = int(refHash(pl.id, 4) % 2)
 			}
+			fwd := -1
+			switch refHash(pl.id, 5) % 3 {
+			case 0:
+				fwd = 0
+			case 1:
+				fwd = call.posted - 1
+			}
+			if ax.Cycle()%3 == 2 {
+				call.posted, fwd = min(1, int(refHash(pl.id, 4)%4)), 0
+			}
 			base, hops := pl.id, pl.hops-1
 			for k := 0; k < call.posted; k++ {
 				id := fmt.Sprintf("%s/%d", base, k)
 				to, slot := p.address(id)
-				if k == 0 && refHash(base, 5)%2 == 0 {
+				if k == fwd {
+					if k > 0 {
+						p.lateFwds++
+					}
 					p.forwarded = append(p.forwarded, base)
 					p.created = append(p.created, id)
 					pl.id, pl.hops = id, hops
@@ -137,7 +155,11 @@ func (p *refProto) Receive(n *Node, ax *ApplyContext, msg Message) { p.handle(ax
 func (p *refProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.handle(ax, msg, false) }
 
 // refEngine is the sequential reference: the engine's cycle with no
-// sorting, sharding, batching or scratch reuse.
+// sorting, sharding, batching or scratch reuse. It keeps the engine's one
+// buffer rule literally, because that rule decides which list recycles a
+// payload: a reply Forward wrote into its request's slot stays there, and
+// a round whose handlers posted nothing else is built in place by moving
+// the marked slots to its front, one swap each.
 type refEngine struct {
 	world       *refWorld
 	nodes       []*Node
@@ -148,7 +170,7 @@ type refEngine struct {
 	cycle       int64
 
 	delivered, dropped, delayed, corrupted, jobs int64
-	maxDepth                                     int
+	maxDepth, inPlace, apart                     int
 }
 
 func (r *refEngine) addNode() {
@@ -220,9 +242,10 @@ func (r *refEngine) runCycle() {
 	r.delayQ = held
 	r.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 
-	lists := [][]Message{msgs}
-	for round := msgs; len(round) > 0; {
-		var next []Message
+	lists, depth := [][]Message{msgs}, 0
+	for round := msgs; len(round) > 0; depth++ {
+		posts := make([][]Message, len(round))
+		posted := false
 		for i := range round {
 			n, m, deliver := r.route(&round[i])
 			if n == nil {
@@ -234,12 +257,38 @@ func (r *refEngine) runCycle() {
 			}
 			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: int32(i), handled: &round[i]}
 			n.Protocols[m.Slot].(*refProto).handle(ax, m, deliver)
-			next = append(next, ax.outbox...)
+			posts[i] = ax.outbox
+			posted = posted || len(ax.outbox) > 0
 		}
-		lists = append(lists, next)
+		var next []Message
+		if !posted {
+			for i := range round {
+				if round[i].trigger == forwarded {
+					j := len(next)
+					round[i].trigger = int32(j)
+					round[i], round[j] = round[j], round[i]
+					next = round[:j+1]
+				}
+			}
+			if len(next) > 0 {
+				r.inPlace++
+			}
+		} else {
+			for i := range round {
+				if round[i].trigger == forwarded {
+					m := round[i]
+					m.trigger = int32(i)
+					next = append(next, m)
+					round[i] = Message{}
+				}
+				next = append(next, posts[i]...)
+			}
+			lists = append(lists, next)
+			r.apart++
+		}
 		round = next
 	}
-	r.maxDepth = max(r.maxDepth, len(lists)-1)
+	r.maxDepth = max(r.maxDepth, depth)
 	for _, l := range lists {
 		for i := range l {
 			recyclePayload(&l[i], nil)
@@ -320,15 +369,17 @@ func runEngine(workers, applyWorkers int) (*Engine, *refWorld) {
 // combination of {1,2,8}², and compares: each node's handler-call log
 // (cycle, trigger index, payload identity, deliver or undelivered, number
 // of follow-ups posted); the recycle log, which lists the payloads of the
-// canonical list and of every follow-up list in list order (together with
-// the trigger indices and posted counts of the call logs, that pins every
-// next-round list and its boundaries); the routing counters; and the
-// position of the net-model stream. The engine runs under the free-list
-// double-release detector, and the recycle log is checked to hold every
-// created payload not still in the delay queue exactly once — the
-// original of a corrupted leg, the payload of a delayed one and a payload
-// forwarded under its new id included — and a forwarded payload's old id
-// never.
+// canonical list and of every follow-up list built apart, in list order
+// (together with the trigger indices and posted counts of the call logs,
+// that pins every next-round list and its boundaries); the routing
+// counters; and the position of the net-model stream. The scenario must
+// exercise both ways a round is built: in place (forward-only cycles) and
+// apart, with Forwards both before and after a Send of the same handler
+// call. The engine runs under the free-list double-release detector, and
+// the recycle log is checked to hold every created payload not still in
+// the delay queue exactly once — the original of a corrupted leg, the
+// payload of a delayed one and a payload forwarded under its new id
+// included — and a forwarded payload's old id never.
 func TestApplyMatchesSequentialReference(t *testing.T) {
 	EnableFreeListDebug(true)
 	defer EnableFreeListDebug(false)
@@ -341,17 +392,22 @@ func TestApplyMatchesSequentialReference(t *testing.T) {
 		t.Fatalf("scenario lost its teeth: delivered=%d dropped=%d delayed=%d corrupted=%d jobs=%d",
 			ref.delivered, ref.dropped, ref.delayed, ref.corrupted, ref.jobs)
 	}
-	posted, forwards := map[int]bool{}, 0
+	posted, forwards, late := map[int]bool{}, 0, 0
 	for _, p := range ref.world.protos {
 		for _, c := range p.calls {
 			posted[c.posted] = true
 		}
 		forwards += len(p.forwarded)
+		late += p.lateFwds
 	}
-	if !posted[0] || !posted[1] || !posted[3] || forwards == 0 {
-		t.Fatalf("handlers posted follow-up counts %v and forwarded %d payloads, want 0, 1 and 3 all present and some forwarded",
-			posted, forwards)
+	if !posted[0] || !posted[1] || !posted[3] || forwards == late || late == 0 {
+		t.Fatalf("handlers posted follow-up counts %v and forwarded %d payloads, %d after a Send; want 0, 1 and 3 all present and forwards both first and after a Send",
+			posted, forwards, late)
 	}
+	if ref.inPlace < refCycles || ref.apart < refCycles {
+		t.Fatalf("%d rounds built in place and %d apart, want at least %d of each", ref.inPlace, ref.apart, refCycles)
+	}
+	t.Logf("%d rounds built in place, %d apart; %d forwards, %d after a Send", ref.inPlace, ref.apart, forwards, late)
 	refDraw := ref.netRNG.Uint64()
 
 	for _, w := range []int{1, 2, 8} {

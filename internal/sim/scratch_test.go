@@ -15,29 +15,33 @@ import (
 // static overlay, where a node is its structs (a 40-B arena node among
 // them), its 20 neighbour IDs (80 B of 4-byte sim.NodeIDs in a slab the
 // network shares, plus a 24-B Static header in a second one) and its share
-// of the engine's buffers. Per message of a round the engine holds one
-// 32-B slot — worker 0's propose outbox is the canonical list, and each
-// round's follow-ups are posted into and ordered in the next round's
-// buffer — plus the propose outbox of each worker other than worker 0,
-// plus 12 B of routing key, job order and per-node counter, all sized once
-// to the need: 352 B per node measured here. 64-bit IDs (a 48-B slot and
-// a 48-B node) measured 399 B; links held as a separate 160-B slice of
-// 8-byte IDs and a Static apiece 479 B; a second copy of each message (a
-// canonical list apart from the outboxes, or follow-up outboxes scattered
-// into a separate round buffer) 598-628 B with those links.
+// of the engine's buffers. The engine holds one 32-B slot per exchange,
+// not one per leg: worker 0's propose outbox is the canonical list, and
+// the settle leg Forward sends takes its request's slot there, so the
+// settle round is built in place and needs no buffer of its own. Add the
+// propose outbox of each worker other than worker 0, 12 B of routing key,
+// job order and per-node counter, all sized once to the need, and one
+// liveness bit: 318 B per node measured here. The settle round in a
+// buffer of its own, as before replies took their requests' slots,
+// measured 352 B; 64-bit IDs (a 48-B slot and a 48-B node) on top 399 B;
+// links held as a separate 160-B slice of 8-byte IDs and a Static apiece
+// 479 B; a second copy of each message (a canonical list apart from the
+// outboxes, or follow-up outboxes scattered into a separate round buffer)
+// 598-628 B with those links.
 //
 // A first network is run and dropped before the measured one so that the
 // process-wide payload free lists are full either way, whatever ran
 // earlier in the test binary: the payloads — one 8-B header per exchange,
 // the request forwarded as its settle leg, where there were two — are
 // the first network's, and not in the figure. Bytes could not tell one
-// header per exchange from two in any case (352 B/node either way), so
-// the payloads are gated by count, with the free-list statistics on: the
-// measured network draws at most 1.05 payloads per exchange from the
-// lists, and allocates at most 1.05 per node over its 50 cycles. Both
-// counts are the engine's own, so neither depends on what the lists held.
+// header per exchange from two in any case (2 B/node apart when last
+// measured), so the payloads are gated by count, with the free-list
+// statistics on: the measured network draws at most 1.05 payloads per
+// exchange from the lists, and allocates at most 1.05 per node over its 50
+// cycles. Both counts are the engine's own, so neither depends on what the
+// lists held.
 func TestEngineScratchBytesPerNode(t *testing.T) {
-	const n, budget = 5000, 370
+	const n, budget = 5000, 335
 	build := func(n int) *sim.Engine {
 		e := sim.NewEngine(21)
 		nodes := e.AddNodes(n)

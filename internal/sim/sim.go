@@ -139,10 +139,10 @@ type Engine struct {
 	// phases never overlap — and the coordinator's, caches[0], also takes
 	// the end-of-cycle release. flushCaches empties them at every barrier.
 	caches []PayloadCache
-	// rounds keeps one buffer per apply round: rounds[d] is worker 0's
-	// follow-up outbox in round d, then round d+1. All are retained until
-	// releaseApplyScratch, so each payload, in the canonical list or in one
-	// round buffer, is recycled exactly once.
+	// rounds keeps a buffer per apply round that posted follow-ups (see
+	// deliver): worker 0's outbox, then the next round. All are retained
+	// until releaseApplyScratch, so each payload, in the canonical list or
+	// in one round buffer, is recycled exactly once.
 	rounds [][]Message
 
 	// Apply-round scratch (see applyRound), all index-only: jobKeys holds
@@ -314,7 +314,7 @@ func (e *Engine) AddNode() *Node {
 	if e.makeNode != nil {
 		e.makeNode(n)
 	}
-	n.Alive = true
+	e.arena.setAlive(n, true)
 	e.live++
 	if !e.liveDirty {
 		// New IDs are strictly increasing, so appending keeps the live
@@ -342,7 +342,7 @@ func (e *Engine) Node(id NodeID) *Node { return e.arena.at(id) }
 // can be modelled by the caller if desired.
 func (e *Engine) Crash(id NodeID) {
 	if n := e.arena.at(id); n != nil && n.Alive {
-		n.Alive = false
+		e.arena.setAlive(n, false)
 		e.live--
 		e.liveDirty = true
 	}
@@ -351,7 +351,7 @@ func (e *Engine) Crash(id NodeID) {
 // Revive marks a crashed node as live again.
 func (e *Engine) Revive(id NodeID) {
 	if n := e.arena.at(id); n != nil && !n.Alive {
-		n.Alive = true
+		e.arena.setAlive(n, true)
 		e.live++
 		e.liveDirty = true
 	}
@@ -538,9 +538,9 @@ func (e *Engine) RunCycle() {
 	// canonical list: append the other outboxes onto it, shuffle it into
 	// the cycle's canonical delivery order with the engine RNG, then
 	// deliver in rounds (see applyRound) until no handler posts a
-	// follow-up. Every round's buffer is retained so payload references
-	// die — and recyclable payloads return to their free lists — in one
-	// place, releaseApplyScratch, once the rounds are done.
+	// follow-up. Every buffer a round is built in is retained so payload
+	// references die — and recyclable payloads return to their free lists —
+	// in one place, releaseApplyScratch, once the rounds are done.
 	msgs := outs[0].msgs
 	for w := 1; w < len(outs); w++ {
 		msgs = append(msgs, outs[w].msgs...)
@@ -563,9 +563,11 @@ func (e *Engine) RunCycle() {
 		e.delayQ = q
 	}
 	outs[0].msgs = msgs
-	e.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
-	depth := e.deliver(msgs)
-	e.releaseApplyScratch(outs, depth)
+	for i := len(msgs) - 1; i > 0; i-- { // rng.Shuffle's draws, no closure
+		j := e.rng.Intn(i + 1)
+		msgs[i], msgs[j] = msgs[j], msgs[i]
+	}
+	e.releaseApplyScratch(outs, e.deliver(msgs))
 	//simcheck:allow determinism phase timing feeds Stats only, never the trace
 	e.applyNanos += time.Since(phaseStart).Nanoseconds()
 
@@ -574,19 +576,21 @@ func (e *Engine) RunCycle() {
 }
 
 // deliver runs the apply rounds of one cycle: the canonical list first,
-// then each round's follow-ups, until no handler posts any. Round d's
-// follow-ups are built in rounds[d], which therefore owns their payloads
-// until releaseApplyScratch; the return value is the number of rounds run.
-func (e *Engine) deliver(msgs []Message) int {
-	depth := 0
-	for round := msgs; len(round) > 0; depth++ {
-		if depth == len(e.rounds) {
+// then each round's follow-ups, until no handler posts any. A round built
+// in place stays in the buffer of the round before; the k-th round built
+// apart is built in rounds[k], which therefore owns its payloads until
+// releaseApplyScratch. The return value is the number of such buffers.
+func (e *Engine) deliver(msgs []Message) (kept int) {
+	for round, apart := msgs, false; len(round) > 0; {
+		if kept == len(e.rounds) {
 			e.rounds = append(e.rounds, nil)
 		}
-		round = e.applyRound(round, e.rounds[depth])
-		e.rounds[depth] = round
+		if round, apart = e.applyRound(round, e.rounds[kept]); apart {
+			e.rounds[kept] = round
+			kept++
+		}
 	}
-	return depth
+	return kept
 }
 
 // A routing key is all the coordinator records about one message of a
@@ -621,8 +625,7 @@ const (
 // copy. The one exception is a delayed leg: its payload moves to the delay
 // queue and the slot is nilled so this cycle's recycling skips it.
 func (e *Engine) route(m *Message) int32 {
-	dst := e.arena.at(m.To)
-	if dst == nil || !dst.Alive || e.filter.blocked(m.From, m.To) {
+	if !e.arena.alive(m.To) || e.filter.blocked(m.From, m.To) {
 		e.dropped++
 		return e.senderKey(m.From)
 	}
@@ -670,8 +673,9 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // applyRound delivers one non-empty round of messages and returns the
-// follow-ups its handlers posted, in next's storage (regrown as needed) in
-// (trigger index, emission) order. One path serves every worker count:
+// follow-ups its handlers posted, in (trigger index, emission) order, and
+// whether they were built apart, in next's storage (regrown as needed),
+// rather than in place, in round's. One path serves every worker count:
 //
 //  1. Classify in canonical order. The coordinator routes every message
 //     (see route) — liveness, the delivery filter, the net model's draws,
@@ -687,15 +691,18 @@ func sized[T any](buf []T, n int) []T {
 //     chasing the canonical shuffle through the heap. Workers take
 //     contiguous spans of the job order (see cutSpans), so one node's
 //     messages also land on one worker whatever the worker count.
-//  3. Order the follow-ups by trigger, in place. Worker 0 posts into
-//     next, the other outboxes are appended after it, and a handler's
-//     follow-ups sit contiguously, in emission order, tagged with the
-//     canonical index of their trigger, unique per routed message. A count
-//     per trigger and a prefix sum turn each tag into the final index a
-//     stable sort of the buffer by trigger would give, and cycle-following
-//     swaps move each follow-up there, one swap settling one: O(messages)
-//     time and no second buffer.
-func (e *Engine) applyRound(round, next []Message) []Message {
+//  3. Order the follow-ups by trigger. A reply Forward wrote into its
+//     request's slot is marked there. If no handler posted any other
+//     follow-up, the marked slots move to the front of round, in order —
+//     slot index is trigger — and the finished legs they displace stay
+//     behind until releaseApplyScratch. Otherwise worker 0 posts into
+//     next, the other outboxes and then the marked slots are appended, and
+//     a handler's follow-ups sit contiguously, in emission order, tagged
+//     with the canonical index of their trigger. A count per trigger and a
+//     prefix sum turn each tag into the final index a stable sort by
+//     trigger, marked slot first, would give, and cycle-following swaps
+//     move each follow-up there, one swap settling one: O(messages) time.
+func (e *Engine) applyRound(round, next []Message) ([]Message, bool) {
 	workers := min(e.ApplyWorkers(), len(round))
 	if cap(e.applyCtxs) < workers {
 		e.applyCtxs = make([]ApplyContext, workers)
@@ -750,12 +757,15 @@ func (e *Engine) applyRound(round, next []Message) []Message {
 	e.flushCaches()
 
 	next, ctxs[0].outbox = ctxs[0].outbox, nil
+	forwards := 0
 	for w := range ctxs {
 		e.evals += ctxs[w].evals
+		forwards += ctxs[w].forwards
 		next = append(next, ctxs[w].outbox...)
 	}
-	if len(next) == 0 {
-		return next
+	posted := len(next)
+	if next = takeForwards(round, next, forwards); posted == 0 {
+		return next, false
 	}
 	// Dispatch is done with the routing keys; the array becomes the
 	// per-trigger cursor that turns each tag into a final index.
@@ -769,17 +779,19 @@ func (e *Engine) applyRound(round, next []Message) []Message {
 		pos[t] = off
 		off += c
 	}
-	for i := range next {
-		t := next[i].trigger
-		next[i].trigger = pos[t]
-		pos[t]++
+	for _, part := range [2][]Message{next[posted:], next[:posted]} {
+		for i := range part {
+			t := part[i].trigger
+			part[i].trigger = pos[t]
+			pos[t]++
+		}
 	}
 	for i := range next {
 		for j := next[i].trigger; j != int32(i); j = next[i].trigger {
 			next[i], next[j] = next[j], next[i]
 		}
 	}
-	return next
+	return next, true
 }
 
 // cutSpans divides the sorted job order among the workers: spans[w] to
@@ -831,7 +843,7 @@ func (e *Engine) applySpan(w int) {
 		if uint(m.Slot) >= uint(len(n.Protocols)) {
 			continue
 		}
-		ax.self, ax.trigger, ax.handled = n.ID, i, &round[i]
+		ax.self, ax.trigger, ax.handled, ax.first = n.ID, i, &round[i], len(ax.outbox)
 		if k&keyDeliver != 0 {
 			if r, ok := n.Protocols[m.Slot].(Receiver); ok {
 				r.Receive(n, ax, m)
@@ -866,11 +878,12 @@ func (e *Engine) flushCaches() {
 
 // releaseApplyScratch is the one place a cycle's payload references die.
 // First every payload the cycle sent is offered back to its free list —
-// each message lives in exactly one of the canonical list (outs[0]) or one
-// round buffer, so Recycle runs exactly once per payload. Then every
-// payload-carrying scratch buffer — the propose outboxes and the round
-// buffers, with the other apply workers' outboxes — is cleared over its
-// full capacity extent; otherwise stale entries beyond the next cycle's
+// each message lives in exactly one of the canonical list (outs[0]) or the
+// first depth round buffers (rounds built in place live in the buffer of
+// the round before), so Recycle runs exactly once per payload. Then every
+// payload-carrying scratch buffer the cycle wrote — the propose outboxes,
+// those round buffers and the other apply workers' outboxes — is cleared
+// over its full capacity; otherwise stale entries beyond the next cycle's
 // high-water mark would pin delivered payloads for the engine's lifetime.
 // The routing keys, the job order, the per-node counters and the spans
 // hold only indices, pin nothing, and are deliberately not cleared — at
@@ -899,8 +912,8 @@ func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 		out := e.applyCtxs[w].outbox
 		clear(out[:cap(out)])
 	}
-	for d := range e.rounds {
-		clear(e.rounds[d][:cap(e.rounds[d])])
+	for _, buf := range e.rounds[:depth] {
+		clear(buf[:cap(buf)])
 	}
 }
 

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"gossipopt/internal/rng"
 )
 
 // countingProto records how many times each node was stepped.
@@ -73,6 +76,69 @@ func TestLiveCountAndSize(t *testing.T) {
 	}
 	if e.Size() != 8 {
 		t.Fatalf("size=%d after crashes", e.Size())
+	}
+}
+
+// TestLivenessIndexInvariant runs a churn script — crashes, revives and
+// joins that carry the arena across a chunk boundary, each also aimed at
+// IDs never issued and negative ones, with cycles in between — and checks
+// after every step that the three records of liveness agree: the arena's
+// bits, Node.Alive and the live index (with LiveCount), and that route
+// delivers to exactly the IDs the arena rule calls alive (a node exists
+// and is Alive) and bounces everything else.
+func TestLivenessIndexInvariant(t *testing.T) {
+	e, _ := newCountingEngine(30, arenaChunkSize-40)
+	defer e.Close()
+	r := rng.New(31)
+	check := func(step int, op string) {
+		t.Helper()
+		e.ensureLive()
+		var want []NodeID
+		for id := NodeID(-3); id < NodeID(e.Size()+70); id++ {
+			n := e.Node(id)
+			alive := n != nil && n.Alive
+			if alive {
+				want = append(want, id)
+			}
+			if e.arena.alive(id) != alive {
+				t.Fatalf("step %d (%s): node %d has liveness bit %v, arena rule says %v", step, op, id, !alive, alive)
+			}
+			m := Message{From: 0, To: id}
+			if delivered := e.route(&m)&keyDeliver != 0; delivered != alive {
+				t.Fatalf("step %d (%s): route delivers to node %d: %v, arena rule says %v", step, op, id, delivered, alive)
+			}
+		}
+		got := make([]NodeID, len(e.liveIdx))
+		for i, n := range e.liveIdx {
+			got[i] = n.ID
+		}
+		if !slices.Equal(got, want) || e.LiveCount() != len(want) {
+			t.Fatalf("step %d (%s): live index %d nodes, LiveCount %d, %d alive by the arena rule",
+				step, op, len(got), e.LiveCount(), len(want))
+		}
+	}
+	target := func() NodeID { return NodeID(r.Intn(e.Size()+6) - 3) }
+	check(0, "build")
+	for step := 1; step <= 400; step++ {
+		var op string
+		switch k := r.Intn(10); {
+		case k < 4:
+			op = "crash"
+			e.Crash(target())
+		case k < 7:
+			op = "revive"
+			e.Revive(target())
+		case k < 9:
+			op = "join"
+			e.AddNode()
+		default:
+			op = "cycle"
+			e.RunCycle()
+		}
+		check(step, op)
+	}
+	if e.Size() <= arenaChunkSize || e.LiveCount() == e.Size() || e.LiveCount() == 0 {
+		t.Fatalf("script ended with %d nodes, %d live: want past one chunk, some dead, some alive", e.Size(), e.LiveCount())
 	}
 }
 

@@ -31,6 +31,8 @@ go test ./internal/core/ -run '^$' -bench 'BenchmarkNewNetwork' \
     -benchtime 3x -benchmem | tee -a "$tmp"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkSolverCycle' \
     -benchtime 100x -benchmem | tee -a "$tmp"
+go test ./internal/gossip/ -run '^$' -bench 'BenchmarkAverageCycle' \
+    -benchtime 100x -benchmem | tee -a "$tmp"
 
 awk -v nodes="$NODES" '
     NR == FNR {
