@@ -148,18 +148,14 @@ func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {
 			return
 		}
 		if peer, ok := a.view.SampleID(n.RNG); ok {
-			view := append(a.view.Descriptors(),
-				overlay.Descriptor{ID: a.id, Stamp: stamp(e)})
-			e.Send(a.id, peer, viewPush{From: a.id, View: view})
+			e.Send(a.id, peer, viewPush{From: a.id, View: a.viewMessage(e)})
 		}
 		e.SendAfter(a.net.cfg.NewscastPeriod, a.id, newscastTick{gen: a.gen})
 
 	case viewPush:
 		// Reply with our own view before merging theirs (symmetric
 		// exchange over two messages).
-		mine := append(a.view.Descriptors(),
-			overlay.Descriptor{ID: a.id, Stamp: stamp(e)})
-		e.Send(a.id, m.From, viewReply{View: mine})
+		e.Send(a.id, m.From, viewReply{View: a.viewMessage(e)})
 		a.view.Merge(a.id, m.View)
 
 	case viewReply:
@@ -178,6 +174,13 @@ func (a *asyncNode) Deliver(n *sim.Node, msg any, e *sim.EventEngine) {
 			a.Adoptions++
 		}
 	}
+}
+
+// viewMessage is the view a Newscast leg carries: a's view plus a fresh
+// descriptor of a itself, built in one allocation at its final size.
+func (a *asyncNode) viewMessage(e *sim.EventEngine) []overlay.Descriptor {
+	buf := make([]overlay.Descriptor, 0, a.view.Len()+1)
+	return append(a.view.AppendDescriptors(buf), overlay.Descriptor{ID: a.id, Stamp: stamp(e)})
 }
 
 func (a *asyncNode) gossipBest(n *sim.Node, e *sim.EventEngine) {

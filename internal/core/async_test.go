@@ -158,3 +158,25 @@ func TestAsyncDefaults(t *testing.T) {
 		t.Fatal("link/function defaults missing")
 	}
 }
+
+// BenchmarkAsyncRun times one simulated time unit of the repository
+// benchmark's event-wan shape: n = 2000 swarms of k = 16 on Rastrigin,
+// gossiping every r = 16 evaluations, Newscast c = 20, over a WAN link of
+// 0.5–2.0 latency and 5% loss. It is the event engine's rung: the queue,
+// the Deliver handlers and the messages they build. Evaluations per second
+// are reported as node-cycles/s, as the benchmark counts them. The network
+// is warmed 20 time units first, as event-wan is.
+func BenchmarkAsyncRun(b *testing.B) {
+	net := NewAsyncNetwork(AsyncConfig{Nodes: 2000, Particles: 16, GossipEvery: 16,
+		ViewSize: 20, Function: funcs.Rastrigin, Seed: 1,
+		Link: sim.UniformLink{MinDelay: 0.5, MaxDelay: 2.0, LossProb: 0.05}})
+	net.RunFor(20, math.MaxInt64)
+	evals := net.TotalEvals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.RunFor(1, math.MaxInt64)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(net.TotalEvals()-evals)/b.Elapsed().Seconds(), "node-cycles/s")
+}

@@ -87,11 +87,16 @@ func (v *View) IDs() []sim.NodeID {
 
 // Descriptors returns a copy of the view contents, freshest first.
 func (v *View) Descriptors() []Descriptor {
-	out := make([]Descriptor, len(v.items))
-	for i, e := range v.items {
-		out[i] = e.descriptor()
+	return v.AppendDescriptors(make([]Descriptor, 0, len(v.items)))
+}
+
+// AppendDescriptors appends the view contents, freshest first, to dst and
+// returns the extended slice.
+func (v *View) AppendDescriptors(dst []Descriptor) []Descriptor {
+	for _, e := range v.items {
+		dst = append(dst, e.descriptor())
 	}
-	return out
+	return dst
 }
 
 // sized returns buf emptied, or, when buf cannot hold n entries (it is nil,

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-
-	"gossipopt/internal/rng"
-)
+import "gossipopt/internal/rng"
 
 // The event-driven engine complements the cycle-driven one for experiments
 // where message latency and loss matter. Protocols for this engine implement
@@ -26,37 +22,58 @@ type event struct {
 	msg  any
 }
 
-// eventHeap is the engine's priority queue, ordered by delivery time
-// with the insertion sequence number as the deterministic tie-breaker.
+// eventHeap is the engine's priority queue: a binary min-heap on
+// (at, seq), delivery time first and the insertion sequence number as the
+// deterministic tie-breaker. seq is unique, so the order is strict and
+// total: any correct heap pops the same sequence.
 type eventHeap []event
 
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earlier delivery first, insertion
-// order breaking ties.
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a is delivered ahead of b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Swap implements heap.Interface.
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// Peek returns the next event without removing it.
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
+// push adds ev and sifts it up from the tail.
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[0], true
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+// The last event moves to the root and sifts down, and the vacated tail
+// slot is cleared so the backing array does not pin a delivered payload.
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // LinkModel decides per-message latency and loss.
@@ -222,7 +239,7 @@ func (e *EventEngine) SendAfter(delay float64, dst NodeID, msg any) {
 
 func (e *EventEngine) push(at float64, src, dst NodeID, msg any) {
 	e.seq++
-	heap.Push(&e.queue, event{at: at, seq: e.seq, from: src, to: dst, msg: msg})
+	e.queue.push(event{at: at, seq: e.seq, from: src, to: dst, msg: msg})
 }
 
 // Step delivers the next event. It reports false when the queue is empty.
@@ -230,7 +247,7 @@ func (e *EventEngine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(event)
+	ev := e.queue.pop()
 	e.now = ev.at
 	n := e.arena.at(ev.to)
 	if n == nil || !n.Alive || e.filter.blocked(ev.from, ev.to) {
@@ -249,14 +266,8 @@ func (e *EventEngine) Step() bool {
 // processed.
 func (e *EventEngine) RunUntil(horizon float64, maxEvents int64) int64 {
 	var count int64
-	for count < maxEvents {
-		ev, ok := e.queue.Peek()
-		if !ok || ev.at > horizon {
-			return count
-		}
-		if !e.Step() {
-			return count
-		}
+	for count < maxEvents && len(e.queue) > 0 && e.queue[0].at <= horizon {
+		e.Step()
 		count++
 	}
 	return count

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
+
+	"gossipopt/internal/rng"
 )
 
 // echoHandler counts deliveries and optionally forwards each message once.
@@ -182,5 +186,67 @@ func TestEventLiveNodes(t *testing.T) {
 	}
 	if e.Node(99) != nil {
 		t.Fatal("unknown node not nil")
+	}
+}
+
+// TestEventHeapMatchesSort interleaves random pushes and pops on the
+// queue, with delivery times drawn from four values so that most
+// comparisons tie on at, and checks every pop against the pending events
+// kept sorted by (at, seq). After every pop each slot between the queue's
+// length and its capacity must be zero: a vacated slot pins no payload.
+func TestEventHeapMatchesSort(t *testing.T) {
+	byTimeSeq := func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	}
+	r := rng.New(11)
+	var q eventHeap
+	var pending []event
+	var seq uint64
+	popped := 0
+	for step := 0; step < 20_000; step++ {
+		if len(pending) == 0 || r.Intn(5) < 3 {
+			seq++
+			ev := event{at: float64(r.Intn(4)), seq: seq, msg: seq}
+			q.push(ev)
+			i, _ := slices.BinarySearchFunc(pending, ev, byTimeSeq)
+			pending = slices.Insert(pending, i, ev)
+			continue
+		}
+		got, want := q.pop(), pending[0]
+		pending = pending[1:]
+		popped++
+		if got != want {
+			t.Fatalf("pop %d: got (at %v, seq %d), want (at %v, seq %d)", popped, got.at, got.seq, want.at, want.seq)
+		}
+		if len(q) != len(pending) {
+			t.Fatalf("pop %d: queue holds %d events, want %d", popped, len(q), len(pending))
+		}
+		for i, ev := range q[len(q):cap(q)] {
+			if ev != (event{}) {
+				t.Fatalf("pop %d: vacated slot %d holds %+v", popped, len(q)+i, ev)
+			}
+		}
+	}
+	if popped < 5_000 {
+		t.Fatalf("only %d pops exercised", popped)
+	}
+}
+
+// TestEventHeapPushPopZeroAllocs pins that a warmed queue neither boxes
+// nor grows: one push and one pop allocate nothing.
+func TestEventHeapPushPopZeroAllocs(t *testing.T) {
+	var msg any = "payload"
+	var q eventHeap
+	var seq uint64
+	for ; seq < 64; seq++ {
+		q.push(event{at: float64(seq % 7), seq: seq, msg: msg})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		q.push(event{at: float64(seq % 7), seq: seq, msg: msg})
+		q.pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed push+pop allocates %v times, want 0", allocs)
 	}
 }

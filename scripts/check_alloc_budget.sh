@@ -29,7 +29,7 @@ go test ./internal/overlay/ -run '^$' -bench 'BenchmarkNewscastCycle' \
     -benchtime 20x -benchmem | tee -a "$tmp"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkNewNetwork' \
     -benchtime 3x -benchmem | tee -a "$tmp"
-go test ./internal/core/ -run '^$' -bench 'BenchmarkSolverCycle' \
+go test ./internal/core/ -run '^$' -bench 'BenchmarkSolverCycle|BenchmarkAsyncRun' \
     -benchtime 100x -benchmem | tee -a "$tmp"
 go test ./internal/gossip/ -run '^$' -bench 'BenchmarkAverageCycle' \
     -benchtime 100x -benchmem | tee -a "$tmp"
