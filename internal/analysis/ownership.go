@@ -7,9 +7,9 @@ import (
 )
 
 // Payload ownership: ownership of a payload transfers to the receiver on
-// Send — Proposals.Send in the propose phase, ApplyContext.Send or Forward
-// for reply legs — and the engine recycles every recyclable payload
-// exactly once at cycle end. The three ways to break that silently:
+// Send — Proposals.Send in the propose phase, ApplyContext.Forward for
+// reply legs — and the engine recycles every recyclable payload exactly
+// once at cycle end. The three ways to break that silently:
 //
 //   - use-after-send: the sender keeps reading (or worse, mutating) the
 //     payload it no longer owns — racing with the handler on another
@@ -50,11 +50,10 @@ import (
 // takes is looked for through reslices, append's first argument, and the
 // first argument of a function of the same package whose result has its
 // first parameter's slice type (sized, mergeRuns), which may return it;
-// the elements append copies are not. The forward rule: the one way to
-// send a received payload again is ApplyContext.Forward of it, or of a
-// conversion of it, after which the engine drops the reference of the
-// message that brought it. Forward of anything else, and Send of a
-// received payload or of what is reached through it, are flagged.
+// the elements append copies are not. The forward rule: a handler's one
+// follow-up is ApplyContext.Forward of the payload it received, or of a
+// conversion of it, which takes the slot of the message that brought it.
+// Forward of anything else is flagged.
 //
 // A wholesale reset `*r = T{...}` does not reset a field its literal
 // carries back from the receiver, directly (`T{Peer: r.Peer}`) or through
@@ -89,8 +88,8 @@ func runOwnership(pass *Pass) {
 	}
 }
 
-// isPayloadSend matches ax.Send, ax.Forward and px.Send calls, returning
-// the payload argument and the method's name.
+// isPayloadSend matches ax.Forward and px.Send calls, returning the
+// payload argument and the method's name.
 func isPayloadSend(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Send" && sel.Sel.Name != "Forward" || len(call.Args) == 0 {
@@ -365,8 +364,7 @@ func referenceType(t types.Type) bool {
 
 // checkRetained flags a handler that stores a received payload, or
 // reference-typed data reached through it, where it outlives the call or
-// into another payload, and one that sends it again other than by the
-// forward rule.
+// into another payload, and one that forwards anything else.
 func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 	// Objects that outlive the call when stored through: the receiver and
 	// the parameters. Message parameters are where payloads arrive, and
@@ -427,7 +425,7 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 			}
 		case *ast.CallExpr:
 			if payload, verb := isPayloadSend(pass, n); verb == "Forward" && !isReceived(pass, received, payload) {
-				pass.Reportf(payload.Pos(), "Forward sends a payload the handler did not receive: forward only the received payload, or a conversion of it (Send anything else)")
+				pass.Reportf(payload.Pos(), "Forward sends a payload the handler did not receive: forward only the received payload, or a conversion of it")
 			}
 		}
 		return true
@@ -457,14 +455,6 @@ func checkRetained(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if e, id := src(elt); e != nil {
 					forwarded(elt.Pos(), id)
-				}
-			}
-			return true
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if payload, verb := isPayloadSend(pass, call); verb == "Send" {
-				if e, id := src(unconvert(pass, payload)); e != nil {
-					pass.Reportf(payload.Pos(), "handler re-sends received payload %s with Send: the engine recycles it with the message that brought it, and again with this one (Forward the payload itself, copy anything else)", id.Name)
 				}
 			}
 			return true

@@ -22,7 +22,7 @@ func (c *Counter) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	c.seen++
 	self := n
 	if self.Alive && c.seen < maxPeers {
-		ax.Send(msg.From, int(msg.Slot), nil)
+		ax.Forward(msg.From, int(msg.Slot), msg.Data)
 	}
 }
 

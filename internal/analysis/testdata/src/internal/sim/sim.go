@@ -32,9 +32,6 @@ type ApplyContext struct {
 	engine *Engine
 }
 
-// Send hands a payload to the engine for delivery; ownership transfers.
-func (ax *ApplyContext) Send(to NodeID, slot int, data any) {}
-
 // Forward sends the payload being handled as its follow-up.
 func (ax *ApplyContext) Forward(to NodeID, slot int, data any) {}
 

@@ -2,8 +2,8 @@
 // direct, aliased and double-send forms, the renewal and scalar escapes,
 // Recycle methods leaky, clean and forgetful of Put, wholesale resets that
 // carry a field back and generic legs that keep their value, and handlers
-// and helpers that retain, copy, store into another payload, re-send or
-// Forward what they received.
+// and helpers that retain, copy, store into another payload or Forward
+// what they received.
 package ownfix
 
 import "internal/sim"
@@ -24,17 +24,17 @@ func (p *Payload) Recycle(c *sim.PayloadCache) {
 }
 
 // direct keeps mutating a payload it no longer owns.
-func direct(ax *sim.ApplyContext, to sim.NodeID) {
+func direct(px *sim.Proposals, to sim.NodeID) {
 	p := &Payload{N: 1}
-	ax.Send(to, 0, p)
+	px.Send(to, 0, p)
 	p.N = 2 // want "used after Send"
 }
 
 // aliased reaches the sent payload through a second name.
-func aliased(ax *sim.ApplyContext, to sim.NodeID) {
+func aliased(px *sim.Proposals, to sim.NodeID) {
 	p := &Payload{}
 	q := p
-	ax.Send(to, 0, p)
+	px.Send(to, 0, p)
 	q.Next = nil // want "used after Send"
 }
 
@@ -46,11 +46,11 @@ func double(px *sim.Proposals, to sim.NodeID) {
 }
 
 // renewed replaces the variable with a fresh payload between sends: legal.
-func renewed(ax *sim.ApplyContext, to sim.NodeID) {
+func renewed(px *sim.Proposals, to sim.NodeID) {
 	p := &Payload{}
-	ax.Send(to, 0, p)
+	px.Send(to, 0, p)
 	p = &Payload{}
-	ax.Send(to, 1, p)
+	px.Send(to, 1, p)
 }
 
 // scalar payloads have value semantics; reuse is harmless.
@@ -193,22 +193,24 @@ func (t *Twin) Recycle(c *sim.PayloadCache) {
 
 var lastSeen *Payload
 
-// Holder is a protocol whose state includes a buffer.
+// Holder is a protocol whose state includes a buffer and the payload it
+// proposes next.
 type Holder struct {
 	buf  []byte
 	last *Payload
+	next *Payload
 }
 
-// Receive echoes what it received in a reply of its own, copied into the
-// reply's buffer: clean. Only the appended elements come from the received
-// payload.
+// Receive copies what it received into its state and into a payload of its
+// own, for its next proposal: clean. Only the appended elements come from
+// the received payload.
 func (h *Holder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	switch p := msg.Data.(type) {
 	case *Payload:
-		rep := pool.Get(ax.Payloads())
-		rep.Buf = append(sized(rep.Buf, len(p.Buf)), p.Buf...)
+		next := pool.Get(ax.Payloads())
+		next.Buf = append(sized(next.Buf, len(p.Buf)), p.Buf...)
 		h.buf = append(h.buf[:0], p.Buf...)
-		ax.Send(msg.From, 0, rep)
+		h.next = next
 	case *Leaky:
 		h.last = p.Peer // want "retains received payload p"
 	}
@@ -238,39 +240,47 @@ func sized(buf []byte, n int) []byte {
 	return buf[:0]
 }
 
-// Forwarder answers with the received buffer itself and leaves it in the
-// request too: the request's Recycle returns the buffer to the free list
-// while a net model may still hold the reply.
-type Forwarder struct{ state []byte }
+// Forwarder keeps the received buffer in a payload of its own, for its
+// next proposal, and leaves it in the request too: the request's Recycle
+// returns the buffer to the free list while a net model may still hold the
+// proposal.
+type Forwarder struct {
+	state []byte
+	next  *Payload
+}
 
 // Receive forwards the received slice through a local payload, whatever
 // hands it on.
 func (f *Forwarder) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	p := msg.Data.(*Payload)
-	rep := pool.Get(ax.Payloads())
-	rep.Buf = p.Buf                            // want "forwards received payload p"
-	rep.Buf = sized(p.Buf, len(f.state))       // want "forwards received payload p"
-	rep.Buf = append(p.Buf[:0], f.state...)    // want "forwards received payload p"
-	ax.Send(msg.From, 0, &Payload{Next: p})    // want "forwards received payload p"
-	ax.Send(msg.From, 1, &Payload{Buf: p.Buf}) // want "forwards received payload p"
-	ax.Send(msg.From, 2, rep)
+	next := pool.Get(ax.Payloads())
+	next.Buf = p.Buf                         // want "forwards received payload p"
+	next.Buf = sized(p.Buf, len(f.state))    // want "forwards received payload p"
+	next.Buf = append(p.Buf[:0], f.state...) // want "forwards received payload p"
+	next.Next = &Payload{Next: p}            // want "forwards received payload p"
+	next.Next = &Payload{Buf: p.Buf}         // want "forwards received payload p"
+	f.next = next
 }
 
-// Mover answers in the buffer the request brought and sets the request's
-// field to nil. No store into another payload is excused: the reply that
-// needs the request's memory is the request, forwarded (see Replier).
-type Mover struct{ state []byte }
+// Mover fills its next proposal in the buffer the request brought and sets
+// the request's field to nil. No store into another payload is excused:
+// the reply that needs the request's memory is the request, forwarded (see
+// Replier).
+type Mover struct {
+	state []byte
+	next  *Payload
+}
 
-// Receive moves the received buffer into its reply.
+// Receive moves the received buffer into its next proposal.
 func (m *Mover) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	p, ok := msg.Data.(*Payload)
 	if !ok {
 		return
 	}
-	rep := pool.Get(ax.Payloads())
-	rep.Buf = append(sized(p.Buf, len(m.state)), m.state...) // want "forwards received payload p"
+	next := pool.Get(ax.Payloads())
+	next.Buf = append(sized(p.Buf, len(m.state)), m.state...) // want "forwards received payload p"
 	p.Buf = nil
-	ax.Send(msg.From, 0, rep)
+	m.next = next
 }
 
 // Replier answers in the request itself, as Newscast does: it overwrites
@@ -293,18 +303,16 @@ func (r *Replier) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	}
 }
 
-// Undelivered re-sends what it received with Send — the payload, a
-// conversion of it, a payload reached through it — and forwards a payload
-// it did not receive: each is flagged.
+// Undelivered forwards the bounced payload converted and then writes it,
+// and forwards a payload it did not receive: both are flagged.
 func (r *Replier) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
 	p, ok := msg.Data.(*Payload)
 	if !ok {
 		return
 	}
-	ax.Send(msg.From, 0, p)                          // want "re-sends received payload p"
-	ax.Send(msg.From, 1, (*Twin)(p))                 // want "re-sends received payload p" "used after Send or Forward"
-	ax.Send(msg.From, 2, p.Next)                     // want "re-sends received payload p" "used after Send or Forward"
-	ax.Forward(msg.From, 3, pool.Get(ax.Payloads())) // want "did not receive"
+	ax.Forward(msg.From, 0, (*Twin)(p))
+	p.N = 1                                          // want "used after Send or Forward"
+	ax.Forward(msg.From, 1, pool.Get(ax.Payloads())) // want "did not receive"
 }
 
 // answer is a request-leg helper that takes the received payload as a

@@ -28,12 +28,12 @@ import (
 // handlers. It alone knows the exchange rule, push-pull as the paper
 // runs it. An initiator samples one partner and mails it its value, or an
 // empty ask when it holds none. The partner adopts a strictly better
-// pushed value, or mails back its own value if that is strictly better or
-// the request carried none, and the initiator offers itself the reply.
-// Both sides end with the better value. A leg carries a snapshot, which
-// may be stale when several exchanges touch one node in a cycle; holders
-// adopt only strictly better values, so a stale offer is refused and
-// diffusion is at worst one round slower.
+// pushed value, or answers in the leg it received with its own value if
+// that is strictly better or the request carried none, and the initiator
+// offers itself the reply. Both sides end with the better value. A leg
+// carries a snapshot, which may be stale when several exchanges touch one
+// node in a cycle; holders adopt only strictly better values, so a stale
+// offer is refused and diffusion is at worst one round slower.
 type Exchange[T any] struct {
 	// Slot is the protocol slot holding the node's PeerSampler.
 	Slot int
@@ -79,21 +79,23 @@ func legPool[L any]() *sim.FreeList[L] {
 	return v.(*sim.FreeList[L])
 }
 
-// aeReq is the initiating leg, aeVal the reply leg. Both share aeReq's
-// pool: a partner whose value wins answers in the request it received,
-// converted, so that exchange costs one leg. Recycle keeps V, which the
+// aeReq is the initiating leg that pushes a value, aeAsk the one of a node
+// that holds none, and aeVal the reply leg. All three share aeReq's shape
+// and pool: a partner whose value wins answers in the leg it received,
+// converted, so every exchange costs one leg. Recycle keeps V, which the
 // sender's Load overwrites in full, so its buffers stay warm; the pool is
 // looked up, not carried, so a leg is as small as its value.
-type aeReq[T any] struct{ V T }
-
-// aeVal is the reply leg (see aeReq).
-type aeVal[T any] struct{ V T }
-
-// aeAsk is the initiating leg of a node that pushes nothing.
-type aeAsk struct{}
+type (
+	aeReq[T any] struct{ V T }
+	aeAsk[T any] struct{ V T }
+	aeVal[T any] struct{ V T }
+)
 
 // Recycle implements sim.Recyclable.
 func (r *aeReq[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, r) }
+
+// Recycle implements sim.Recyclable.
+func (a *aeAsk[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, (*aeReq[T])(a)) }
 
 // Recycle implements sim.Recyclable.
 func (v *aeVal[T]) Recycle(c *sim.PayloadCache) { legPool[aeReq[T]]().Put(c, (*aeReq[T])(v)) }
@@ -114,12 +116,10 @@ func (x *Exchange[T]) Propose(h Holder[T], c *Counters, n *sim.Node, px *sim.Pro
 		c.LostExchanges++
 		return
 	}
-	var leg any = aeAsk{}
 	req := legPool[aeReq[T]]().Get(px.Payloads())
+	var leg any = (*aeAsk[T])(req)
 	if h.Load(&req.V) {
 		leg = req
-	} else {
-		req.Recycle(px.Payloads())
 	}
 	px.Send(peerID, x.SelfSlot, leg)
 }
@@ -134,13 +134,10 @@ func (x *Exchange[T]) Receive(h Holder[T], c *Counters, ax *sim.ApplyContext, ms
 		case r > 0 && h.Load(&m.V):
 			ax.Forward(msg.From, x.SelfSlot, (*aeVal[T])(m))
 		}
-	case aeAsk:
-		rep := legPool[aeReq[T]]().Get(ax.Payloads())
-		if !h.Load(&rep.V) {
-			rep.Recycle(ax.Payloads())
-			return
+	case *aeAsk[T]:
+		if h.Load(&m.V) {
+			ax.Forward(msg.From, x.SelfSlot, (*aeVal[T])(m))
 		}
-		ax.Send(msg.From, x.SelfSlot, (*aeVal[T])(rep))
 	case *aeVal[T]:
 		if h.Offer(m.V) {
 			c.Adoptions++
@@ -152,7 +149,7 @@ func (x *Exchange[T]) Receive(h Holder[T], c *Counters, ax *sim.ApplyContext, ms
 // or unreachable partner) as a lost exchange.
 func (x *Exchange[T]) Undelivered(c *Counters, msg sim.Message) {
 	switch msg.Data.(type) {
-	case *aeReq[T], aeAsk:
+	case *aeReq[T], *aeAsk[T]:
 		c.LostExchanges++
 	}
 }

@@ -407,7 +407,7 @@ func TestAveragePoisonInvariance(t *testing.T) {
 // keep them, so on churn-lossy each 16 B of a best-point leg costs about
 // 10-20 B per node against a 2% heap_bytes_per_node bound: both legs of a
 // core.BestPoint-shaped value stay at the value's own 32 B (the pools are
-// looked up, not carried). AntiEntropy[float64], the scenario layer's
+// looked up, not carried), and so does the ask leg. AntiEntropy[float64], the scenario layer's
 // node, must not grow past the 88 B it had when it carried its own
 // settings.
 func TestExchangeSizes(t *testing.T) {
@@ -417,6 +417,7 @@ func TestExchangeSizes(t *testing.T) {
 	}
 	for name, got := range map[string]uintptr{
 		"aeReq[point]": unsafe.Sizeof(aeReq[point]{}),
+		"aeAsk[point]": unsafe.Sizeof(aeAsk[point]{}),
 		"aeVal[point]": unsafe.Sizeof(aeVal[point]{}),
 	} {
 		if got != 32 {
@@ -425,6 +426,34 @@ func TestExchangeSizes(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(AntiEntropy[float64]{}); got > 88 {
 		t.Errorf("AntiEntropy[float64] is %d B, budget 88 B", got)
+	}
+}
+
+// TestOnePayloadPerExchange: every exchange of the stack travels in one
+// payload, its reply included. One cycle of 1 000 nodes running Newscast
+// and anti-entropy with a value on one node in ten, so that nine in ten
+// anti-entropy initiators ask, draws from the free lists exactly once per
+// Newscast exchange and once per anti-entropy exchange.
+func TestOnePayloadPerExchange(t *testing.T) {
+	sim.EnableFreeListStats(true)
+	defer sim.EnableFreeListStats(false)
+	x := aeExchange(0)
+	e := buildNet(31, 1000, func(id sim.NodeID) sim.Protocol {
+		ae := newAE(x)
+		if id%10 == 0 {
+			ae.SetLocal(int(id))
+		}
+		return ae
+	})
+	defer e.Close()
+	e.RunCycle()
+	var exchanges int64
+	e.ForEachLive(func(n *sim.Node) {
+		exchanges += n.Protocol(0).(*overlay.Newscast).Exchanges + aeAt(e, n.ID).Exchanges
+	})
+	s := e.Stats()
+	if draws := s.FreeListHits + s.FreeListMisses; draws != exchanges || exchanges == 0 {
+		t.Fatalf("%d free-list draws for %d Newscast and anti-entropy exchanges, want one each", draws, exchanges)
 	}
 }
 

@@ -40,8 +40,6 @@ type Newscast struct {
 
 	// Exchanges counts initiated view exchanges (metrics).
 	Exchanges int64
-	// FailedExchanges counts exchanges aimed at crashed peers.
-	FailedExchanges int64
 }
 
 // Compile-time guards: sim.Protocol is untyped, so assert the two-phase
@@ -172,12 +170,8 @@ func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap) {
 
 // Undelivered implements sim.Undeliverable: the partner is dead or
 // unreachable, so the exchange (or its reply leg) is simply lost. Drop the
-// unreachable descriptor locally so repeated failures do not pin the view;
-// only a failed initiation counts as a FailedExchange.
+// unreachable descriptor locally so repeated failures do not pin the view.
 func (nc *Newscast) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	if _, initiated := msg.Data.(*viewSwap); initiated {
-		nc.FailedExchanges++
-	}
 	nc.view.Remove(msg.To)
 }
 

@@ -106,8 +106,8 @@ func TestApplyOrderWorkerInvariant(t *testing.T) {
 }
 
 // echoProto exercises the reply-round machinery: every cycle each node
-// proposes a ping to its partner; the receiver answers through ax.Send and
-// the initiator records the pong. One cycle therefore spans two apply
+// proposes a ping to its partner; the receiver forwards a pong in the
+// ping's slot and the initiator records it. One cycle therefore spans two apply
 // rounds, and the pong must arrive within the same cycle.
 type echoProto struct {
 	partner NodeID
@@ -126,7 +126,7 @@ func (p *echoProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	switch msg.Data {
 	case "ping":
 		p.pings++
-		ax.Send(msg.From, 0, "pong")
+		ax.Forward(msg.From, 0, "pong")
 	case "pong":
 		p.pongs++
 		p.pongCycles = append(p.pongCycles, ax.Cycle())
@@ -245,35 +245,32 @@ func TestLiveCountMaintained(t *testing.T) {
 	check("churn")
 }
 
-// fanoutProto posts 0, 1 or several follow-ups for each message it handles,
-// delivered or bounced, each tagged with the handled message's index in
-// its round and the follow-up's rank among that message's follow-ups.
+// fanoutProto forwards a follow-up for two in three of the messages it
+// handles, delivered or bounced, tagged with the handled message's index
+// in its round and sent to a node derived from it.
 type fanoutProto struct{ nodes int }
 
-type fanoutTag struct{ trigger, rank int }
+type fanoutTag int
 
-func fanoutOf(trigger int) int { return [...]int{0, 1, 3, 0, 1, 6, 2}[trigger%7] }
+func fansOut(i int) bool { return i%3 != 1 }
 
 func (p fanoutProto) Receive(n *Node, ax *ApplyContext, msg Message) { p.post(ax, msg) }
 
 func (p fanoutProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.post(ax, msg) }
 
 func (p fanoutProto) post(ax *ApplyContext, msg Message) {
-	i := msg.Data.(int)
-	for r := 0; r < fanoutOf(i); r++ {
-		ax.Send(NodeID((i+r)%p.nodes), 0, fanoutTag{i, r})
+	if i := msg.Data.(int); fansOut(i) {
+		ax.Forward(NodeID(i%p.nodes), 0, fanoutTag(i))
 	}
 }
 
-// TestFollowUpPlacement checks the in-place ordering of applyRound's
-// step 3 directly: whatever the apply worker count, the next round must
-// equal a stable sort by trigger of the concatenated outboxes — the
-// follow-ups of each handled message in emission order, handled messages
-// in canonical order. Worker 0 posts into a round buffer far too small
-// for its share, so the ordering also runs on a buffer append regrew.
-// Some messages bounce to their sender (dead destination), some reach no
-// handler (no sender either) and some address a missing slot, so the
-// triggers carrying follow-ups are sparse.
+// TestFollowUpPlacement checks applyRound's step 3 directly: whatever the
+// apply worker count, the next round is built in place, at the front of
+// the round, and lists the follow-ups in their triggers' canonical order,
+// unmarked; behind them stay the finished legs, each message that posted
+// no follow-up exactly once. Some messages bounce to their sender (dead
+// destination), some reach no handler (no sender either) and some address
+// a missing slot, so the triggers carrying follow-ups are sparse.
 func TestFollowUpPlacement(t *testing.T) {
 	if s := unsafe.Sizeof(Message{}); s != 32 {
 		t.Fatalf("sim.Message is %d bytes, want 32: every engine buffer holds one per message", s)
@@ -282,6 +279,7 @@ func TestFollowUpPlacement(t *testing.T) {
 	r := rng.New(9)
 	round := make([]Message, msgs)
 	var want []fanoutTag
+	var finished []int
 	for i := range round {
 		m := Message{From: NodeID(r.Intn(nodes)), To: NodeID(r.Intn(nodes)), Data: i}
 		switch i % 11 {
@@ -293,10 +291,10 @@ func TestFollowUpPlacement(t *testing.T) {
 			m.Slot = 1 // routed, but the node has no such slot
 		}
 		round[i] = m
-		if i%11 != 5 && i%11 != 8 {
-			for k := 0; k < fanoutOf(i); k++ {
-				want = append(want, fanoutTag{i, k})
-			}
+		if i%11 != 5 && i%11 != 8 && fansOut(i) {
+			want = append(want, fanoutTag(i))
+		} else {
+			finished = append(finished, i)
 		}
 	}
 	for _, w := range []int{1, 2, 3, 8} {
@@ -305,18 +303,26 @@ func TestFollowUpPlacement(t *testing.T) {
 		e.SetNodeFactory(func(nd *Node) { nd.Protocols = []Protocol{fanoutProto{nodes}} })
 		e.AddNodes(nodes)
 		e.Crash(dead)
-		next, _ := e.applyRound(slices.Clone(round), make([]Message, 0, 4))
+		buf := slices.Clone(round)
+		next := e.applyRound(buf)
 		e.Close()
-		if len(next) != len(want) {
-			t.Fatalf("workers=%d: %d follow-ups, want %d", w, len(next), len(want))
+		if len(next) != len(want) || &next[0] != &buf[0] {
+			t.Fatalf("workers=%d: %d follow-ups, want %d at the front of the round", w, len(next), len(want))
 		}
 		for k, m := range next {
-			if tag := m.Data.(fanoutTag); tag != want[k] {
-				t.Fatalf("workers=%d: follow-up %d is %+v, want %+v", w, k, tag, want[k])
+			if tag := m.Data.(fanoutTag); tag != want[k] || m.trigger != 0 {
+				t.Fatalf("workers=%d: follow-up %d is %v marked %d, want %v unmarked", w, k, tag, m.trigger, want[k])
 			}
-			if m.To != NodeID((want[k].trigger+want[k].rank)%nodes) {
+			if m.To != NodeID(int(want[k])%nodes) {
 				t.Fatalf("workers=%d: follow-up %d goes to node %d, not where it was sent", w, k, m.To)
 			}
+		}
+		var left []int
+		for _, m := range buf[len(next):] {
+			left = append(left, m.Data.(int))
+		}
+		if slices.Sort(left); !slices.Equal(left, finished) {
+			t.Fatalf("workers=%d: the legs behind the follow-ups are %v, want %v", w, left, finished)
 		}
 	}
 }

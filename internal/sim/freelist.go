@@ -50,19 +50,16 @@ import (
 //     handler call, not even inside a *different* payload it sends: a net
 //     model may delay that payload past the cycle end that recycles this
 //     one. It copies instead, or forwards the payload itself (next rule).
-//   - A handler may send the payload it received, or a pointer conversion
-//     of it to a type of its shape, as its follow-up — through
-//     ApplyContext.Forward, never Send. Forward writes the follow-up over
-//     the handled message's round slot (or, when the handler already
-//     posted a follow-up, drops that slot's reference and posts it to the
-//     outbox), so the payload, slices and all, has one owner again: the
-//     follow-up, which recycles it once, at cycle end or from the delay
-//     queue (Newscast's request leg overwrites its snapshot with the
-//     pre-merge view and forwards itself as the reply). Sent again with
-//     Send, it would be recycled twice. A buffer a forwarded payload
-//     carries may have any capacity — the free lists are shared by every
-//     engine in the process — so whoever fills it checks the capacity it
-//     needs.
+//   - A handler's one follow-up is the payload it received, or a pointer
+//     conversion of it to a type of its shape, sent through
+//     ApplyContext.Forward. Forward writes the follow-up over the handled
+//     message's round slot, so the payload, slices and all, has one owner
+//     again: the follow-up, which recycles it once, at cycle end or from
+//     the delay queue (Newscast's request leg overwrites its snapshot with
+//     the pre-merge view and forwards itself as the reply). A buffer a
+//     forwarded payload carries may have any capacity — the free lists
+//     are shared by every engine in the process — so whoever fills it
+//     checks the capacity it needs.
 //   - Recycle must reset slice fields to length zero (keeping capacity —
 //     that reuse is the whole point) and nil out aliases it does not own.
 //     Two kinds of field may survive the reset: a home-pool back-pointer

@@ -249,44 +249,62 @@ func TestFreeListWriteAfterReleasePanics(t *testing.T) {
 	fl.Get(&c)
 }
 
-// flReq and flRep are the two pooled legs of flAvgProto, an averaging
-// exchange of the shape of gossip.Average: every node sends one request a
-// cycle and every request is answered, so a cycle of n nodes has exactly n
+// flAvg and flMax are the two pooled payload types of flAvgProto, which
+// runs two exchanges of the shape of gossip.Average: every node sends one
+// averaging and one maximum request a cycle, and every request is answered
+// in itself (ApplyContext.Forward), so a cycle of n nodes has exactly n
 // payloads of each type in flight.
 type (
-	flReq struct{ v float64 }
-	flRep struct{ d float64 }
+	flAvg struct {
+		v     float64
+		reply bool
+	}
+	flMax struct {
+		v     float64
+		reply bool
+	}
 )
 
 var (
-	flReqs FreeList[flReq]
-	flReps FreeList[flRep]
+	flAvgs  FreeList[flAvg]
+	flMaxes FreeList[flMax]
 )
 
-func (r *flReq) Recycle(c *PayloadCache) { flReqs.Put(c, r) }
-func (r *flRep) Recycle(c *PayloadCache) { flReps.Put(c, r) }
+func (r *flAvg) Recycle(c *PayloadCache) { flAvgs.Put(c, r) }
+func (r *flMax) Recycle(c *PayloadCache) { flMaxes.Put(c, r) }
 
 type flAvgProto struct {
-	v     float64
-	nodes int
+	v, max float64
+	nodes  int
 }
 
 func (p *flAvgProto) Propose(n *Node, px *Proposals) {
-	req := flReqs.Get(px.Payloads())
-	req.v = p.v
-	px.Send(NodeID(n.RNG.Intn(p.nodes)), 0, req)
+	avg := flAvgs.Get(px.Payloads())
+	*avg = flAvg{v: p.v}
+	px.Send(NodeID(n.RNG.Intn(p.nodes)), 0, avg)
+	top := flMaxes.Get(px.Payloads())
+	*top = flMax{v: p.max}
+	px.Send(NodeID(n.RNG.Intn(p.nodes)), 0, top)
 }
 
 func (p *flAvgProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	switch pl := msg.Data.(type) {
-	case *flReq:
+	case *flAvg:
+		if pl.reply {
+			p.v += pl.v
+			return
+		}
 		d := (pl.v - p.v) / 2
 		p.v += d
-		rep := flReps.Get(ax.Payloads())
-		rep.d = -d
-		ax.Send(msg.From, 0, rep)
-	case *flRep:
-		p.v += pl.d
+		*pl = flAvg{v: -d, reply: true}
+		ax.Forward(msg.From, 0, pl)
+	case *flMax:
+		v := pl.v
+		if !pl.reply {
+			*pl = flMax{v: p.max, reply: true}
+			ax.Forward(msg.From, 0, pl)
+		}
+		p.max = max(p.max, v)
 	}
 }
 
@@ -295,7 +313,7 @@ func flNetwork(seed uint64, nodes, workers int) *Engine {
 	e := NewEngine(seed)
 	e.SetWorkers(workers)
 	e.SetNodeFactory(func(nd *Node) {
-		nd.Protocols = []Protocol{&flAvgProto{v: float64(nd.ID), nodes: nodes}}
+		nd.Protocols = []Protocol{&flAvgProto{v: float64(nd.ID), max: float64(nd.ID), nodes: nodes}}
 	})
 	e.AddNodes(nodes)
 	return e
@@ -305,7 +323,7 @@ func flNetwork(seed uint64, nodes, workers int) *Engine {
 // this test's Gets, so the engines' miss counts are the payloads the test
 // allocated.
 func flEmptyDepots(t *testing.T) {
-	flReqs.depot, flReps.depot = nil, nil
+	flAvgs.depot, flMaxes.depot = nil, nil
 	EnableFreeListStats(true)
 	t.Cleanup(func() { EnableFreeListStats(false) })
 }
@@ -328,16 +346,16 @@ func TestPayloadCacheFlushedAtBarriers(t *testing.T) {
 				t.Fatalf("workers=%d: %d caches", workers, len(e.caches))
 			}
 			for w := range e.caches {
-				if r, p := magLen(&e.caches[w], &flReqs), magLen(&e.caches[w], &flReps); r+p != 0 {
-					t.Fatalf("workers=%d cycle %d: cache %d still holds %d requests and %d replies", workers, cycle, w, r, p)
+				if a, m := magLen(&e.caches[w], &flAvgs), magLen(&e.caches[w], &flMaxes); a+m != 0 {
+					t.Fatalf("workers=%d cycle %d: cache %d still holds %d averaging and %d maximum payloads", workers, cycle, w, a, m)
 				}
 			}
-			if got, want := int64(len(flReqs.depot)+len(flReps.depot)), e.Stats().FreeListMisses; got != want {
+			if got, want := int64(len(flAvgs.depot)+len(flMaxes.depot)), e.Stats().FreeListMisses; got != want {
 				t.Fatalf("workers=%d cycle %d: depots hold %d payloads, the run allocated %d", workers, cycle, got, want)
 			}
 		}
 		e.Close()
-		for name, held := range map[string]int{"request": len(flReqs.depot), "reply": len(flReps.depot)} {
+		for name, held := range map[string]int{"averaging": len(flAvgs.depot), "maximum": len(flMaxes.depot)} {
 			if bound := nodes + (workers-1)*(flBatch-1); held < nodes || held > bound {
 				t.Errorf("workers=%d: %d %s payloads allocated, want %d to %d", workers, held, name, nodes, bound)
 			}
@@ -357,9 +375,9 @@ func TestFreeListDepotLocksPerBatch(t *testing.T) {
 		flEmptyDepots(t)
 		e := flNetwork(42, nodes, workers)
 		e.Run(10)
-		locks0, misses0 := flReqs.locks+flReps.locks, e.Stats().FreeListMisses
+		locks0, misses0 := flAvgs.locks+flMaxes.locks, e.Stats().FreeListMisses
 		e.Run(cycles)
-		locks := flReqs.locks + flReps.locks - locks0
+		locks := flAvgs.locks + flMaxes.locks - locks0
 		misses := e.Stats().FreeListMisses - misses0
 		e.Close()
 		bound := cycles*int64(2*((payloads+flBatch-1)/flBatch)+barriers*workers*types) + misses

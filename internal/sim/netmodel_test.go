@@ -342,8 +342,8 @@ type foldLeg struct {
 }
 
 // foldProto sends one request a cycle to a peer drawn from its node's RNG
-// and answers each request it receives with a follow-up, so the model
-// judges reply legs (trigger >= 0) as well as proposals.
+// and answers each request it receives in a follow-up, so the model judges
+// reply legs as well as proposals.
 type foldProto struct {
 	nodes    int
 	received []string
@@ -360,7 +360,7 @@ func (p *foldProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	leg := msg.Data.(foldLeg)
 	p.received = append(p.received, fmt.Sprintf("%s@%d", leg.id, ax.Cycle()-leg.sent))
 	if !leg.reply {
-		ax.Send(msg.From, 0, foldLeg{id: leg.id + "/r", sent: ax.Cycle(), reply: true})
+		ax.Forward(msg.From, 0, foldLeg{id: leg.id + "/r", sent: ax.Cycle(), reply: true})
 		p.posted++
 	}
 }

@@ -11,17 +11,17 @@ import (
 
 // The differential test of the apply path: a literal sequential engine
 // (refEngine, below) routes and handles one message at a time in canonical
-// order and appends follow-ups in emission order; the real engine must
-// agree with it at every worker count on everything a run can observe.
+// order and builds each next round by moving the forwarded slots to the
+// front; the real engine must agree with it at every worker count on
+// everything a run can observe.
 
 // refPayload is the test's only payload type. Its id is a path — the
-// proposal's name plus one "/k" per follow-up generation — so the same
-// payload has the same identity in the engine's world and the reference's.
-// A payload forwarded as a follow-up takes the follow-up's id.
-// Recycle logs the id in the owning world before returning the struct to a
-// free list, which makes the order of end-of-cycle recycling (the
-// canonical list, then every follow-up list built apart, each in slot
-// order) observable.
+// proposal's name plus one "/f" per forward — so the same payload has the
+// same identity in the engine's world and the reference's: a payload
+// forwarded as a follow-up takes the follow-up's id. Recycle logs the id
+// in the owning world before returning the struct to a free list, which
+// makes the order of end-of-cycle recycling (the canonical list, in slot
+// order, after every round built in it) observable.
 type refPayload struct {
 	id    string
 	hops  int
@@ -45,27 +45,22 @@ type refWorld struct {
 
 // refCall is one handler invocation as the handled node saw it.
 type refCall struct {
-	cycle   int64
-	trigger int32
-	id      string // payload id, or "corrupted"
-	deliver bool
-	posted  int
+	cycle     int64
+	id        string // payload id, or "corrupted"
+	deliver   bool
+	forwarded bool
 }
 
-// refProto logs every handler call and posts 0, 1 or 3 follow-ups from
-// Receive and 0 or 1 from Undelivered, all derived from the payload id so
-// both worlds make the same choices without sharing a random stream. In
-// two cycles of three, a third of the handlers forward the received
-// payload (ApplyContext.Forward) as their first follow-up and a third as
-// their last, after Sends; its old id is then never recycled. In every
-// third cycle a handler posts nothing or forwards, so each round of it is
-// forward-only and built in place.
+// refProto logs every handler call and, from Receive and Undelivered
+// alike, forwards three in four of the payloads it handles that have hops
+// left (ApplyContext.Forward), chosen from the payload id so both worlds
+// make the same choices without sharing a random stream. A forwarded
+// payload's old id is never recycled.
 type refProto struct {
 	world     *refWorld
 	calls     []refCall
 	created   []string
 	forwarded []string
-	lateFwds  int // Forwards after a Send of the same handler call
 }
 
 func refHash(id string, salt byte) uint64 {
@@ -111,40 +106,17 @@ func (p *refProto) Propose(n *Node, px *Proposals) {
 }
 
 func (p *refProto) handle(ax *ApplyContext, msg Message, deliver bool) {
-	call := refCall{cycle: ax.Cycle(), trigger: ax.trigger, id: "corrupted", deliver: deliver}
+	call := refCall{cycle: ax.Cycle(), id: "corrupted", deliver: deliver}
 	if pl, ok := msg.Data.(*refPayload); ok {
 		call.id = pl.id
-		if pl.hops > 0 {
-			call.posted = []int{0, 1, 3}[refHash(pl.id, 4)%3]
-			if !deliver {
-				call.posted = int(refHash(pl.id, 4) % 2)
-			}
-			fwd := -1
-			switch refHash(pl.id, 5) % 3 {
-			case 0:
-				fwd = 0
-			case 1:
-				fwd = call.posted - 1
-			}
-			if ax.Cycle()%3 == 2 {
-				call.posted, fwd = min(1, int(refHash(pl.id, 4)%4)), 0
-			}
-			base, hops := pl.id, pl.hops-1
-			for k := 0; k < call.posted; k++ {
-				id := fmt.Sprintf("%s/%d", base, k)
-				to, slot := p.address(id)
-				if k == fwd {
-					if k > 0 {
-						p.lateFwds++
-					}
-					p.forwarded = append(p.forwarded, base)
-					p.created = append(p.created, id)
-					pl.id, pl.hops = id, hops
-					ax.Forward(to, slot, pl)
-					continue
-				}
-				ax.Send(to, slot, p.payload(ax.Payloads(), id, hops))
-			}
+		if pl.hops > 0 && refHash(pl.id, 4)%4 != 0 {
+			call.forwarded = true
+			id := pl.id + "/f"
+			to, slot := p.address(id)
+			p.forwarded = append(p.forwarded, pl.id)
+			p.created = append(p.created, id)
+			pl.id, pl.hops = id, pl.hops-1
+			ax.Forward(to, slot, pl)
 		}
 	}
 	p.calls = append(p.calls, call)
@@ -156,10 +128,10 @@ func (p *refProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.handl
 
 // refEngine is the sequential reference: the engine's cycle with no
 // sorting, sharding, batching or scratch reuse. It keeps the engine's one
-// buffer rule literally, because that rule decides which list recycles a
-// payload: a reply Forward wrote into its request's slot stays there, and
-// a round whose handlers posted nothing else is built in place by moving
-// the marked slots to its front, one swap each.
+// buffer rule literally, because that rule decides the slot each payload
+// is recycled from: a reply Forward wrote into its request's slot stays
+// there, and the next round is built in place by moving the marked slots
+// to the front of the round, one swap each.
 type refEngine struct {
 	world       *refWorld
 	nodes       []*Node
@@ -170,7 +142,7 @@ type refEngine struct {
 	cycle       int64
 
 	delivered, dropped, delayed, corrupted, jobs int64
-	maxDepth, inPlace, apart                     int
+	maxDepth                                     int
 }
 
 func (r *refEngine) addNode() {
@@ -242,10 +214,8 @@ func (r *refEngine) runCycle() {
 	r.delayQ = held
 	r.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 
-	lists, depth := [][]Message{msgs}, 0
+	depth := 0
 	for round := msgs; len(round) > 0; depth++ {
-		posts := make([][]Message, len(round))
-		posted := false
 		for i := range round {
 			n, m, deliver := r.route(&round[i])
 			if n == nil {
@@ -255,44 +225,23 @@ func (r *refEngine) runCycle() {
 			if m.Slot < 0 || int(m.Slot) >= len(n.Protocols) {
 				continue
 			}
-			ax := &ApplyContext{cycle: r.cycle, self: n.ID, trigger: int32(i), handled: &round[i]}
+			ax := &ApplyContext{cycle: r.cycle, self: n.ID, handled: &round[i]}
 			n.Protocols[m.Slot].(*refProto).handle(ax, m, deliver)
-			posts[i] = ax.outbox
-			posted = posted || len(ax.outbox) > 0
 		}
 		var next []Message
-		if !posted {
-			for i := range round {
-				if round[i].trigger == forwarded {
-					j := len(next)
-					round[i].trigger = int32(j)
-					round[i], round[j] = round[j], round[i]
-					next = round[:j+1]
-				}
+		for i := range round {
+			if round[i].trigger == forwarded {
+				j := len(next)
+				round[i].trigger = 0
+				round[i], round[j] = round[j], round[i]
+				next = round[:j+1]
 			}
-			if len(next) > 0 {
-				r.inPlace++
-			}
-		} else {
-			for i := range round {
-				if round[i].trigger == forwarded {
-					m := round[i]
-					m.trigger = int32(i)
-					next = append(next, m)
-					round[i] = Message{}
-				}
-				next = append(next, posts[i]...)
-			}
-			lists = append(lists, next)
-			r.apart++
 		}
 		round = next
 	}
 	r.maxDepth = max(r.maxDepth, depth)
-	for _, l := range lists {
-		for i := range l {
-			recyclePayload(&l[i], nil)
-		}
+	for i := range msgs {
+		recyclePayload(&msgs[i], nil)
 	}
 	r.cycle++
 }
@@ -367,15 +316,13 @@ func runEngine(workers, applyWorkers int) (*Engine, *refWorld) {
 // TestApplyMatchesSequentialReference runs the scenario above through the
 // reference once and through the engine at every (propose × apply) worker
 // combination of {1,2,8}², and compares: each node's handler-call log
-// (cycle, trigger index, payload identity, deliver or undelivered, number
-// of follow-ups posted); the recycle log, which lists the payloads of the
-// canonical list and of every follow-up list built apart, in list order
-// (together with the trigger indices and posted counts of the call logs,
-// that pins every next-round list and its boundaries); the routing
-// counters; and the position of the net-model stream. The scenario must
-// exercise both ways a round is built: in place (forward-only cycles) and
-// apart, with Forwards both before and after a Send of the same handler
-// call. The engine runs under the free-list double-release detector, and
+// (cycle, payload identity, deliver or undelivered, forwarded or not); the
+// recycle log, which lists the payloads of the canonical list in slot
+// order once every round has been built in it (which pins where each
+// round put each follow-up); the routing counters; and the position of
+// the net-model stream. The scenario must chain forwards at least four
+// rounds deep and forward from both Receive and Undelivered. The engine
+// runs under the free-list double-release detector, and
 // the recycle log is checked to hold every created payload not still in
 // the delay queue exactly once — the original of a corrupted leg, the
 // payload of a delayed one and a payload forwarded under its new id
@@ -392,22 +339,23 @@ func TestApplyMatchesSequentialReference(t *testing.T) {
 		t.Fatalf("scenario lost its teeth: delivered=%d dropped=%d delayed=%d corrupted=%d jobs=%d",
 			ref.delivered, ref.dropped, ref.delayed, ref.corrupted, ref.jobs)
 	}
-	posted, forwards, late := map[int]bool{}, 0, 0
+	var kept, received, bounced int
 	for _, p := range ref.world.protos {
 		for _, c := range p.calls {
-			posted[c.posted] = true
+			switch {
+			case !c.forwarded:
+				kept++
+			case c.deliver:
+				received++
+			default:
+				bounced++
+			}
 		}
-		forwards += len(p.forwarded)
-		late += p.lateFwds
 	}
-	if !posted[0] || !posted[1] || !posted[3] || forwards == late || late == 0 {
-		t.Fatalf("handlers posted follow-up counts %v and forwarded %d payloads, %d after a Send; want 0, 1 and 3 all present and forwards both first and after a Send",
-			posted, forwards, late)
+	if kept == 0 || received == 0 || bounced == 0 {
+		t.Fatalf("handlers forwarded %d delivered and %d bounced payloads and kept %d; want all three", received, bounced, kept)
 	}
-	if ref.inPlace < refCycles || ref.apart < refCycles {
-		t.Fatalf("%d rounds built in place and %d apart, want at least %d of each", ref.inPlace, ref.apart, refCycles)
-	}
-	t.Logf("%d rounds built in place, %d apart; %d forwards, %d after a Send", ref.inPlace, ref.apart, forwards, late)
+	t.Logf("forwards chain %d rounds deep; %d forwarded from Receive, %d from Undelivered, %d kept", ref.maxDepth, received, bounced, kept)
 	refDraw := ref.netRNG.Uint64()
 
 	for _, w := range []int{1, 2, 8} {

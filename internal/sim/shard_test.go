@@ -7,7 +7,7 @@ import (
 
 // starProto is a deliberately skewed ("hotspot") workload: every node
 // pings the hub (node 0) each cycle, and the hub answers each ping with a
-// pong in the follow-up round. The hub's entire apply load lands on one
+// pong forwarded in its slot, delivered in the follow-up round. The hub's entire apply load lands on one
 // worker whatever the span cut does with the rest; the trace must not
 // depend on it.
 type starProto struct {
@@ -29,7 +29,7 @@ func (p *starProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	switch msg.Data {
 	case "ping":
 		p.fromOrder = append(p.fromOrder, msg.From)
-		ax.Send(msg.From, 0, "pong")
+		ax.Forward(msg.From, 0, "pong")
 	case "pong":
 		p.pongs++
 		p.fromOrder = append(p.fromOrder, msg.From)
@@ -122,7 +122,7 @@ func TestBalancedShardingSpreadsHotspots(t *testing.T) {
 		t.Fatalf("analytic id-mod max load = %d, want %d", got, 4*hot+8)
 	}
 
-	e.applyRound(round, nil)
+	e.applyRound(round)
 	if len(e.spans) != workers+1 || e.spans[0] != 0 || int(e.spans[workers]) != len(round) {
 		t.Fatalf("spans %v do not cover the %d jobs", e.spans, len(round))
 	}
@@ -194,7 +194,8 @@ func BenchmarkApplyShardsHotspot(b *testing.B) {
 
 // avgPayload and avgProto are a pooled two-round averaging exchange, the
 // shape of gossip.Average: the request carries the initiator's value, the
-// receiver averages and replies with its old value, the initiator averages.
+// receiver averages and replies in the request with its old value, the
+// initiator averages.
 type avgPayload struct {
 	v     float64
 	reply bool
@@ -208,12 +209,12 @@ type avgProto struct{ v float64 }
 
 func (p *avgProto) Receive(n *Node, ax *ApplyContext, msg Message) {
 	pl := msg.Data.(*avgPayload)
+	v := pl.v
 	if !pl.reply {
-		rep := avgPayloads.Get(ax.Payloads())
-		*rep = avgPayload{v: p.v, reply: true}
-		ax.Send(msg.From, 0, rep)
+		*pl = avgPayload{v: p.v, reply: true}
+		ax.Forward(msg.From, 0, pl)
 	}
-	p.v = (p.v + pl.v) / 2
+	p.v = (p.v + v) / 2
 }
 
 // BenchmarkApplyRound is the apply phase alone — no propose phase, no
@@ -243,7 +244,10 @@ func BenchmarkApplyRound(b *testing.B) {
 			msgs[i].Data = pl
 		}
 		outs[0].msgs = msgs
-		e.releaseApplyScratch(outs, e.deliver(msgs))
+		for round := msgs; len(round) > 0; {
+			round = e.applyRound(round)
+		}
+		e.releaseApplyScratch(outs)
 	}
 	cycle() // size the buffers, fill the free list
 	cycle()

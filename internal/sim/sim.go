@@ -139,11 +139,6 @@ type Engine struct {
 	// phases never overlap — and the coordinator's, caches[0], also takes
 	// the end-of-cycle release. flushCaches empties them at every barrier.
 	caches []PayloadCache
-	// rounds keeps a buffer per apply round that posted follow-ups (see
-	// deliver): worker 0's outbox, then the next round. All are retained
-	// until releaseApplyScratch, so each payload, in the canonical list or
-	// in one round buffer, is recycled exactly once.
-	rounds [][]Message
 
 	// Apply-round scratch (see applyRound), all index-only: jobKeys holds
 	// one routing key per message of the round, in canonical order;
@@ -483,9 +478,8 @@ func (e *Engine) RunCycle() {
 
 	// Snapshot the live population: churn is done for this cycle and
 	// handlers cannot crash nodes, so liveness is frozen through both
-	// phases (which is also what makes ApplyContext.Alive safe to call
-	// from concurrent apply workers) and the maintained live index IS the
-	// snapshot — no per-cycle copy.
+	// phases and the maintained live index IS the snapshot — no per-cycle
+	// copy.
 	e.ensureLive()
 	live := e.liveIdx
 
@@ -538,7 +532,8 @@ func (e *Engine) RunCycle() {
 	// canonical list: append the other outboxes onto it, shuffle it into
 	// the cycle's canonical delivery order with the engine RNG, then
 	// deliver in rounds (see applyRound) until no handler posts a
-	// follow-up. Every buffer a round is built in is retained so payload
+	// follow-up. Each round is built in a prefix of the one before, so the
+	// canonical list holds every payload of the cycle, and payload
 	// references die — and recyclable payloads return to their free lists —
 	// in one place, releaseApplyScratch, once the rounds are done.
 	msgs := outs[0].msgs
@@ -567,30 +562,15 @@ func (e *Engine) RunCycle() {
 		j := e.rng.Intn(i + 1)
 		msgs[i], msgs[j] = msgs[j], msgs[i]
 	}
-	e.releaseApplyScratch(outs, e.deliver(msgs))
+	for round := msgs; len(round) > 0; {
+		round = e.applyRound(round)
+	}
+	e.releaseApplyScratch(outs)
 	//simcheck:allow determinism phase timing feeds Stats only, never the trace
 	e.applyNanos += time.Since(phaseStart).Nanoseconds()
 
 	e.cycle++
 	e.publishStats()
-}
-
-// deliver runs the apply rounds of one cycle: the canonical list first,
-// then each round's follow-ups, until no handler posts any. A round built
-// in place stays in the buffer of the round before; the k-th round built
-// apart is built in rounds[k], which therefore owns its payloads until
-// releaseApplyScratch. The return value is the number of such buffers.
-func (e *Engine) deliver(msgs []Message) (kept int) {
-	for round, apart := msgs, false; len(round) > 0; {
-		if kept == len(e.rounds) {
-			e.rounds = append(e.rounds, nil)
-		}
-		if round, apart = e.applyRound(round, e.rounds[kept]); apart {
-			e.rounds[kept] = round
-			kept++
-		}
-	}
-	return kept
 }
 
 // A routing key is all the coordinator records about one message of a
@@ -673,9 +653,8 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // applyRound delivers one non-empty round of messages and returns the
-// follow-ups its handlers posted, in (trigger index, emission) order, and
-// whether they were built apart, in next's storage (regrown as needed),
-// rather than in place, in round's. One path serves every worker count:
+// follow-ups its handlers posted, in the order of their triggers, built in
+// place in a prefix of round. One path serves every worker count:
 //
 //  1. Classify in canonical order. The coordinator routes every message
 //     (see route) — liveness, the delivery filter, the net model's draws,
@@ -691,24 +670,17 @@ func sized[T any](buf []T, n int) []T {
 //     chasing the canonical shuffle through the heap. Workers take
 //     contiguous spans of the job order (see cutSpans), so one node's
 //     messages also land on one worker whatever the worker count.
-//  3. Order the follow-ups by trigger. A reply Forward wrote into its
-//     request's slot is marked there. If no handler posted any other
-//     follow-up, the marked slots move to the front of round, in order —
-//     slot index is trigger — and the finished legs they displace stay
-//     behind until releaseApplyScratch. Otherwise worker 0 posts into
-//     next, the other outboxes and then the marked slots are appended, and
-//     a handler's follow-ups sit contiguously, in emission order, tagged
-//     with the canonical index of their trigger. A count per trigger and a
-//     prefix sum turn each tag into the final index a stable sort by
-//     trigger, marked slot first, would give, and cycle-following swaps
-//     move each follow-up there, one swap settling one: O(messages) time.
-func (e *Engine) applyRound(round, next []Message) ([]Message, bool) {
+//  3. Take the follow-ups. Each handler posts at most one, written over
+//     its trigger's slot (ApplyContext.Forward) and marked there; the
+//     marked slots move to the front of round, in order, so the next round
+//     lists the follow-ups in their triggers' canonical order, and the
+//     finished legs they displace stay behind until releaseApplyScratch.
+func (e *Engine) applyRound(round []Message) []Message {
 	workers := min(e.ApplyWorkers(), len(round))
 	if cap(e.applyCtxs) < workers {
 		e.applyCtxs = make([]ApplyContext, workers)
 	}
 	ctxs := e.applyCtxs[:workers]
-	ctxs[0].outbox = next[:0]
 	e.growCaches(workers)
 	e.applyRounds++
 
@@ -756,42 +728,12 @@ func (e *Engine) applyRound(round, next []Message) ([]Message, bool) {
 	e.round = nil
 	e.flushCaches()
 
-	next, ctxs[0].outbox = ctxs[0].outbox, nil
 	forwards := 0
 	for w := range ctxs {
 		e.evals += ctxs[w].evals
 		forwards += ctxs[w].forwards
-		next = append(next, ctxs[w].outbox...)
 	}
-	posted := len(next)
-	if next = takeForwards(round, next, forwards); posted == 0 {
-		return next, false
-	}
-	// Dispatch is done with the routing keys; the array becomes the
-	// per-trigger cursor that turns each tag into a final index.
-	pos := keys
-	clear(pos)
-	for i := range next {
-		pos[next[i].trigger]++
-	}
-	off = 0
-	for t, c := range pos {
-		pos[t] = off
-		off += c
-	}
-	for _, part := range [2][]Message{next[posted:], next[:posted]} {
-		for i := range part {
-			t := part[i].trigger
-			part[i].trigger = pos[t]
-			pos[t]++
-		}
-	}
-	for i := range next {
-		for j := next[i].trigger; j != int32(i); j = next[i].trigger {
-			next[i], next[j] = next[j], next[i]
-		}
-	}
-	return next, true
+	return takeForwards(round, forwards)
 }
 
 // cutSpans divides the sorted job order among the workers: spans[w] to
@@ -843,7 +785,7 @@ func (e *Engine) applySpan(w int) {
 		if uint(m.Slot) >= uint(len(n.Protocols)) {
 			continue
 		}
-		ax.self, ax.trigger, ax.handled, ax.first = n.ID, i, &round[i], len(ax.outbox)
+		ax.self, ax.handled = n.ID, &round[i]
 		if k&keyDeliver != 0 {
 			if r, ok := n.Protocols[m.Slot].(Receiver); ok {
 				r.Receive(n, ax, m)
@@ -878,17 +820,15 @@ func (e *Engine) flushCaches() {
 
 // releaseApplyScratch is the one place a cycle's payload references die.
 // First every payload the cycle sent is offered back to its free list —
-// each message lives in exactly one of the canonical list (outs[0]) or the
-// first depth round buffers (rounds built in place live in the buffer of
-// the round before), so Recycle runs exactly once per payload. Then every
-// payload-carrying scratch buffer the cycle wrote — the propose outboxes,
-// those round buffers and the other apply workers' outboxes — is cleared
-// over its full capacity; otherwise stale entries beyond the next cycle's
+// each lives in exactly one slot of the canonical list (outs[0]), in which
+// every round was built, so Recycle runs exactly once per payload. Then the
+// propose outboxes, the only buffers that carry payloads, are cleared over
+// their full capacity; otherwise stale entries beyond the next cycle's
 // high-water mark would pin delivered payloads for the engine's lifetime.
 // The routing keys, the job order, the per-node counters and the spans
 // hold only indices, pin nothing, and are deliberately not cleared — at
 // n = 10^6 that skips megabytes of per-cycle memset.
-func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
+func (e *Engine) releaseApplyScratch(outs []Proposals) {
 	e.growCaches(1)
 	c := &e.caches[0]
 	for i := range outs[0].msgs {
@@ -896,24 +836,9 @@ func (e *Engine) releaseApplyScratch(outs []Proposals, depth int) {
 			e.payloadsRecycled++
 		}
 	}
-	for d := 0; d < depth; d++ {
-		buf := e.rounds[d]
-		for i := range buf {
-			if recyclePayload(&buf[i], c) {
-				e.payloadsRecycled++
-			}
-		}
-	}
 	e.flushCaches()
 	for w := range outs {
 		clear(outs[w].msgs[:cap(outs[w].msgs)])
-	}
-	for w := range e.applyCtxs {
-		out := e.applyCtxs[w].outbox
-		clear(out[:cap(out)])
-	}
-	for _, buf := range e.rounds[:depth] {
-		clear(buf[:cap(buf)])
 	}
 }
 

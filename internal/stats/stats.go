@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics the experiment harness
 // reports: streaming (Welford) accumulators for mean/variance/min/max,
-// quantiles, and confidence intervals. The paper's tables report
+// quantiles, and the standard error of the mean. The paper's tables report
 // avg/min/max/Var over 50 repetitions; Summary reproduces exactly those
 // columns.
 package stats
@@ -37,29 +37,6 @@ func (a *Acc) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// Merge incorporates the contents of b into a (parallel reduction).
-func (a *Acc) Merge(b *Acc) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n1, n2 := float64(a.n), float64(b.n)
-	d := b.mean - a.mean
-	tot := n1 + n2
-	a.mean += d * n2 / tot
-	a.m2 += b.m2 + d*d*n1*n2/tot
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n += b.n
-}
-
 // N returns the number of samples.
 func (a *Acc) N() int64 { return a.n }
 
@@ -80,14 +57,6 @@ func (a *Acc) Var() float64 {
 	return a.m2 / float64(a.n-1)
 }
 
-// PopVar returns the population variance (0 for n < 1).
-func (a *Acc) PopVar() float64 {
-	if a.n < 1 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
 // Std returns the sample standard deviation.
 func (a *Acc) Std() float64 { return math.Sqrt(a.Var()) }
 
@@ -98,10 +67,6 @@ func (a *Acc) StdErr() float64 {
 	}
 	return a.Std() / math.Sqrt(float64(a.n))
 }
-
-// CI95 returns the half-width of an approximate 95 % confidence interval on
-// the mean (normal approximation, adequate for n = 50 repetitions).
-func (a *Acc) CI95() float64 { return 1.959964 * a.StdErr() }
 
 // Summary is one row of a paper table: avg, min, max, Var.
 type Summary struct {
@@ -149,20 +114,3 @@ func Quantile(samples []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile of samples.
 func Median(samples []float64) float64 { return Quantile(samples, 0.5) }
-
-// GeoMean returns the geometric mean of positive samples; zero or negative
-// samples are clamped to floor to keep the result defined (useful for
-// log-scale quality plots where perfect runs reach exactly 0).
-func GeoMean(samples []float64, floor float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range samples {
-		if x < floor {
-			x = floor
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(samples)))
-}

@@ -44,38 +44,6 @@ func TestAccSingle(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestMergeEquivalence(t *testing.T) {
-	r := rng.New(1)
-	if err := quick.Check(func(seed uint32, n1Raw, n2Raw uint8) bool {
-		rr := rng.New(uint64(seed) ^ r.Uint64())
-		n1, n2 := int(n1Raw%40), int(n2Raw%40)
-		var a, b, whole Acc
-		for i := 0; i < n1; i++ {
-			x := rr.NormFloat64() * 10
-			a.Add(x)
-			whole.Add(x)
-		}
-		for i := 0; i < n2; i++ {
-			x := rr.NormFloat64() * 10
-			b.Add(x)
-			whole.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			return false
-		}
-		if whole.N() == 0 {
-			return true
-		}
-		return almostEq(a.Mean(), whole.Mean(), 1e-9) &&
-			almostEq(a.Var(), whole.Var(), 1e-6) &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 6})
 	if s.N != 3 || s.Avg != 4 || s.Min != 2 || s.Max != 6 || s.Var != 4 {
@@ -119,35 +87,6 @@ func TestQuantilePanicsEmpty(t *testing.T) {
 		}
 	}()
 	Quantile(nil, 0.5)
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100}, 1e-300)
-	if !almostEq(got, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v", got)
-	}
-	// Floor applies to zeros.
-	got = GeoMean([]float64{0, 100}, 1)
-	if !almostEq(got, 10, 1e-9) {
-		t.Fatalf("GeoMean with floor = %v", got)
-	}
-	if GeoMean(nil, 1) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	r := rng.New(7)
-	var small, large Acc
-	for i := 0; i < 10; i++ {
-		small.Add(r.NormFloat64())
-	}
-	for i := 0; i < 1000; i++ {
-		large.Add(r.NormFloat64())
-	}
-	if large.CI95() >= small.CI95() {
-		t.Fatalf("CI95 did not shrink: %v vs %v", large.CI95(), small.CI95())
-	}
 }
 
 // Property: variance is never negative and mean lies in [min, max].
