@@ -321,7 +321,7 @@ func run(args []string, out, errOut io.Writer) (err error) {
 				err := statsW.Write(obs.RepStats{
 					Scenario: u.Cell, Rep: u.Rep, Seed: u.Summary.Seed,
 					Cycles: u.Summary.Cycles, Quality: u.Summary.Quality,
-					Stats: u.Summary.Stats,
+					Stats: u.Summary.Stats, Health: u.Summary.Health,
 				})
 				if err != nil && statsErr == nil {
 					statsErr = fmt.Errorf("writing %s: %w", *statsJSON, err)

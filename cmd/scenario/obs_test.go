@@ -118,6 +118,29 @@ func TestStatsJSONCampaign(t *testing.T) {
 		if st["cycles"].(float64) <= 0 || st["apply_rounds"].(float64) <= 0 {
 			t.Fatalf("line %d has empty counters: %v", i, st)
 		}
+		h, ok := m["health"].(map[string]any)
+		if !ok {
+			t.Fatalf("line %d has no view health: %v", i, m)
+		}
+		for _, k := range []string{"empty", "orphans", "dead_share", "in_min", "in_median", "in_max"} {
+			if _, ok := h[k]; !ok {
+				t.Fatalf("line %d health missing %q: %v", i, k, h)
+			}
+		}
+	}
+}
+
+// TestStatsJSONOmitsHealthOffCycleEngine: an event-engine repetition has
+// no overlay.Health to report, so its line carries no health key.
+func TestStatsJSONOmitsHealthOffCycleEngine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stats.jsonl")
+	if _, _, err := runCmd(t, "-run", "lossy-wan", "-statsjson", path); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range statsLines(t, path) {
+		if _, ok := m["health"]; ok {
+			t.Fatalf("line %d of an event-engine run carries health: %v", i, m)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"gossipopt/internal/funcs"
 	"gossipopt/internal/gossip"
+	"gossipopt/internal/overlay"
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 	"gossipopt/internal/solver"
@@ -158,6 +159,28 @@ func TestChurnDoesNotKillComputation(t *testing.T) {
 	// 0.1 demonstrates sustained convergence.
 	if q := net.Quality(); q > 0.1 {
 		t.Fatalf("quality %g under churn", q)
+	}
+}
+
+// TestLinkLossEmptiesNoView runs the full stack under crashes, joins and
+// i.i.d. link loss with delays, and requires that no live Newscast view is
+// empty at the end. Loss says nothing about liveness: a view that dropped
+// its partner on every lost leg left about an eighth of the live views
+// empty here, joiners first, whose one bootstrap entry a single lost leg
+// removed.
+func TestLinkLossEmptiesNoView(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		net := NewNetwork(Config{Nodes: 1000, Particles: 2, GossipEvery: 2, ViewSize: 20,
+			Function: funcs.Sphere, Dim: 2, Seed: seed,
+			Churn: &sim.RateChurn{CrashProb: 0.01, JoinPerCycle: 10, MinLive: 500},
+		})
+		eng := net.Engine()
+		eng.SetNetModel(sim.LossyLinks{Loss: 0.15, DelayMax: 2})
+		eng.Run(150)
+		if h := overlay.Health(eng, SlotTopology); h.Empty != 0 {
+			t.Errorf("seed %d: %d of %d live views are empty: %+v", seed, h.Empty, eng.LiveCount(), *h)
+		}
+		eng.Close()
 	}
 }
 

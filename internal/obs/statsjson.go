@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gossipopt/internal/exp"
+	"gossipopt/internal/overlay"
 	"gossipopt/internal/sim"
 )
 
@@ -25,6 +26,8 @@ type RepStats struct {
 	// Stats is the engine's instrumentation snapshot at the end of the
 	// repetition. Event-engine repetitions fill only the delivery counters.
 	Stats sim.EngineStats `json:"stats"`
+	// Health is the overlay's view health, when the repetition has one.
+	Health *overlay.ViewHealth `json:"health,omitempty"`
 }
 
 // CellStats is one sweep cell's aggregated engine statistics, emitted as

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"gossipopt/internal/sim"
-	"gossipopt/internal/stats"
 )
 
 // Graph analysis over the live overlay, used to validate the topology
@@ -122,25 +121,6 @@ func ConnectedComponents(g map[sim.NodeID][]sim.NodeID) []int {
 func IsConnected(g map[sim.NodeID][]sim.NodeID) bool {
 	cc := ConnectedComponents(g)
 	return len(cc) == 1 || (len(cc) == 0)
-}
-
-// DegreeStats summarizes the in-degree distribution of g. Under Newscast the
-// out-degree is fixed at C while the in-degree concentrates around C; a
-// heavy in-degree tail would indicate view-shuffling bias.
-func DegreeStats(g map[sim.NodeID][]sim.NodeID) (in, out stats.Summary) {
-	ids := sortedIDs(g)
-	inDeg := make(map[sim.NodeID]int, len(g))
-	var outs, ins []float64
-	for _, id := range ids {
-		outs = append(outs, float64(len(g[id])))
-		for _, b := range g[id] {
-			inDeg[b]++
-		}
-	}
-	for _, id := range ids {
-		ins = append(ins, float64(inDeg[id]))
-	}
-	return stats.Summarize(ins), stats.Summarize(outs)
 }
 
 // ClusteringCoefficient returns the average local clustering coefficient of

@@ -1,8 +1,11 @@
 package overlay
 
 import (
+	"sort"
+
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
+	"gossipopt/internal/stats"
 )
 
 // PeerSampler is the interface the coordination layer uses to obtain gossip
@@ -13,62 +16,116 @@ type PeerSampler interface {
 	// SamplePeer returns a (hopefully live) peer drawn from the node's
 	// current view. ok is false when the view is empty.
 	SamplePeer(r *rng.RNG) (id sim.NodeID, ok bool)
-	// Neighbors returns the node's current out-links (for graph analysis).
+	// Neighbors returns the node's current out-links (read by Health).
 	Neighbors() []sim.NodeID
 }
 
-// Newscast is the paper's topology service. Each node maintains a view of C
+// ViewHealth is the state of the live nodes' views: how many are empty,
+// how many live nodes no live view names (orphans), the share of entries
+// that name dead nodes, and the least, median and largest in-degree, the
+// number of live views that name a live node.
+type ViewHealth struct {
+	Empty     int     `json:"empty"`
+	Orphans   int     `json:"orphans"`
+	DeadShare float64 `json:"dead_share"`
+	InMin     int     `json:"in_min"`
+	InMedian  float64 `json:"in_median"`
+	InMax     int     `json:"in_max"`
+}
+
+// Health reads the PeerSamplers in protocol slot `slot` of e's live nodes,
+// static ones included, and changes nothing: it draws no random value and
+// writes no state. It returns nil when no live node has a sampler there.
+func Health(e *sim.Engine, slot int) *ViewHealth {
+	var h ViewHealth
+	var live, buf []sim.NodeID
+	in := make([]int32, e.Size())
+	entries, dead := 0, 0
+	for id := range sim.NodeID(e.Size()) {
+		var ps PeerSampler
+		if n := e.Node(id); n.Alive && slot < len(n.Protocols) {
+			ps, _ = n.Protocols[slot].(PeerSampler)
+		}
+		nbrs := buf[:0]
+		switch s := ps.(type) {
+		case nil:
+			continue
+		case *Newscast: // read in place: a copy per view was most of what Health allocated
+			nbrs = s.view.AppendIDs(nbrs)
+			buf = nbrs
+		default:
+			nbrs = ps.Neighbors()
+		}
+		live = append(live, id)
+		if len(nbrs) == 0 {
+			h.Empty++
+		}
+		entries += len(nbrs)
+		for _, t := range nbrs {
+			if n := e.Node(t); n != nil && n.Alive {
+				in[t]++
+			} else {
+				dead++
+			}
+		}
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	h.DeadShare = float64(dead) / float64(max(entries, 1))
+	degs := make([]float64, len(live))
+	for i, id := range live {
+		degs[i] = float64(in[id])
+	}
+	sort.Float64s(degs)
+	h.Orphans = sort.SearchFloat64s(degs, 1) // the in-degrees of 0
+	h.InMin, h.InMax = int(degs[0]), int(degs[len(degs)-1])
+	h.InMedian = stats.Median(degs)
+	return &h
+}
+
+// Newscast is the paper's topology service. Each node maintains a view of c
 // descriptors; once per cycle it (i) picks a random peer from its view,
 // (ii) refreshes its own descriptor with the current logical time, and
 // (iii) performs a symmetric view exchange: both sides merge the union of
-// the two views plus the other side's fresh descriptor, keeping the C
+// the two views plus the other side's fresh descriptor, keeping the c
 // freshest.
 //
 // The periodic exchange continuously shuffles views (≈ random graph with
-// out-degree C), keeps the overlay strongly connected (C = 20 is already
-// very robust per the Newscast literature) and self-heals: crashed nodes
-// stop injecting fresh descriptors, so their stale entries age out.
+// out-degree c), keeps the overlay strongly connected (c = 20 is already
+// very robust per the Newscast literature) and self-heals by aging alone:
+// crashed nodes stop injecting fresh descriptors, so their stale entries
+// age out. A lost leg says nothing about liveness and changes no view.
 type Newscast struct {
-	// C is the view size (paper/literature default 20).
-	C int
 	// Slot is the protocol slot index where Newscast instances live on
 	// every node, so a node can address its partner's instance.
 	Slot int
 
 	self sim.NodeID
 	view *View
-
-	// Exchanges counts initiated view exchanges (metrics).
-	Exchanges int64
 }
 
 // Compile-time guards: sim.Protocol is untyped, so assert the two-phase
 // contracts explicitly — a signature drift must fail the build, not turn
 // the protocol into a silent no-op.
-var (
-	_ sim.Proposer      = (*Newscast)(nil)
-	_ sim.Receiver      = (*Newscast)(nil)
-	_ sim.Undeliverable = (*Newscast)(nil)
-)
+var _ sim.Proposer = (*Newscast)(nil)
+var _ sim.Receiver = (*Newscast)(nil)
 
 // NewNewscast creates the Newscast instance for the given node.
 func NewNewscast(self sim.NodeID, c, slot int) *Newscast {
-	return &Newscast{C: c, Slot: slot, self: self, view: NewView(c)}
+	return &Newscast{Slot: slot, self: self, view: NewView(c)}
 }
 
-// View exposes the node's current view (read-mostly; used by tests and
-// graph analysis).
+// View exposes the node's current view, for reading.
 func (nc *Newscast) View() *View { return nc.view }
 
-// SamplePeer implements PeerSampler by uniform choice over the view. On
-// the propose hot path, so it draws straight from the view instead of
-// materializing an ID slice per call.
+// SamplePeer implements PeerSampler by uniform choice over the view.
 func (nc *Newscast) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 	return nc.view.SampleID(r)
 }
 
 // Neighbors implements PeerSampler.
-func (nc *Newscast) Neighbors() []sim.NodeID { return nc.view.IDs() }
+func (nc *Newscast) Neighbors() []sim.NodeID { return nc.view.AppendIDs(nil) }
 
 // Bootstrap seeds the view with the given peers at logical time 0. Up to
 // mergeStack peers the batch stays on the stack.
@@ -132,7 +189,6 @@ func (nc *Newscast) Propose(n *sim.Node, px *sim.Proposals) {
 	if !ok {
 		return
 	}
-	nc.Exchanges++
 	sw := viewSwapPool.Get(px.Payloads())
 	sw.Descs = nc.view.snapshotInto(sw.Descs)
 	sw.Stamp = px.Cycle()
@@ -168,36 +224,24 @@ func (nc *Newscast) exchange(from sim.NodeID, sw *viewSwap) {
 	sw.Descs = append(sized(sw.Descs, v.c), a...)
 }
 
-// Undelivered implements sim.Undeliverable: the partner is dead or
-// unreachable, so the exchange (or its reply leg) is simply lost. Drop the
-// unreachable descriptor locally so repeated failures do not pin the view.
-func (nc *Newscast) Undelivered(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
-	nc.view.Remove(msg.To)
-}
-
 // InitNewscast wires a Newscast instance into protocol slot `slot` of every
 // node of e, bootstrapping each view with up to c random peers chosen by the
-// engine RNG. Call after all initial nodes are added; newly joining nodes
-// (churn) get their instance from the node factory and bootstrap lazily via
-// exchanges initiated by others... but since a joiner with an empty view can
-// never initiate, factories should call Bootstrap with at least one
-// known node, mirroring a real deployment's bootstrap server.
+// engine RNG. Call after all initial nodes are added. Joiners (churn) get
+// their instance from the node factory, which should Bootstrap it with a
+// known node, as a bootstrap server would: an empty view never initiates.
+// That entry stays until fresher ones push it out, legs lost or not.
 func InitNewscast(e *sim.Engine, slot, c int) {
 	nodes := e.LiveNodes()
-	ids := make([]sim.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = n.ID
-	}
 	// One AppendSample(_, n, k+1) of the engine RNG per node, in live order.
-	k := min(c, len(ids)-1)
+	k := min(c, len(nodes)-1)
 	peers := make([]sim.NodeID, 0, max(k, 0))
 	sample := make([]int, 0, k+1)
 	for _, n := range nodes {
 		peers = peers[:0]
-		sample = e.RNG().AppendSample(sample[:0], len(ids), k+1)
+		sample = e.RNG().AppendSample(sample[:0], len(nodes), k+1)
 		for _, idx := range sample {
-			if ids[idx] != n.ID && len(peers) < k {
-				peers = append(peers, ids[idx])
+			if id := nodes[idx].ID; id != n.ID && len(peers) < k {
+				peers = append(peers, id)
 			}
 		}
 		nc := NewNewscast(n.ID, c, slot)

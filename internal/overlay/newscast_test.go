@@ -102,18 +102,10 @@ func TestNewscastJoinersIntegrate(t *testing.T) {
 	if nc.View().Len() < 5 {
 		t.Fatalf("joiner's view has %d entries after 15 cycles", nc.View().Len())
 	}
-	// The joiner must also be known by others (in-degree > 0).
-	g := Snapshot(e, 0)
-	in := 0
-	for _, nbrs := range g {
-		for _, id := range nbrs {
-			if id == joiner.ID {
-				in++
-			}
-		}
-	}
-	if in == 0 {
-		t.Fatal("joiner never entered anyone's view")
+	// The joiner must also be known by others: no live node, the joiner
+	// included, is in no live view.
+	if h := Health(e, 0); h.Orphans != 0 {
+		t.Fatalf("%d live nodes are in no live view: %+v", h.Orphans, *h)
 	}
 }
 
@@ -121,14 +113,17 @@ func TestNewscastRandomGraphShape(t *testing.T) {
 	e := buildNewscastNet(6, 400, 20)
 	e.Run(40)
 	g := Snapshot(e, 0)
-	inStats, outStats := DegreeStats(g)
+	out := 0
+	for _, nbrs := range g {
+		out += len(nbrs)
+	}
 	// Out-degree is bounded by C; after warmup it should be close to C.
-	if outStats.Avg < 17 || outStats.Avg > 20 {
-		t.Fatalf("avg out-degree %.2f, want ≈ 20", outStats.Avg)
+	if avg := float64(out) / float64(len(g)); avg < 17 || avg > 20 {
+		t.Fatalf("avg out-degree %.2f, want ≈ 20", avg)
 	}
 	// In-degree should concentrate near C (no superhubs).
-	if inStats.Max > 5*20 {
-		t.Fatalf("max in-degree %v indicates hub formation", inStats.Max)
+	if h := Health(e, 0); h.InMax > 5*20 {
+		t.Fatalf("max in-degree %d indicates hub formation", h.InMax)
 	}
 	// Path length should be short (log n / log c ≈ 2).
 	if apl, ok := AvgPathLength(g, 50); !ok || apl > 4 {
@@ -299,7 +294,8 @@ func viewsDigest(e *sim.Engine) uint64 {
 // order) after each cycle are folded into one FNV-1a digest. Any change to
 // the canonical order, the merge or a payload moves them.
 //
-// Both digests were recorded when descriptors were stored as two int64s.
+// Both digests were recorded when a lost leg stopped evicting the partner
+// from the initiator's view.
 func TestNewscastViewsPinned(t *testing.T) {
 	const c, cycles = 20, 60
 	for _, tc := range []struct {
@@ -308,8 +304,8 @@ func TestNewscastViewsPinned(t *testing.T) {
 		delayMax int64
 		want     uint64
 	}{
-		{"newscast", 16, 2, 0xd455a556ccf4ea23},
-		{"newscast", 1000, 2, 0xce65d29e5c000b76},
+		{"newscast", 16, 2, 0x5cbda52076ac814f},
+		{"newscast", 1000, 2, 0x103603f77b625359},
 	} {
 		t.Run(fmt.Sprintf("%s/n=%d/delay=%d", tc.proto, tc.n, tc.delayMax), func(t *testing.T) {
 			e := sim.NewEngine(31)
@@ -406,4 +402,67 @@ func TestNewscastNoDoubleRelease(t *testing.T) {
 		}
 		seen[first] = n.ID
 	})
+}
+
+// TestNewscastLossEmptiesNoView: at overlay-vs-linkloss's shape (48 nodes,
+// c = 8, 35% loss per leg, 120 cycles) no live view is empty at the end of
+// any of 12 seeds, and at most 2 seeds end with a node that no live view
+// names. Without eviction an orphan is transient: the node keeps
+// initiating, and its next delivered request names it again (one seed of
+// the 12 ends with one). An initiator that evicted its partner on each
+// lost leg left 11 views empty and 21 nodes unnamed across the 12 seeds,
+// 9 of which ended with an orphan, most unnamed for the rest of the run.
+func TestNewscastLossEmptiesNoView(t *testing.T) {
+	orphaned := 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		e := buildNewscastNet(seed, 48, 8)
+		e.SetNetModel(sim.LossyLinks{Loss: 0.35})
+		e.Run(120)
+		h := Health(e, 0)
+		if h.Empty != 0 {
+			t.Errorf("seed %d: %+v", seed, *h)
+		}
+		if h.Orphans != 0 {
+			orphaned++
+		}
+		e.Close()
+	}
+	if orphaned > 2 {
+		t.Errorf("%d of 12 seeds end with an orphan, want at most 2", orphaned)
+	}
+}
+
+// TestNewscastHealthUnderCrashChurn: aging alone keeps dead entries rare.
+// Under 1% crashes and joins a cycle with no loss, at most 2.5% of the
+// live views' entries name dead nodes.
+func TestNewscastHealthUnderCrashChurn(t *testing.T) {
+	e := buildNewscastNet(13, 1000, 20)
+	defer e.Close()
+	e.SetChurn(&sim.RateChurn{CrashProb: 0.01, JoinPerCycle: 10, MinLive: 500})
+	e.Run(100)
+	h := Health(e, 0)
+	if h.DeadShare > 0.025 || h.Empty != 0 {
+		t.Fatalf("health after 100 cycles of churn: %+v", *h)
+	}
+}
+
+// TestHealthCounts checks each field on a hand-wired static overlay: 0 → 1,
+// 1 → {0, 4}, 2 → 1, 3 → {} and 4 → 1, where node 4 then crashes. Node 3
+// is empty; nodes 2 and 3 are orphans; one of the four live views' four
+// entries names the dead node; the in-degrees of 0…3 are 1, 2, 0 and 0.
+func TestHealthCounts(t *testing.T) {
+	e := sim.NewEngine(1)
+	defer e.Close()
+	links := [][]sim.NodeID{{1}, {0, 4}, {1}, {}, {1}}
+	for i, n := range e.AddNodes(len(links)) {
+		n.Protocols = []sim.Protocol{&Static{peers: links[i]}}
+	}
+	e.Crash(4)
+	want := ViewHealth{Empty: 1, Orphans: 2, DeadShare: 0.25, InMin: 0, InMedian: 0.5, InMax: 2}
+	if h := Health(e, 0); h == nil || *h != want {
+		t.Fatalf("Health = %+v, want %+v", h, want)
+	}
+	if h := Health(e, 1); h != nil {
+		t.Fatalf("Health of an empty slot = %+v, want nil", *h)
+	}
 }

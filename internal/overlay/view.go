@@ -57,7 +57,7 @@ func (e entry) descriptor() Descriptor { return Descriptor{ID: e.id, Stamp: int6
 // freshest stamp first, equal stamps by the mix hash. Every merge relies on
 // it — it merges the view with the other sorted run linearly instead of
 // sorting their union — so everything that writes items must keep it:
-// mergeRuns emits in that order, Remove and Clone preserve it.
+// mergeRuns emits in that order and Clone preserves it.
 //
 // items is allocated once, at capacity c, by the first merge that needs
 // it, and every later merge writes into it in place; it is never grown by
@@ -76,13 +76,13 @@ func (v *View) Cap() int { return v.c }
 // Len returns the number of descriptors currently held.
 func (v *View) Len() int { return len(v.items) }
 
-// IDs returns the node IDs in the view, freshest first.
-func (v *View) IDs() []sim.NodeID {
-	out := make([]sim.NodeID, len(v.items))
-	for i, e := range v.items {
-		out[i] = e.id
+// AppendIDs appends the node IDs in the view, freshest first, to dst and
+// returns the extended slice.
+func (v *View) AppendIDs(dst []sim.NodeID) []sim.NodeID {
+	for _, e := range v.items {
+		dst = append(dst, e.id)
 	}
-	return out
+	return dst
 }
 
 // Descriptors returns a copy of the view contents, freshest first.
@@ -126,9 +126,6 @@ func (v *View) SampleID(r *rng.RNG) (sim.NodeID, bool) {
 	}
 	return v.items[r.Intn(len(v.items))].id, true
 }
-
-// Contains reports whether the view holds a descriptor for id.
-func (v *View) Contains(id sim.NodeID) bool { return containsID(v.items, id) }
 
 // Insert merges a single descriptor into the view, keeping at most one
 // descriptor per ID (the freshest) and at most Cap descriptors overall
@@ -299,17 +296,6 @@ func containsID(es []entry, id sim.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// Remove deletes the descriptor for id, if present, keeping the order of
-// the others.
-func (v *View) Remove(id sim.NodeID) {
-	for i, e := range v.items {
-		if e.id == id {
-			v.items = append(v.items[:i], v.items[i+1:]...)
-			return
-		}
-	}
 }
 
 // Clone returns an independent copy of the view.

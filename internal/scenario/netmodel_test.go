@@ -139,6 +139,32 @@ func TestLinkLossDegradationPinned(t *testing.T) {
 	}
 }
 
+// TestLinkLossLeavesViewsWhole reads the overlay's view health at the end
+// of each repetition of overlay-vs-linkloss's harshest Newscast cell
+// (35% loss per leg) at 12 repetitions: no live view is empty and every
+// live node is in one. While a lost leg evicted the partner, 10 of the 12
+// repetitions ended with 16 empty views and 28 orphans between them.
+func TestLinkLossLeavesViewsWhole(t *testing.T) {
+	sw, _ := BuiltinSweep("overlay-vs-linkloss")
+	res, err := RunSweep(sw, Options{Reps: 12}, exp.DiscardSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cell = "overlay-vs-linkloss/overlay=newscast,loss=0.35"
+	for _, r := range res {
+		if r.Cell.Name != cell {
+			continue
+		}
+		for _, s := range r.Sums {
+			if h := s.Health; h == nil || h.Empty != 0 || h.Orphans != 0 {
+				t.Errorf("rep %d: view health %+v", s.Rep, h)
+			}
+		}
+		return
+	}
+	t.Fatalf("no cell %s", cell)
+}
+
 // TestNetModelRepWorkerInvariance extends the worker-invariance contract's
 // third axis to the net-model built-ins: a multi-repetition campaign emits
 // byte-identical CSV for every repetition-worker count.

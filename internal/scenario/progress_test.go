@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"gossipopt/internal/exp"
@@ -105,7 +106,7 @@ func TestProgressStreamWorkerInvariance(t *testing.T) {
 			t.Fatalf("repworkers=%d workers=%d: %d updates, want %d", grid[0], grid[1], len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("repworkers=%d workers=%d: update %d differs:\n%+v\n%+v",
 					grid[0], grid[1], i, got[i], want[i])
 			}

@@ -8,6 +8,7 @@ import (
 	"gossipopt/internal/core"
 	"gossipopt/internal/exp"
 	"gossipopt/internal/funcs"
+	"gossipopt/internal/overlay"
 	"gossipopt/internal/sim"
 )
 
@@ -75,6 +76,8 @@ type RepSummary struct {
 	// repetition (sim.Engine.Stats). Event-engine repetitions fill only
 	// the delivery and eval counters.
 	Stats sim.EngineStats
+	// Health is overlay.Health at the end of a cycle-engine repetition.
+	Health *overlay.ViewHealth
 }
 
 // Run executes a campaign: Reps repetitions of the spec, each emitting its
@@ -401,6 +404,7 @@ func runCycleRep(s Spec, seed uint64, rep int, opts Options, sink exp.Sink) (Rep
 	sum.Evals = net.TotalEvals()
 	sum.Quality = net.Quality()
 	sum.Stats = eng.Stats()
+	sum.Health = overlay.Health(eng, core.SlotTopology)
 	return sum, nil
 }
 

@@ -511,7 +511,7 @@ func TestRepParallelByteIdentical(t *testing.T) {
 		for i := range seqSums {
 			stripWorkerVariantStats(&seqSums[i].Stats)
 			stripWorkerVariantStats(&parSums[i].Stats)
-			if seqSums[i] != parSums[i] {
+			if !reflect.DeepEqual(seqSums[i], parSums[i]) {
 				t.Fatalf("%s rep %d: summaries differ: %+v vs %+v", name, i, seqSums[i], parSums[i])
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -280,7 +281,7 @@ func TestSweepWorkerInvariance(t *testing.T) {
 				sa, sb := oneRes[i].Sums[j], gotRes[i].Sums[j]
 				stripWorkerVariantStats(&sa.Stats)
 				stripWorkerVariantStats(&sb.Stats)
-				if sa != sb {
+				if !reflect.DeepEqual(sa, sb) {
 					t.Fatalf("cell %d rep %d summary differs at repworkers=%d:\n%+v\n%+v", i, j, w, sa, sb)
 				}
 			}

@@ -1,12 +1,9 @@
 // Package stats provides the descriptive statistics the experiment harness
-// reports: streaming (Welford) accumulators for mean/variance/min/max,
-// quantiles, and the standard error of the mean. The paper's tables report
-// avg/min/max/Var over 50 repetitions; Summary reproduces exactly those
-// columns.
+// reports: a streaming (Welford) accumulator for mean/variance/min/max, the
+// columns of the paper's tables over 50 repetitions, and quantiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -60,35 +57,6 @@ func (a *Acc) Var() float64 {
 // Std returns the sample standard deviation.
 func (a *Acc) Std() float64 { return math.Sqrt(a.Var()) }
 
-// StdErr returns the standard error of the mean.
-func (a *Acc) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.Std() / math.Sqrt(float64(a.n))
-}
-
-// Summary is one row of a paper table: avg, min, max, Var.
-type Summary struct {
-	N                  int64
-	Avg, Min, Max, Var float64
-}
-
-// Summarize computes the paper's table columns over samples.
-func Summarize(samples []float64) Summary {
-	var a Acc
-	for _, x := range samples {
-		a.Add(x)
-	}
-	return Summary{N: a.N(), Avg: a.Mean(), Min: a.Min(), Max: a.Max(), Var: a.Var()}
-}
-
-// String formats the summary the way the paper's tables print rows.
-func (s Summary) String() string {
-	return fmt.Sprintf("avg=%.5g min=%.5g max=%.5g var=%.5g (n=%d)",
-		s.Avg, s.Min, s.Max, s.Var, s.N)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of samples using linear
 // interpolation between order statistics. It panics on an empty slice.
 func Quantile(samples []float64, q float64) float64 {
@@ -97,19 +65,12 @@ func Quantile(samples []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
+	pos := min(max(q, 0), 1) * float64(len(s)-1)
 	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
+	if frac := pos - float64(i); frac > 0 {
+		return s[i]*(1-frac) + s[i+1]*frac
 	}
-	return s[i]*(1-frac) + s[i+1]*frac
+	return s[i]
 }
 
 // Median returns the 0.5-quantile of samples.

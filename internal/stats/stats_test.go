@@ -31,7 +31,7 @@ func TestAccBasics(t *testing.T) {
 
 func TestAccEmpty(t *testing.T) {
 	var a Acc
-	if a.Mean() != 0 || a.Var() != 0 || a.StdErr() != 0 {
+	if a.Mean() != 0 || a.Var() != 0 || a.Std() != 0 {
 		t.Fatal("empty accumulator not zero")
 	}
 }
@@ -41,16 +41,6 @@ func TestAccSingle(t *testing.T) {
 	a.Add(7)
 	if a.Mean() != 7 || a.Min() != 7 || a.Max() != 7 || a.Var() != 0 {
 		t.Fatal("single-sample accumulator wrong")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 6})
-	if s.N != 3 || s.Avg != 4 || s.Min != 2 || s.Max != 6 || s.Var != 4 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
 
