@@ -90,3 +90,83 @@ func TestNewscastBytesPerNode(t *testing.T) {
 		t.Fatalf("a warmed Newscast network holds %.0f B of live heap per node, budget %d", perNode, budget)
 	}
 }
+
+// TestNewscastDrawsInAddressOrder guards the payload placement that the
+// engine's end-of-cycle release order buys (sim.releaseApplyScratch):
+// on a lossless Newscast network at overlay-heavy's shape (n = 10 000,
+// c = 20, one worker), once warm, the snapshot headers the propose phase
+// draws, taken in ID order, walk memory upwards — at least 90% of them
+// lie at most a page above the one the previous node drew, and so do
+// their descriptor buffers. Released in canonical order, as the engine
+// once did, the free lists hand the same headers out in shuffled order
+// and about 1% do. The test first empties the process-wide free list, so
+// its network draws only payloads it allocated itself, in the order of
+// its first cycle.
+func TestNewscastDrawsInAddressOrder(t *testing.T) {
+	const n, c, page, want = 10_000, 20, 4096, 0.9
+	var drain sim.PayloadCache
+	for cap(viewSwapPool.Get(&drain).Descs) > 0 { // a recycled header keeps its buffer
+	}
+	e := sim.NewEngine(1)
+	defer e.Close()
+	e.SetWorkers(1)
+	e.AddNodes(n)
+	InitNewscast(e, 0, c)
+	e.Run(10)
+	drawn := make([][2]uintptr, n)
+	for _, nd := range e.LiveNodes() {
+		nd.Protocols[0] = drawProbe{nd.Protocols[0].(*Newscast), drawn}
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		e.RunCycle()
+		near := [2]int{}
+		for id := 1; id < n; id++ {
+			for k := range near {
+				if d := drawn[id][k] - drawn[id-1][k]; d > 0 && d <= page {
+					near[k]++
+				}
+			}
+		}
+		head, buf := float64(near[0])/(n-1), float64(near[1])/(n-1)
+		t.Logf("cycle %d: %.1f%% of headers and %.1f%% of buffers within a page above the previous draw", cycle, 100*head, 100*buf)
+		if head < want || buf < want {
+			t.Fatalf("cycle %d: %.1f%% of snapshot headers and %.1f%% of their buffers lie within a page above the previous node's, want >= %.0f%%",
+				cycle, 100*head, 100*buf, 100*want)
+		}
+	}
+}
+
+// drawProbe records, for every request it receives, the addresses of the
+// snapshot header and buffer its proposer drew, under the proposer's ID.
+type drawProbe struct {
+	*Newscast
+	drawn [][2]uintptr
+}
+
+func (p drawProbe) Receive(n *sim.Node, ax *sim.ApplyContext, msg sim.Message) {
+	if sw, ok := msg.Data.(*viewSwap); ok {
+		p.drawn[msg.From] = [2]uintptr{uintptr(unsafe.Pointer(sw)), uintptr(unsafe.Pointer(unsafe.SliceData(sw.Descs)))}
+	}
+	p.Newscast.Receive(n, ax, msg)
+}
+
+// TestHealthCopiesNoLinks: Health reads a Static's links and a Newscast's
+// view in place, so reading a 2 000-node overlay of either kind allocates
+// its per-call tables (in-degrees, the live IDs as they grow, the sorted
+// degrees) and no copy per node.
+func TestHealthCopiesNoLinks(t *testing.T) {
+	const n, budget = 2000, 32
+	for _, kind := range []string{"static", "newscast"} {
+		e := sim.NewEngine(3)
+		e.AddNodes(n)
+		if kind == "static" {
+			InitStatic(e, 0, KRegularRandom(20))
+		} else {
+			InitNewscast(e, 0, 20)
+		}
+		if avg := testing.AllocsPerRun(5, func() { Health(e, 0) }); avg > budget {
+			t.Errorf("%s: Health allocates %.0f times on %d nodes, budget %d", kind, avg, n, budget)
+		}
+		e.Close()
+	}
+}

@@ -53,6 +53,8 @@ func Health(e *sim.Engine, slot int) *ViewHealth {
 		case *Newscast: // read in place: a copy per view was most of what Health allocated
 			nbrs = s.view.AppendIDs(nbrs)
 			buf = nbrs
+		case *Static: // its row of the links slab, uncopied
+			nbrs = s.peers
 		default:
 			nbrs = ps.Neighbors()
 		}

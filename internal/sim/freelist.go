@@ -40,6 +40,19 @@ import (
 // allocates more than the peak number of payloads in flight plus, per
 // extra worker, the flBatch-1 a refill can leave idle.
 //
+// Both levels are LIFO, and the order of release decides where the next
+// phase writes. Put pushes onto the magazine, a spill moves its top batch
+// to the depot and keeps the bottom one, the barrier flush lays the rest
+// on top, and a refill takes the depot's top batch whole, which Get pops
+// from the top. So the payloads one cache releases are drawn back in
+// reverse release order, except that the first batch released comes out
+// right after the last, partial one. The engine releases a cycle's
+// payloads in descending node order (releaseApplyScratch): the propose
+// phase, in ascending ID order, then draws each node's payload back in
+// its position of the cycle before, so a run of payloads first allocated
+// in ID order stays in address order, and so do the propose phase's
+// snapshot writes and the reply leg's reads of them.
+//
 // The ownership rules extend the "ownership transfers on Send" contract of
 // exchange.go:
 //

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -19,9 +20,10 @@ import (
 // proposal's name plus one "/f" per forward — so the same payload has the
 // same identity in the engine's world and the reference's: a payload
 // forwarded as a follow-up takes the follow-up's id. Recycle logs the id
-// in the owning world before returning the struct to a free list, which
-// makes the order of end-of-cycle recycling (the canonical list, in slot
-// order, after every round built in it) observable.
+// in the owning world, with the canonical slot that holds the payload,
+// before returning the struct to a free list, which makes both the order
+// of end-of-cycle recycling and where every round built in the canonical
+// list left each payload observable.
 type refPayload struct {
 	id    string
 	hops  int
@@ -31,16 +33,26 @@ type refPayload struct {
 var refPayloads FreeList[refPayload]
 
 func (p *refPayload) Recycle(c *PayloadCache) {
-	p.world.recycled = append(p.world.recycled, p.id)
+	list := p.world.canonical()
+	slot := slices.IndexFunc(list, func(m Message) bool { return m.Data == any(p) })
+	p.world.recycled = append(p.world.recycled, refRecycled{p.id, slot})
 	*p = refPayload{}
 	refPayloads.Put(c, p)
 }
 
+// refRecycled is one entry of the recycle log: a payload's id and the slot
+// of the canonical list it was released from.
+type refRecycled struct {
+	id   string
+	slot int
+}
+
 // refWorld is what one run leaves behind besides its counters.
 type refWorld struct {
-	nodes    int // IDs below this exist (some dead); a few above are addressed too
-	recycled []string
-	protos   []*refProto
+	nodes     int // IDs below this exist (some dead); a few above are addressed too
+	recycled  []refRecycled
+	protos    []*refProto
+	canonical func() []Message // the canonical list of the cycle being released
 }
 
 // refCall is one handler invocation as the handled node saw it.
@@ -131,7 +143,9 @@ func (p *refProto) Undelivered(n *Node, ax *ApplyContext, msg Message) { p.handl
 // buffer rule literally, because that rule decides the slot each payload
 // is recycled from: a reply Forward wrote into its request's slot stays
 // there, and the next round is built in place by moving the marked slots
-// to the front of the round, one swap each.
+// to the front of the round, one swap each. It releases in the engine's
+// node order: every slot the last round handed to no node, in slot order,
+// then the last round's jobs sorted stably by handling node, from the end.
 type refEngine struct {
 	world       *refWorld
 	nodes       []*Node
@@ -215,13 +229,16 @@ func (r *refEngine) runCycle() {
 	r.rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 
 	depth := 0
+	var last []refJob
 	for round := msgs; len(round) > 0; depth++ {
+		last = last[:0]
 		for i := range round {
 			n, m, deliver := r.route(&round[i])
 			if n == nil {
 				continue
 			}
 			r.jobs++
+			last = append(last, refJob{slot: i, node: n.ID})
 			if m.Slot < 0 || int(m.Slot) >= len(n.Protocols) {
 				continue
 			}
@@ -240,10 +257,28 @@ func (r *refEngine) runCycle() {
 		round = next
 	}
 	r.maxDepth = max(r.maxDepth, depth)
+	r.world.canonical = func() []Message { return msgs }
+	handled := make([]bool, len(msgs))
+	for _, j := range last {
+		handled[j.slot] = true
+	}
 	for i := range msgs {
-		recyclePayload(&msgs[i], nil)
+		if !handled[i] {
+			recyclePayload(&msgs[i], nil)
+		}
+	}
+	slices.SortStableFunc(last, func(a, b refJob) int { return cmp.Compare(a.node, b.node) })
+	for t := len(last) - 1; t >= 0; t-- {
+		recyclePayload(&msgs[last[t].slot], nil)
 	}
 	r.cycle++
+}
+
+// refJob is one message of a round that some node handles: its slot and
+// the handling node.
+type refJob struct {
+	slot int
+	node NodeID
 }
 
 // The scenario both worlds follow: a one-way partition, lossy
@@ -296,6 +331,7 @@ func runReference() *refEngine {
 func runEngine(workers, applyWorkers int) (*Engine, *refWorld) {
 	w := &refWorld{nodes: refNodes}
 	e := NewEngine(refSeed)
+	w.canonical = func() []Message { return e.outScratch[0].msgs }
 	e.SetWorkers(workers)
 	e.SetApplyWorkers(applyWorkers)
 	e.SetNodeFactory(func(n *Node) {
@@ -317,16 +353,17 @@ func runEngine(workers, applyWorkers int) (*Engine, *refWorld) {
 // reference once and through the engine at every (propose × apply) worker
 // combination of {1,2,8}², and compares: each node's handler-call log
 // (cycle, payload identity, deliver or undelivered, forwarded or not); the
-// recycle log, which lists the payloads of the canonical list in slot
-// order once every round has been built in it (which pins where each
-// round put each follow-up); the routing counters; and the position of
-// the net-model stream. The scenario must chain forwards at least four
-// rounds deep and forward from both Receive and Undelivered. The engine
-// runs under the free-list double-release detector, and
-// the recycle log is checked to hold every created payload not still in
-// the delay queue exactly once — the original of a corrupted leg, the
-// payload of a delayed one and a payload forwarded under its new id
-// included — and a forwarded payload's old id never.
+// recycle log, which lists every payload with the canonical slot it is
+// released from once every round has been built in the list (which pins
+// where each round put each follow-up), in release order (which pins the
+// node order the next propose phase draws in); the routing counters; and
+// the position of the net-model stream. The scenario must chain forwards
+// at least four rounds deep and forward from both Receive and
+// Undelivered. The engine runs under the free-list double-release
+// detector, and the recycle log is checked to hold every created payload
+// not still in the delay queue exactly once — the original of a corrupted
+// leg, the payload of a delayed one and a payload forwarded under its new
+// id included — and a forwarded payload's old id never.
 func TestApplyMatchesSequentialReference(t *testing.T) {
 	EnableFreeListDebug(true)
 	defer EnableFreeListDebug(false)
@@ -380,13 +417,17 @@ func TestApplyMatchesSequentialReference(t *testing.T) {
 				}
 			}
 			if !slices.Equal(world.recycled, ref.world.recycled) {
-				t.Fatalf("%s: recycle log differs from the reference (%d vs %d entries)",
-					name, len(world.recycled), len(ref.world.recycled))
+				k := 0
+				for k < min(len(world.recycled), len(ref.world.recycled)) && world.recycled[k] == ref.world.recycled[k] {
+					k++
+				}
+				t.Fatalf("%s: recycle log differs from the reference at entry %d of %d and %d (id and slot):\n%v\nreference\n%v",
+					name, k, len(world.recycled), len(ref.world.recycled), world.recycled[k:min(k+4, len(world.recycled))], ref.world.recycled[k:min(k+4, len(ref.world.recycled))])
 			}
 
 			count := map[string]int{}
-			for _, id := range world.recycled {
-				count[id]++
+			for _, r := range world.recycled {
+				count[r.id]++
 			}
 			for _, d := range e.delayQ {
 				count[d.msg.Data.(*refPayload).id]++

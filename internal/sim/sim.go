@@ -821,18 +821,39 @@ func (e *Engine) flushCaches() {
 // releaseApplyScratch is the one place a cycle's payload references die.
 // First every payload the cycle sent is offered back to its free list —
 // each lives in exactly one slot of the canonical list (outs[0]), in which
-// every round was built, so Recycle runs exactly once per payload. Then the
-// propose outboxes, the only buffers that carry payloads, are cleared over
-// their full capacity; otherwise stale entries beyond the next cycle's
-// high-water mark would pin delivered payloads for the engine's lifetime.
-// The routing keys, the job order, the per-node counters and the spans
-// hold only indices, pin nothing, and are deliberately not cleared — at
-// n = 10^6 that skips megabytes of per-cycle memset.
+// every round was built, so Recycle runs exactly once per payload. The
+// order is by node, not the canonical shuffle: first every slot the last
+// round handed to no node, in slot order, then the last round's jobs in
+// descending job order, which applyRound left sorted by handling node in
+// jobOrder (its keys cover the first len(jobKeys) slots). In an exchange
+// the last round is the replies, handled by their proposers, and the free
+// lists are LIFO, so the next propose phase, running in ID order, draws
+// each node's payload back in its place of this cycle: its snapshot
+// writes, and the reply leg's reads, walk memory in address order (see
+// freelist.go). Then the propose outboxes, the only buffers that carry
+// payloads, are cleared over their full capacity; otherwise stale entries
+// beyond the next cycle's high-water mark would pin delivered payloads for
+// the engine's lifetime. The routing keys, the job order, the per-node
+// counters and the spans hold only indices, pin nothing, and are
+// deliberately not cleared — at n = 10^6 that skips megabytes of per-cycle
+// memset.
 func (e *Engine) releaseApplyScratch(outs []Proposals) {
 	e.growCaches(1)
 	c := &e.caches[0]
-	for i := range outs[0].msgs {
-		if recyclePayload(&outs[0].msgs[i], c) {
+	msgs, keys, order := outs[0].msgs, e.jobKeys, e.jobOrder
+	if len(msgs) == 0 { // no round ran: the keys are an older cycle's
+		keys, order = nil, nil
+	}
+	for i := range msgs {
+		if i < len(keys) && keys[i] != noHandler {
+			continue
+		}
+		if recyclePayload(&msgs[i], c) {
+			e.payloadsRecycled++
+		}
+	}
+	for t := len(order) - 1; t >= 0; t-- {
+		if recyclePayload(&msgs[order[t]], c) {
 			e.payloadsRecycled++
 		}
 	}
