@@ -16,7 +16,8 @@ type PeerSampler interface {
 	// SamplePeer returns a (hopefully live) peer drawn from the node's
 	// current view. ok is false when the view is empty.
 	SamplePeer(r *rng.RNG) (id sim.NodeID, ok bool)
-	// Neighbors returns the node's current out-links (read by Health).
+	// Neighbors returns the node's current out-links (read by Health). The
+	// result may alias the sampler's state: callers must not modify it.
 	Neighbors() []sim.NodeID
 }
 
@@ -53,8 +54,6 @@ func Health(e *sim.Engine, slot int) *ViewHealth {
 		case *Newscast: // read in place: a copy per view was most of what Health allocated
 			nbrs = s.view.AppendIDs(nbrs)
 			buf = nbrs
-		case *Static: // its row of the links slab, uncopied
-			nbrs = s.peers
 		default:
 			nbrs = ps.Neighbors()
 		}

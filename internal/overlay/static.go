@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"slices"
-
 	"gossipopt/internal/rng"
 	"gossipopt/internal/sim"
 )
@@ -28,8 +26,9 @@ func (s *Static) SamplePeer(r *rng.RNG) (sim.NodeID, bool) {
 	return s.peers[r.Intn(len(s.peers))], true
 }
 
-// Neighbors implements PeerSampler.
-func (s *Static) Neighbors() []sim.NodeID { return slices.Clone(s.peers) }
+// Neighbors implements PeerSampler. It returns the node's row of the links
+// slab itself, uncopied: callers must not modify it.
+func (s *Static) Neighbors() []sim.NodeID { return s.peers }
 
 // Propose implements sim.Proposer as a no-op: static topologies need no
 // maintenance, and by speaking the two-phase contract they keep a node's

@@ -243,6 +243,31 @@ func TestStatsPayloadsRecycled(t *testing.T) {
 	}
 }
 
+// TestReleaseAfterSilentCycle runs cycles that send, then cycles in which
+// no node proposes. The silent cycles' release must read nothing the last
+// sending cycle's apply round left behind: it neither panics nor recycles.
+func TestReleaseAfterSilentCycle(t *testing.T) {
+	const n = 32
+	e := NewEngine(18)
+	defer e.Close()
+	e.SetNodeFactory(func(nd *Node) {
+		nd.Protocols = []Protocol{&pooledPingProto{next: NodeID((int64(nd.ID) + 1) % n)}}
+	})
+	e.AddNodes(n)
+	e.Run(3)
+	before := e.Stats().PayloadsRecycled
+	if before != 3*n {
+		t.Fatalf("PayloadsRecycled = %d after the sending cycles, want %d", before, 3*n)
+	}
+	for id := range NodeID(n) {
+		e.Crash(id)
+	}
+	e.Run(2)
+	if got := e.Stats().PayloadsRecycled; got != before {
+		t.Fatalf("PayloadsRecycled moved from %d to %d in cycles that sent nothing", before, got)
+	}
+}
+
 // TestStatsSteadyStateAllocs pins the instrumentation's allocation cost on
 // the disabled path (no Stats readers, free-list counting off): a warmed-up
 // quiet cycle performs exactly one allocation — the propose phase's shard
