@@ -2,7 +2,7 @@
 // machinery `cmd/scenario -sweep` drives from JSON, built as a Go value.
 // The sweep asks one of the paper's questions (does solver
 // diversification help on a deceptive function?) as a 2x2 grid: a
-// homogeneous PSO deployment vs a mixed pso/de/ga one, on Sphere
+// homogeneous PSO deployment vs a mixed pso/de/es one, on Sphere
 // (unimodal) vs Rastrigin (highly multimodal). Every cell × repetition
 // job runs on one bounded worker pool and the per-cell aggregates come
 // back ready for the comparison report.
@@ -42,7 +42,7 @@ func run(out io.Writer, reps, workers int) {
 		Axes: []scenario.Axis{
 			{Name: "solvers", Values: []scenario.AxisValue{
 				{Label: "pso", Value: raw(`{"stack":{"solvers":["pso"]}}`)},
-				{Label: "mixed", Value: raw(`{"stack":{"solvers":["pso","de","ga"]}}`)},
+				{Label: "mixed", Value: raw(`{"stack":{"solvers":["pso","de","es"]}}`)},
 			}},
 			{Name: "f", Path: "stack.function", Values: []scenario.AxisValue{
 				{Value: raw(`"Sphere"`)},

@@ -26,12 +26,14 @@
 //	best, _ := net.GlobalBest()
 //	fmt.Println(best.F)
 //
-// The package also exposes the benchmark functions and alternative solvers
-// (differential evolution, simulated annealing, (1+1)-ES, a genetic
-// algorithm, random search). The paper's tables and ablations are sweep
-// files in paper/, run by cmd/scenario -sweep (docs/SCENARIOS.md,
-// "Reproducing the paper"); cmd/p2pnode runs the identical protocol stack
-// over TCP sockets.
+// The package also exposes the benchmark functions and the solvers of the
+// paper's solver ablation: PSOSolver, DESolver (differential evolution)
+// and ESSolver ((1+1)-ES), mixed across nodes by MixedSolvers. GASolver,
+// SASolver and RandomSolver were removed, replaced by PSOSolver, DESolver
+// and ESSolver: no file of the paper's ablations used them. The paper's
+// tables and ablations are sweep files in paper/, run by cmd/scenario
+// -sweep (docs/SCENARIOS.md, "Reproducing the paper"); cmd/p2pnode runs
+// the identical protocol stack over TCP sockets.
 package gossipopt
 
 import (
@@ -124,23 +126,7 @@ func DESolver(np int) SolverFactory {
 	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewDE(f, dim, np, r) }
 }
 
-// SASolver returns a factory for simulated annealers.
-func SASolver() SolverFactory {
-	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewSA(f, dim, r) }
-}
-
 // ESSolver returns a factory for (1+1) evolution strategies.
 func ESSolver() SolverFactory {
 	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewES(f, dim, r) }
-}
-
-// RandomSolver returns a factory for uniform random search.
-func RandomSolver() SolverFactory {
-	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewRandomSearch(f, dim, r) }
-}
-
-// GASolver returns a factory for steady-state real-coded genetic
-// algorithms with population np.
-func GASolver(np int) SolverFactory {
-	return func(f Function, dim int, _ int64, r *RNG) Solver { return solver.NewGA(f, dim, np, r) }
 }

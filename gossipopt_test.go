@@ -46,11 +46,9 @@ func TestFacadeSuites(t *testing.T) {
 
 func TestFacadeSolverFactories(t *testing.T) {
 	for name, factory := range map[string]gossipopt.SolverFactory{
-		"pso":    gossipopt.PSOSolver(8, gossipopt.PSOConfig{}),
-		"de":     gossipopt.DESolver(8),
-		"sa":     gossipopt.SASolver(),
-		"es":     gossipopt.ESSolver(),
-		"random": gossipopt.RandomSolver(),
+		"pso": gossipopt.PSOSolver(8, gossipopt.PSOConfig{}),
+		"de":  gossipopt.DESolver(8),
+		"es":  gossipopt.ESSolver(),
 	} {
 		s := factory(gossipopt.Sphere, 10, 0, gossipopt.NewRNG(1))
 		for i := 0; i < 50; i++ {

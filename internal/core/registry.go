@@ -47,8 +47,7 @@ func TopologyNames() []string {
 }
 
 // solverByName builds a Factory given the population size (particles for
-// PSO, NP for the population-based solvers; solvers without a population
-// ignore it).
+// PSO, NP for DE; the ES has no population and ignores it).
 var solverByName = map[string]func(particles int) solver.Factory{
 	"pso": func(particles int) solver.Factory {
 		return func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
@@ -60,31 +59,15 @@ var solverByName = map[string]func(particles int) solver.Factory{
 			return solver.NewDE(f, dim, particles, r)
 		}
 	},
-	"ga": func(particles int) solver.Factory {
-		return func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
-			return solver.NewGA(f, dim, particles, r)
-		}
-	},
-	"sa": func(int) solver.Factory {
-		return func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
-			return solver.NewSA(f, dim, r)
-		}
-	},
 	"es": func(int) solver.Factory {
 		return func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
 			return solver.NewES(f, dim, r)
 		}
 	},
-	"random": func(int) solver.Factory {
-		return func(f funcs.Function, dim int, _ int64, r *rng.RNG) solver.Solver {
-			return solver.NewRandomSearch(f, dim, r)
-		}
-	},
 }
 
-// SolverByName resolves a solver service name ("pso", "de", "ga", "sa",
-// "es", "random") to a factory; particles sizes the population where the
-// solver has one.
+// SolverByName resolves a solver service name ("pso", "de", "es") to a
+// factory; particles sizes the population where the solver has one.
 func SolverByName(name string, particles int) (solver.Factory, error) {
 	mk, ok := solverByName[strings.ToLower(name)]
 	if !ok {

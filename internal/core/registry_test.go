@@ -33,6 +33,9 @@ func TestTopologyByName(t *testing.T) {
 }
 
 func TestSolverByName(t *testing.T) {
+	if names := SolverNames(); !slices.Equal(names, []string{"de", "es", "pso"}) {
+		t.Fatalf("SolverNames() = %v, want the paper's [de es pso]", names)
+	}
 	r := rng.New(1)
 	for _, name := range SolverNames() {
 		mk, err := SolverByName(name, 8)
@@ -45,19 +48,19 @@ func TestSolverByName(t *testing.T) {
 			t.Fatalf("solver %q did not evaluate", name)
 		}
 	}
-	_, err := SolverByName("gradient-descent", 8)
+	_, err := SolverByName("ga", 8) // retired with SA and random search
 	if err == nil || !strings.Contains(err.Error(), "pso") {
 		t.Fatalf("unknown-solver error must list names, got %v", err)
 	}
 }
 
 func TestSolversByNameMixed(t *testing.T) {
-	mk, err := SolversByName([]string{"pso", "sa"}, 4)
+	mk, err := SolversByName([]string{"pso", "es"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(2)
-	// Round-robin by id: even ids PSO, odd ids SA; both must work.
+	// Round-robin by id: even ids PSO, odd ids ES; both must work.
 	for id := int64(0); id < 4; id++ {
 		s := mk(funcs.Sphere, 0, id, r.Split())
 		s.EvalOne()

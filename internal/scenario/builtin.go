@@ -83,12 +83,12 @@ func builtins() map[string]Spec {
 		},
 		"mixed-solvers": {
 			Name:        "mixed-solvers",
-			Description: "Module diversification: six solver types round-robin across 60 nodes, coordinated by best-point gossip.",
+			Description: "Module diversification: three solver types round-robin across 60 nodes, coordinated by best-point gossip.",
 			Nodes:       60,
 			Seed:        6,
 			Stack: Stack{
 				Function: "Rastrigin",
-				Solvers:  []string{"pso", "de", "ga", "sa", "es", "random"},
+				Solvers:  []string{"pso", "de", "es"},
 			},
 			MetricsEvery: 20,
 			Stop:         Stop{Cycles: 240},

@@ -277,6 +277,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"unknown function":     `{"name":"x","stack":{"function":"Nope"}}`,
 		"unknown topology":     `{"name":"x","stack":{"topology":"hypercube"}}`,
 		"unknown solver":       `{"name":"x","stack":{"solvers":["sgd"]}}`,
+		"retired solver":       `{"name":"x","stack":{"solvers":["ga"]}}`,
 		"fractional cycle":     `{"name":"x","timeline":[{"at":1.5,"action":"heal"}]}`,
 		"join on event":        `{"name":"x","engine":"event","timeline":[{"at":1,"action":"join","count":1}]}`,
 		"set-link on cycle":    `{"name":"x","timeline":[{"at":1,"action":"set-link"}]}`,
@@ -302,6 +303,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		if _, err := Parse([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted %s", label, raw)
 		}
+	}
+	// A retired solver name fails like any unknown one, listing the paper's
+	// three solvers.
+	if _, err := Parse([]byte(cases["retired solver"])); err == nil || !strings.Contains(err.Error(), "de, es, pso") {
+		t.Errorf("retired solver: error %v does not name de, es, pso", err)
 	}
 	good := `{"name":"ok","nodes":12,"timeline":[{"at":3,"action":"partition","groups":2},{"at":1,"action":"crash","fraction":0.5}]}`
 	s, err := Parse([]byte(good))

@@ -7,17 +7,18 @@ import (
 	"gossipopt/internal/rng"
 )
 
+// DE/rand/1/bin's differential weight and crossover rate.
+const (
+	deF  = 0.5
+	deCR = 0.9
+)
+
 // DE is differential evolution (Storn & Price), strategy DE/rand/1/bin.
 // Each EvalOne processes one trial vector: pick the next target in
 // round-robin order, build a mutant from three distinct random members,
 // binomially cross it with the target, evaluate, and keep the better of
 // trial and target.
 type DE struct {
-	// F is the differential weight (default 0.5).
-	F float64
-	// CR is the crossover rate (default 0.9).
-	CR float64
-
 	f    funcs.Function
 	dim  int
 	rng  *rng.RNG
@@ -38,7 +39,6 @@ func NewDE(f funcs.Function, dim, np int, r *rng.RNG) *DE {
 	}
 	d := f.Dim(dim)
 	de := &DE{
-		F: 0.5, CR: 0.9,
 		f: f, dim: d, rng: r,
 		pop: make([][]float64, np),
 		fit: make([]float64, np),
@@ -94,8 +94,8 @@ func (de *DE) EvalOne() float64 {
 	// Mutant + binomial crossover into tmp.
 	jrand := de.rng.Intn(de.dim)
 	for j := 0; j < de.dim; j++ {
-		if j == jrand || de.rng.Bool(de.CR) {
-			de.tmp[j] = de.pop[a][j] + de.F*(de.pop[b][j]-de.pop[c][j])
+		if j == jrand || de.rng.Bool(deCR) {
+			de.tmp[j] = de.pop[a][j] + deF*(de.pop[b][j]-de.pop[c][j])
 		} else {
 			de.tmp[j] = de.pop[i][j]
 		}
@@ -140,4 +140,3 @@ func (de *DE) Inject(x []float64, fx float64) bool {
 func (de *DE) Evals() int64 { return de.evals }
 
 var _ Solver = (*DE)(nil)
-var _ Solver = (*RandomSearch)(nil)

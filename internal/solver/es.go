@@ -6,15 +6,15 @@ import (
 	"gossipopt/internal/vec"
 )
 
+// sigma0 is the ES's initial step size as a fraction of the domain width.
+// Adaptation follows Rechenberg's 1/5 rule with the conventional factor
+// 1.5 applied every 5·dim evaluations.
+const sigma0 = 0.3
+
 // ES is a (1+1) evolution strategy with the 1/5-success-rule step-size
 // adaptation — a strong, cheap local-search baseline (a self-tuning hill
 // climber).
 type ES struct {
-	// Sigma0 is the initial step size as a fraction of the domain width
-	// (default 0.3). Adaptation follows Rechenberg's 1/5 rule with the
-	// conventional factor 1.5 applied every dim evaluations.
-	Sigma0 float64
-
 	f       funcs.Function
 	dim     int
 	rng     *rng.RNG
@@ -34,8 +34,7 @@ type ES struct {
 func NewES(f funcs.Function, dim int, r *rng.RNG) *ES {
 	d := f.Dim(dim)
 	e := &ES{
-		Sigma0: 0.3,
-		f:      f, dim: d, rng: r,
+		f: f, dim: d, rng: r,
 		cur:   make([]float64, d),
 		cand:  make([]float64, d),
 		b:     newBest(),
@@ -44,7 +43,7 @@ func NewES(f funcs.Function, dim int, r *rng.RNG) *ES {
 	for i := range e.cur {
 		e.cur[i] = r.UniformIn(f.Lo, f.Hi)
 	}
-	e.sigma = e.Sigma0 * e.width
+	e.sigma = sigma0 * e.width
 	return e
 }
 
@@ -112,6 +111,3 @@ func (e *ES) Inject(x []float64, fx float64) bool {
 func (e *ES) Evals() int64 { return e.evals }
 
 var _ Solver = (*ES)(nil)
-
-// Sigma exposes the current step size (for tests and diagnostics).
-func (e *ES) Sigma() float64 { return e.sigma }

@@ -1,11 +1,11 @@
 // Package solver defines the framework's function-optimization service
-// contract and several solvers beyond PSO — differential evolution,
-// simulated annealing, a self-adaptive (1+1) evolution strategy, and pure
-// random search. The paper's future work calls for exactly this: "the
-// implementation of various different solvers to enrich the function
-// evaluation service and then be able to test module diversification among
-// peers". Any Solver can be plugged into a framework node and coordinated
-// through the same epidemic best-value diffusion.
+// contract and the two solvers the paper's solver ablation sets beside
+// PSO: differential evolution and a self-adaptive (1+1) evolution
+// strategy. The paper's future work calls for "the implementation of
+// various different solvers to enrich the function evaluation service and
+// then be able to test module diversification among peers"; any Solver
+// can be plugged into a framework node and coordinated through the same
+// epidemic best-value diffusion.
 package solver
 
 import (
@@ -44,7 +44,7 @@ type Solver interface {
 // workers (a shared round-robin counter would be neither).
 type Factory func(f funcs.Function, dim int, id int64, r *rng.RNG) Solver
 
-// best tracks the best-so-far state shared by the simple solvers.
+// best tracks the best-so-far state shared by DE and the ES.
 type best struct {
 	x []float64
 	f float64
@@ -69,46 +69,3 @@ func (b *best) offer(x []float64, f float64) bool {
 	b.f = f
 	return true
 }
-
-// RandomSearch samples the domain uniformly — the coordination-free
-// baseline of the paper's "exploiting stochasticity" extreme.
-type RandomSearch struct {
-	f     funcs.Function
-	dim   int
-	rng   *rng.RNG
-	b     best
-	x     []float64
-	evals int64
-}
-
-// NewRandomSearch creates a uniform random sampler over f.
-func NewRandomSearch(f funcs.Function, dim int, r *rng.RNG) *RandomSearch {
-	d := f.Dim(dim)
-	return &RandomSearch{f: f, dim: d, rng: r, b: newBest(), x: make([]float64, d)}
-}
-
-// EvalOne implements Solver.
-func (s *RandomSearch) EvalOne() float64 {
-	for i := range s.x {
-		s.x[i] = s.rng.UniformIn(s.f.Lo, s.f.Hi)
-	}
-	fx := s.f.Eval(s.x)
-	s.evals++
-	s.b.offer(s.x, fx)
-	return fx
-}
-
-// Best implements Solver.
-func (s *RandomSearch) Best() ([]float64, float64) { return s.b.x, s.b.f }
-
-// Inject implements Solver. Random search has no state to steer, so the
-// injection only improves the reported best.
-func (s *RandomSearch) Inject(x []float64, fx float64) bool {
-	if len(x) != s.dim || !admissible(fx) {
-		return false
-	}
-	return s.b.offer(x, fx)
-}
-
-// Evals implements Solver.
-func (s *RandomSearch) Evals() int64 { return s.evals }
